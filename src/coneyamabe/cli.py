@@ -182,13 +182,12 @@ def write_svg_lines(path: Path, series, title, xlabel, ylabel) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _build_problem(cfg: ExperimentConfig, mesh) -> NonlinearProblem:
+def _build_problem(cfg: ExperimentConfig, mesh, data=None) -> NonlinearProblem:
+    """Flat-cone problem with the configured coefficients; data overrides cfg.dirichlet."""
     c0 = Field(mesh, coefficient_values(cfg.c0, cfg.c0_profile, mesh.rho_polar))
     c1 = Field(mesh, coefficient_values(cfg.c1, cfg.c1_profile, mesh.rho_polar))
-    if cfg.dirichlet == "model":
-        data = model_dirichlet_data(mesh)
-    else:
-        data = Field.full(mesh, float(cfg.dirichlet))
+    if data is None:
+        data = model_dirichlet_data(mesh) if cfg.dirichlet == "model" else float(cfg.dirichlet)
     return flat_cone_problem(mesh, c0, c1, data)
 
 
@@ -296,7 +295,7 @@ def _dichotomy_single(cfg: ExperimentConfig, d: int):
     cone = sub.cone
     base = build_mesh(sub.domain(cone), sub.n_radial, sub.n_angular, sub.grading)
     meshes = truncation_family(base, sub.truncation_levels, sub.nodes_per_octave)
-    problems = [_build_problem_for_dichotomy(sub, m) for m in meshes]
+    problems = [_build_problem(sub, m, data=1.0) for m in meshes]
     reports = maximal_solution(
         problems,
         data_sequence=sub.data_sequence(),
@@ -305,12 +304,6 @@ def _dichotomy_single(cfg: ExperimentConfig, d: int):
         inner_tol=sub.nonlinear_tol,
     )
     return d, meshes, reports
-
-
-def _build_problem_for_dichotomy(cfg: ExperimentConfig, mesh) -> NonlinearProblem:
-    c0 = Field(mesh, coefficient_values(cfg.c0, cfg.c0_profile, mesh.rho_polar))
-    c1 = Field(mesh, coefficient_values(cfg.c1, cfg.c1_profile, mesh.rho_polar))
-    return flat_cone_problem(mesh, c0, c1, Field.full(mesh, 1.0))
 
 
 def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: int = 1) -> None:
@@ -419,14 +412,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    kind_map = {
-        "curvature": "curvature",
-        "solve": "solve",
-        "verify-model": "verify-model",
-        "dichotomy": "dichotomy",
-        "eigen": "eigen",
-    }
-    if cfg.kind != kind_map[args.command]:
+    if cfg.kind != args.command:
         print(
             f"config error: experiment kind {cfg.kind!r} does not match "
             f"subcommand {args.command!r}",

@@ -62,7 +62,6 @@ _SCHEMA = {
         "nodes_per_octave",
     },
     "tolerances": {
-        "linear_tol",
         "nonlinear_tol",
         "max_iter",
         "exhaustion_tol",
@@ -105,9 +104,8 @@ class ExperimentConfig:
     rho_polar_max: float = 2.0
     nodes_per_octave: int = 10
     # tolerances
-    linear_tol: float = 1e-10
     nonlinear_tol: float = 1e-8
-    max_iter: int = 500
+    max_iter: int | None = None  # None: the solve method's own limit
     exhaustion_tol: float = 0.03
     data_max_exponent: int = 16
     # experiment details
@@ -268,14 +266,13 @@ def parse_config(path_or_text: str, from_text: bool = False) -> ExperimentConfig
     if cfg.nodes_per_octave < 2:
         raise ConfigError("nodes_per_octave must be >= 2")
 
-    cfg.linear_tol = get("tolerances", "linear_tol", float, cfg.linear_tol)
     cfg.nonlinear_tol = get("tolerances", "nonlinear_tol", float, cfg.nonlinear_tol)
     cfg.max_iter = get("tolerances", "max_iter", int, cfg.max_iter)
     cfg.exhaustion_tol = get("tolerances", "exhaustion_tol", float, cfg.exhaustion_tol)
     cfg.data_max_exponent = get("tolerances", "data_max_exponent", int, cfg.data_max_exponent)
-    if min(cfg.linear_tol, cfg.nonlinear_tol, cfg.exhaustion_tol) <= 0:
+    if min(cfg.nonlinear_tol, cfg.exhaustion_tol) <= 0:
         raise ConfigError("tolerances must be positive")
-    if cfg.max_iter < 1 or not 0 <= cfg.data_max_exponent <= 40:
+    if (cfg.max_iter is not None and cfg.max_iter < 1) or not 0 <= cfg.data_max_exponent <= 40:
         raise ConfigError("max_iter must be >= 1 and data_max_exponent in [0, 40]")
 
     cfg.method = get("experiment", "method", str, cfg.method)

@@ -30,11 +30,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Field, Mesh
+from .mesh import Field, Mesh, _half_widths
 
 __all__ = [
     "OperatorAssembly",
@@ -50,7 +49,6 @@ __all__ = [
     "write_coo_system",
 ]
 
-DENSE_CUTOFF = 5000
 DEFAULT_TOL = 1e-10
 
 
@@ -66,7 +64,8 @@ class NonConvergenceError(RuntimeError):
 
 
 class IndefiniteOperatorError(RuntimeError):
-    """Conjugate directions met nonpositive curvature: raise the shift mu1."""
+    """A factorization pivot was nonpositive: the matrix is not positive
+    definite (for a shifted operator, raise the shift mu1)."""
 
 
 class NegativeEigenvectorError(RuntimeError):
@@ -229,63 +228,30 @@ def _field_values(mesh: Mesh, f) -> np.ndarray:
     return arr
 
 
-def _half_widths(nodes: np.ndarray) -> np.ndarray:
-    gaps = np.diff(nodes)
-    w = np.empty(len(nodes))
-    w[0] = 0.5 * gaps[0]
-    w[-1] = 0.5 * gaps[-1]
-    w[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
-    return w
-
-
 @dataclass
 class LinearSolveReport:
     solution: Field
     relative_residual: float
-    iterations: int
+    iterations: int  # back-substitutions: 1 for the direct solve
 
 
-def _pcg(A, b, tol, maxiter, x0=None):
-    """Jacobi-preconditioned conjugate gradients with indefiniteness detection."""
-    diag = A.diagonal()
-    if np.any(diag <= 0.0):
-        raise IndefiniteOperatorError(
-            "nonpositive diagonal entry in the reduced operator; raise mu1"
-        )
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0, 0.0
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - A @ x
-    z = r / diag
-    rho = r @ z
-    pvec = z.copy()
-    for k in range(maxiter):
-        relres = np.linalg.norm(r) / bnorm
-        if relres <= tol:
-            return x, k, relres
-        Ap = A @ pvec
-        pAp = pvec @ Ap
-        if pAp <= 0.0:
-            raise IndefiniteOperatorError(
-                "nonpositive curvature direction in CG; operator indefinite, raise mu1"
-            )
-        alpha = rho / pAp
-        x += alpha * pvec
-        if (k + 1) % 64 == 0:
-            r = b - A @ x
-        else:
-            r -= alpha * Ap
-        z = r / diag
-        rho_new = r @ z
-        pvec = z + (rho_new / rho) * pvec
-        rho = rho_new
-    relres = np.linalg.norm(b - A @ x) / bnorm
-    raise NonConvergenceError(
-        f"CG did not reach rtol {tol:g} in {maxiter} iterations (residual {relres:.3e})",
-        iterations=maxiter,
-        residual=relres,
-    )
+def _factor_spd(A: sp.spmatrix):
+    """Sparse LU of a symmetric matrix, certified positive definite.
+
+    A symmetric minimum-degree ordering with diagonal pivots keeps
+    perm_r == perm_c, so the diagonal of U holds the pivots of A = L D L^T
+    and, by Sylvester's law of inertia, counts the nonpositive eigenvalues
+    of A.  Raises IndefiniteOperatorError unless every pivot is positive.
+    """
+    try:
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # an exactly singular factor
+        raise IndefiniteOperatorError(f"sparse factorization failed ({exc})") from exc
+    # a row permutation means SuperLU met a zero diagonal pivot
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
+        raise IndefiniteOperatorError("nonpositive pivot: the matrix is not positive definite")
+    return lu
 
 
 def _free_system(op: OperatorAssembly):
@@ -297,31 +263,18 @@ def _free_system(op: OperatorAssembly):
     return op._free_matrix, op._free_to_fixed
 
 
-def _free_factorization(op: OperatorAssembly):
-    """Dense Cholesky of the reduced system, cached on the assembly."""
-    if op._free_factor is None:
-        A_ff, _ = _free_system(op)
-        try:
-            op._free_factor = scipy.linalg.cho_factor(A_ff.toarray(), lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise IndefiniteOperatorError(
-                f"dense Cholesky failed ({exc}); operator indefinite, raise mu1"
-            ) from exc
-    return op._free_factor
-
-
 def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, tol: float = DEFAULT_TOL,
-                robin_rhs=None, max_iter: int | None = None,
-                initial_guess=None) -> LinearSolveReport:
+                robin_rhs=None) -> LinearSolveReport:
     """Solve the mixed linear problem L u + (c+mu1) u = rhs with Robin data.
 
     rhs is the interior source f1, robin_rhs the boundary source f2 of the
     mixed weak form (default 0); Dirichlet rows return the supplied data
-    exactly.  Meshes with at most DENSE_CUTOFF free nodes use a cached dense
-    Cholesky factorization, larger ones Jacobi-preconditioned CG.  Raises
-    IndefiniteOperatorError when the shifted operator is not positive
-    definite (the caller should raise mu1) and NonConvergenceError on
-    iteration overrun.
+    exactly.  The free-node block is factored once by _factor_spd and the
+    factor is cached on the assembly, so repeated solves with one operator
+    are back-substitutions.  Raises IndefiniteOperatorError when the shifted
+    operator is not positive definite (the caller should raise mu1) and
+    NonConvergenceError when the relative residual of the reduced system
+    exceeds max(tol, 1e-6).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -340,28 +293,21 @@ def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, tol: float = DEFAULT_
     b = op.volume_mass * rvals + op.boundary_mass * gvals
     A_ff, A_fd = _free_system(op)
     b_f = b[free] - A_fd @ dvals[~free]
+    if op._free_factor is None:
+        op._free_factor = _factor_spd(A_ff)
+    x = op._free_factor.solve(b_f)
 
-    n_free = int(np.sum(free))
     u = np.empty(mesh.n_nodes)
     u[~free] = dvals[~free]
-    if n_free <= DENSE_CUTOFF:
-        factor = _free_factorization(op)
-        x = scipy.linalg.cho_solve(factor, b_f)
-        iters = 1
-    else:
-        x0 = None if initial_guess is None else _field_values(mesh, initial_guess)[free]
-        maxiter = max_iter if max_iter is not None else max(2000, 4 * n_free)
-        x, iters, _ = _pcg(A_ff, b_f, tol, maxiter, x0=x0)
     u[free] = x
 
     bnorm = np.linalg.norm(b_f)
     relres = float(np.linalg.norm(b_f - A_ff @ x) / bnorm) if bnorm > 0 else 0.0
-    if relres > max(tol, 1e3 * np.finfo(float).eps):
-        if n_free <= DENSE_CUTOFF and relres > 1e-6:
-            raise NonConvergenceError(
-                f"direct solve residual {relres:.3e} exceeds tolerance", residual=relres
-            )
-    return LinearSolveReport(solution=Field(mesh, u), relative_residual=relres, iterations=iters)
+    if relres > max(tol, 1e-6):
+        raise NonConvergenceError(
+            f"direct solve residual {relres:.3e} exceeds tolerance", residual=relres
+        )
+    return LinearSolveReport(solution=Field(mesh, u), relative_residual=relres, iterations=1)
 
 
 def rayleigh_quotient(op: OperatorAssembly, zeta) -> float:
@@ -404,7 +350,8 @@ def principal_eigen(op: OperatorAssembly, variant: str = "volume", tol: float = 
     volume mass or, for the "volume-plus-boundary" variant, volume plus
     Robin surface mass.  The iteration inverts A + mu*B with mu chosen from
     a generalized Gershgorin lower bound so the shifted matrix is positive
-    definite.  The eigenvector is normalized to sup = 1; a genuinely
+    definite; it is factored once by _factor_spd, which certifies that.  The
+    eigenvector is normalized to sup = 1; a genuinely
     negative component raises NegativeEigenvectorError since the ground
     state of an irreducible M-matrix pencil must be positive.
     """
@@ -417,8 +364,7 @@ def principal_eigen(op: OperatorAssembly, variant: str = "volume", tol: float = 
     lower = float(np.min((diag - offsum) / bdiag))
     mu = 0.0 if lower > 0 else -lower + max(1e-8, 0.01 * abs(lower))
 
-    shifted = (A + sp.diags(mu * bdiag)).tocsc()
-    factor = spla.splu(shifted)
+    factor = _factor_spd(A + sp.diags(mu * bdiag))
 
     v = np.ones(n)
     v /= np.max(np.abs(v))

@@ -39,11 +39,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .elliptic import (
-    IndefiniteOperatorError,
     NonConvergenceError,
     OperatorAssembly,
+    _factor_spd,
+    _free_system,
     assemble,
     solve_mixed,
 )
@@ -82,6 +84,7 @@ __all__ = [
 
 DEFAULT_DATA_SEQUENCE = tuple(float(2**k) for k in range(17))  # 1, 2, ..., 2^16
 CAP_LIMIT = 1e12
+MONOTONE_MAX_ITER = 2000
 
 
 class OrderingViolationError(RuntimeError):
@@ -170,11 +173,18 @@ class NonlinearProblem:
         return self._op0
 
     def with_data(self, data) -> "NonlinearProblem":
+        """Same problem with other Dirichlet data.
+
+        The linear operator depends only on the mesh, c and c2_lin, so an
+        already assembled one is shared with the new problem.
+        """
         if np.isscalar(data):
             data = Field.full(self.mesh, float(data))
         elif not isinstance(data, Field):
             data = Field(self.mesh, np.asarray(data, dtype=float))
-        return NonlinearProblem(self.mesh, self.c0, self.c1, self.c, self.c2_lin, data)
+        prob = NonlinearProblem(self.mesh, self.c0, self.c1, self.c, self.c2_lin, data)
+        prob._op0 = self._op0
+        return prob
 
     def residual_parts(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise residual of the discrete system at (interior, Robin) nodes."""
@@ -370,8 +380,7 @@ def monotone_iterate(
     sub0: Field,
     S: float,
     tol: float = 1e-8,
-    max_iter: int = 500,
-    lin_tol: float = 1e-12,
+    max_iter: int = MONOTONE_MAX_ITER,
     check_subsolution: bool = True,
     ordering_tol: float | None = None,
 ) -> tuple[SolverReport, BracketState]:
@@ -422,7 +431,7 @@ def monotone_iterate(
         un = np.clip(u, 0.0, None)
         rhs = (shift_i - cvals) * un - c0 * un**p
         g = (shift_b - c2vals) * un - c1 * un**q
-        rep = solve_mixed(op, Field(mesh, rhs), data, tol=lin_tol, robin_rhs=Field(mesh, g))
+        rep = solve_mixed(op, Field(mesh, rhs), data, robin_rhs=Field(mesh, g))
         return rep.solution.values
 
     upper = np.full(mesh.n_nodes, S)
@@ -479,7 +488,6 @@ def newton_solve(
     u0: Field | None = None,
     tol: float = 1e-10,
     max_iter: int = 60,
-    lin_tol: float = 1e-12,
 ) -> SolverReport:
     """Damped Newton iteration on the discrete system.
 
@@ -488,15 +496,16 @@ def newton_solve(
     solves the linearization with potentials c + p c0 u^(p-1) and
     c2 + q c1 u^(q-1); backtracking halves the step until the integrated
     residual norm decreases.  Converges when the sup-norm increment falls
-    below tol * (1 + sup u).
+    below tol * (1 + sup u).  Each Jacobian is factored by the certified
+    sparse LU, so an indefinite linearization (possible only when c or
+    c2_lin is negative) raises IndefiniteOperatorError.
     """
-    import scipy.sparse as sp
-
     mesh = problem.mesh
     p, q = problem.p_interior, problem.p_boundary
     op0 = problem.linear_operator
     free = mesh.free_mask
     data = problem.dirichlet_data.values
+    A_ff, _ = _free_system(op0)
 
     u = np.empty(mesh.n_nodes)
     if u0 is None:
@@ -532,11 +541,8 @@ def newton_solve(
             op0.volume_mass * (p * problem.c0.values * un ** (p - 1.0))
             + op0.boundary_mass * (q * problem.c1.values * un ** (q - 1.0))
         )
-        J = (op0.matrix + sp.diags(jac_diag)).tocsr()
-        J_ff = J[free][:, free]
         F = problem.integrated_residual(u)
-
-        delta = _solve_spd(J_ff, -F, op0.volume_mass[free], lin_tol)
+        delta = _factor_spd(A_ff + sp.diags(jac_diag[free])).solve(-F)
         step_full = np.zeros(mesh.n_nodes)
         step_full[free] = delta
 
@@ -580,24 +586,6 @@ def newton_solve(
     )
 
 
-def _solve_spd(A, b, mass_diag, tol):
-    """Sparse direct solve with a Levenberg fallback for near-singular systems."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    lam = 0.0
-    for _ in range(40):
-        M = A if lam == 0.0 else (A + sp.diags(lam * mass_diag)).tocsr()
-        try:
-            x = spla.splu(M.tocsc()).solve(b)
-            if np.all(np.isfinite(x)):
-                return x
-        except RuntimeError:
-            pass
-        lam = 1.0 if lam == 0.0 else 2.0 * lam
-    raise IndefiniteOperatorError("Levenberg shift exhausted; system remains singular")
-
-
 def solve_problem(
     problem: NonlinearProblem,
     method: str = "newton",
@@ -605,15 +593,17 @@ def solve_problem(
     u0: Field | None = None,
     max_iter: int | None = None,
 ) -> SolverReport:
-    """Dispatch to the requested nonlinear scheme with its standard setup."""
+    """Dispatch to the requested nonlinear scheme with its standard setup.
+
+    max_iter=None keeps the scheme's own iteration limit.
+    """
+    limit = {} if max_iter is None else {"max_iter": max_iter}
     if method == "newton":
-        return newton_solve(problem, u0=u0, tol=tol, max_iter=max_iter or 60)
+        return newton_solve(problem, u0=u0, tol=tol, **limit)
     if method == "monotone":
         S = pick_cap(problem)
         sub0 = u0 if u0 is not None else Field.zeros(problem.mesh)
-        report, _ = monotone_iterate(
-            problem, sub0, S, tol=max(tol, 1e-12), max_iter=max_iter or 500
-        )
+        report, _ = monotone_iterate(problem, sub0, S, tol=max(tol, 1e-12), **limit)
         return report
     raise ValueError(f"unknown method {method!r}")
 
@@ -683,8 +673,11 @@ def exhaustion_blowup_solve(
 
     reports: list[SolverReport] = []
     prev = None
+    # each data value derives from the previous one, so the whole ladder
+    # shares one assembled operator and frees it on return
+    prob_m = problem
     for m in seq:
-        prob_m = problem.with_data(m)
+        prob_m = prob_m.with_data(m)
         u0 = None
         if prev is not None:
             u0 = Field(mesh, np.minimum(prev, m))

@@ -46,6 +46,13 @@ def test_unknown_key_rejected(tmp_path):
         parse_config(write_cfg(tmp_path, "curvature", body="[nonsense]\nx = 1\n"))
 
 
+def test_linear_tol_is_an_unknown_key(tmp_path):
+    cfgpath = write_cfg(tmp_path, "solve", body="[tolerances]\nlinear_tol = 1e-10\n")
+    with pytest.raises(ConfigError):
+        parse_config(cfgpath)
+    assert main(["solve", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
+
+
 def test_numeric_ranges_validated(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(write_cfg(tmp_path, "solve", body="[mesh]\nn_radial = 2\n"))
@@ -125,6 +132,21 @@ def test_solve_with_monotone_method(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 0
+
+
+def test_monotone_solve_uses_its_own_iteration_limit(tmp_path):
+    # the exact model problem on the default wedge needs 752 monotone
+    # iterations; without max_iter in the config the method's limit applies
+    cfgpath = write_cfg(
+        tmp_path, "solve", extra="method = monotone",
+        body=f"[coefficients]\nc0 = 0.25\nc1 = {1.0 / (4.0 * math.sqrt(2.0))!r}\n"
+             "[mesh]\nn_radial = 50\nn_angular = 50\n",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert "solve.iterations = 752" in summary
+    assert "config.max_iter" not in summary
 
 
 def test_verify_model_experiment(tmp_path):

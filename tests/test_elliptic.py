@@ -173,9 +173,9 @@ def test_linearized_model_problem_recovers_power_solution():
     assert 1.7 <= math.log2(errs[1] / errs[2]) <= 2.3
 
 
-def test_krylov_branch_above_dense_cutoff():
-    # 90x90 has more free nodes than the dense cutoff: exercises the
-    # Jacobi-preconditioned CG path end to end
+def test_large_free_block_solve():
+    # 90x90 has more than 5000 free nodes: the sparse factorization stays
+    # accurate on a large reduced system
     mesh = make_mesh(nn=90)
     assert int(np.sum(mesh.free_mask)) > 5000
     theta = mesh.domain.cone.theta
@@ -184,7 +184,6 @@ def test_krylov_branch_above_dense_cutoff():
     g = np.full(mesh.n_nodes, -math.sin(theta))
     rep = solve_mixed(op, Field(mesh, um), Field(mesh, um), tol=1e-11,
                       robin_rhs=Field(mesh, g))
-    assert rep.iterations > 1  # iterative, not the cached factorization
     assert rep.relative_residual <= 1e-11
     assert np.max(np.abs(rep.solution.values - um)) < 2e-5
 
@@ -225,6 +224,24 @@ def test_indefinite_operator_detection():
         op2 = assemble(mesh, Field.full(mesh, -500.0), shift=(512.0, 0.0))
     rep = solve_mixed(op2, 1.0, 0.0)
     assert rep.relative_residual <= 1e-10
+
+
+@pytest.mark.parametrize("n,d", [(3, 1), (4, 1), (4, 2), (5, 3)])
+@pytest.mark.parametrize("c", [0.0, -5.0, -50.0, -500.0])
+def test_pivot_signs_match_dense_spectrum(n, d, c):
+    # the factorization's pivot signs are the inertia of the free block:
+    # solve_mixed fails exactly when eigvalsh finds a nonpositive eigenvalue
+    mesh = make_mesh(n=n, d=d, nn=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MMatrixWarning)
+        op = assemble(mesh, Field.full(mesh, c))
+    free = mesh.free_mask
+    lowest = np.linalg.eigvalsh(op.matrix[free][:, free].toarray())[0]
+    if lowest <= 0.0:
+        with pytest.raises(IndefiniteOperatorError):
+            solve_mixed(op, 1.0, 0.0)
+    else:
+        assert solve_mixed(op, 1.0, 0.0).relative_residual <= 1e-10
 
 
 def test_linear_comparison_principle():

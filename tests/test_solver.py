@@ -11,6 +11,7 @@ from coneyamabe import (
     BoundaryTag,
     ConeModel,
     Field,
+    IndefiniteOperatorError,
     MMatrixWarning,
     ReducedDomain,
     Verdict,
@@ -223,6 +224,18 @@ def test_newton_larger_data_larger_solution():
     u1 = newton_solve(base).solution.values
     u2 = newton_solve(base.with_data(2.0)).solution.values
     assert np.min(u2 - u1) >= -1e-9
+
+
+def test_newton_rejects_indefinite_jacobian():
+    # a strongly negative linear potential outweighs the nonlinear terms:
+    # the first Jacobian is indefinite and Newton fails instead of stepping
+    mesh = make_mesh(nn=12)
+    prob = flat_cone_problem(mesh, 1.0, 1.0, 1.0)
+    prob.c = Field.full(mesh, -500.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MMatrixWarning)
+        with pytest.raises(IndefiniteOperatorError):
+            newton_solve(prob)
 
 
 def test_randomized_comparison_orderings():
