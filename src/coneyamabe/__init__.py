@@ -57,7 +57,6 @@ from .solver import (
     SolverReport,
     UpperBarrierReport,
     Verdict,
-    VerdictThresholds,
     barrier_psi_fit,
     check_sub_super,
     exhaustion_blowup_solve,

@@ -40,6 +40,7 @@ from .geometry import (
 )
 from .mesh import Field, build_mesh, truncation_family, write_field_table
 from .solver import (
+    CapSearchError,
     MonotonicityViolationError,
     NonlinearProblem,
     NoStabilizationError,
@@ -63,6 +64,7 @@ SOLVER_ERRORS = (
     OrderingViolationError,
     NoStabilizationError,
     MonotonicityViolationError,
+    CapSearchError,
 )
 
 
@@ -300,7 +302,6 @@ def _dichotomy_single(cfg: ExperimentConfig, d: int):
         problems,
         data_sequence=sub.data_sequence(),
         tol=sub.exhaustion_tol,
-        method=sub.method,
         inner_tol=sub.nonlinear_tol,
     )
     return d, meshes, reports

@@ -278,6 +278,8 @@ def parse_config(path_or_text: str, from_text: bool = False) -> ExperimentConfig
     cfg.method = get("experiment", "method", str, cfg.method)
     if cfg.method not in SOLVE_METHODS:
         raise ConfigError(f"unknown method {cfg.method!r}; choose from {SOLVE_METHODS}")
+    if cfg.kind == "dichotomy" and cfg.method != "newton":
+        raise ConfigError("dichotomy runs its data ladder with Newton; method must be newton")
     raw_dlist = get("experiment", "d_list", str, "")
     if raw_dlist:
         cfg.d_list = [int(x) for x in raw_dlist.split(",") if x.strip()]

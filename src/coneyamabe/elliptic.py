@@ -112,14 +112,6 @@ class OperatorAssembly:
         """Dirichlet energy u . stiffness . v (no potentials, no shifts)."""
         return float(u @ (self.stiffness @ v))
 
-    def weighted_product(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Volume-weighted inner product <u, v>_W."""
-        return float(np.sum(self.volume_mass * u * v))
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """Integrated-form application: matrix @ u."""
-        return self.matrix @ u
-
     def pointwise_interior(self, u: np.ndarray, rhs=0.0) -> np.ndarray:
         """Operator-form residual (L u + (c+mu1) u - rhs) at interior nodes."""
         r = np.broadcast_to(np.asarray(rhs, dtype=float), u.shape)

@@ -54,7 +54,6 @@ from .mesh import Field, Mesh
 
 __all__ = [
     "Verdict",
-    "VerdictThresholds",
     "NonlinearProblem",
     "BracketState",
     "SolverReport",
@@ -108,16 +107,6 @@ class Verdict(enum.Enum):
     COMPLETE_TYPE = "COMPLETE_TYPE"
     BOUNDED_TYPE = "BOUNDED_TYPE"
     INCONCLUSIVE = "INCONCLUSIVE"
-
-
-@dataclass(frozen=True)
-class VerdictThresholds:
-    """Artifact decision thresholds for the dichotomy verdict (configurable)."""
-
-    alpha_complete_factor: float = 0.8   # alpha >= factor * (n-2)/2 for COMPLETE
-    alpha_bounded_factor: float = 0.2    # alpha <= factor * (n-2)/2 for BOUNDED
-    sup_variation_max: float = 0.05      # near-singular sup change between last truncations
-    indicator_stability: float = 0.4     # relative completeness-indicator drift allowed
 
 
 @dataclass
@@ -186,14 +175,21 @@ class NonlinearProblem:
         prob._op0 = self._op0
         return prob
 
+    def _integrated(self, u: np.ndarray) -> np.ndarray:
+        """Integrated-form residual of the discrete system at every node."""
+        op = self.linear_operator
+        un = np.maximum(u, 0.0)
+        return (
+            op.matrix @ u
+            + op.volume_mass * self.c0.values * un**self.p_interior
+            + op.boundary_mass * self.c1.values * un**self.p_boundary
+        )
+
     def residual_parts(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise residual of the discrete system at (interior, Robin) nodes."""
         mesh = self.mesh
-        un = np.maximum(u, 0.0)
         op = self.linear_operator
-        nl = op.volume_mass * self.c0.values * un**self.p_interior
-        nl_b = op.boundary_mass * self.c1.values * un**self.p_boundary
-        full = op.matrix @ u + nl + nl_b
+        full = self._integrated(u)
         r_int = full[mesh.tags == 0] / op.volume_mass[mesh.tags == 0]
         r_rob = full[mesh.robin_mask] / op.boundary_mass[mesh.robin_mask]
         return r_int, r_rob
@@ -204,14 +200,7 @@ class NonlinearProblem:
 
     def integrated_residual(self, u: np.ndarray) -> np.ndarray:
         """Integrated-form residual on free nodes (the Newton objective)."""
-        op = self.linear_operator
-        un = np.maximum(u, 0.0)
-        full = (
-            op.matrix @ u
-            + op.volume_mass * self.c0.values * un**self.p_interior
-            + op.boundary_mass * self.c1.values * un**self.p_boundary
-        )
-        return full[self.mesh.free_mask]
+        return self._integrated(u)[self.mesh.free_mask]
 
 
 def model_dirichlet_data(mesh: Mesh) -> Field:
@@ -381,8 +370,6 @@ def monotone_iterate(
     S: float,
     tol: float = 1e-8,
     max_iter: int = MONOTONE_MAX_ITER,
-    check_subsolution: bool = True,
-    ordering_tol: float | None = None,
 ) -> tuple[SolverReport, BracketState]:
     """Two-branch shifted iteration from the bracket [sub0, S].
 
@@ -395,23 +382,23 @@ def monotone_iterate(
     ordering argument verbatim while collapsing to a single direct solve
     when the problem is linear (with the cap's own power shift the
     contraction degenerates to 1 - lambda_1 S^(-(n+2)/(n-2))).  Ordering is
-    enforced nodewise at every iteration to ordering_tol (default
-    1e-12 * max(1, S)); violations raise OrderingViolationError since they
-    signal a failed discrete maximum principle.  Stops when the lower
-    increment drops below tol in sup norm.
+    enforced nodewise at every iteration to 1e-12 * max(1, S); violations
+    raise OrderingViolationError since they signal a failed discrete maximum
+    principle.  sub0 must be an admissible discrete subsolution with
+    0 <= sub0 <= S, else ValueError.  Stops when the lower increment drops
+    below tol in sup norm.
     """
     mesh = problem.mesh
     S = float(S)
     p, q = problem.p_interior, problem.p_boundary
-    otol = ordering_tol if ordering_tol is not None else 1e-12 * max(1.0, S)
+    otol = 1e-12 * max(1.0, S)
 
-    if check_subsolution:
-        adm = check_sub_super(problem, sub0, "sub")
-        if adm.worst_margin > 1e-10 * (1.0 + S):
-            raise ValueError(
-                f"sub0 is not an admissible discrete subsolution "
-                f"(worst margin {adm.worst_margin:.3e})"
-            )
+    adm = check_sub_super(problem, sub0, "sub")
+    if adm.worst_margin > 1e-10 * (1.0 + S):
+        raise ValueError(
+            f"sub0 is not an admissible discrete subsolution "
+            f"(worst margin {adm.worst_margin:.3e})"
+        )
     lower = np.asarray(sub0.values, float).copy()
     if np.min(lower) < -otol or np.max(lower) > S + otol:
         raise ValueError("sub0 must satisfy 0 <= sub0 <= S")
@@ -520,16 +507,18 @@ def newton_solve(
     def normalized_residual(vec):
         # row-normalized residual: near blow-up data the raw rows span many
         # orders of magnitude and a global norm would let the interior be
-        # sloppy, so each row is measured against its own term sizes
+        # sloppy, so each row is measured against its own term sizes.
+        # Returns the norm and the integrated residual it measured.
         un = np.clip(vec, 0.0, None)
         scale = (
             abs_matrix @ np.abs(vec)
             + op0.volume_mass * (problem.c0.values * un**p + 1.0)
             + op0.boundary_mass * problem.c1.values * un**q
         )
-        return float(np.max(np.abs(problem.integrated_residual(vec)) / scale[free]))
+        F = problem.integrated_residual(vec)
+        return float(np.max(np.abs(F) / scale[free])), F
 
-    res = normalized_residual(u)
+    res, F = normalized_residual(u)
     inc = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -541,7 +530,6 @@ def newton_solve(
             op0.volume_mass * (p * problem.c0.values * un ** (p - 1.0))
             + op0.boundary_mass * (q * problem.c1.values * un ** (q - 1.0))
         )
-        F = problem.integrated_residual(u)
         delta = _factor_spd(A_ff + sp.diags(jac_diag[free])).solve(-F)
         step_full = np.zeros(mesh.n_nodes)
         step_full[free] = delta
@@ -550,7 +538,7 @@ def newton_solve(
         while s >= 1e-6:
             trial = np.clip(u + s * step_full, 0.0, None)
             trial[~free] = data[~free]
-            new_res = normalized_residual(trial)
+            new_res, new_F = normalized_residual(trial)
             if new_res <= res * (1.0 - 1e-4 * s) or new_res <= 1e-12:
                 break
             s *= 0.5
@@ -565,7 +553,7 @@ def newton_solve(
                 residual=res,
             )
         inc = float(np.max(np.abs(trial - u)))
-        u, res = trial, new_res
+        u, res, F = trial, new_res, new_F
         if res <= 1e-11 and inc <= tol * (1.0 + float(np.max(np.abs(u)))):
             break
     else:
@@ -590,20 +578,22 @@ def solve_problem(
     problem: NonlinearProblem,
     method: str = "newton",
     tol: float = 1e-10,
-    u0: Field | None = None,
     max_iter: int | None = None,
 ) -> SolverReport:
     """Dispatch to the requested nonlinear scheme with its standard setup.
 
-    max_iter=None keeps the scheme's own iteration limit.
+    Newton starts from its constant supersolution, the monotone iteration
+    from the bracket [0, pick_cap(problem)]; max_iter=None keeps the
+    scheme's own iteration limit.
     """
     limit = {} if max_iter is None else {"max_iter": max_iter}
     if method == "newton":
-        return newton_solve(problem, u0=u0, tol=tol, **limit)
+        return newton_solve(problem, tol=tol, **limit)
     if method == "monotone":
         S = pick_cap(problem)
-        sub0 = u0 if u0 is not None else Field.zeros(problem.mesh)
-        report, _ = monotone_iterate(problem, sub0, S, tol=max(tol, 1e-12), **limit)
+        report, _ = monotone_iterate(
+            problem, Field.zeros(problem.mesh), S, tol=max(tol, 1e-12), **limit
+        )
         return report
     raise ValueError(f"unknown method {method!r}")
 
@@ -617,6 +607,14 @@ PROBE_RADIAL_MARGIN = 0.15   # fraction of the log-radial span kept clear of the
 PROBE_ANGULAR_MARGIN = 0.10  # fraction of the wedge span kept clear of the inner face
 
 
+def _radial_margin(mesh: Mesh) -> np.ndarray:
+    """Nodes at least PROBE_RADIAL_MARGIN of the log-radial span from both radial ends."""
+    xi = np.log(mesh.rho_polar)
+    xi0, xi1 = np.log(mesh.radial_nodes[0]), np.log(mesh.radial_nodes[-1])
+    dxi = PROBE_RADIAL_MARGIN * (xi1 - xi0)
+    return (xi >= xi0 + dxi) & (xi <= xi1 - dxi)
+
+
 def _interior_probe(mesh: Mesh, rho_cut: float | None = None) -> np.ndarray:
     """Free nodes with rho above the median on a fixed compact subset.
 
@@ -628,17 +626,9 @@ def _interior_probe(mesh: Mesh, rho_cut: float | None = None) -> np.ndarray:
     rho_cut overrides the median cut; the truncation-limit driver passes the
     base level's cut so the probe stays the same compact set at every depth.
     """
-    xi = np.log(mesh.rho_polar)
-    xi0, xi1 = np.log(mesh.radial_nodes[0]), np.log(mesh.radial_nodes[-1])
-    dxi = PROBE_RADIAL_MARGIN * (xi1 - xi0)
-    om = mesh.omega
     om0 = mesh.domain.omega_min
     theta = mesh.domain.cone.theta
-    margin = (
-        (xi >= xi0 + dxi)
-        & (xi <= xi1 - dxi)
-        & (om >= om0 + PROBE_ANGULAR_MARGIN * (theta - om0))
-    )
+    margin = _radial_margin(mesh) & (mesh.omega >= om0 + PROBE_ANGULAR_MARGIN * (theta - om0))
     rho = mesh.rho
     free = mesh.free_mask
     if rho_cut is None:
@@ -650,20 +640,21 @@ def exhaustion_blowup_solve(
     problem: NonlinearProblem,
     data_sequence=DEFAULT_DATA_SEQUENCE,
     tol: float | None = 1e-3,
-    method: str = "newton",
     inner_tol: float = 1e-10,
     probe_rho_cut: float | None = None,
 ) -> list[SolverReport]:
     """Solve with constant Dirichlet data m_1 < m_2 < ... and watch the interior.
 
-    Successive solutions are nodewise nondecreasing (discrete comparison);
-    the run stops once the interior probe set (free nodes with rho above the
-    median, a fixed margin away from the Dirichlet faces) changes by less
-    than tol * (1 + probe sup) in sup norm; the absolute change is reported
-    in interior_change.  Raises NoStabilizationError if the sequence is
-    exhausted first.  With tol=None the whole sequence runs and
-    stabilization is reported but not required (used by the truncation-limit
-    driver, which compares levels at a common final data height).
+    Each datum is a Newton solve started from the previous solution capped
+    at the new datum.  Successive solutions must be nodewise nondecreasing
+    (discrete comparison), else OrderingViolationError.  Every report after
+    the first carries in interior_change the sup-norm change on the interior
+    probe set (free nodes with rho above probe_rho_cut, default the median,
+    a fixed margin away from the Dirichlet faces).  The whole sequence
+    always runs; with tol given, stabilization is certified at the final
+    datum: its probe change must lie below tol * (1 + probe sup), else
+    NoStabilizationError.  tol=None reports the changes without the
+    certificate.
     """
     seq = [float(m) for m in data_sequence]
     if any(b <= a for a, b in zip(seq, seq[1:])) or not seq:
@@ -678,10 +669,8 @@ def exhaustion_blowup_solve(
     prob_m = problem
     for m in seq:
         prob_m = prob_m.with_data(m)
-        u0 = None
-        if prev is not None:
-            u0 = Field(mesh, np.minimum(prev, m))
-        rep = solve_problem(prob_m, method=method, tol=inner_tol, u0=u0)
+        u0 = None if prev is None else Field(mesh, np.minimum(prev, m))
+        rep = newton_solve(prob_m, u0=u0, tol=inner_tol)
         u = rep.solution.values
         if prev is not None:
             drop = float(np.max(prev - u))
@@ -692,23 +681,26 @@ def exhaustion_blowup_solve(
             rep.interior_change = float(np.max(np.abs((u - prev)[probe])))
         reports.append(rep)
         prev = u
-        if (
-            tol is not None
-            and rep.interior_change is not None
-            and rep.interior_change < tol * (1.0 + float(np.max(np.abs(u[probe]))))
-        ):
-            return reports
-    if tol is None:
-        return reports
-    raise NoStabilizationError(
-        f"interior probe change {reports[-1].interior_change} still above "
-        f"tol {tol:g} * (1 + probe sup) after data {seq[-1]:g}"
-    )
+    change = reports[-1].interior_change
+    if tol is not None and (
+        change is None or change >= tol * (1.0 + float(np.max(np.abs(prev[probe]))))
+    ):
+        raise NoStabilizationError(
+            f"interior probe change {change} not below tol {tol:g} * (1 + probe sup) "
+            f"at the final datum {seq[-1]:g} (omega_min {mesh.domain.omega_min:.6g})"
+        )
+    return reports
 
 
 FIT_FACE_CLEARANCE = 8.0  # window stays this many face-angles above the truncation
 FIT_WINDOW_TOP = 0.9      # window top as a fraction of sin(omega_base)
 FIT_WINDOW_SPAN = 0.9     # frozen window height in decades of rho
+
+# dichotomy verdict thresholds, relative to the blow-up exponent (n-2)/2
+VERDICT_ALPHA_COMPLETE = 0.8   # COMPLETE_TYPE needs alpha >= this * (n-2)/2
+VERDICT_ALPHA_BOUNDED = 0.2    # BOUNDED_TYPE needs alpha <= this * (n-2)/2
+VERDICT_SUP_VARIATION = 0.05   # near-singular sup change allowed between the last two truncations
+VERDICT_INDICATOR_DRIFT = 0.4  # relative completeness-indicator drift allowed
 
 
 def _auto_window(mesh: Mesh, omega_min_base: float) -> tuple[float, float] | None:
@@ -736,10 +728,7 @@ def maximal_solution(
     problems: list[NonlinearProblem],
     data_sequence=DEFAULT_DATA_SEQUENCE,
     tol: float = 1e-3,
-    method: str = "newton",
     inner_tol: float = 1e-10,
-    fit_window="auto",
-    thresholds: VerdictThresholds = VerdictThresholds(),
 ) -> list[SolverReport]:
     """Exhaustion limits over the shrinking truncations omega0, omega0/2, ...
 
@@ -749,10 +738,10 @@ def maximal_solution(
     solution to a coarser mesh is then itself a discrete solution with
     smaller boundary values and the nodewise decrease across levels is exact
     up to solver tolerance (checked against ten times the
-    discretization-noise estimate, else MonotonicityViolationError).  The
-    stabilization certificate (interior probe change below
-    tol * (1 + probe sup) at the final datum) is enforced per level.  Every
-    level's report carries the blow-up exponent fitted on its window and the
+    discretization-noise estimate, else MonotonicityViolationError).  Each
+    level's exhaustion certifies stabilization at the final datum on the
+    base level's probe set (NoStabilizationError otherwise).  Every level's
+    report carries the blow-up exponent fitted on its window and the
     near-singular band sup; the final report carries the dichotomy verdict.
     """
     if not problems:
@@ -769,19 +758,9 @@ def maximal_solution(
     seq = list(data_sequence)
     base_rho_cut = float(np.median(base_mesh.rho[base_mesh.free_mask]))
     for level, prob in enumerate(problems):
-        inner = exhaustion_blowup_solve(
-            prob, seq, tol=None, method=method, inner_tol=inner_tol,
-            probe_rho_cut=base_rho_cut,
-        )
-        rep = inner[-1]
-        probe = _interior_probe(prob.mesh, base_rho_cut)
-        probe_sup = float(np.max(np.abs(rep.solution.values[probe])))
-        if rep.interior_change is None or rep.interior_change >= tol * (1.0 + probe_sup):
-            raise NoStabilizationError(
-                f"truncation level {level}: interior probe change "
-                f"{rep.interior_change} above tol {tol:g} * (1 + probe sup) at the "
-                f"final datum {seq[-1]:g}"
-            )
+        rep = exhaustion_blowup_solve(
+            prob, seq, tol=tol, inner_tol=inner_tol, probe_rho_cut=base_rho_cut
+        )[-1]
         mesh = prob.mesh
         u = rep.solution.values
 
@@ -811,15 +790,11 @@ def maximal_solution(
         # near-singular band fixed across levels: omega in [omega_base/2, omega_base],
         # restricted to the same compact radial margin as the interior probe so the
         # sup measures the field near the singular set, not the blow-up corners
-        xi = np.log(mesh.rho_polar)
-        xi0, xi1 = np.log(mesh.radial_nodes[0]), np.log(mesh.radial_nodes[-1])
-        dxi_m = PROBE_RADIAL_MARGIN * (xi1 - xi0)
         band = (
             mesh.free_mask
             & (mesh.omega >= 0.5 * omega_base)
             & (mesh.omega <= omega_base)
-            & (xi >= xi0 + dxi_m)
-            & (xi <= xi1 - dxi_m)
+            & _radial_margin(mesh)
         )
         if np.any(band):
             rep.near_gamma_sup = float(np.max(u[band]))
@@ -829,7 +804,7 @@ def maximal_solution(
                 )
             prev_sup = rep.near_gamma_sup
 
-        window = _auto_window(mesh, omega_base) if fit_window == "auto" else fit_window
+        window = _auto_window(mesh, omega_base)
         if window is not None:
             try:
                 fit = fit_blowup_exponent(rep.solution, window)
@@ -847,19 +822,19 @@ def maximal_solution(
         ind_last = last.completeness_indicator
         ind_prev = reports[-2].completeness_indicator if len(reports) > 1 else None
         if (
-            alpha >= thresholds.alpha_complete_factor * m_exp
+            alpha >= VERDICT_ALPHA_COMPLETE * m_exp
             and ind_last is not None
             and ind_last > 0
             and ind_prev is not None
             and ind_prev > 0
             and abs(ind_last - ind_prev)
-            <= thresholds.indicator_stability * max(ind_last, ind_prev)
+            <= VERDICT_INDICATOR_DRIFT * max(ind_last, ind_prev)
         ):
             last.verdict = Verdict.COMPLETE_TYPE
         elif (
-            alpha <= thresholds.alpha_bounded_factor * m_exp
+            alpha <= VERDICT_ALPHA_BOUNDED * m_exp
             and last.near_gamma_variation is not None
-            and last.near_gamma_variation < thresholds.sup_variation_max
+            and last.near_gamma_variation < VERDICT_SUP_VARIATION
         ):
             last.verdict = Verdict.BOUNDED_TYPE
     return reports

@@ -219,4 +219,30 @@ def test_dichotomy_no_stabilization_exit_code(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["dichotomy", "--config", cfgpath, "--out", str(out)]) == 2
-    assert "status = solver-failed" in (out / "summary.txt").read_text()
+    summary = (out / "summary.txt").read_text()
+    assert "status = solver-failed" in summary
+    error = next(line for line in summary.splitlines() if line.startswith("error = "))
+    # the certificate names the final datum 2^2 and the level's truncation theta/8
+    assert error.startswith("error = NoStabilizationError")
+    assert "final datum 4 " in error
+    assert f"omega_min {math.pi / 32:.6g}" in error
+
+
+def test_dichotomy_rejects_monotone_method(tmp_path):
+    cfgpath = write_cfg(tmp_path, "dichotomy", extra="method = monotone\nd_list = 1")
+    with pytest.raises(ConfigError):
+        parse_config(cfgpath)
+    assert main(["dichotomy", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
+
+
+def test_cap_search_failure_exit_code(tmp_path):
+    # with c0 = 1e13 no cap below the 1e12 overflow guard makes the frozen maps monotone
+    cfgpath = write_cfg(
+        tmp_path, "solve", extra="method = monotone",
+        body="[coefficients]\nc0 = 1e13\n[mesh]\nn_radial = 8\nn_angular = 8\n",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 2
+    summary = (out / "summary.txt").read_text()
+    assert "status = solver-failed" in summary
+    assert "error = CapSearchError" in summary
