@@ -294,8 +294,7 @@ def run_verify_model(cfg: ExperimentConfig, out: Path, summary: Summary) -> None
 
 def _dichotomy_single(cfg: ExperimentConfig, d: int):
     sub = ExperimentConfig(**{**vars(cfg), "d": d, "d_list": []})
-    cone = sub.cone
-    base = build_mesh(sub.domain(cone), sub.n_radial, sub.n_angular, sub.grading)
+    base = build_mesh(sub.domain(), sub.n_radial, sub.n_angular, sub.grading)
     meshes = truncation_family(base, sub.truncation_levels, sub.nodes_per_octave)
     problems = [_build_problem(sub, m, data=1.0) for m in meshes]
     reports = maximal_solution(

@@ -121,8 +121,8 @@ class ExperimentConfig:
     def cone(self) -> ConeModel:
         return ConeModel(self.n, self.d, self.h)
 
-    def domain(self, cone: ConeModel | None = None) -> ReducedDomain:
-        cone = cone or self.cone
+    def domain(self) -> ReducedDomain:
+        cone = self.cone
         omega_min = self.omega_min if self.omega_min is not None else cone.theta / 8.0
         return ReducedDomain(cone, self.rho_polar_min, self.rho_polar_max, omega_min)
 
@@ -220,33 +220,25 @@ def parse_config(path_or_text: str, from_text: bool = False) -> ExperimentConfig
 
     # coefficients: constants, profile, or target curvature, exclusively per side
     if cp.has_section("coefficients"):
-        have_c0 = cp.has_option("coefficients", "c0")
-        have_c0p = cp.has_option("coefficients", "c0_profile")
-        have_tR = cp.has_option("coefficients", "target_R")
-        if have_c0 + have_c0p + have_tR > 1:
-            raise ConfigError("give only one of c0, c0_profile, target_R")
-        if have_c0p:
-            cfg.c0_profile = _parse_profile(cp.get("coefficients", "c0_profile"), "c0_profile")
-            cfg.c0 = None
-        elif have_tR:
-            cfg.c0 = target_R_to_c0(cfg.n, get("coefficients", "target_R", float))
-        elif have_c0:
-            cfg.c0 = get("coefficients", "c0", float)
-        have_c1 = cp.has_option("coefficients", "c1")
-        have_c1p = cp.has_option("coefficients", "c1_profile")
-        have_tH = cp.has_option("coefficients", "target_H")
-        if have_c1 + have_c1p + have_tH > 1:
-            raise ConfigError("give only one of c1, c1_profile, target_H")
-        if have_c1p:
-            cfg.c1_profile = _parse_profile(cp.get("coefficients", "c1_profile"), "c1_profile")
-            cfg.c1 = None
-        elif have_tH:
-            cfg.c1 = target_H_to_c1(cfg.n, get("coefficients", "target_H", float))
-        elif have_c1:
-            cfg.c1 = get("coefficients", "c1", float)
-        for name, val in (("c0", cfg.c0), ("c1", cfg.c1)):
+        sides = (("c0", "target_R", target_R_to_c0), ("c1", "target_H", target_H_to_c1))
+        for c, target, to_c in sides:
+            have_c = cp.has_option("coefficients", c)
+            have_p = cp.has_option("coefficients", f"{c}_profile")
+            have_t = cp.has_option("coefficients", target)
+            if have_c + have_p + have_t > 1:
+                raise ConfigError(f"give only one of {c}, {c}_profile, {target}")
+            if have_p:
+                profile = _parse_profile(cp.get("coefficients", f"{c}_profile"), f"{c}_profile")
+                setattr(cfg, f"{c}_profile", profile)
+                setattr(cfg, c, None)
+            elif have_t:
+                setattr(cfg, c, to_c(cfg.n, get("coefficients", target, float)))
+            elif have_c:
+                setattr(cfg, c, get("coefficients", c, float))
+        for c, _, _ in sides:
+            val = getattr(cfg, c)
             if val is not None and val < 0:
-                raise ConfigError(f"{name} must be nonnegative, got {val}")
+                raise ConfigError(f"{c} must be nonnegative, got {val}")
 
     cfg.n_radial = get("mesh", "n_radial", int, cfg.n_radial)
     cfg.n_angular = get("mesh", "n_angular", int, cfg.n_angular)

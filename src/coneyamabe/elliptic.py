@@ -359,7 +359,6 @@ def principal_eigen(op: OperatorAssembly, variant: str = "volume", tol: float = 
     factor = _factor_spd(A + sp.diags(mu * bdiag))
 
     v = np.ones(n)
-    v /= np.max(np.abs(v))
     lam = math.inf
     lam_old = math.inf
     polish = 0

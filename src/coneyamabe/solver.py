@@ -20,10 +20,12 @@ Two routes to the discrete solution are provided and cross-checked:
   contraction rate degrades as the cap grows, so it is the certificate
   scheme for moderate caps, not the workhorse for blow-up-scale data.
 
-* newton_solve is a damped Newton iteration on the same discrete system;
-  the linearized potentials c + p c0 u^(p-1) and c2 + q c1 u^(q-1) are
-  nonnegative wherever c, c2 are, so each step keeps the discrete maximum
-  principle.  Used as the inner solver for the exhaustion limits.
+* newton_solve is a full-step Newton iteration on the same discrete
+  system.  The residual is a convex M-function (convex terms c0 u^p and
+  c1 u^q, Jacobian a nonsingular M-matrix), so after its first step the
+  iterates are supersolutions decreasing nodewise to the solution from any
+  nonnegative start, and no line search is needed.  Used as the inner
+  solver for the exhaustion limits.
 
 On top of these sit the large-data exhaustion (Dirichlet data m -> infinity
 with interior stabilization), the maximal-solution limit over shrinking
@@ -272,8 +274,6 @@ def pick_cap(problem: NonlinearProblem) -> float:
     data_max = float(np.max(problem.dirichlet_data.values[problem.mesh.dirichlet_mask]))
 
     def admissible_at(S):
-        if S <= 0.0:
-            return False
         ok_int = S**p >= np.max(c + p * c0 * S ** (p - 1))
         ok_bdy = S**q >= np.max(c2r + q * c1r * S ** (q - 1))
         desc_int = np.min(c + c0 * S ** (p - 1)) >= 0.0
@@ -466,7 +466,7 @@ def monotone_iterate(
 
 
 # ---------------------------------------------------------------------------
-# damped Newton inner solver
+# full-step Newton inner solver
 # ---------------------------------------------------------------------------
 
 
@@ -476,16 +476,24 @@ def newton_solve(
     tol: float = 1e-10,
     max_iter: int = 60,
 ) -> SolverReport:
-    """Damped Newton iteration on the discrete system.
+    """Full-step Newton iteration on the discrete system.
 
     Starts from the constant supersolution max(data) unless u0 is given
     (Dirichlet rows of any start are overwritten by the data).  Each step
     solves the linearization with potentials c + p c0 u^(p-1) and
-    c2 + q c1 u^(q-1); backtracking halves the step until the integrated
-    residual norm decreases.  Converges when the sup-norm increment falls
-    below tol * (1 + sup u).  Each Jacobian is factored by the certified
-    sparse LU, so an indefinite linearization (possible only when c or
-    c2_lin is negative) raises IndefiniteOperatorError.
+    c2 + q c1 u^(q-1) and takes the whole step, clipped at zero.  No damping
+    is needed: the residual is convex in u (p, q > 1, c0, c1 >= 0) and its
+    Jacobian has nonpositive off-diagonals and is certified positive
+    definite by the sparse LU, so it is a nonsingular M-matrix with a
+    nonnegative inverse.  By the monotone convergence theorem for convex
+    M-functions, the first step from any start lands on a supersolution
+    and every later iterate decreases nodewise to the solution.  A cold
+    start far above the solution sheds about a factor p / (p-1) of its
+    excess per step: data 2^16 takes about 52 steps for n = 3 and 29 for
+    n = 4, within the default max_iter.  Converges when the
+    row-normalized residual is below 1e-11 and the sup-norm increment below
+    tol * (1 + sup u).  An indefinite linearization (possible only when c
+    or c2_lin is negative) raises IndefiniteOperatorError.
     """
     mesh = problem.mesh
     p, q = problem.p_interior, problem.p_boundary
@@ -530,30 +538,13 @@ def newton_solve(
             op0.volume_mass * (p * problem.c0.values * un ** (p - 1.0))
             + op0.boundary_mass * (q * problem.c1.values * un ** (q - 1.0))
         )
-        delta = _factor_spd(A_ff + sp.diags(jac_diag[free])).solve(-F)
-        step_full = np.zeros(mesh.n_nodes)
-        step_full[free] = delta
-
-        s = 1.0
-        while s >= 1e-6:
-            trial = np.clip(u + s * step_full, 0.0, None)
-            trial[~free] = data[~free]
-            new_res, new_F = normalized_residual(trial)
-            if new_res <= res * (1.0 - 1e-4 * s) or new_res <= 1e-12:
-                break
-            s *= 0.5
-        else:
-            if res <= 1e-9:
-                inc = 0.0
-                break
-            raise NonConvergenceError(
-                f"Newton line search stalled at iteration {iterations} "
-                f"(normalized residual {res:.3e})",
-                iterations=iterations,
-                residual=res,
-            )
+        trial = u.copy()
+        trial[free] += _factor_spd(A_ff + sp.diags(jac_diag[free])).solve(-F)
+        trial = np.clip(trial, 0.0, None)
+        trial[~free] = data[~free]
         inc = float(np.max(np.abs(trial - u)))
-        u, res, F = trial, new_res, new_F
+        u = trial
+        res, F = normalized_residual(u)
         if res <= 1e-11 and inc <= tol * (1.0 + float(np.max(np.abs(u)))):
             break
     else:
@@ -645,12 +636,13 @@ def exhaustion_blowup_solve(
 ) -> list[SolverReport]:
     """Solve with constant Dirichlet data m_1 < m_2 < ... and watch the interior.
 
-    Each datum is a Newton solve started from the previous solution capped
-    at the new datum.  Successive solutions must be nodewise nondecreasing
-    (discrete comparison), else OrderingViolationError.  Every report after
-    the first carries in interior_change the sup-norm change on the interior
-    probe set (free nodes with rho above probe_rho_cut, default the median,
-    a fixed margin away from the Dirichlet faces).  The whole sequence
+    Each datum is a Newton solve started from the previous solution, which
+    the discrete maximum principle already keeps below the new datum.
+    Successive solutions must be nodewise nondecreasing (discrete
+    comparison), else OrderingViolationError.  Every report after the first
+    carries in interior_change the sup-norm change on the interior probe set
+    (free nodes with rho above probe_rho_cut, default the median, a fixed
+    margin away from the Dirichlet faces).  The whole sequence
     always runs; with tol given, stabilization is certified at the final
     datum: its probe change must lie below tol * (1 + probe sup), else
     NoStabilizationError.  tol=None reports the changes without the
@@ -669,7 +661,7 @@ def exhaustion_blowup_solve(
     prob_m = problem
     for m in seq:
         prob_m = prob_m.with_data(m)
-        u0 = None if prev is None else Field(mesh, np.minimum(prev, m))
+        u0 = None if prev is None else Field(mesh, prev)
         rep = newton_solve(prob_m, u0=u0, tol=inner_tol)
         u = rep.solution.values
         if prev is not None:
@@ -959,8 +951,6 @@ def barrier_psi_fit(
         bound_int = math.inf if c0_sup == 0 else ((n - 2) * margin_165 / (2.0 * c0_sup)) ** ((n - 2) / 4.0)
         bound_bdy = math.inf if c1_sup == 0 else ((n - 2) * margin_166 / (2.0 * c1_sup)) ** ((n - 2) / 2.0)
         C_star = min(bound_int, bound_bdy)
-        if not math.isfinite(C_star):
-            C_star = 0.0 if not feasible else C_star
     else:
         C_star = 0.0
 

@@ -74,6 +74,16 @@ def test_coefficient_sources_exclusive(tmp_path):
         write_cfg(tmp_path, "solve", body="[coefficients]\nc0_profile = 0.5:1.0, 2.0:2.0\n")
     )
     assert cfg.c0 is None and len(cfg.c0_profile) == 2
+    with pytest.raises(ConfigError):
+        parse_config(write_cfg(tmp_path, "solve", body="[coefficients]\nc1 = 1\ntarget_H = 2\n"))
+    cfg = parse_config(write_cfg(tmp_path, "solve", body="[coefficients]\ntarget_H = 8.0\n"))
+    # (n-2)|H|/(2(n-1)) at n=3
+    assert cfg.c1 == pytest.approx(8.0 / 4.0)
+    cfg = parse_config(
+        write_cfg(tmp_path, "solve", body="[coefficients]\nc1_profile = 0.5:1.0, 2.0:2.0\n")
+    )
+    assert cfg.c1 is None and len(cfg.c1_profile) == 2
+    assert cfg.c0 == 1.0 and cfg.c0_profile is None
 
 
 def test_eigen_requires_denominator_choice(tmp_path):
@@ -122,6 +132,19 @@ def test_solve_experiment_and_outputs(tmp_path):
     assert (out / "profile.svg").read_text().startswith("<svg")
     summary = (out / "summary.txt").read_text()
     assert "solve.converged = True" in summary
+
+
+def test_solve_from_cold_start_at_blowup_data(tmp_path):
+    # Newton starts at the constant max(data) = 2^16, far above the solution
+    cfgpath = tmp_path / "run.cfg"
+    cfgpath.write_text(
+        "[cone]\nn = 4\nd = 1\nh = 1.0\n"
+        "[mesh]\nn_radial = 12\nn_angular = 12\n"
+        "[experiment]\nkind = solve\ndirichlet = 65536\nplot = false\n"
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfgpath), "--out", str(out)]) == 0
+    assert "solve.converged = True" in (out / "summary.txt").read_text()
 
 
 def test_solve_with_monotone_method(tmp_path):

@@ -238,6 +238,17 @@ def test_newton_rejects_indefinite_jacobian():
             newton_solve(prob)
 
 
+@pytest.mark.parametrize("n, d", [(3, 1), (4, 1)])
+def test_newton_cold_start_at_blowup_data_matches_ladder(n, d):
+    # the default start max(data) = 2^16 sits far above the solution; full
+    # Newton steps reach the same discrete solution as the data ladder
+    mesh = make_mesh(n, d, omega_min=ConeModel(n, d, 1.0).theta / 8.0, nn=12)
+    rep = newton_solve(flat_cone_problem(mesh, 1.0, 1.0, 2.0**16))
+    ladder = exhaustion_blowup_solve(flat_cone_problem(mesh, 1.0, 1.0, 1.0), tol=None)[-1]
+    u, ref = rep.solution.values, ladder.solution.values
+    assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
 def test_randomized_comparison_orderings():
     # ordered coefficients and data produce nodewise-ordered solutions
     mesh = make_mesh(nn=10)
