@@ -38,13 +38,12 @@ from .mesh import (
     Mesh,
     ReducedDomain,
     build_mesh,
-    build_mesh_from_angular_nodes,
-    distance_field,
     read_field_table,
     truncation_family,
     write_field_table,
 )
 from .solver import (
+    DEFAULT_DATA_SEQUENCE,
     AdmissibilityReport,
     BarrierFit,
     BlowupFit,

@@ -14,7 +14,6 @@ import argparse
 import math
 import sys
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -24,7 +23,6 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, coefficient_values, echo_config, parse_config
 from .elliptic import (
     IndefiniteOperatorError,
-    MMatrixWarning,
     NonConvergenceError,
     assemble,
     principal_eigen,
@@ -403,8 +401,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         p.add_argument("--threads", type=int, default=1,
                        help="concurrent runs for dichotomy sweeps")
-        p.add_argument("--strict", action="store_true",
-                       help="turn discrete-maximum-principle warnings into errors")
     args = parser.parse_args(argv)
 
     try:
@@ -426,18 +422,16 @@ def main(argv=None) -> int:
     summary.extend(echo_config(cfg))
     t0 = time.time()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error" if args.strict else "default", MMatrixWarning)
-            if args.command == "curvature":
-                run_curvature(cfg, out, summary)
-            elif args.command == "solve":
-                run_solve(cfg, out, summary)
-            elif args.command == "verify-model":
-                run_verify_model(cfg, out, summary)
-            elif args.command == "dichotomy":
-                run_dichotomy(cfg, out, summary, threads=args.threads)
-            elif args.command == "eigen":
-                run_eigen(cfg, out, summary)
+        if args.command == "curvature":
+            run_curvature(cfg, out, summary)
+        elif args.command == "solve":
+            run_solve(cfg, out, summary)
+        elif args.command == "verify-model":
+            run_verify_model(cfg, out, summary)
+        elif args.command == "dichotomy":
+            run_dichotomy(cfg, out, summary, threads=args.threads)
+        elif args.command == "eigen":
+            run_eigen(cfg, out, summary)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -448,7 +442,7 @@ def main(argv=None) -> int:
         summary.write(out / "summary.txt")
         print(f"acceptance check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    except SOLVER_ERRORS + (MMatrixWarning,) as exc:
+    except SOLVER_ERRORS as exc:
         summary.add("status", "solver-failed")
         summary.add("error", f"{type(exc).__name__}: {exc}")
         summary.add("seconds", time.time() - t0)

@@ -49,7 +49,8 @@ __all__ = [
     "write_coo_system",
 ]
 
-DEFAULT_TOL = 1e-10
+EIGEN_TOL = 1e-10      # relative settling of the Rayleigh quotient in principal_eigen
+EIGEN_MAX_ITER = 500
 
 
 class MMatrixWarning(UserWarning):
@@ -92,7 +93,6 @@ class OperatorAssembly:
     c2: np.ndarray
     shift: tuple[float, float]
     m_matrix_ok: bool
-    m_matrix_margin: float
 
     _matrix: sp.csr_matrix | None = None
     _free_factor: object | None = None
@@ -107,10 +107,6 @@ class OperatorAssembly:
             diag = self.volume_mass * (self.c + mu1) + self.boundary_mass * (self.c2 + mu2)
             self._matrix = (self.stiffness + sp.diags(diag)).tocsr()
         return self._matrix
-
-    def energy(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Dirichlet energy u . stiffness . v (no potentials, no shifts)."""
-        return float(u @ (self.stiffness @ v))
 
     def pointwise_interior(self, u: np.ndarray, rhs=0.0) -> np.ndarray:
         """Operator-form residual (L u + (c+mu1) u - rhs) at interior nodes."""
@@ -205,7 +201,6 @@ def assemble(mesh: Mesh, c: Field | None = None, c2: Field | None = None,
         c2=c2vals.copy(),
         shift=(mu1, mu2),
         m_matrix_ok=ok,
-        m_matrix_margin=margin,
     )
 
 
@@ -255,8 +250,7 @@ def _free_system(op: OperatorAssembly):
     return op._free_matrix, op._free_to_fixed
 
 
-def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, tol: float = DEFAULT_TOL,
-                robin_rhs=None) -> LinearSolveReport:
+def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=None) -> LinearSolveReport:
     """Solve the mixed linear problem L u + (c+mu1) u = rhs with Robin data.
 
     rhs is the interior source f1, robin_rhs the boundary source f2 of the
@@ -266,10 +260,8 @@ def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, tol: float = DEFAULT_
     are back-substitutions.  Raises IndefiniteOperatorError when the shifted
     operator is not positive definite (the caller should raise mu1) and
     NonConvergenceError when the relative residual of the reduced system
-    exceeds max(tol, 1e-6).
+    exceeds 1e-6.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     mesh = op.mesh
     rvals = _field_values(mesh, rhs) if not np.isscalar(rhs) else np.full(mesh.n_nodes, float(rhs))
     dvals = (_field_values(mesh, dirichlet_data) if not np.isscalar(dirichlet_data)
@@ -295,7 +287,7 @@ def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, tol: float = DEFAULT_
 
     bnorm = np.linalg.norm(b_f)
     relres = float(np.linalg.norm(b_f - A_ff @ x) / bnorm) if bnorm > 0 else 0.0
-    if relres > max(tol, 1e-6):
+    if relres > 1e-6:
         raise NonConvergenceError(
             f"direct solve residual {relres:.3e} exceeds tolerance", residual=relres
         )
@@ -315,7 +307,7 @@ def rayleigh_quotient(op: OperatorAssembly, zeta) -> float:
     den = float(np.sum(op.volume_mass * z * z))
     if den == 0.0:
         raise ValueError("zeta is identically zero on the volume quadrature")
-    num = op.energy(z, z)
+    num = float(z @ (op.stiffness @ z))
     num += float(np.sum(op.volume_mass * op.c * z * z))
     num += float(np.sum(op.boundary_mass * op.c2 * z * z))
     return num / den
@@ -334,8 +326,7 @@ def _eigen_matrices(op: OperatorAssembly, variant: str):
     return A.tocsr(), bdiag
 
 
-def principal_eigen(op: OperatorAssembly, variant: str = "volume", tol: float = 1e-10,
-                    max_iter: int = 500) -> tuple[float, Field]:
+def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
     """Smallest eigenvalue and positive ground state of (A, B) by inverse iteration.
 
     A is the operator with potentials c, c2 (shifts excluded); B is the
@@ -343,9 +334,11 @@ def principal_eigen(op: OperatorAssembly, variant: str = "volume", tol: float = 
     Robin surface mass.  The iteration inverts A + mu*B with mu chosen from
     a generalized Gershgorin lower bound so the shifted matrix is positive
     definite; it is factored once by _factor_spd, which certifies that.  The
-    eigenvector is normalized to sup = 1; a genuinely
-    negative component raises NegativeEigenvectorError since the ground
-    state of an irreducible M-matrix pencil must be positive.
+    iteration stops once the quotient settles to EIGEN_TOL relative, else
+    NonConvergenceError after EIGEN_MAX_ITER sweeps.  The eigenvector is
+    normalized to sup = 1; a genuinely negative component raises
+    NegativeEigenvectorError since the ground state of an irreducible
+    M-matrix pencil must be positive.
     """
     A, bdiag = _eigen_matrices(op, variant)
     n = A.shape[0]
@@ -362,7 +355,7 @@ def principal_eigen(op: OperatorAssembly, variant: str = "volume", tol: float = 
     lam = math.inf
     lam_old = math.inf
     polish = 0
-    for k in range(max_iter):
+    for _ in range(EIGEN_MAX_ITER):
         w = factor.solve(bdiag * v)
         w /= np.max(np.abs(w))
         lam = float((w @ (A @ w)) / (w @ (bdiag * w)))
@@ -371,15 +364,15 @@ def principal_eigen(op: OperatorAssembly, variant: str = "volume", tol: float = 
             polish -= 1
             if polish == 0:
                 break
-        elif abs(lam - lam_old) <= tol * (1.0 + abs(lam)):
+        elif abs(lam - lam_old) <= EIGEN_TOL * (1.0 + abs(lam)):
             # a few extra sweeps: the quotient increment underestimates the
             # eigenvalue error when the spectral gap is small
             polish = 4
         lam_old = lam
     else:
         raise NonConvergenceError(
-            f"inverse power iteration did not settle in {max_iter} iterations",
-            iterations=max_iter,
+            f"inverse power iteration did not settle in {EIGEN_MAX_ITER} iterations",
+            iterations=EIGEN_MAX_ITER,
         )
 
     if v[np.argmax(np.abs(v))] < 0:

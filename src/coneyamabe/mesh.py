@@ -31,9 +31,7 @@ __all__ = [
     "Mesh",
     "Field",
     "build_mesh",
-    "build_mesh_from_angular_nodes",
     "truncation_family",
-    "distance_field",
     "write_field_table",
     "read_field_table",
 ]
@@ -175,9 +173,6 @@ class Field:
     def zeros(cls, mesh: Mesh) -> "Field":
         return cls.full(mesh, 0.0)
 
-    def copy(self) -> "Field":
-        return Field(self.mesh, self.values.copy())
-
 
 def _half_widths(nodes: np.ndarray) -> np.ndarray:
     """Trapezoidal cell widths: half-gaps left+right, half-gap at the ends."""
@@ -251,11 +246,6 @@ def build_mesh(domain: ReducedDomain, n_radial: int, n_angular: int, grading: fl
     return _assemble_mesh(domain, radial, angular)
 
 
-def build_mesh_from_angular_nodes(domain: ReducedDomain, radial_nodes, angular_nodes) -> Mesh:
-    """Mesh with explicitly supplied node arrays (used by truncation families)."""
-    return _assemble_mesh(domain, np.asarray(radial_nodes, float), np.asarray(angular_nodes, float))
-
-
 def truncation_family(
     base: Mesh, levels: int, nodes_per_octave: int = 10
 ) -> list[Mesh]:
@@ -279,23 +269,18 @@ def truncation_family(
         octave = np.exp(np.linspace(np.log(new_min), np.log(omega_min), nodes_per_octave + 1))[:-1]
         angular = np.concatenate([octave, angular])
         domain = base.domain.with_omega_min(new_min)
-        meshes.append(build_mesh_from_angular_nodes(domain, base.radial_nodes, angular))
+        meshes.append(_assemble_mesh(domain, base.radial_nodes, angular))
         omega_min = new_min
     return meshes
 
 
-def distance_field(mesh: Mesh) -> Field:
-    """Distance to the singular set: rho_polar * sin(omega), exact per node."""
-    return Field(mesh, mesh.rho)
-
-
-def write_field_table(target, mesh: Mesh, values=None) -> None:
+def write_field_table(target, mesh: Mesh, values) -> None:
     """Plain-text tabular dump, one node per row: rho_polar, omega, tag, value.
 
-    `target` is a path or a writable text file.  With values=None the value
-    column is 0.  Format is documented in the README (debugging/plotting aid).
+    `target` is a path or a writable text file.  Format is documented in the
+    README (debugging/plotting aid).
     """
-    vals = np.zeros(mesh.n_nodes) if values is None else np.asarray(values, float)
+    vals = np.asarray(values, float)
     if vals.shape != (mesh.n_nodes,):
         raise ValueError("values length does not match mesh")
     own = isinstance(target, (str, bytes))

@@ -115,10 +115,11 @@ class Verdict(enum.Enum):
 class NonlinearProblem:
     """Coefficient fields of the discrete problem on one mesh.
 
-    All fields are full-length; c1 and c2_lin are read on ROBIN_CONE nodes
-    and dirichlet_data on Dirichlet-tagged nodes.  c0, c1 must be
-    nonnegative (strictly positive on runs probing the existence theorem;
-    zero is allowed for linear-regression tests).
+    All fields are full-length (a scalar or an array given for one becomes
+    a Field); c1 and c2_lin are read on ROBIN_CONE nodes and dirichlet_data
+    on Dirichlet-tagged nodes.  c0, c1 must be nonnegative (strictly
+    positive on runs probing the existence theorem; zero is allowed for
+    linear-regression tests).
     """
 
     mesh: Mesh
@@ -131,9 +132,11 @@ class NonlinearProblem:
     def __post_init__(self):
         for name in ("c0", "c1", "c", "c2_lin", "dirichlet_data"):
             f = getattr(self, name)
-            if not isinstance(f, Field):
-                f = Field(self.mesh, np.asarray(f, dtype=float))
-                setattr(self, name, f)
+            if np.isscalar(f):
+                f = Field.full(self.mesh, f)
+            elif not isinstance(f, Field):
+                f = Field(self.mesh, f)
+            setattr(self, name, f)
             if f.mesh is not self.mesh:
                 raise ValueError(f"{name} lives on a different mesh")
         if np.min(self.c0.values) < 0 or np.min(self.c1.values) < 0:
@@ -169,10 +172,6 @@ class NonlinearProblem:
         The linear operator depends only on the mesh, c and c2_lin, so an
         already assembled one is shared with the new problem.
         """
-        if np.isscalar(data):
-            data = Field.full(self.mesh, float(data))
-        elif not isinstance(data, Field):
-            data = Field(self.mesh, np.asarray(data, dtype=float))
         prob = NonlinearProblem(self.mesh, self.c0, self.c1, self.c, self.c2_lin, data)
         prob._op0 = self._op0
         return prob
@@ -217,12 +216,6 @@ def flat_cone_problem(mesh: Mesh, c0, c1, dirichlet_data) -> NonlinearProblem:
     c2 = np.zeros(mesh.n_nodes)
     rob = mesh.robin_mask
     c2[rob] = euclidean_robin_potential(cone, mesh.rho_polar[rob])
-    if np.isscalar(c0):
-        c0 = Field.full(mesh, float(c0))
-    if np.isscalar(c1):
-        c1 = Field.full(mesh, float(c1))
-    if np.isscalar(dirichlet_data):
-        dirichlet_data = Field.full(mesh, float(dirichlet_data))
     return NonlinearProblem(
         mesh=mesh,
         c0=c0,
@@ -354,12 +347,12 @@ class SolverReport:
     near_gamma_variation: float | None = None  # relative change of that sup vs previous truncation
 
 
-def _completeness(mesh: Mesh, u: np.ndarray, quantile: float = 0.25) -> float:
+def _completeness(mesh: Mesh, u: np.ndarray) -> float:
     """min of u * rho^((n-2)/2) over the lowest-rho quartile of free nodes."""
     m = mesh.domain.cone.blowup_exponent
     rho = mesh.rho
     free = mesh.free_mask
-    cut = np.quantile(rho[free], quantile)
+    cut = np.quantile(rho[free], 0.25)
     band = free & (rho <= cut)
     return float(np.min(u[band] * rho[band] ** m))
 
@@ -903,14 +896,13 @@ class BarrierFit:
     lower_bound_margin: float | None = None
 
 
-def barrier_psi_fit(
-    problem: NonlinearProblem, solution: Field | None = None, band_rho_max: float | None = None
-) -> BarrierFit:
+def barrier_psi_fit(problem: NonlinearProblem, solution: Field | None = None) -> BarrierFit:
     """Fit the lower-barrier constants on the near-singular band.
 
-    The two inequalities behind the barrier are, with the exact flat-model
-    values rho*Lap(rho) = n-d-1, g(grad rho, nu) = h/sqrt(1+h^2) and
-    rho*H = (n-d-1) h/sqrt(1+h^2):
+    The band is the free nodes with rho at most the median over free nodes
+    (reported as band_rho_max).  The two inequalities behind the barrier
+    are, with the exact flat-model values rho*Lap(rho) = n-d-1,
+    g(grad rho, nu) = h/sqrt(1+h^2) and rho*H = (n-d-1) h/sqrt(1+h^2):
 
       interior:  rho*Lap(rho) - n/2 + |R| rho^2/(n-1)  < -C1
       boundary:  -g(grad rho, nu) + rho*H/(n-1)        < -C1
@@ -928,8 +920,7 @@ def barrier_psi_fit(
     m = cone.blowup_exponent
     rho = mesh.rho
     free = mesh.free_mask
-    if band_rho_max is None:
-        band_rho_max = float(np.median(rho[free]))
+    band_rho_max = float(np.median(rho[free]))
     band = free & (rho <= band_rho_max)
     if not np.any(band):
         raise ValueError("empty near-singular band")
@@ -985,12 +976,11 @@ class UpperBarrierReport:
         return len(self.failures) == 0
 
 
-def upper_barrier_check(
-    solution: Field,
-    problem: NonlinearProblem,
-    k_ball: float = 0.9,
-    max_centers: int = 12,
-) -> UpperBarrierReport:
+BARRIER_K_BALL = 0.9       # ball radius as a fraction of rho at its center
+BARRIER_MAX_CENTERS = 12   # ball centers sampled on the mid-radial slice
+
+
+def upper_barrier_check(solution: Field, problem: NonlinearProblem) -> UpperBarrierReport:
     """Check u <= w for the ball barrier w = C1 a^m / (a^2 - s^2)^m, a = k rho(x0).
 
     Centers are sampled near the singular set on the mid-radial slice; k is
@@ -1035,9 +1025,9 @@ def upper_barrier_check(
     near_axis = rp[slice_idx] * np.sin(theta - om[slice_idx]) >= 1.5 * rho[slice_idx]
     slice_idx = slice_idx[near_axis]
     order = np.argsort(rho[slice_idx])
-    cand = slice_idx[order][: max(3 * max_centers, 12)]
-    if len(cand) > max_centers:
-        cand = cand[np.linspace(0, len(cand) - 1, max_centers).astype(int)]
+    cand = slice_idx[order][: 3 * BARRIER_MAX_CENTERS]
+    if len(cand) > BARRIER_MAX_CENTERS:
+        cand = cand[np.linspace(0, len(cand) - 1, BARRIER_MAX_CENTERS).astype(int)]
 
     worst = 0.0
     implied = 0.0
@@ -1049,7 +1039,7 @@ def upper_barrier_check(
     for idx in cand:
         rho0 = rho[idx]
         dist_face = rp[idx] * math.sin(theta - om[idx])
-        k = min(k_ball, 0.8 * dist_face / rho0)
+        k = min(BARRIER_K_BALL, 0.8 * dist_face / rho0)
         if k <= 0.05:
             continue
         a = k * rho0

@@ -62,6 +62,44 @@ def test_numeric_ranges_validated(tmp_path):
         parse_config(write_cfg(tmp_path, "solve", body="[mesh]\nomega_min = 2.0\n"))
     with pytest.raises(ConfigError):
         parse_config(write_cfg(tmp_path, "bogus-kind"))
+    # the stabilization certificate needs at least two data values, 1 and 2
+    with pytest.raises(ConfigError):
+        parse_config(write_cfg(tmp_path, "dichotomy", body="[tolerances]\ndata_max_exponent = 0\n"))
+
+
+SMALL_SWEEP = (
+    "[mesh]\nn_radial = 16\nn_angular = 12\nnodes_per_octave = 5\n"
+    "[tolerances]\ndata_max_exponent = 2\nexhaustion_tol = {}\n"
+)
+
+
+@pytest.mark.parametrize("kind, body", [
+    # a non-finite tolerance would switch the stabilization certificate off
+    ("dichotomy", SMALL_SWEEP.format("nan")),
+    ("dichotomy", SMALL_SWEEP.format("inf")),
+    ("solve", "[mesh]\ngrading = nan\n"),
+    ("solve", "[coefficients]\nc0_profile = 0.5:1.0, 2.0:nan\n"),
+    ("solve", "[coefficients]\nc1_profile = 0.5:1.0, nan:2.0\n"),
+], ids=["exhaustion_tol-nan", "exhaustion_tol-inf", "grading-nan", "profile-value-nan",
+        "profile-abscissa-nan"])
+def test_non_finite_values_rejected(tmp_path, kind, body):
+    extra = "d_list = 1\ntruncation_levels = 2\nplot = false" if kind == "dichotomy" else ""
+    cfgpath = write_cfg(tmp_path, kind, extra=extra, body=body)
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(cfgpath)
+    assert main([kind, "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("extra, body", [
+    ("d_list = 1,x", ""),
+    ("mesh_sizes = 32,x", ""),
+    ("", "[coefficients]\nc0_profile = 0.5:a, 2.0:1.0\n"),
+], ids=["d_list", "mesh_sizes", "c0_profile"])
+def test_malformed_lists_rejected(tmp_path, extra, body):
+    cfgpath = write_cfg(tmp_path, "solve", extra=extra, body=body)
+    with pytest.raises(ConfigError):
+        parse_config(cfgpath)
+    assert main(["solve", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
 
 
 def test_coefficient_sources_exclusive(tmp_path):

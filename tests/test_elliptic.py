@@ -182,8 +182,7 @@ def test_large_free_block_solve():
     op = assemble(mesh, Field.full(mesh, 1.0))
     um = mesh.rho_polar * np.cos(mesh.omega)
     g = np.full(mesh.n_nodes, -math.sin(theta))
-    rep = solve_mixed(op, Field(mesh, um), Field(mesh, um), tol=1e-11,
-                      robin_rhs=Field(mesh, g))
+    rep = solve_mixed(op, Field(mesh, um), Field(mesh, um), robin_rhs=Field(mesh, g))
     assert rep.relative_residual <= 1e-11
     assert np.max(np.abs(rep.solution.values - um)) < 2e-5
 

@@ -12,7 +12,6 @@ from coneyamabe import (
     Field,
     ReducedDomain,
     build_mesh,
-    distance_field,
     read_field_table,
     truncation_family,
     write_field_table,
@@ -145,7 +144,7 @@ def test_refinement_scales_node_count_and_preserves_tags():
 def test_distance_field_values():
     dom = make_domain()
     mesh = build_mesh(dom, 8, 8, 1.0)
-    rho = distance_field(mesh).values
+    rho = mesh.rho
     assert np.all(rho > 0)
     assert np.allclose(rho, mesh.rho_polar * np.sin(mesh.omega), atol=1e-15)
     # node on the cone face at rho_polar = 1 with h = 1: rho = sin(pi/4)

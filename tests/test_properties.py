@@ -7,16 +7,34 @@ from hypothesis import strategies as st
 from coneyamabe import ConeModel, Field, ReducedDomain, build_mesh, flat_cone_problem, newton_solve
 
 
-@st.composite
-def cone_problems(draw):
+def draw_mesh(draw):
     n = draw(st.integers(3, 5))
     d = draw(st.integers(1, n - 1))
     h = draw(st.floats(0.5, 2.0))
     nn = draw(st.integers(8, 14))
-    data = 2.0 ** draw(st.integers(0, 14))
     cone = ConeModel(n, d, h)
-    mesh = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8.0), nn, nn, 2.0)
+    return build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8.0), nn, nn, 2.0)
+
+
+@st.composite
+def cone_problems(draw):
+    mesh = draw_mesh(draw)
+    data = 2.0 ** draw(st.integers(0, 14))
     return flat_cone_problem(mesh, 1.0, 1.0, data)
+
+
+@st.composite
+def ordered_problem_pairs(draw):
+    # the second problem absorbs more (coefficients scaled by [1, 4] nodewise)
+    # and sees lower Dirichlet data (scaled by [0.2, 1] nodewise)
+    mesh = draw_mesh(draw)
+    data = 2.0 ** draw(st.integers(0, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c0, c1 = rng.uniform(0.2, 2.0, (2, mesh.n_nodes))
+    k0, k1 = rng.uniform(1.0, 4.0, (2, mesh.n_nodes))
+    lower = data * rng.uniform(0.2, 1.0, mesh.n_nodes)
+    return (flat_cone_problem(mesh, c0, c1, data),
+            flat_cone_problem(mesh, k0 * c0, k1 * c1, lower))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -31,3 +49,14 @@ def test_newton_solution_does_not_depend_on_the_start(problem, seed):
     ref = newton_solve(problem).solution.values
     u = newton_solve(problem, u0=Field(problem.mesh, start)).solution.values
     assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=ordered_problem_pairs())
+def test_comparison_principle(pair):
+    # larger absorption and lower boundary data give a nodewise smaller
+    # solution: the discrete comparison principle behind every bracket
+    a, b = pair
+    u_a = newton_solve(a).solution.values
+    u_b = newton_solve(b).solution.values
+    assert np.all(u_a >= u_b - 1e-9 * (1.0 + np.max(u_a)))
