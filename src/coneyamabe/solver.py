@@ -249,7 +249,7 @@ def model_problem(mesh: Mesh) -> NonlinearProblem:
 
 
 def pick_cap(problem: NonlinearProblem) -> float:
-    """Smallest doubling-search cap S making both frozen maps nondecreasing.
+    """A cap S >= max(data) making both frozen maps nondecreasing.
 
     The maps t -> (S^p - c) t - c0 t^p and t -> (S^q - c2) t - c1 t^q must be
     nondecreasing on [0, S]; their derivatives are minimal at t = S, so the
@@ -257,7 +257,14 @@ def pick_cap(problem: NonlinearProblem) -> float:
     on the cone face.  The cap must also descend (the constant S must be a
     supersolution, c S + c0 S^p >= 0 nodewise and its Robin analogue), which
     only binds for negative linear potentials.  S starts at the Dirichlet
-    data maximum and doubles; exceeding 1e12 raises CapSearchError.
+    data maximum and is returned unchanged if admissible; otherwise it
+    doubles until admissible (exceeding 1e12 raises CapSearchError) and is
+    then bisected on (S/2, S], always keeping the admissible end, since the
+    monotone iteration's shift and with it its step count grow with S.  The
+    result is always admissible; it is the smallest admissible cap, to 1e-9
+    relative, when c, c2 >= 0 (every CLI path), where admissibility is
+    monotone in S.  A negative linear potential can make the admissible set
+    an interval and a ray, and the doubling may then step over the interval.
     """
     p, q = problem.p_interior, problem.p_boundary
     c0 = problem.c0.values
@@ -273,13 +280,20 @@ def pick_cap(problem: NonlinearProblem) -> float:
         desc_bdy = np.min(c2r + c1r * S ** (q - 1)) >= 0.0
         return bool(ok_int and ok_bdy and desc_int and desc_bdy)
 
-    S = max(data_max, 1e-6)
+    lo = S = max(data_max, 1e-6)
     while not admissible_at(S):
-        S *= 2.0
+        lo, S = S, 2.0 * S
         if S > CAP_LIMIT:
             raise CapSearchError(
                 f"cap doubling exceeded {CAP_LIMIT:g}; coefficient fields inconsistent"
             )
+    # lo is inadmissible whenever the doubling moved S
+    while S - lo > 1e-9 * S:
+        mid = 0.5 * (lo + S)
+        if admissible_at(mid):
+            S = mid
+        else:
+            lo = mid
     return float(S)
 
 
@@ -626,11 +640,15 @@ def exhaustion_blowup_solve(
     tol: float | None = 1e-3,
     inner_tol: float = 1e-10,
     probe_rho_cut: float | None = None,
+    u0: Field | None = None,
 ) -> list[SolverReport]:
     """Solve with constant Dirichlet data m_1 < m_2 < ... and watch the interior.
 
     Each datum is a Newton solve started from the previous solution, which
-    the discrete maximum principle already keeps below the new datum.
+    the discrete maximum principle already keeps below the new datum.  The
+    first datum starts from u0 when given (any nonnegative field; Newton
+    reaches the same solution from every such start), else from Newton's
+    constant supersolution.
     Successive solutions must be nodewise nondecreasing (discrete
     comparison), else OrderingViolationError.  Every report after the first
     carries in interior_change the sup-norm change on the interior probe set
@@ -654,8 +672,8 @@ def exhaustion_blowup_solve(
     prob_m = problem
     for m in seq:
         prob_m = prob_m.with_data(m)
-        u0 = None if prev is None else Field(mesh, prev)
-        rep = newton_solve(prob_m, u0=u0, tol=inner_tol)
+        start = u0 if prev is None else Field(mesh, prev)
+        rep = newton_solve(prob_m, u0=start, tol=inner_tol)
         u = rep.solution.values
         if prev is not None:
             drop = float(np.max(prev - u))
@@ -718,13 +736,20 @@ def maximal_solution(
     """Exhaustion limits over the shrinking truncations omega0, omega0/2, ...
 
     problems must live on meshes produced by truncation_family (same radial
-    nodes, nested angular nodes).  Every level runs the full data sequence,
-    so all levels share the final data height: the restriction of a deeper
-    solution to a coarser mesh is then itself a discrete solution with
-    smaller boundary values and the nodewise decrease across levels is exact
-    up to solver tolerance (checked against ten times the
-    discretization-noise estimate, else MonotonicityViolationError).  Each
-    level's exhaustion certifies stabilization at the final datum on the
+    nodes, nested angular nodes).  Level 0 runs the full data sequence, with
+    its nondecreasing-in-data check at every datum.  Each deeper level solves
+    only the last two data values, which are all the certificate and the
+    cross-level comparison read, warm-started from the previous level's
+    solution extended to the finer mesh (the new octave and the old inner
+    Dirichlet column take the coarse level's first free column).  Newton
+    reaches the same solution from any nonnegative start, so the warm start
+    changes the step count, not the result.  All levels share the final data
+    height: the restriction of a deeper solution to a coarser mesh is then
+    itself a discrete solution with smaller boundary values and the nodewise
+    decrease across levels is exact up to solver tolerance (checked against
+    ten times the discretization-noise estimate, else
+    MonotonicityViolationError).  Each level's exhaustion orders its last
+    two solutions and certifies stabilization at the final datum on the
     base level's probe set (NoStabilizationError otherwise).  Every level's
     report carries the blow-up exponent fitted on its window and the
     near-singular band sup; the final report carries the dichotomy verdict.
@@ -743,17 +768,24 @@ def maximal_solution(
     seq = list(data_sequence)
     base_rho_cut = float(np.median(base_mesh.rho[base_mesh.free_mask]))
     for level, prob in enumerate(problems):
-        rep = exhaustion_blowup_solve(
-            prob, seq, tol=tol, inner_tol=inner_tol, probe_rho_cut=base_rho_cut
-        )[-1]
         mesh = prob.mesh
-        u = rep.solution.values
-
-        if prev_u is not None:
+        if prev_u is None:
+            data, start = seq, None
+        else:
             coarse = meshes[level - 1]
             off = mesh.angular_offset_of(coarse)
             na_f, na_c = mesh.n_angular, coarse.n_angular
             uc = prev_u.reshape(coarse.n_radial, na_c)
+            warm = np.empty((mesh.n_radial, na_f))
+            warm[:, off:] = uc
+            warm[:, : off + 1] = uc[:, 1:2]
+            data, start = seq[-2:], Field(mesh, warm.ravel())
+        rep = exhaustion_blowup_solve(
+            prob, data, tol=tol, inner_tol=inner_tol, probe_rho_cut=base_rho_cut, u0=start
+        )[-1]
+        u = rep.solution.values
+
+        if prev_u is not None:
             uf = u.reshape(mesh.n_radial, na_f)[:, off:]
             # compare only where both levels actually solved (nodes that are
             # Dirichlet on either level carry data, not solution values)

@@ -1,10 +1,20 @@
 """Property tests of the nonlinear solver over random cones and meshes."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coneyamabe import ConeModel, Field, ReducedDomain, build_mesh, flat_cone_problem, newton_solve
+from coneyamabe import (
+    ConeModel,
+    Field,
+    ReducedDomain,
+    build_mesh,
+    exhaustion_blowup_solve,
+    flat_cone_problem,
+    maximal_solution,
+    newton_solve,
+    truncation_family,
+)
 
 
 def draw_mesh(draw):
@@ -60,3 +70,29 @@ def test_comparison_principle(pair):
     u_a = newton_solve(a).solution.values
     u_b = newton_solve(b).solution.values
     assert np.all(u_a >= u_b - 1e-9 * (1.0 + np.max(u_a)))
+
+
+@st.composite
+def truncations(draw):
+    n = draw(st.integers(3, 5))
+    return n, draw(st.integers(1, n - 1)), draw(st.floats(0.5, 2.0)), draw(st.integers(3, 4))
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(family=truncations())
+@example(family=(3, 1, 1.0, 4))
+@example(family=(4, 1, 1.0, 4))
+@example(family=(4, 2, 1.0, 4))
+def test_warm_started_levels_match_the_full_ladder(family):
+    # deeper levels solve only the last two data values from the previous
+    # level's solution; each must equal the cold data ladder on its own mesh
+    n, d, h, levels = family
+    cone = ConeModel(n, d, h)
+    base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8.0), 12, 12, 2.0)
+    problems = [flat_cone_problem(m, 1.0, 1.0, 1.0) for m in truncation_family(base, levels)]
+    seq = [2.0**k for k in range(9)]
+    reports = maximal_solution(problems, data_sequence=seq, tol=1.0)
+    for prob, rep in zip(problems, reports):
+        ref = exhaustion_blowup_solve(prob, seq, tol=None)[-1].solution.values
+        u = rep.solution.values
+        assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))

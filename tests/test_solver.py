@@ -32,6 +32,7 @@ from coneyamabe import (
     truncation_family,
     upper_barrier_check,
 )
+from coneyamabe import solver
 from coneyamabe.solver import CapSearchError
 
 RNG = np.random.default_rng(421731)
@@ -75,6 +76,18 @@ def test_pick_cap_overflow_guard():
     prob = flat_cone_problem(mesh, 1e30, 1.0, 1.0)
     with pytest.raises(CapSearchError):
         pick_cap(prob)
+
+
+def test_pick_cap_is_the_smallest_admissible_cap():
+    # (3,1) with c0 = 1, c = 0: the interior condition S^5 >= 5 S^4 binds at
+    # S = 5, which the doubling search alone overshoots to 8; the monotone
+    # iteration then fails to reach 1e-11 in 20000 steps
+    mesh = make_mesh(nn=8, omega_min=ConeModel(3, 1, 1.0).theta / 4.0)
+    prob = flat_cone_problem(mesh, 1.0, 1.0, 1.0)
+    S = pick_cap(prob)
+    assert 5.0 <= S <= 5.0 * (1.0 + 1e-6)
+    rep, _ = monotone_iterate(prob, Field.zeros(mesh), S, tol=1e-11, max_iter=20000)
+    assert rep.converged
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +356,26 @@ def test_maximal_solution_matches_power_solution_on_common_subdomain():
     band = sel & (mesh_f.omega >= om0 / 8) & (mesh_f.omega <= om0 / 2)
     assert np.any(band)
     assert np.max(np.abs(uf - exact)[band] / exact[band]) < 0.08
+
+
+def test_deeper_levels_solve_only_the_last_two_data(monkeypatch):
+    # level 0 runs the whole K-value data ladder, every deeper level only the
+    # last two values: K + 2 (L - 1) Newton solves for L levels
+    calls = []
+    newton = solver.newton_solve
+
+    def counting(problem, **kwargs):
+        calls.append(float(np.max(problem.dirichlet_data.values)))
+        return newton(problem, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", counting)
+    cone = ConeModel(3, 1, 1.0)
+    base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 12, 12, 2.0)
+    meshes = truncation_family(base, 4, nodes_per_octave=4)
+    problems = [flat_cone_problem(m, 1.0, 1.0, 1.0) for m in meshes]
+    seq = [2.0**k for k in range(6)]
+    maximal_solution(problems, data_sequence=seq, tol=1.0)
+    assert calls == seq + seq[-2:] * 3
 
 
 def test_maximal_solution_complete_verdict_coarse():
