@@ -272,6 +272,7 @@ def run_verify_model(cfg: ExperimentConfig, out: Path, summary: Summary) -> None
         rows.append([size, mesh.n_nodes, err, order, rep.iterations, rep.residual_sup])
         summary.add(f"verify_model.err_{size}", err)
         summary.add(f"verify_model.seconds_{size}", dt)
+        summary.add(f"verify_model.factorizations_{size}", rep.factorizations)
         if errors[:-1]:
             summary.add(f"verify_model.order_{size}", order)
     write_csv(out / "errors.csv",
@@ -333,6 +334,8 @@ def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: i
         summary.add(f"dichotomy.d{d}.completeness", rows[-1][5])
         summary.add(f"dichotomy.d{d}.near_gamma_variation", rows[-1][8])
         summary.add(f"dichotomy.d{d}.verdict", last.verdict.value)
+        summary.add(f"dichotomy.d{d}.newton_steps", sum(r.iterations for r in reports))
+        summary.add(f"dichotomy.d{d}.factorizations", sum(r.factorizations for r in reports))
         if cfg.plot:
             series = []
             for k, (mesh, rep) in enumerate(zip(meshes, reports)):

@@ -24,8 +24,11 @@ Two routes to the discrete solution are provided and cross-checked:
   system.  The residual is a convex M-function (convex terms c0 u^p and
   c1 u^q, Jacobian a nonsingular M-matrix), so after its first step the
   iterates are supersolutions decreasing nodewise to the solution from any
-  nonnegative start, and no line search is needed.  Used as the inner
-  solver for the exhaustion limits.
+  nonnegative start, and no line search is needed.  The same monotone
+  theory covers a Jacobian frozen at an earlier supersolution iterate
+  (Shamanskii's modified Newton), so a certified factor is kept across
+  steps while they contract fast.  Used as the inner solver for the
+  exhaustion limits.
 
 On top of these sit the large-data exhaustion (Dirichlet data m -> infinity
 with interior stabilization), the maximal-solution limit over shrinking
@@ -353,6 +356,7 @@ class SolverReport:
     final_increment: float
     iterations: int
     residual_sup: float
+    factorizations: int = 0                    # Jacobian factorizations behind the solution
     fitted_exponent: float | None = None
     completeness_indicator: float | None = None
     verdict: Verdict = Verdict.INCONCLUSIVE
@@ -464,6 +468,7 @@ def monotone_iterate(
         final_increment=inc,
         iterations=iterations,
         residual_sup=problem.residual_sup(lower),
+        factorizations=1,  # the shifted operator, factored by its first solve
         completeness_indicator=_completeness(mesh, lower),
     )
     bracket = BracketState(
@@ -494,13 +499,25 @@ def newton_solve(
     definite by the sparse LU, so it is a nonsingular M-matrix with a
     nonnegative inverse.  By the monotone convergence theorem for convex
     M-functions, the first step from any start lands on a supersolution
-    and every later iterate decreases nodewise to the solution.  A cold
-    start far above the solution sheds about a factor p / (p-1) of its
-    excess per step: data 2^16 takes about 52 steps for n = 3 and 29 for
+    and every later iterate decreases nodewise to the solution.
+
+    A factor is kept for later steps under two fixed rules: the factor
+    built at the start serves one step only, since the start need not be a
+    supersolution, and a step that shrinks the sup-norm increment by less
+    than 4x forces a fresh factor at the new iterate.  Reuse is safe: for
+    supersolution iterates u* <= u_k <= u_j with j >= 1, J(u_j) - J(u_k) is
+    a nonnegative diagonal, so J(u_j)^-1 >= 0, and convexity gives
+    u* <= u_k - J(u_j)^-1 F(u_k) <= u_k, again a supersolution.  Every kept
+    factor was certified when it was built.  A cold start far above the
+    solution sheds about a factor p / (p-1) of its excess per step, too
+    slowly for reuse, so it refactors at every step of that phase: on the
+    40x32 desk family, data 2^16 takes 53-54 steps for n = 3 and 30-33 for
     n = 4, within the default max_iter.  Converges when the
     row-normalized residual is below 1e-11 and the sup-norm increment below
-    tol * (1 + sup u).  An indefinite linearization (possible only when c
-    or c2_lin is negative) raises IndefiniteOperatorError.
+    tol * (1 + sup u).  The report counts the steps in iterations and the
+    Jacobian factorizations in factorizations.  An indefinite linearization
+    (possible only when c or c2_lin is negative) raises
+    IndefiniteOperatorError.
     """
     mesh = problem.mesh
     p, q = problem.p_interior, problem.p_boundary
@@ -535,23 +552,29 @@ def newton_solve(
 
     res, F = normalized_residual(u)
     inc = math.inf
+    factor = None  # the kept Jacobian factor; None forces a fresh one
+    factorizations = 0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if res <= 1e-12:
-            inc = 0.0
-            break
-        un = np.clip(u, 0.0, None)
-        jac_diag = (
-            op0.volume_mass * (p * problem.c0.values * un ** (p - 1.0))
-            + op0.boundary_mass * (q * problem.c1.values * un ** (q - 1.0))
-        )
+        if factor is None:
+            un = np.clip(u, 0.0, None)
+            jac_diag = (
+                op0.volume_mass * (p * problem.c0.values * un ** (p - 1.0))
+                + op0.boundary_mass * (q * problem.c1.values * un ** (q - 1.0))
+            )
+            factor = _factor_spd(A_ff + sp.diags(jac_diag[free]))
+            factorizations += 1
         trial = u.copy()
-        trial[free] += _factor_spd(A_ff + sp.diags(jac_diag[free])).solve(-F)
+        trial[free] += factor.solve(-F)
         trial = np.clip(trial, 0.0, None)
         trial[~free] = data[~free]
-        inc = float(np.max(np.abs(trial - u)))
+        step = float(np.max(np.abs(trial - u)))
         u = trial
         res, F = normalized_residual(u)
+        # the start factor serves one step; later ones while steps shrink 4x
+        if iterations == 1 or step > 0.25 * inc:
+            factor = None
+        inc = step
         if res <= 1e-11 and inc <= tol * (1.0 + float(np.max(np.abs(u)))):
             break
     else:
@@ -568,6 +591,7 @@ def newton_solve(
         final_increment=inc,
         iterations=iterations,
         residual_sup=problem.residual_sup(u),
+        factorizations=factorizations,
         completeness_indicator=_completeness(mesh, u),
     )
 
@@ -752,7 +776,9 @@ def maximal_solution(
     two solutions and certifies stabilization at the final datum on the
     base level's probe set (NoStabilizationError otherwise).  Every level's
     report carries the blow-up exponent fitted on its window and the
-    near-singular band sup; the final report carries the dichotomy verdict.
+    near-singular band sup, and in iterations and factorizations the totals
+    over the level's Newton solves; the final report carries the dichotomy
+    verdict.
     """
     if not problems:
         raise ValueError("empty truncation family")
@@ -780,9 +806,12 @@ def maximal_solution(
             warm[:, off:] = uc
             warm[:, : off + 1] = uc[:, 1:2]
             data, start = seq[-2:], Field(mesh, warm.ravel())
-        rep = exhaustion_blowup_solve(
+        solves = exhaustion_blowup_solve(
             prob, data, tol=tol, inner_tol=inner_tol, probe_rho_cut=base_rho_cut, u0=start
-        )[-1]
+        )
+        rep = solves[-1]
+        rep.iterations = sum(r.iterations for r in solves)
+        rep.factorizations = sum(r.factorizations for r in solves)
         u = rep.solution.values
 
         if prev_u is not None:

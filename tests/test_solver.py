@@ -262,6 +262,72 @@ def test_newton_cold_start_at_blowup_data_matches_ladder(n, d):
     assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
+def test_newton_cold_start_on_the_desk_family_within_max_iter():
+    # a (3,1) cold start at 2^16 sheds only about a third of its excess per
+    # step; with factor reuse it must still converge within the default
+    # max_iter (else NonConvergenceError) on the shallowest and the deepest
+    # desk level
+    cone = ConeModel(3, 1, 1.0)
+    base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 40, 32, 2.0)
+    meshes = truncation_family(base, 22, nodes_per_octave=10)
+    for mesh in (meshes[0], meshes[21]):
+        rep = newton_solve(flat_cone_problem(mesh, 1.0, 1.0, 2.0**16))
+        ladder = exhaustion_blowup_solve(flat_cone_problem(mesh, 1.0, 1.0, 1.0), tol=None)[-1]
+        u, ref = rep.solution.values, ladder.solution.values
+        assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def _warm_threshold_problem():
+    # the 2^16 solve of a (4,1) ladder, started from the 2^15 solution
+    mesh = make_mesh(4, 1, omega_min=ConeModel(4, 1, 1.0).theta / 8.0, nn=12)
+    prob = flat_cone_problem(mesh, 1.0, 1.0, 2.0**15)
+    return prob.with_data(2.0**16), newton_solve(prob).solution
+
+
+class _CountingFactor:
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """Every factor newton_solve builds, in order, counting its back-solves."""
+    built = []
+    factor = solver._factor_spd
+
+    def counting(A):
+        built.append(_CountingFactor(factor(A)))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "_factor_spd", counting)
+    return built
+
+
+def test_newton_reuses_its_factor(factors):
+    # once the iterate is a supersolution a kept factor serves several
+    # steps, so there are fewer factorizations than Newton steps
+    problem, start = _warm_threshold_problem()
+    factors.clear()
+    rep = newton_solve(problem, u0=start)
+    assert len(factors) < rep.iterations
+    assert rep.factorizations == len(factors)
+
+
+def test_start_factor_is_used_once(factors):
+    # the start need not be a supersolution, so its factor serves exactly
+    # the first step; later factors carry the remaining steps
+    problem, start = _warm_threshold_problem()
+    factors.clear()
+    rep = newton_solve(problem, u0=start)
+    assert factors[0].solves == 1
+    assert sum(f.solves for f in factors) == rep.iterations
+
+
 def test_randomized_comparison_orderings():
     # ordered coefficients and data produce nodewise-ordered solutions
     mesh = make_mesh(nn=10)
