@@ -331,6 +331,8 @@ def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: i
             last.verdict.value,
         ])
         summary.add(f"dichotomy.d{d}.alpha", rows[-1][4])
+        summary.add(f"dichotomy.d{d}.alpha_r2",
+                    last.fit_r2 if last.fit_r2 is not None else float("nan"))
         summary.add(f"dichotomy.d{d}.completeness", rows[-1][5])
         summary.add(f"dichotomy.d{d}.near_gamma_variation", rows[-1][8])
         summary.add(f"dichotomy.d{d}.verdict", last.verdict.value)

@@ -27,8 +27,9 @@ Two routes to the discrete solution are provided and cross-checked:
   nonnegative start, and no line search is needed.  The same monotone
   theory covers a Jacobian frozen at an earlier supersolution iterate
   (Shamanskii's modified Newton), so a certified factor is kept across
-  steps while they contract fast.  Used as the inner solver for the
-  exhaustion limits.
+  steps while they contract fast, and every Jacobian of one operator is
+  factored under the one fill-reducing ordering computed for the first.
+  Used as the inner solver for the exhaustion limits.
 
 On top of these sit the large-data exhaustion (Dirichlet data m -> infinity
 with interior stabilization), the maximal-solution limit over shrinking
@@ -358,6 +359,8 @@ class SolverReport:
     residual_sup: float
     factorizations: int = 0                    # Jacobian factorizations behind the solution
     fitted_exponent: float | None = None
+    fit_r2: float | None = None                # coefficient of determination of that fit
+    fit_samples: int | None = None             # nodes in the fit window
     completeness_indicator: float | None = None
     verdict: Verdict = Verdict.INCONCLUSIVE
     interior_change: float | None = None       # exhaustion probe change vs previous data level
@@ -515,9 +518,13 @@ def newton_solve(
     n = 4, within the default max_iter.  Converges when the
     row-normalized residual is below 1e-11 and the sup-norm increment below
     tol * (1 + sup u).  The report counts the steps in iterations and the
-    Jacobian factorizations in factorizations.  An indefinite linearization
-    (possible only when c or c2_lin is negative) raises
-    IndefiniteOperatorError.
+    Jacobian factorizations in factorizations.  Every Jacobian shares the
+    sparsity pattern of the free block of problem.linear_operator, so only
+    the first factorization of that operator computes a minimum-degree
+    ordering; later ones, including those of other data values sharing the
+    operator through with_data, reuse it (see elliptic._factor_spd).  An
+    indefinite linearization (possible only when c or c2_lin is negative)
+    raises IndefiniteOperatorError.
     """
     mesh = problem.mesh
     p, q = problem.p_interior, problem.p_boundary
@@ -562,7 +569,7 @@ def newton_solve(
                 op0.volume_mass * (p * problem.c0.values * un ** (p - 1.0))
                 + op0.boundary_mass * (q * problem.c1.values * un ** (q - 1.0))
             )
-            factor = _factor_spd(A_ff + sp.diags(jac_diag[free]))
+            factor = _factor_spd(A_ff + sp.diags(jac_diag[free]), op0)
             factorizations += 1
         trial = u.copy()
         trial[free] += factor.solve(-F)
@@ -764,10 +771,15 @@ def maximal_solution(
     its nondecreasing-in-data check at every datum.  Each deeper level solves
     only the last two data values, which are all the certificate and the
     cross-level comparison read, warm-started from the previous level's
-    solution extended to the finer mesh (the new octave and the old inner
-    Dirichlet column take the coarse level's first free column).  Newton
-    reaches the same solution from any nonnegative start, so the warm start
-    changes the step count, not the result.  All levels share the final data
+    solution.  Per radial row the start is the smaller of two fields: the
+    coarse solution on the shared free columns (+inf on the new octave and
+    the old inner Dirichlet column), and the coarse solution moved down one
+    octave, read at angle min(2 omega, theta) by linear interpolation in
+    (log omega, log u).  The shift is defined by angle, not by column
+    index, so it carries the near-face profile to the new face whatever
+    the node spacing.  Newton reaches the same solution from any
+    nonnegative start, so the warm start changes the step and factor
+    counts, not the result.  All levels share the final data
     height: the restriction of a deeper solution to a coarser mesh is then
     itself a discrete solution with smaller boundary values and the nodewise
     decrease across levels is exact up to solver tolerance (checked against
@@ -775,10 +787,10 @@ def maximal_solution(
     MonotonicityViolationError).  Each level's exhaustion orders its last
     two solutions and certifies stabilization at the final datum on the
     base level's probe set (NoStabilizationError otherwise).  Every level's
-    report carries the blow-up exponent fitted on its window and the
-    near-singular band sup, and in iterations and factorizations the totals
-    over the level's Newton solves; the final report carries the dichotomy
-    verdict.
+    report carries the blow-up exponent fitted on its window with the fit's
+    r2 and sample count, the near-singular band sup, and in iterations and
+    factorizations the totals over the level's Newton solves; the final
+    report carries the dichotomy verdict.
     """
     if not problems:
         raise ValueError("empty truncation family")
@@ -802,10 +814,13 @@ def maximal_solution(
             off = mesh.angular_offset_of(coarse)
             na_f, na_c = mesh.n_angular, coarse.n_angular
             uc = prev_u.reshape(coarse.n_radial, na_c)
-            warm = np.empty((mesh.n_radial, na_f))
-            warm[:, off:] = uc
-            warm[:, : off + 1] = uc[:, 1:2]
-            data, start = seq[-2:], Field(mesh, warm.ravel())
+            own = np.full((mesh.n_radial, na_f), np.inf)
+            own[:, off + 1:] = uc[:, 1:]
+            # the coarse profile moved down one octave, read in (log omega, log u)
+            at = np.log(np.minimum(2.0 * mesh.angular_nodes, cone.theta))
+            grid = np.log(coarse.angular_nodes)
+            shifted = np.exp([np.interp(at, grid, row) for row in np.log(uc)])
+            data, start = seq[-2:], Field(mesh, np.minimum(own, shifted).ravel())
         solves = exhaustion_blowup_solve(
             prob, data, tol=tol, inner_tol=inner_tol, probe_rho_cut=base_rho_cut, u0=start
         )
@@ -855,6 +870,8 @@ def maximal_solution(
             try:
                 fit = fit_blowup_exponent(rep.solution, window)
                 rep.fitted_exponent = fit.alpha
+                rep.fit_r2 = fit.r2
+                rep.fit_samples = fit.n_samples
                 rep.completeness_indicator = fit.completeness
             except ValueError:
                 pass

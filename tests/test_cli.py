@@ -260,31 +260,40 @@ def test_dichotomy_experiment_small(tmp_path):
 
 
 def test_solver_counters_go_to_the_summary_only(tmp_path):
-    # Newton steps and factorizations are reported in summary.txt; the CSVs
-    # carry no counter and stay byte-identical on a rerun
+    # Newton steps, factorizations and the exponent fit's r2 are reported in
+    # summary.txt; the CSVs carry none of them and stay byte-identical on a
+    # rerun
     runs = [
         ("dichotomy", "d_list = 1,2\ntruncation_levels = 3",
          "[mesh]\nn_radial = 16\nn_angular = 12\nnodes_per_octave = 5\n"
          "[tolerances]\nexhaustion_tol = 0.08\ndata_max_exponent = 8\n",
          ["dichotomy.d1.newton_steps", "dichotomy.d1.factorizations",
-          "dichotomy.d2.newton_steps", "dichotomy.d2.factorizations"]),
+          "dichotomy.d2.newton_steps", "dichotomy.d2.factorizations"], []),
+        ("dichotomy", "d_list = 1\ntruncation_levels = 6",
+         "[mesh]\nn_radial = 28\nn_angular = 24\nnodes_per_octave = 8\n"
+         "[tolerances]\nexhaustion_tol = 0.03\ndata_max_exponent = 13\n",
+         ["dichotomy.d1.newton_steps", "dichotomy.d1.factorizations"],
+         ["dichotomy.d1.alpha_r2"]),
         ("verify-model", "mesh_sizes = 12,24", "[mesh]\nomega_min = 0.15\n",
-         ["verify_model.factorizations_12", "verify_model.factorizations_24"]),
+         ["verify_model.factorizations_12", "verify_model.factorizations_24"], []),
     ]
-    for kind, extra, body, keys in runs:
+    for k, (kind, extra, body, counters, fits) in enumerate(runs):
         cfgpath = write_cfg(tmp_path, kind, extra=extra, body=body)
-        outs = [tmp_path / f"{kind}_{k}" for k in range(2)]
+        outs = [tmp_path / f"{kind}_{k}_{rerun}" for rerun in range(2)]
         for out in outs:
             assert main([kind, "--config", cfgpath, "--out", str(out)]) == 0
         lines = (outs[0] / "summary.txt").read_text().splitlines()
         summary = dict(line.split(" = ", 1) for line in lines)
-        for key in keys:
+        for key in counters:
             assert int(summary[key]) >= 1
+        for key in fits:
+            assert 0.9 < float(summary[key]) <= 1.0
         csvs = sorted(p.name for p in outs[0].glob("*.csv"))
         assert csvs
         for name in csvs:
             first = (outs[0] / name).read_bytes()
             assert b"factorizations" not in first and b"newton_steps" not in first
+            assert b"r2" not in first
             assert first == (outs[1] / name).read_bytes()
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from coneyamabe import (
     ConeModel,
@@ -23,7 +24,7 @@ from coneyamabe import (
     solve_mixed,
     write_coo_system,
 )
-from coneyamabe.elliptic import _eigen_matrices
+from coneyamabe.elliptic import _eigen_matrices, _factor_spd, _free_system
 
 RNG = np.random.default_rng(7121331)
 
@@ -243,6 +244,40 @@ def test_pivot_signs_match_dense_spectrum(n, d, c):
         assert solve_mixed(op, 1.0, 0.0).relative_residual <= 1e-10
 
 
+def test_factor_on_the_cached_order_solves_like_the_mmd_factor(orderings):
+    # the first factorization of an operator's free block orders it by
+    # minimum degree and caches the order; a later one with another
+    # diagonal factors on that order and still solves in the caller's
+    # numbering
+    mesh = make_mesh(n=4, d=1, nn=14)
+    op = assemble(mesh, Field.full(mesh, 0.5), Field.full(mesh, 0.3))
+    A, _ = _free_system(op)
+    J = A + sp.diags(RNG.uniform(0.0, 5.0, A.shape[0]))
+    mmd = _factor_spd(J)
+    _factor_spd(A, op)
+    assert orderings == {"MMD_AT_PLUS_A": 2}
+    assert np.array_equal(np.sort(op._free_order), np.arange(A.shape[0]))
+    reused = _factor_spd(J, op)
+    assert orderings == {"MMD_AT_PLUS_A": 2, "NATURAL": 1}
+    b = RNG.uniform(-1.0, 1.0, A.shape[0])
+    x = mmd.solve(b)
+    assert np.max(np.abs(reused.solve(b) - x)) <= 1e-12 * np.max(np.abs(x))
+    assert np.linalg.norm(J @ reused.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_factor_on_the_cached_order_rejects_an_indefinite_matrix(orderings):
+    # the certificate (perm_r == perm_c, positive pivots) runs on the
+    # cached-order path too
+    mesh = make_mesh(nn=12)
+    op = assemble(mesh)
+    A, _ = _free_system(op)
+    _factor_spd(A, op)
+    lowest = np.linalg.eigvalsh(A.toarray())[0]
+    with pytest.raises(IndefiniteOperatorError):
+        _factor_spd(A - sp.diags(np.full(A.shape[0], 2.0 * lowest)), op)
+    assert orderings == {"MMD_AT_PLUS_A": 1, "NATURAL": 1}
+
+
 def test_linear_comparison_principle():
     # with the M-matrix certificate, larger rhs and data give larger solutions
     mesh = make_mesh(nn=10)
@@ -358,8 +393,6 @@ def test_coo_dump_roundtrip():
         rows.append(int(r))
         cols.append(int(c))
         vals.append(float(v))
-    import scipy.sparse as sp
-
     rebuilt = sp.coo_matrix((vals, (rows, cols)), shape=op.matrix.shape).tocsr()
     diff = (rebuilt - op.matrix).tocoo()
     assert np.max(np.abs(diff.data)) if diff.nnz else 0.0 <= 1e-14

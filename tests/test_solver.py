@@ -300,8 +300,8 @@ def factors(monkeypatch):
     built = []
     factor = solver._factor_spd
 
-    def counting(A):
-        built.append(_CountingFactor(factor(A)))
+    def counting(A, op=None):
+        built.append(_CountingFactor(factor(A, op)))
         return built[-1]
 
     monkeypatch.setattr(solver, "_factor_spd", counting)
@@ -442,6 +442,56 @@ def test_deeper_levels_solve_only_the_last_two_data(monkeypatch):
     seq = [2.0**k for k in range(6)]
     maximal_solution(problems, data_sequence=seq, tol=1.0)
     assert calls == seq + seq[-2:] * 3
+
+
+def test_one_ordering_per_level(orderings):
+    # a level's Newton solves share one operator, so only its first
+    # factorization computes a minimum-degree ordering; every later one,
+    # on the level's other data value too, reuses it
+    cone = ConeModel(3, 1, 1.0)
+    base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 12, 12, 2.0)
+    problems = [flat_cone_problem(m, 1.0, 1.0, 1.0)
+                for m in truncation_family(base, 3, nodes_per_octave=4)]
+    level = exhaustion_blowup_solve(problems[1], [2.0**7, 2.0**8], tol=None)
+    assert orderings == {"MMD_AT_PLUS_A": 1,
+                         "NATURAL": sum(r.factorizations for r in level) - 1}
+    orderings.clear()
+    reports = maximal_solution(problems, data_sequence=[2.0**k for k in range(9)], tol=1.0)
+    assert orderings == {"MMD_AT_PLUS_A": 3,
+                         "NATURAL": sum(r.factorizations for r in reports) - 3}
+
+
+def test_level_factorization_counts_on_the_threshold_family():
+    # deterministic counts of the (4,1) desk family at 6 levels.  The
+    # octave-shifted warm start brings the new face layer close to the
+    # level's solution, so fewer Newton steps need a fresh factor; a start
+    # that copies the coarse first free column onto the new octave takes
+    # [34, 15, 12, 11, 11, 10]
+    cone = ConeModel(4, 1, 1.0)
+    base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 40, 32, 2.0)
+    problems = [flat_cone_problem(m, 1.0, 1.0, 1.0) for m in truncation_family(base, 6)]
+    reports = maximal_solution(problems, tol=0.03)
+    assert [r.factorizations for r in reports] == [34, 13, 7, 7, 7, 6]
+
+
+def test_level_reports_keep_the_fit_quality():
+    # every level that fits an exponent also reports the fit's r2 and
+    # sample count; a level without a window reports none of the three
+    cone = ConeModel(3, 1, 1.0)
+    base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 28, 24, 2.0)
+    problems = [flat_cone_problem(m, 1.0, 1.0, 1.0)
+                for m in truncation_family(base, 6, nodes_per_octave=8)]
+    reports = maximal_solution(problems, data_sequence=[2.0**k for k in range(14)], tol=0.03)
+    assert reports[-1].fitted_exponent is not None
+    for rep in reports:
+        window = solver._auto_window(rep.solution.mesh, base.domain.omega_min)
+        if window is None:
+            assert (rep.fitted_exponent, rep.fit_r2, rep.fit_samples) == (None, None, None)
+            continue
+        fit = fit_blowup_exponent(rep.solution, window)
+        assert (rep.fitted_exponent, rep.fit_r2, rep.fit_samples) == (
+            fit.alpha, fit.r2, fit.n_samples)
+        assert 0.9 < rep.fit_r2 <= 1.0 and rep.fit_samples >= 4
 
 
 def test_maximal_solution_complete_verdict_coarse():

@@ -10,10 +10,14 @@ alternating which side runs first, then one traced run (`--trace 1`) per
 side; the run length is BENCHMARK.json's run_seconds.  The JSON file holds
 each side's raw result lines, the median and quartiles (perfbench's
 exclusive method) of every end-to-end metric, the operations attempted and
-failed over all runs, the number of pairs the change won per metric (ties
-count for neither side), the per-layer figures of the traced runs, and the
-host.  A run whose result is not `correct` stops the recording.  Standard
-library only; each run imports the package from its own checkout's src/.
+failed over all runs, the per-layer figures of the traced runs, and the
+host.  For every end-to-end metric it also records the pairs the change won
+(ties count for neither side), whether the gain rule holds (the change wins
+at least nine tenths of the pairs and its median beats the parent's by more
+than the parent's interquartile range), and whether the change's median is
+worse than the parent's by more than the metric's BENCHMARK.json bound.
+A run whose result is not `correct` stops the recording.  Standard library
+only; each run imports the package from its own checkout's src/.
 """
 
 from __future__ import annotations
@@ -48,22 +52,56 @@ def run_bench(bench: dict, checkout: Path, workload: str, seed: int, trace: int)
     return result
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile (perfbench's exclusive method)."""
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
+
+
 def summarize(runs: list[dict]) -> dict:
     """Operations attempted and failed, and the median and quartiles of every metric."""
     out = {"attempted": sum(r["attempted"] for r in runs),
            "failed": sum(r["failed"] for r in runs)}
     for name, metric in runs[0]["metrics"].items():
-        values = [r["metrics"][name]["value"] for r in runs]
-        q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        q1, median, q3 = quartiles([r["metrics"][name]["value"] for r in runs])
         out[name] = {"unit": metric["unit"], "median": median, "q1": q1, "q3": q3}
     return out
 
 
-def change_wins(parent: list[dict], change: list[dict]) -> dict:
-    """Pairs in which the change read strictly lower, per metric (all lower-is-better)."""
-    return {name: sum(c["metrics"][name]["value"] < p["metrics"][name]["value"]
-                      for p, c in zip(parent, change))
-            for name in parent[0]["metrics"]}
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """Pairs in which the change read strictly better; ties count for neither side."""
+    sign = 1.0 if better == "lower" else -1.0
+    return sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
+
+
+def gain_holds(parent: list[float], change: list[float], better: str) -> bool:
+    """The gain rule: the change wins at least nine tenths of the pairs and
+    its median is better than the parent's by more than the distance
+    between the parent's quartiles."""
+    sign = 1.0 if better == "lower" else -1.0
+    q1, median, q3 = quartiles(parent)
+    gap = sign * (median - quartiles(change)[1])
+    return 10 * wins(parent, change, better) >= 9 * len(parent) and gap > q3 - q1
+
+
+def beyond_bound(parent: list[float], change: list[float], better: str, bound: float) -> bool:
+    """Whether the change's median is worse than the parent's by more than
+    bound, relative to the parent's median."""
+    sign = 1.0 if better == "lower" else -1.0
+    p, c = quartiles(parent)[1], quartiles(change)[1]
+    return sign * (c - p) > bound * abs(p)
+
+
+def judge(end_to_end: list[dict], parent: list[dict], change: list[dict]) -> dict:
+    """Pairs won, the gain rule and the bound check for every end-to-end metric."""
+    out = {}
+    for metric in end_to_end:
+        name, better = metric["name"], metric["better"]
+        p = [r["metrics"][name]["value"] for r in parent]
+        c = [r["metrics"][name]["value"] for r in change]
+        out[name] = {"pairs_change_won": wins(p, c, better),
+                     "gain_rule": gain_holds(p, c, better),
+                     "beyond_bound": beyond_bound(p, c, better, metric["bound"])}
+    return out
 
 
 def git_state(checkout: Path) -> str:
@@ -114,7 +152,7 @@ def main(argv=None) -> int:
         traced = {side: run_bench(bench, path, workload, PAIRS, 1)
                   for side, path in sides.items()}
         record["workloads"][workload] = {
-            "pairs_change_won": change_wins(runs["parent"], runs["change"]),
+            "verdicts": judge(bench["end_to_end"], runs["parent"], runs["change"]),
             **{side: {"summary": summarize(runs[side]), "runs": runs[side],
                       "traced": traced[side]} for side in sides},
         }
