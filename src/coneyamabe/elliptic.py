@@ -17,10 +17,10 @@ Assembly is vertex-centered finite volume: each grid edge contributes a
 positive conductance, so off-diagonal entries are nonpositive and the matrix
 is symmetric in the weighted inner product.  Robin rows at omega = theta are
 half-cell balances (equivalent to second-order one-sided ghost elimination);
-the Robin potential and any shift pair (mu1, mu2) enter as diagonal volume
-and surface mass terms, mirroring the shifted bilinear form
-B[u,v] + mu1 (u,v) + mu2 (u,v)_boundary whose unique solvability for large
-enough mu1 backs the linear solves here.
+the potentials c and c2 enter as diagonal volume and surface mass terms,
+mirroring the bilinear form B[u,v] + (c u, v) + (c2 u, v)_boundary, which is
+uniquely solvable once c is large enough; a shifted operator is assembled
+by adding its shift to the potentials.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class NonConvergenceError(RuntimeError):
 
 class IndefiniteOperatorError(RuntimeError):
     """A factorization pivot was nonpositive: the matrix is not positive
-    definite (for a shifted operator, raise the shift mu1)."""
+    definite (raise the potential c)."""
 
 
 class NegativeEigenvectorError(RuntimeError):
@@ -81,8 +81,7 @@ class OperatorAssembly:
     volume_mass        : diagonal volume weights (mesh.node_weights)
     boundary_mass      : diagonal surface weights (nonzero on Robin nodes)
     c, c2              : linear potentials (full-length arrays; c2 read on Robin)
-    shift              : (mu1, mu2) added to (c, c2)
-    m_matrix_ok        : row-sum certificate c+mu1 >= 0 and c2+mu2 >= 0
+    m_matrix_ok        : row-sum certificate c >= 0 and c2 >= 0
     """
 
     mesh: Mesh
@@ -91,7 +90,6 @@ class OperatorAssembly:
     boundary_mass: np.ndarray
     c: np.ndarray
     c2: np.ndarray
-    shift: tuple[float, float]
     m_matrix_ok: bool
 
     _matrix: sp.csr_matrix | None = None
@@ -104,41 +102,33 @@ class OperatorAssembly:
     def matrix(self) -> sp.csr_matrix:
         """Full integrated-form matrix: stiffness + volume and surface mass terms."""
         if self._matrix is None:
-            mu1, mu2 = self.shift
-            diag = self.volume_mass * (self.c + mu1) + self.boundary_mass * (self.c2 + mu2)
+            diag = self.volume_mass * self.c + self.boundary_mass * self.c2
             self._matrix = (self.stiffness + sp.diags(diag)).tocsr()
         return self._matrix
 
-    def pointwise_interior(self, u: np.ndarray, rhs=0.0) -> np.ndarray:
-        """Operator-form residual (L u + (c+mu1) u - rhs) at interior nodes."""
-        r = np.broadcast_to(np.asarray(rhs, dtype=float), u.shape)
-        res = (self.matrix @ u - self.volume_mass * r) / self.volume_mass
-        return res[self.mesh.tags == 0]
+    def pointwise_interior(self, u: np.ndarray) -> np.ndarray:
+        """Operator-form residual (L u + c u) at interior nodes."""
+        return (self.matrix @ u / self.volume_mass)[self.mesh.tags == 0]
 
-    def pointwise_robin(self, u: np.ndarray, robin_rhs=0.0, rhs=0.0) -> np.ndarray:
+    def pointwise_robin(self, u: np.ndarray) -> np.ndarray:
         """Flux-form residual of the Robin half-cell rows.
 
-        Equals (du/dnu + (c2+mu2) u - robin_rhs) plus half the angular cell
-        height times rho_polar times the interior residual at the same node:
-        second-order consistent with the boundary condition whenever u
-        satisfies the interior equation with source rhs.
+        Equals (du/dnu + c2 u) plus half the angular cell height times
+        rho_polar times the interior residual at the same node: second-order
+        consistent with the boundary condition whenever u satisfies the
+        interior equation.
         """
         mask = self.mesh.robin_mask
-        r = np.broadcast_to(np.asarray(rhs, dtype=float), u.shape)
-        g = np.broadcast_to(np.asarray(robin_rhs, dtype=float), u.shape)
-        num = self.matrix @ u - self.volume_mass * r - self.boundary_mass * g
-        return num[mask] / self.boundary_mass[mask]
+        return (self.matrix @ u)[mask] / self.boundary_mass[mask]
 
 
-def assemble(mesh: Mesh, c: Field | None = None, c2: Field | None = None,
-             shift: tuple[float, float] = (0.0, 0.0)) -> OperatorAssembly:
+def assemble(mesh: Mesh, c: Field | None = None, c2: Field | None = None) -> OperatorAssembly:
     """Assemble the weighted divergence-form operator with Robin rows.
 
     c is the interior linear potential, c2 the Robin potential (both
-    full-length fields; c2 is only read on ROBIN_CONE nodes).  shift adds
-    (mu1, mu2) to them.  Off-diagonal entries are nonpositive by
-    construction; the certificate degrades only through negative c + mu1 or
-    c2 + mu2, which is reported as a warning, not an error.
+    full-length fields; c2 is only read on ROBIN_CONE nodes).  Off-diagonal
+    entries are nonpositive by construction; the certificate degrades only
+    through negative c or c2, which is reported as a warning, not an error.
     """
     cvals = np.zeros(mesh.n_nodes) if c is None else _field_values(mesh, c)
     c2vals = np.zeros(mesh.n_nodes) if c2 is None else _field_values(mesh, c2)
@@ -182,8 +172,7 @@ def assemble(mesh: Mesh, c: Field | None = None, c2: Field | None = None,
     off = sp.coo_matrix((vals, (rows, cols)), shape=(mesh.n_nodes,) * 2).tocsr()
     stiffness = (off + sp.diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
 
-    mu1, mu2 = float(shift[0]), float(shift[1])
-    margin = float(min(np.min(cvals + mu1), np.min((c2vals + mu2)[mesh.robin_mask])))
+    margin = float(min(np.min(cvals), np.min(c2vals[mesh.robin_mask])))
     ok = margin >= 0.0
     if not ok:
         warnings.warn(
@@ -200,7 +189,6 @@ def assemble(mesh: Mesh, c: Field | None = None, c2: Field | None = None,
         boundary_mass=mesh.robin_weights.copy(),
         c=cvals.copy(),
         c2=c2vals.copy(),
-        shift=(mu1, mu2),
         m_matrix_ok=ok,
     )
 
@@ -282,14 +270,14 @@ def _free_system(op: OperatorAssembly):
 
 
 def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=None) -> LinearSolveReport:
-    """Solve the mixed linear problem L u + (c+mu1) u = rhs with Robin data.
+    """Solve the mixed linear problem L u + c u = rhs with Robin data.
 
     rhs is the interior source f1, robin_rhs the boundary source f2 of the
     mixed weak form (default 0); Dirichlet rows return the supplied data
     exactly.  The free-node block is factored once by _factor_spd and the
     factor is cached on the assembly, so repeated solves with one operator
-    are back-substitutions.  Raises IndefiniteOperatorError when the shifted
-    operator is not positive definite (the caller should raise mu1) and
+    are back-substitutions.  Raises IndefiniteOperatorError when the
+    operator is not positive definite (the caller should raise c) and
     NonConvergenceError when the relative residual of the reduced system
     exceeds 1e-6.
     """
@@ -328,9 +316,8 @@ def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=None) -> Li
 def rayleigh_quotient(op: OperatorAssembly, zeta) -> float:
     """(energy[zeta] + int c zeta^2 + int_Robin c2 zeta^2) / int zeta^2.
 
-    zeta must vanish on every Dirichlet-tagged node; shifts (mu1, mu2) are
-    not included, matching the variational quotient whose infimum the
-    principal eigenvalue realizes.
+    zeta must vanish on every Dirichlet-tagged node; this is the variational
+    quotient whose infimum the principal eigenvalue realizes.
     """
     z = _field_values(op.mesh, zeta)
     if np.any(z[op.mesh.dirichlet_mask] != 0.0):
@@ -346,21 +333,20 @@ def rayleigh_quotient(op: OperatorAssembly, zeta) -> float:
 
 def _eigen_matrices(op: OperatorAssembly, variant: str):
     free = op.mesh.free_mask
-    diag = op.volume_mass * op.c + op.boundary_mass * op.c2
-    A = (op.stiffness + sp.diags(diag)).tocsr()[free][:, free]
+    A, _ = _free_system(op)
     if variant == "volume":
         bdiag = op.volume_mass[free]
     elif variant == "volume-plus-boundary":
         bdiag = (op.volume_mass + op.boundary_mass)[free]
     else:
         raise ValueError(f"unknown eigenvalue denominator variant {variant!r}")
-    return A.tocsr(), bdiag
+    return A, bdiag
 
 
 def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
     """Smallest eigenvalue and positive ground state of (A, B) by inverse iteration.
 
-    A is the operator with potentials c, c2 (shifts excluded); B is the
+    A is the operator with potentials c, c2; B is the
     volume mass or, for the "volume-plus-boundary" variant, volume plus
     Robin surface mass.  The iteration inverts A + mu*B with mu chosen from
     a generalized Gershgorin lower bound so the shifted matrix is positive

@@ -16,9 +16,10 @@ Two routes to the discrete solution are provided and cross-checked:
   solve the same shifted linear operator with the remaining terms frozen on
   the right, the shift being the smallest value that keeps the frozen maps
   nondecreasing on [0, S]; the iterates then stay ordered (sub
-  nondecreasing, super nonincreasing, sub <= super <= S nodewise).  Its
-  contraction rate degrades as the cap grows, so it is the certificate
-  scheme for moderate caps, not the workhorse for blow-up-scale data.
+  nondecreasing, super nonincreasing, sub <= super <= S nodewise).  The cap
+  is the Dirichlet data maximum, so its contraction rate degrades as the
+  data grow: it is the certificate scheme for moderate data, not the
+  workhorse for blow-up-scale data.
 
 * newton_solve is a full-step Newton iteration on the same discrete
   system.  The residual is a convex M-function (convex terms c0 u^p and
@@ -88,7 +89,6 @@ __all__ = [
 ]
 
 DEFAULT_DATA_SEQUENCE = tuple(float(2**k) for k in range(17))  # 1, 2, ..., 2^16
-CAP_LIMIT = 1e12
 MONOTONE_MAX_ITER = 2000
 
 
@@ -106,7 +106,8 @@ class MonotonicityViolationError(RuntimeError):
 
 
 class CapSearchError(RuntimeError):
-    """Cap doubling exceeded the overflow guard: coefficients inconsistent."""
+    """No constant cap is a supersolution: a negative linear potential
+    meets a vanishing nonlinear coefficient."""
 
 
 class Verdict(enum.Enum):
@@ -165,9 +166,9 @@ class NonlinearProblem:
 
     @property
     def linear_operator(self) -> OperatorAssembly:
-        """Unshifted operator with the linear potentials c, c2_lin."""
+        """Operator with the linear potentials c, c2_lin."""
         if self._op0 is None:
-            self._op0 = assemble(self.mesh, self.c, self.c2_lin, shift=(0.0, 0.0))
+            self._op0 = assemble(self.mesh, self.c, self.c2_lin)
         return self._op0
 
     def with_data(self, data) -> "NonlinearProblem":
@@ -253,52 +254,27 @@ def model_problem(mesh: Mesh) -> NonlinearProblem:
 
 
 def pick_cap(problem: NonlinearProblem) -> float:
-    """A cap S >= max(data) making both frozen maps nondecreasing.
+    """The smallest constant S >= max(data) that is a supersolution.
 
-    The maps t -> (S^p - c) t - c0 t^p and t -> (S^q - c2) t - c1 t^q must be
-    nondecreasing on [0, S]; their derivatives are minimal at t = S, so the
-    check is S^p >= c + p c0 S^(p-1) at every node and the boundary analogue
-    on the cone face.  The cap must also descend (the constant S must be a
-    supersolution, c S + c0 S^p >= 0 nodewise and its Robin analogue), which
-    only binds for negative linear potentials.  S starts at the Dirichlet
-    data maximum and is returned unchanged if admissible; otherwise it
-    doubles until admissible (exceeding 1e12 raises CapSearchError) and is
-    then bisected on (S/2, S], always keeping the admissible end, since the
-    monotone iteration's shift and with it its step count grow with S.  The
-    result is always admissible; it is the smallest admissible cap, to 1e-9
-    relative, when c, c2 >= 0 (every CLI path), where admissibility is
-    monotone in S.  A negative linear potential can make the admissible set
-    an interval and a ray, and the doubling may then step over the interval.
+    That needs c + c0 S^(p-1) >= 0 at every node and c2 + c1 S^(q-1) >= 0
+    on the cone face.  With nonnegative potentials (every CLI path) S is the
+    Dirichlet data maximum; a negative one raises it to (-c/c0)^(1/(p-1))
+    or (-c2/c1)^(1/(q-1)), and meeting c0 = 0 or c1 = 0 raises
+    CapSearchError.  monotone_iterate's shifts keep its frozen maps
+    nondecreasing on [0, S] for any S, so they ask nothing of the cap.
     """
-    p, q = problem.p_interior, problem.p_boundary
-    c0 = problem.c0.values
-    c1r = problem.c1.values[problem.mesh.robin_mask]
-    c = problem.c.values
-    c2r = problem.c2_lin.values[problem.mesh.robin_mask]
-    data_max = float(np.max(problem.dirichlet_data.values[problem.mesh.dirichlet_mask]))
-
-    def admissible_at(S):
-        ok_int = S**p >= np.max(c + p * c0 * S ** (p - 1))
-        ok_bdy = S**q >= np.max(c2r + q * c1r * S ** (q - 1))
-        desc_int = np.min(c + c0 * S ** (p - 1)) >= 0.0
-        desc_bdy = np.min(c2r + c1r * S ** (q - 1)) >= 0.0
-        return bool(ok_int and ok_bdy and desc_int and desc_bdy)
-
-    lo = S = max(data_max, 1e-6)
-    while not admissible_at(S):
-        lo, S = S, 2.0 * S
-        if S > CAP_LIMIT:
-            raise CapSearchError(
-                f"cap doubling exceeded {CAP_LIMIT:g}; coefficient fields inconsistent"
-            )
-    # lo is inadmissible whenever the doubling moved S
-    while S - lo > 1e-9 * S:
-        mid = 0.5 * (lo + S)
-        if admissible_at(mid):
-            S = mid
-        else:
-            lo = mid
-    return float(S)
+    mesh = problem.mesh
+    rob = mesh.robin_mask
+    S = float(np.max(problem.dirichlet_data.values[mesh.dirichlet_mask]))
+    for pot, coef, power in (
+        (problem.c.values, problem.c0.values, problem.p_interior),
+        (problem.c2_lin.values[rob], problem.c1.values[rob], problem.p_boundary),
+    ):
+        neg = pot < 0.0
+        if np.any(coef[neg] == 0.0):
+            raise CapSearchError("a negative linear potential meets a vanishing c0 or c1")
+        S = float(np.max((-pot[neg] / coef[neg]) ** (1.0 / (power - 1.0)), initial=S))
+    return S
 
 
 @dataclass(frozen=True)
@@ -394,13 +370,13 @@ def monotone_iterate(
     frozen maps t -> (shift - c) t - c0 t^p nondecreasing on [0, S], namely
     max(c + p c0 S^(p-1)) and its Robin analogue: this preserves the
     ordering argument verbatim while collapsing to a single direct solve
-    when the problem is linear (with the cap's own power shift the
-    contraction degenerates to 1 - lambda_1 S^(-(n+2)/(n-2))).  Ordering is
-    enforced nodewise at every iteration to 1e-12 * max(1, S); violations
-    raise OrderingViolationError since they signal a failed discrete maximum
-    principle.  sub0 must be an admissible discrete subsolution with
-    0 <= sub0 <= S, else ValueError.  Stops when the lower increment drops
-    below tol in sup norm.
+    when the problem is linear.  Ordering is enforced nodewise at every
+    iteration to 1e-12 * max(1, S); violations raise OrderingViolationError
+    since they signal a failed discrete maximum principle.  sub0 must be an
+    admissible discrete subsolution with 0 <= sub0 <= S, else ValueError.
+    Stops when the lower increment drops below tol in sup norm; a huge shift
+    makes every step tiny, so the limit's residual must also lie within
+    10 * tol * (1 + S^p), else NonConvergenceError.
     """
     mesh = problem.mesh
     S = float(S)
@@ -423,7 +399,7 @@ def monotone_iterate(
         0.0,
         float(np.max(problem.c2_lin.values[rob] + q * problem.c1.values[rob] * S ** (q - 1))),
     )
-    op = assemble(mesh, None, None, shift=(shift_i, shift_b))
+    op = assemble(mesh, Field.full(mesh, shift_i), Field.full(mesh, shift_b))
     c0, c1 = problem.c0.values, problem.c1.values
     cvals, c2vals = problem.c.values, problem.c2_lin.values
     data = problem.dirichlet_data
@@ -464,13 +440,21 @@ def monotone_iterate(
             iterations=max_iter,
             residual=inc,
         )
+    residual = problem.residual_sup(lower)
+    if residual > 10.0 * tol * (1.0 + S**p):
+        raise NonConvergenceError(
+            f"monotone iteration stalled at increment {inc:.3e} after {iterations} steps: "
+            f"residual {residual:.3e} exceeds 10 * tol * (1 + S^p)",
+            iterations=iterations,
+            residual=residual,
+        )
 
     report = SolverReport(
         solution=Field(mesh, lower),
         converged=True,
         final_increment=inc,
         iterations=iterations,
-        residual_sup=problem.residual_sup(lower),
+        residual_sup=residual,
         factorizations=1,  # the shifted operator, factored by its first solve
         completeness_indicator=_completeness(mesh, lower),
     )
@@ -513,18 +497,17 @@ def newton_solve(
     u* <= u_k - J(u_j)^-1 F(u_k) <= u_k, again a supersolution.  Every kept
     factor was certified when it was built.  A cold start far above the
     solution sheds about a factor p / (p-1) of its excess per step, too
-    slowly for reuse, so it refactors at every step of that phase: on the
-    40x32 desk family, data 2^16 takes 53-54 steps for n = 3 and 30-33 for
-    n = 4, within the default max_iter.  Converges when the
-    row-normalized residual is below 1e-11 and the sup-norm increment below
-    tol * (1 + sup u).  The report counts the steps in iterations and the
-    Jacobian factorizations in factorizations.  Every Jacobian shares the
-    sparsity pattern of the free block of problem.linear_operator, so only
-    the first factorization of that operator computes a minimum-degree
-    ordering; later ones, including those of other data values sharing the
-    operator through with_data, reuse it (see elliptic._factor_spd).  An
-    indefinite linearization (possible only when c or c2_lin is negative)
-    raises IndefiniteOperatorError.
+    slowly for reuse, so it refactors at every step of that phase.
+    Converges when the row-normalized residual is below 1e-11 and the
+    sup-norm increment below tol * (1 + sup u).  The report counts the
+    steps in iterations and the Jacobian factorizations in factorizations.
+    Every Jacobian shares the sparsity pattern of the free block of
+    problem.linear_operator, so only the first factorization of that
+    operator computes a minimum-degree ordering; later ones, including
+    those of other data values sharing the operator through with_data,
+    reuse it (see elliptic._factor_spd).  An indefinite linearization
+    (possible only when c or c2_lin is negative) raises
+    IndefiniteOperatorError.
     """
     mesh = problem.mesh
     p, q = problem.p_interior, problem.p_boundary
@@ -788,7 +771,8 @@ def maximal_solution(
     two solutions and certifies stabilization at the final datum on the
     base level's probe set (NoStabilizationError otherwise).  Every level's
     report carries the blow-up exponent fitted on its window with the fit's
-    r2 and sample count, the near-singular band sup, and in iterations and
+    r2, sample count and completeness indicator (all None on a level
+    without a fit), the near-singular band sup, and in iterations and
     factorizations the totals over the level's Newton solves; the final
     report carries the dichotomy verdict.
     """
@@ -865,6 +849,8 @@ def maximal_solution(
                 )
             prev_sup = rep.near_gamma_sup
 
+        # not Newton's quartile indicator: the drift rule compares fit with fit
+        rep.completeness_indicator = None
         window = _auto_window(mesh, omega_base)
         if window is not None:
             try:

@@ -335,7 +335,9 @@ def test_dichotomy_rejects_monotone_method(tmp_path):
 
 
 def test_cap_search_failure_exit_code(tmp_path):
-    # with c0 = 1e13 no cap below the 1e12 overflow guard makes the frozen maps monotone
+    # the CLI's potentials are nonnegative, so a cap always exists; with
+    # c0 = 1e13 the monotone shift 5e13 makes every step tiny, and the
+    # stalled iteration fails its residual test instead of exiting 0
     cfgpath = write_cfg(
         tmp_path, "solve", extra="method = monotone",
         body="[coefficients]\nc0 = 1e13\n[mesh]\nn_radial = 8\nn_angular = 8\n",
@@ -344,4 +346,18 @@ def test_cap_search_failure_exit_code(tmp_path):
     assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 2
     summary = (out / "summary.txt").read_text()
     assert "status = solver-failed" in summary
-    assert "error = CapSearchError" in summary
+    assert "error = NonConvergenceError" in summary
+
+
+def test_stalled_monotone_solve_fails_loudly(tmp_path):
+    # c0 = 1e9: the monotone shift 5e9 keeps every step near 1e-8, far from
+    # the discrete solution; the run must exit 2, never report that iterate
+    cfgpath = write_cfg(
+        tmp_path, "solve", extra="method = monotone",
+        body="[coefficients]\nc0 = 1e9\n[mesh]\nn_radial = 8\nn_angular = 8\n",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 2
+    summary = (out / "summary.txt").read_text()
+    assert "status = solver-failed" in summary
+    assert "error = NonConvergenceError" in summary

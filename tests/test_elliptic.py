@@ -88,7 +88,7 @@ def test_symmetry_of_weighted_form():
     mesh = make_mesh(nn=12)
     c = Field(mesh, RNG.uniform(0.0, 2.0, mesh.n_nodes))
     c2 = Field(mesh, RNG.uniform(0.0, 1.0, mesh.n_nodes))
-    op = assemble(mesh, c, c2, shift=(0.5, 0.25))
+    op = assemble(mesh, Field(mesh, c.values + 0.5), Field(mesh, c2.values + 0.25))
     A = op.matrix
     for _ in range(20):
         u = RNG.normal(size=mesh.n_nodes)
@@ -218,10 +218,8 @@ def test_indefinite_operator_detection():
         op = assemble(mesh, Field.full(mesh, -500.0))
     with pytest.raises(IndefiniteOperatorError):
         solve_mixed(op, 1.0, 0.0)
-    # raising mu1 per the shifted-form existence result makes it solvable
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MMatrixWarning)
-        op2 = assemble(mesh, Field.full(mesh, -500.0), shift=(512.0, 0.0))
+    # raising c per the shifted-form existence result makes it solvable
+    op2 = assemble(mesh, Field.full(mesh, 12.0))
     rep = solve_mixed(op2, 1.0, 0.0)
     assert rep.relative_residual <= 1e-10
 
@@ -382,7 +380,7 @@ def test_rayleigh_quotient_of_eigenvector_is_variational_minimum():
 
 def test_coo_dump_roundtrip():
     mesh = make_mesh(nn=6)
-    op = assemble(mesh, shift=(1.0, 0.5))
+    op = assemble(mesh, Field.full(mesh, 1.0), Field.full(mesh, 0.5))
     buf = io.StringIO()
     write_coo_system(op, buf)
     text = buf.getvalue().splitlines()

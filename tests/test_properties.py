@@ -12,7 +12,9 @@ from coneyamabe import (
     exhaustion_blowup_solve,
     flat_cone_problem,
     maximal_solution,
+    monotone_iterate,
     newton_solve,
+    pick_cap,
     truncation_family,
 )
 
@@ -70,6 +72,30 @@ def test_comparison_principle(pair):
     u_a = newton_solve(a).solution.values
     u_b = newton_solve(b).solution.values
     assert np.all(u_a >= u_b - 1e-9 * (1.0 + np.max(u_a)))
+
+
+@st.composite
+def moderate_problems(draw):
+    # nodewise coefficients and constant data of order one on a wedge of
+    # moderate depth: the monotone shift p c0 S^(p-1) stays small, and so
+    # does the iteration's step count
+    n = draw(st.integers(3, 6))
+    cone = ConeModel(n, draw(st.integers(1, n - 1)), draw(st.floats(0.5, 2.0)))
+    omega_min = draw(st.floats(0.1, 0.4)) * cone.theta
+    nn = draw(st.integers(8, 14))
+    mesh = build_mesh(ReducedDomain(cone, 0.5, 2.0, omega_min), nn, nn, 2.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c0, c1 = rng.uniform(0.2, 2.0, (2, mesh.n_nodes))
+    return flat_cone_problem(mesh, c0, c1, draw(st.floats(0.2, 3.0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(problem=moderate_problems())
+def test_newton_equals_the_monotone_iteration(problem):
+    # the bracket [0, pick_cap] iteration and Newton reach one discrete solution
+    mono, _ = monotone_iterate(problem, Field.zeros(problem.mesh), pick_cap(problem), tol=1e-11)
+    ref = newton_solve(problem, tol=1e-11).solution.values
+    assert np.max(np.abs(mono.solution.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 @st.composite

@@ -63,31 +63,46 @@ def test_pick_cap_model_problem_monotonicity_conditions_hold():
     prob = model_problem(mesh)
     S = pick_cap(prob)
     data_max = float(np.max(prob.dirichlet_data.values[mesh.dirichlet_mask]))
-    assert S >= data_max
+    assert S == data_max
     p, q = prob.p_interior, prob.p_boundary
-    # derivative conditions at t = S hold nodewise
-    assert S**p >= np.max(prob.c.values + p * prob.c0.values * S ** (p - 1))
+    # the constant cap is a supersolution: c S + c0 S^p >= 0 and its Robin analogue
+    assert np.min(prob.c.values * S + prob.c0.values * S**p) >= 0.0
     rob = mesh.robin_mask
-    assert S**q >= np.max(prob.c2_lin.values[rob] + q * prob.c1.values[rob] * S ** (q - 1))
+    assert np.min(prob.c2_lin.values[rob] * S + prob.c1.values[rob] * S**q) >= 0.0
+    assert check_sub_super(prob, Field.full(mesh, S), "super").worst_margin <= 0.0
+
+
+def test_pick_cap_lifts_the_cap_only_for_a_negative_potential():
+    mesh = make_mesh(nn=10)
+    prob = flat_cone_problem(mesh, 2.0, 1.0, 0.5)
+    prob.c = Field.full(mesh, -2.0 * 3.0**4)
+    S = pick_cap(prob)
+    # (-c/c0)^(1/(p-1)) = 3 for p = 5 lies above the data maximum 0.5
+    assert S == pytest.approx(3.0, rel=1e-12)
+    assert np.min(prob.c.values + prob.c0.values * S**4) >= -1e-12 * 2.0 * 3.0**4
 
 
 def test_pick_cap_overflow_guard():
     mesh = make_mesh()
-    prob = flat_cone_problem(mesh, 1e30, 1.0, 1.0)
+    prob = flat_cone_problem(mesh, 0.0, 1.0, 1.0)
+    prob.c = Field.full(mesh, -1.0)
     with pytest.raises(CapSearchError):
         pick_cap(prob)
+    # a huge absorption coefficient leaves the cap at the data maximum
+    assert pick_cap(flat_cone_problem(mesh, 1e30, 1.0, 1.0)) == 1.0
 
 
 def test_pick_cap_is_the_smallest_admissible_cap():
-    # (3,1) with c0 = 1, c = 0: the interior condition S^5 >= 5 S^4 binds at
-    # S = 5, which the doubling search alone overshoots to 8; the monotone
-    # iteration then fails to reach 1e-11 in 20000 steps
+    # (3,1) with c0 = 1, c = 0: the cap is the data maximum 1, so the interior
+    # shift is p c0 S^(p-1) = 5 and the iteration converges in a few dozen steps
     mesh = make_mesh(nn=8, omega_min=ConeModel(3, 1, 1.0).theta / 4.0)
     prob = flat_cone_problem(mesh, 1.0, 1.0, 1.0)
     S = pick_cap(prob)
-    assert 5.0 <= S <= 5.0 * (1.0 + 1e-6)
-    rep, _ = monotone_iterate(prob, Field.zeros(mesh), S, tol=1e-11, max_iter=20000)
+    assert S == 1.0
+    rep, _ = monotone_iterate(prob, Field.zeros(mesh), S, tol=1e-11, max_iter=100)
     assert rep.converged
+    ref = newton_solve(prob, tol=1e-11).solution.values
+    assert np.max(np.abs(rep.solution.values - ref)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +124,9 @@ def test_small_constant_subsolution_in_negative_potential_regime():
     prob.c = Field.full(mesh, -1.0)
     prob.c2_lin = Field.full(mesh, -1.0)
     eps = 0.25
-    rep = check_sub_super(prob, Field.full(mesh, eps), "sub")
+    # the negative potential costs the operator its M-matrix certificate
+    with pytest.warns(MMatrixWarning):
+        rep = check_sub_super(prob, Field.full(mesh, eps), "sub")
     assert rep.worst_margin <= 0.0
     # but a large constant is not a subsolution
     rep_big = check_sub_super(prob, Field.full(mesh, 1.0 + 1e-6), "sub")
@@ -475,8 +492,9 @@ def test_level_factorization_counts_on_the_threshold_family():
 
 
 def test_level_reports_keep_the_fit_quality():
-    # every level that fits an exponent also reports the fit's r2 and
-    # sample count; a level without a window reports none of the three
+    # every level that fits an exponent also reports the fit's r2, sample
+    # count and completeness indicator; a level without a window reports
+    # none of the four
     cone = ConeModel(3, 1, 1.0)
     base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 28, 24, 2.0)
     problems = [flat_cone_problem(m, 1.0, 1.0, 1.0)
@@ -485,12 +503,13 @@ def test_level_reports_keep_the_fit_quality():
     assert reports[-1].fitted_exponent is not None
     for rep in reports:
         window = solver._auto_window(rep.solution.mesh, base.domain.omega_min)
+        fields = (rep.fitted_exponent, rep.fit_r2, rep.fit_samples,
+                  rep.completeness_indicator)
         if window is None:
-            assert (rep.fitted_exponent, rep.fit_r2, rep.fit_samples) == (None, None, None)
+            assert fields == (None, None, None, None)
             continue
         fit = fit_blowup_exponent(rep.solution, window)
-        assert (rep.fitted_exponent, rep.fit_r2, rep.fit_samples) == (
-            fit.alpha, fit.r2, fit.n_samples)
+        assert fields == (fit.alpha, fit.r2, fit.n_samples, fit.completeness)
         assert 0.9 < rep.fit_r2 <= 1.0 and rep.fit_samples >= 4
 
 
@@ -520,6 +539,18 @@ def test_maximal_solution_bounded_verdict_threshold():
     assert last.fitted_exponent <= 0.2
     assert last.near_gamma_variation < 0.05
     assert last.verdict == Verdict.BOUNDED_TYPE
+
+
+def test_threshold_case_is_not_complete_at_five_levels():
+    # at 5 levels only the last level of the (4,1) desk family has a fit
+    # window; the drift rule must not compare its fitted indicator with the
+    # previous level's Newton quartile indicator, another quantity
+    cone = ConeModel(4, 1, 1.0)
+    base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 40, 32, 2.0)
+    problems = [flat_cone_problem(m, 1.0, 1.0, 1.0) for m in truncation_family(base, 5)]
+    reports = maximal_solution(problems, tol=0.03)
+    assert reports[-2].completeness_indicator is None
+    assert reports[-1].verdict != Verdict.COMPLETE_TYPE
 
 
 # ---------------------------------------------------------------------------
