@@ -49,15 +49,16 @@ from .solver import (
     BlowupFit,
     BracketState,
     CapSearchError,
+    LevelRecord,
     MonotonicityViolationError,
     NonlinearProblem,
     NoStabilizationError,
     OrderingViolationError,
     SolverReport,
-    UpperBarrierReport,
     Verdict,
     barrier_psi_fit,
     check_sub_super,
+    dichotomy_verdict,
     exhaustion_blowup_solve,
     fit_blowup_exponent,
     flat_cone_problem,
@@ -68,7 +69,6 @@ from .solver import (
     newton_solve,
     pick_cap,
     solve_problem,
-    upper_barrier_check,
 )
 
 __version__ = "0.1.0"

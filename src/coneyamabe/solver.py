@@ -35,8 +35,8 @@ Two routes to the discrete solution are provided and cross-checked:
 On top of these sit the large-data exhaustion (Dirichlet data m -> infinity
 with interior stabilization), the maximal-solution limit over shrinking
 truncations with nodewise monotonicity checks, the lower barrier
-C_* rho^(-(n-2)/2) feasibility fit, the interior upper barrier on balls, and
-the blow-up exponent fit that feeds the completeness dichotomy verdict.
+C_* rho^(-(n-2)/2) feasibility fit, and the blow-up exponent fit that feeds
+the completeness dichotomy verdict.
 """
 
 from __future__ import annotations
@@ -64,10 +64,10 @@ __all__ = [
     "NonlinearProblem",
     "BracketState",
     "SolverReport",
+    "LevelRecord",
     "AdmissibilityReport",
     "BlowupFit",
     "BarrierFit",
-    "UpperBarrierReport",
     "OrderingViolationError",
     "NoStabilizationError",
     "MonotonicityViolationError",
@@ -82,9 +82,9 @@ __all__ = [
     "solve_problem",
     "exhaustion_blowup_solve",
     "maximal_solution",
+    "dichotomy_verdict",
     "fit_blowup_exponent",
     "barrier_psi_fit",
-    "upper_barrier_check",
     "DEFAULT_DATA_SEQUENCE",
 ]
 
@@ -328,30 +328,19 @@ class BracketState:
 
 @dataclass
 class SolverReport:
+    """What one nonlinear solve did: its solution, the step count and final
+    increment, the residual sup, and the Jacobian factorizations behind the
+    solution.  exhaustion_blowup_solve also records in interior_change the
+    probe change against the previous datum's solution.  The per-level
+    measurements of a truncation family are in LevelRecord."""
+
     solution: Field
     converged: bool
     final_increment: float
     iterations: int
     residual_sup: float
-    factorizations: int = 0                    # Jacobian factorizations behind the solution
-    fitted_exponent: float | None = None
-    fit_r2: float | None = None                # coefficient of determination of that fit
-    fit_samples: int | None = None             # nodes in the fit window
-    completeness_indicator: float | None = None
-    verdict: Verdict = Verdict.INCONCLUSIVE
-    interior_change: float | None = None       # exhaustion probe change vs previous data level
-    near_gamma_sup: float | None = None        # sup over the fixed near-singular band
-    near_gamma_variation: float | None = None  # relative change of that sup vs previous truncation
-
-
-def _completeness(mesh: Mesh, u: np.ndarray) -> float:
-    """min of u * rho^((n-2)/2) over the lowest-rho quartile of free nodes."""
-    m = mesh.domain.cone.blowup_exponent
-    rho = mesh.rho
-    free = mesh.free_mask
-    cut = np.quantile(rho[free], 0.25)
-    band = free & (rho <= cut)
-    return float(np.min(u[band] * rho[band] ** m))
+    factorizations: int = 0
+    interior_change: float | None = None  # exhaustion probe change vs previous data level
 
 
 def monotone_iterate(
@@ -456,7 +445,6 @@ def monotone_iterate(
         iterations=iterations,
         residual_sup=residual,
         factorizations=1,  # the shifted operator, factored by its first solve
-        completeness_indicator=_completeness(mesh, lower),
     )
     bracket = BracketState(
         sub=Field(mesh, lower), super=Field(mesh, upper), S=S, iteration=iterations
@@ -582,7 +570,6 @@ def newton_solve(
         iterations=iterations,
         residual_sup=problem.residual_sup(u),
         factorizations=factorizations,
-        completeness_indicator=_completeness(mesh, u),
     )
 
 
@@ -741,12 +728,38 @@ def _auto_window(mesh: Mesh, omega_min_base: float) -> tuple[float, float] | Non
     return lo, hi
 
 
+@dataclass
+class LevelRecord:
+    """One truncation level of maximal_solution.
+
+    solution is the level's solution at the final datum and interior_change
+    its probe change against the previous datum; iterations and
+    factorizations are the totals over the level's Newton solves.  The
+    near-singular band sup, its relative change against the previous level,
+    and the exponent fit on the level's window (alpha, r2, sample count and
+    completeness indicator) are None where the level has no band, no
+    previous level or no fit.  Only the last level carries a verdict.
+    """
+
+    solution: Field
+    iterations: int
+    factorizations: int
+    interior_change: float | None
+    near_gamma_sup: float | None = None
+    near_gamma_variation: float | None = None
+    fitted_exponent: float | None = None
+    fit_r2: float | None = None
+    fit_samples: int | None = None
+    completeness_indicator: float | None = None
+    verdict: Verdict = Verdict.INCONCLUSIVE
+
+
 def maximal_solution(
     problems: list[NonlinearProblem],
     data_sequence=DEFAULT_DATA_SEQUENCE,
     tol: float = 1e-3,
     inner_tol: float = 1e-10,
-) -> list[SolverReport]:
+) -> list[LevelRecord]:
     """Exhaustion limits over the shrinking truncations omega0, omega0/2, ...
 
     problems must live on meshes produced by truncation_family (same radial
@@ -769,51 +782,49 @@ def maximal_solution(
     ten times the discretization-noise estimate, else
     MonotonicityViolationError).  Each level's exhaustion orders its last
     two solutions and certifies stabilization at the final datum on the
-    base level's probe set (NoStabilizationError otherwise).  Every level's
-    report carries the blow-up exponent fitted on its window with the fit's
-    r2, sample count and completeness indicator (all None on a level
-    without a fit), the near-singular band sup, and in iterations and
-    factorizations the totals over the level's Newton solves; the final
-    report carries the dichotomy verdict.
+    base level's probe set (NoStabilizationError otherwise).  Returns one
+    LevelRecord per level, holding the level's solution, its Newton totals
+    and the measurements the dichotomy reads; the last record carries
+    dichotomy_verdict of the family.
     """
     if not problems:
         raise ValueError("empty truncation family")
-    meshes = [p.mesh for p in problems]
-    base_mesh = meshes[0]
+    base_mesh = problems[0].mesh
     omega_base = base_mesh.domain.omega_min
-    cone = base_mesh.domain.cone
-    m_exp = cone.blowup_exponent
+    theta = base_mesh.domain.cone.theta
 
-    reports: list[SolverReport] = []
-    prev_u = None
+    levels: list[LevelRecord] = []
     prev_sup = None
     seq = list(data_sequence)
     base_rho_cut = float(np.median(base_mesh.rho[base_mesh.free_mask]))
-    for level, prob in enumerate(problems):
+    for prob in problems:
         mesh = prob.mesh
-        if prev_u is None:
-            data, start = seq, None
-        else:
-            coarse = meshes[level - 1]
+        if levels:
+            coarse = levels[-1].solution.mesh
             off = mesh.angular_offset_of(coarse)
             na_f, na_c = mesh.n_angular, coarse.n_angular
-            uc = prev_u.reshape(coarse.n_radial, na_c)
+            uc = levels[-1].solution.values.reshape(coarse.n_radial, na_c)
             own = np.full((mesh.n_radial, na_f), np.inf)
             own[:, off + 1:] = uc[:, 1:]
             # the coarse profile moved down one octave, read in (log omega, log u)
-            at = np.log(np.minimum(2.0 * mesh.angular_nodes, cone.theta))
+            at = np.log(np.minimum(2.0 * mesh.angular_nodes, theta))
             grid = np.log(coarse.angular_nodes)
             shifted = np.exp([np.interp(at, grid, row) for row in np.log(uc)])
             data, start = seq[-2:], Field(mesh, np.minimum(own, shifted).ravel())
+        else:
+            data, start = seq, None
         solves = exhaustion_blowup_solve(
             prob, data, tol=tol, inner_tol=inner_tol, probe_rho_cut=base_rho_cut, u0=start
         )
-        rep = solves[-1]
-        rep.iterations = sum(r.iterations for r in solves)
-        rep.factorizations = sum(r.factorizations for r in solves)
-        u = rep.solution.values
+        rec = LevelRecord(
+            solution=solves[-1].solution,
+            iterations=sum(r.iterations for r in solves),
+            factorizations=sum(r.factorizations for r in solves),
+            interior_change=solves[-1].interior_change,
+        )
+        u = rec.solution.values
 
-        if prev_u is not None:
+        if levels:
             uf = u.reshape(mesh.n_radial, na_f)[:, off:]
             # compare only where both levels actually solved (nodes that are
             # Dirichlet on either level carry data, not solution values)
@@ -842,51 +853,64 @@ def maximal_solution(
             & _radial_margin(mesh)
         )
         if np.any(band):
-            rep.near_gamma_sup = float(np.max(u[band]))
+            rec.near_gamma_sup = float(np.max(u[band]))
             if prev_sup is not None:
-                rep.near_gamma_variation = abs(rep.near_gamma_sup - prev_sup) / max(
+                rec.near_gamma_variation = abs(rec.near_gamma_sup - prev_sup) / max(
                     prev_sup, 1e-300
                 )
-            prev_sup = rep.near_gamma_sup
+            prev_sup = rec.near_gamma_sup
 
-        # not Newton's quartile indicator: the drift rule compares fit with fit
-        rep.completeness_indicator = None
         window = _auto_window(mesh, omega_base)
         if window is not None:
             try:
-                fit = fit_blowup_exponent(rep.solution, window)
-                rep.fitted_exponent = fit.alpha
-                rep.fit_r2 = fit.r2
-                rep.fit_samples = fit.n_samples
-                rep.completeness_indicator = fit.completeness
+                fit = fit_blowup_exponent(rec.solution, window)
+                rec.fitted_exponent = fit.alpha
+                rec.fit_r2 = fit.r2
+                rec.fit_samples = fit.n_samples
+                rec.completeness_indicator = fit.completeness
             except ValueError:
                 pass
 
-        reports.append(rep)
-        prev_u = u
+        levels.append(rec)
 
-    last = reports[-1]
-    if last.fitted_exponent is not None:
-        alpha = last.fitted_exponent
-        ind_last = last.completeness_indicator
-        ind_prev = reports[-2].completeness_indicator if len(reports) > 1 else None
-        if (
-            alpha >= VERDICT_ALPHA_COMPLETE * m_exp
-            and ind_last is not None
-            and ind_last > 0
-            and ind_prev is not None
-            and ind_prev > 0
-            and abs(ind_last - ind_prev)
-            <= VERDICT_INDICATOR_DRIFT * max(ind_last, ind_prev)
-        ):
-            last.verdict = Verdict.COMPLETE_TYPE
-        elif (
-            alpha <= VERDICT_ALPHA_BOUNDED * m_exp
-            and last.near_gamma_variation is not None
-            and last.near_gamma_variation < VERDICT_SUP_VARIATION
-        ):
-            last.verdict = Verdict.BOUNDED_TYPE
-    return reports
+    levels[-1].verdict = dichotomy_verdict(levels)
+    return levels
+
+
+def dichotomy_verdict(levels: list[LevelRecord]) -> Verdict:
+    """The completeness dichotomy read off the last two truncation levels.
+
+    With m = (n-2)/2 the blow-up exponent of the cone, COMPLETE_TYPE needs
+    the last level's fitted alpha >= VERDICT_ALPHA_COMPLETE * m and positive
+    fitted completeness indicators on the last two levels that differ by at
+    most VERDICT_INDICATOR_DRIFT times the larger one.  BOUNDED_TYPE needs
+    alpha <= VERDICT_ALPHA_BOUNDED * m and a near-singular sup that changed
+    by less than VERDICT_SUP_VARIATION against the previous level.  Anything
+    else, a last level without a fit included, is INCONCLUSIVE.
+    """
+    last = levels[-1]
+    alpha = last.fitted_exponent
+    if alpha is None:
+        return Verdict.INCONCLUSIVE
+    m_exp = last.solution.mesh.domain.cone.blowup_exponent
+    ind_last = last.completeness_indicator
+    ind_prev = levels[-2].completeness_indicator if len(levels) > 1 else None
+    if (
+        alpha >= VERDICT_ALPHA_COMPLETE * m_exp
+        and ind_last is not None
+        and ind_last > 0
+        and ind_prev is not None
+        and ind_prev > 0
+        and abs(ind_last - ind_prev) <= VERDICT_INDICATOR_DRIFT * max(ind_last, ind_prev)
+    ):
+        return Verdict.COMPLETE_TYPE
+    if (
+        alpha <= VERDICT_ALPHA_BOUNDED * m_exp
+        and last.near_gamma_variation is not None
+        and last.near_gamma_variation < VERDICT_SUP_VARIATION
+    ):
+        return Verdict.BOUNDED_TYPE
+    return Verdict.INCONCLUSIVE
 
 
 def _angular_half_widths(nodes: np.ndarray) -> np.ndarray:
@@ -1021,123 +1045,4 @@ def barrier_psi_fit(problem: NonlinearProblem, solution: Field | None = None) ->
         C_star=float(C_star),
         band_rho_max=band_rho_max,
         lower_bound_margin=lower_margin,
-    )
-
-
-@dataclass(frozen=True)
-class UpperBarrierReport:
-    """Interior upper-barrier comparison u <= w on sampled balls."""
-
-    worst_ratio: float
-    implied_C3: float
-    empirical_C3: float
-    n_centers: int
-    barrier_inequality_margin: float
-    failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return len(self.failures) == 0
-
-
-BARRIER_K_BALL = 0.9       # ball radius as a fraction of rho at its center
-BARRIER_MAX_CENTERS = 12   # ball centers sampled on the mid-radial slice
-
-
-def upper_barrier_check(solution: Field, problem: NonlinearProblem) -> UpperBarrierReport:
-    """Check u <= w for the ball barrier w = C1 a^m / (a^2 - s^2)^m, a = k rho(x0).
-
-    Centers are sampled near the singular set on the mid-radial slice; k is
-    shrunk so each ball stays inside the wedge (away from the cone face and
-    the radial edges), which makes the interior inequality
-    Lap w = n(n-2) C1 a^(m+2) (a^2-s^2)^(-m-2) <= C w^((n+2)/(n-2)) the only
-    constraint; the smallest admissible C1 is (n(n-2)/C)^((n-2)/4) with
-    C = (n-2) c0_min/(4(n-1)).  The inequality is verified discretely at the
-    ball nodes, then u <= w; the implied constant of the near-singular upper
-    bound is C3 = max over centers of C1 k^(-(n-2)/2).
-    """
-    mesh = problem.mesh
-    cone = mesh.domain.cone
-    n = cone.n
-    m = cone.blowup_exponent
-    p = problem.p_interior
-    theta = cone.theta
-
-    c0_min = float(np.min(problem.c0.values))
-    if c0_min <= 0.0:
-        raise ValueError("upper barrier requires c0 bounded below by a positive constant")
-    if float(np.min(problem.c.values)) < 0.0:
-        raise ValueError(
-            "upper barrier requires a nonnegative linear potential "
-            "(Lap u >= C u^p needs the c-term on the helpful side)"
-        )
-    C = (n - 2) * c0_min / (4.0 * (n - 1))
-    C1 = (n * (n - 2) / C) ** ((n - 2) / 4.0)
-
-    rp, om = mesh.rho_polar, mesh.omega
-    x1 = rp * np.cos(om)
-    r = rp * np.sin(om)
-    u = solution.values
-    rho = mesh.rho
-
-    i_mid = mesh.n_radial // 2
-    na = mesh.n_angular
-    free_idx = np.flatnonzero(mesh.free_mask)
-    slice_idx = free_idx[(free_idx // na == i_mid)]
-    # the ball bound is a near-singular statement: keep centers where the
-    # cone face does not constrain the ball (dist to face >= 1.5 * rho)
-    near_axis = rp[slice_idx] * np.sin(theta - om[slice_idx]) >= 1.5 * rho[slice_idx]
-    slice_idx = slice_idx[near_axis]
-    order = np.argsort(rho[slice_idx])
-    cand = slice_idx[order][: 3 * BARRIER_MAX_CENTERS]
-    if len(cand) > BARRIER_MAX_CENTERS:
-        cand = cand[np.linspace(0, len(cand) - 1, BARRIER_MAX_CENTERS).astype(int)]
-
-    worst = 0.0
-    implied = 0.0
-    empirical = 0.0
-    ineq_margin = math.inf
-    failures = []
-    used = 0
-    dirichlet = mesh.dirichlet_mask
-    for idx in cand:
-        rho0 = rho[idx]
-        dist_face = rp[idx] * math.sin(theta - om[idx])
-        k = min(BARRIER_K_BALL, 0.8 * dist_face / rho0)
-        if k <= 0.05:
-            continue
-        a = k * rho0
-        s2 = (x1 - x1[idx]) ** 2 + (r - r[idx]) ** 2
-        inside = s2 < (0.995 * a) ** 2
-        if int(np.sum(inside)) < 5:
-            continue
-        w = C1 * a**m / (a**2 - s2[inside]) ** m
-        # a ball containing Dirichlet nodes whose data already exceeds the
-        # barrier is data-limited (the comparison has no footing there);
-        # such centers are skipped, they are not failures of the bound
-        data_in = dirichlet[inside]
-        if np.any(data_in) and np.max(u[inside][data_in] / w[data_in]) > 1.0:
-            continue
-        used += 1
-        lap_w = n * (n - 2) * C1 * a ** (m + 2.0) / (a**2 - s2[inside]) ** (m + 2.0)
-        ineq = C * w**p - lap_w  # must be >= 0
-        ineq_margin = min(ineq_margin, float(np.min(ineq / np.maximum(lap_w, 1e-300))))
-        ratio = float(np.max(u[inside] / w))
-        worst = max(worst, ratio)
-        if ratio > 1.0 + 1e-9:
-            failures.append((int(idx), ratio))
-        implied = max(implied, C1 * k ** (-m))
-        empirical = max(empirical, float(u[idx] * rho0**m))
-    if used == 0:
-        raise ValueError(
-            "no admissible barrier centers found "
-            "(mesh too coarse near the singular set, or all balls data-limited)"
-        )
-    return UpperBarrierReport(
-        worst_ratio=worst,
-        implied_C3=implied,
-        empirical_C3=empirical,
-        n_centers=used,
-        barrier_inequality_margin=ineq_margin,
-        failures=tuple(failures),
     )

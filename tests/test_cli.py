@@ -195,6 +195,26 @@ def test_solve_with_monotone_method(tmp_path):
     assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("method, indicator", [
+    ("newton", 0.999901555888),
+    ("monotone", 0.999901554805),
+])
+def test_solve_reports_the_completeness_indicator(tmp_path, method, indicator):
+    # min of u * rho^((n-2)/2) over the lowest-rho quartile of free nodes; on
+    # the exact model problem u tends to rho^(-(n-2)/2), so it is near 1
+    cfgpath = write_cfg(
+        tmp_path, "solve", extra=f"method = {method}\nplot = false",
+        body=f"[coefficients]\nc0 = 0.25\nc1 = {1.0 / (4.0 * math.sqrt(2.0))!r}\n"
+             "[mesh]\nn_radial = 12\nn_angular = 12\nomega_min = 0.3\n",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    value = float(dict(line.split(" = ", 1) for line in lines)["solve.completeness_indicator"])
+    assert value > 0
+    assert value == pytest.approx(indicator, rel=1e-12)
+
+
 def test_monotone_solve_uses_its_own_iteration_limit(tmp_path):
     # the exact model problem on the default wedge needs 752 monotone
     # iterations; without max_iter in the config the method's limit applies

@@ -12,12 +12,14 @@ from coneyamabe import (
     ConeModel,
     Field,
     IndefiniteOperatorError,
+    LevelRecord,
     MMatrixWarning,
     ReducedDomain,
     Verdict,
     barrier_psi_fit,
     build_mesh,
     check_sub_super,
+    dichotomy_verdict,
     exact_model_solution,
     exhaustion_blowup_solve,
     fit_blowup_exponent,
@@ -30,7 +32,6 @@ from coneyamabe import (
     pick_cap,
     solve_problem,
     truncation_family,
-    upper_barrier_check,
 )
 from coneyamabe import solver
 from coneyamabe.solver import CapSearchError
@@ -553,6 +554,40 @@ def test_threshold_case_is_not_complete_at_five_levels():
     assert reports[-1].verdict != Verdict.COMPLETE_TYPE
 
 
+def _level(mesh, alpha=None, indicator=None, variation=None):
+    return LevelRecord(
+        solution=Field.zeros(mesh), iterations=0, factorizations=0, interior_change=None,
+        near_gamma_variation=variation, fitted_exponent=alpha,
+        completeness_indicator=indicator,
+    )
+
+
+@pytest.mark.parametrize("previous, last, verdict", [
+    # indicator drift |last - prev| / max(last, prev) of 0.39 and 0.41
+    (dict(indicator=1.0), dict(alpha=0.8, indicator=0.61), Verdict.COMPLETE_TYPE),
+    (dict(indicator=1.0), dict(alpha=0.8, indicator=0.59), Verdict.INCONCLUSIVE),
+    # the previous level has no fit window (the 5-level (4,1) desk family)
+    (dict(), dict(alpha=0.8, indicator=1.0), Verdict.INCONCLUSIVE),
+    (dict(), dict(alpha=0.2, variation=0.049), Verdict.BOUNDED_TYPE),
+    (dict(), dict(alpha=0.2), Verdict.INCONCLUSIVE),
+    (dict(), dict(alpha=0.2, variation=0.05), Verdict.INCONCLUSIVE),
+    # the last level has no fit window
+    (dict(indicator=1.0), dict(indicator=1.0, variation=0.0), Verdict.INCONCLUSIVE),
+    # a single-level family
+    (None, dict(alpha=0.8, indicator=1.0), Verdict.INCONCLUSIVE),
+])
+def test_dichotomy_verdict_on_synthetic_levels(previous, last, verdict):
+    # alpha is given in units of the blow-up exponent m = (n-2)/2 = 3/2 of
+    # the (5, 2) cone; the verdict reads the records only, so no solve is needed
+    mesh = make_mesh(n=5, d=2, nn=4)
+    if "alpha" in last:
+        last = {**last, "alpha": last["alpha"] * mesh.domain.cone.blowup_exponent}
+    levels = [_level(mesh, **last)]
+    if previous is not None:
+        levels.insert(0, _level(mesh, **previous))
+    assert dichotomy_verdict(levels) == verdict
+
+
 # ---------------------------------------------------------------------------
 # exponent fit
 # ---------------------------------------------------------------------------
@@ -625,44 +660,9 @@ def test_converged_solution_dominates_barrier():
     assert fit.lower_bound_margin >= -1e-2 * fit.C_star  # discretization slack
 
 
-def test_upper_barrier_on_power_solution():
-    mesh = make_mesh(nn=32, omega_min=0.05)
-    prob = model_problem(mesh)
-    us = Field(mesh, mesh.rho ** (-mesh.domain.cone.blowup_exponent))
-    rep = upper_barrier_check(us, prob)
-    assert rep.ok
-    assert rep.worst_ratio <= 1.0
-    # implied constant within x4 of the exact coefficient 1 of the power solution
-    assert rep.implied_C3 <= 4.0
-    assert rep.barrier_inequality_margin >= -1e-9
-
-
-def test_upper_barrier_constant_solution_trivially_dominated():
-    mesh = make_mesh(nn=24, omega_min=0.05)
-    prob = flat_cone_problem(mesh, 1.0, 1.0, 1.0)
-    rep = upper_barrier_check(Field.full(mesh, 1.0), prob)
-    assert rep.ok
-
-
-def test_upper_barrier_stable_on_threshold_exhaustion_under_refinement():
-    # near-singular upper bound for the threshold-dimension blow-up limit:
-    # the comparison holds and the implied constant settles under refinement
-    implied = []
-    for nn in (20, 28, 36):
-        mesh = make_mesh(n=4, d=1, omega_min=0.015, nn=nn)
-        prob = flat_cone_problem(mesh, 1.0, 1.0, 1.0)
-        reports = exhaustion_blowup_solve(prob, [4.0**k for k in range(7)], tol=None)
-        rep = upper_barrier_check(reports[-1].solution, prob)
-        assert rep.ok
-        implied.append(rep.implied_C3)
-        assert rep.empirical_C3 <= rep.implied_C3
-    assert abs(implied[-1] - implied[0]) <= 0.25 * max(implied)
-
-
 def test_verify_model_report_fields():
     mesh = make_mesh(nn=12)
     prob = model_problem(mesh)
     rep = solve_problem(prob, method="newton")
     assert rep.converged
-    assert rep.completeness_indicator is not None and rep.completeness_indicator > 0
     assert rep.residual_sup < 1e-6
