@@ -237,7 +237,6 @@ def run_solve(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:
     with open(out / "solution.csv", "w", newline="\n") as fh:
         write_field_table(fh, mesh, rep.solution.values)
     summary.add("solve.method", cfg.method)
-    summary.add("solve.converged", rep.converged)
     summary.add("solve.iterations", rep.iterations)
     summary.add("solve.final_increment", rep.final_increment)
     summary.add("solve.residual_sup", rep.residual_sup)
@@ -309,24 +308,16 @@ def _dichotomy_single(cfg: ExperimentConfig, d: int):
         tol=sub.exhaustion_tol,
         inner_tol=sub.nonlinear_tol,
     )
-    return d, meshes, reports
+    return reports
 
 
 def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: int = 1) -> None:
     d_values = cfg.d_list or [cfg.d]
-    results = {}
-    if threads > 1 and len(d_values) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for d, meshes, reports in pool.map(lambda dd: _dichotomy_single(cfg, dd), d_values):
-                results[d] = (meshes, reports)
-    else:
-        for dd in d_values:
-            d, meshes, reports = _dichotomy_single(cfg, dd)
-            results[d] = (meshes, reports)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(lambda d: _dichotomy_single(cfg, d), d_values))
 
     rows = []
-    for d in d_values:
-        meshes, reports = results[d]
+    for d, reports in zip(d_values, results):
         last, prev = reports[-1], reports[-2]
         rows.append([
             cfg.n, d, cfg.h, len(reports),
@@ -347,7 +338,8 @@ def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: i
         summary.add(f"dichotomy.d{d}.factorizations", sum(r.factorizations for r in reports))
         if cfg.plot:
             series = []
-            for k, (mesh, rep) in enumerate(zip(meshes, reports)):
+            for k, rep in enumerate(reports):
+                mesh = rep.solution.mesh
                 i_mid = mesh.n_radial // 2
                 sl = slice(i_mid * mesh.n_angular, (i_mid + 1) * mesh.n_angular)
                 rho = mesh.rho[sl]
@@ -414,6 +406,8 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, default=1,
                        help="concurrent runs for dichotomy sweeps")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error("--threads needs at least one thread")
 
     try:
         cfg = parse_config(args.config)

@@ -82,6 +82,13 @@ class OperatorAssembly:
     boundary_mass      : diagonal surface weights (nonzero on Robin nodes)
     c, c2              : linear potentials (full-length arrays; c2 read on Robin)
     m_matrix_ok        : row-sum certificate c >= 0 and c2 >= 0
+    matrix             : integrated-form matrix, stiffness plus the volume and
+                         surface mass terms of c and c2 (CSR, all nodes)
+    free_matrix        : matrix restricted to the free nodes, rows and columns
+
+    Only what depends on a factorization is filled in later: the
+    minimum-degree elimination order of the free block, computed by the
+    first _factor_spd of this operator, and solve_mixed's factor.
     """
 
     mesh: Mesh
@@ -91,44 +98,22 @@ class OperatorAssembly:
     c: np.ndarray
     c2: np.ndarray
     m_matrix_ok: bool
+    matrix: sp.csr_matrix
+    free_matrix: sp.csr_matrix
 
-    _matrix: sp.csr_matrix | None = None
     _free_factor: object | None = None
-    _free_matrix: sp.csr_matrix | None = None
     _free_order: np.ndarray | None = None
-    _free_to_fixed: sp.csr_matrix | None = None
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        """Full integrated-form matrix: stiffness + volume and surface mass terms."""
-        if self._matrix is None:
-            diag = self.volume_mass * self.c + self.boundary_mass * self.c2
-            self._matrix = (self.stiffness + sp.diags(diag)).tocsr()
-        return self._matrix
-
-    def pointwise_interior(self, u: np.ndarray) -> np.ndarray:
-        """Operator-form residual (L u + c u) at interior nodes."""
-        return (self.matrix @ u / self.volume_mass)[self.mesh.tags == 0]
-
-    def pointwise_robin(self, u: np.ndarray) -> np.ndarray:
-        """Flux-form residual of the Robin half-cell rows.
-
-        Equals (du/dnu + c2 u) plus half the angular cell height times
-        rho_polar times the interior residual at the same node: second-order
-        consistent with the boundary condition whenever u satisfies the
-        interior equation.
-        """
-        mask = self.mesh.robin_mask
-        return (self.matrix @ u)[mask] / self.boundary_mass[mask]
 
 
 def assemble(mesh: Mesh, c: Field | None = None, c2: Field | None = None) -> OperatorAssembly:
     """Assemble the weighted divergence-form operator with Robin rows.
 
     c is the interior linear potential, c2 the Robin potential (both
-    full-length fields; c2 is only read on ROBIN_CONE nodes).  Off-diagonal
-    entries are nonpositive by construction; the certificate degrades only
-    through negative c or c2, which is reported as a warning, not an error.
+    full-length fields; c2 is only read on ROBIN_CONE nodes).  Builds the
+    full matrix and its free block, the two matrices every solve, residual
+    and quotient reads.  Off-diagonal entries are nonpositive by
+    construction; the certificate degrades only through negative c or c2,
+    which is reported as a warning, not an error.
     """
     cvals = np.zeros(mesh.n_nodes) if c is None else _field_values(mesh, c)
     c2vals = np.zeros(mesh.n_nodes) if c2 is None else _field_values(mesh, c2)
@@ -182,14 +167,20 @@ def assemble(mesh: Mesh, c: Field | None = None, c2: Field | None = None) -> Ope
             stacklevel=2,
         )
 
+    volume_mass = mesh.node_weights.copy()
+    boundary_mass = mesh.robin_weights.copy()
+    matrix = (stiffness + sp.diags(volume_mass * cvals + boundary_mass * c2vals)).tocsr()
+    free = mesh.free_mask
     return OperatorAssembly(
         mesh=mesh,
         stiffness=stiffness,
-        volume_mass=mesh.node_weights.copy(),
-        boundary_mass=mesh.robin_weights.copy(),
+        volume_mass=volume_mass,
+        boundary_mass=boundary_mass,
         c=cvals.copy(),
         c2=c2vals.copy(),
         m_matrix_ok=ok,
+        matrix=matrix,
+        free_matrix=matrix[free][:, free].tocsr(),
     )
 
 
@@ -224,23 +215,24 @@ class _OrderedFactor:
         return x
 
 
-def _factor_spd(A: sp.spmatrix, op: OperatorAssembly | None = None):
+def _factor_spd(A: sp.spmatrix, op: OperatorAssembly):
     """Sparse LU of a symmetric matrix, certified positive definite.
 
-    A symmetric minimum-degree ordering with diagonal pivots keeps
-    perm_r == perm_c, so the diagonal of U holds the pivots of A = L D L^T
-    and, by Sylvester's law of inertia, counts the nonpositive eigenvalues
-    of A.  Raises IndefiniteOperatorError unless every pivot is positive.
-
-    With op given, A must have the sparsity pattern of op's free block (a
-    Newton Jacobian is that block plus a diagonal).  The first such
-    factorization orders A by minimum degree and caches the elimination
-    order argsort(perm_c) on op; every later one factors A permuted into
-    that order under the natural ordering, which skips SuperLU's ordering
-    step, and is certified in the same way.  The returned factor solves in
+    A must have the sparsity pattern of op's free block: that block itself,
+    or the block plus a diagonal (a Newton Jacobian, a shifted eigenvalue
+    pencil).  The first factorization of op orders A by minimum degree and
+    caches the elimination order argsort(perm_c) on op; every later one
+    factors A permuted into that order under the natural ordering, which
+    skips SuperLU's ordering step.  So each operator runs one ordering,
+    whichever caller factors it first, and the returned factor solves in
     A's own numbering either way.
+
+    The symmetric ordering with diagonal pivots keeps perm_r == perm_c, so
+    the diagonal of U holds the pivots of A = L D L^T and, by Sylvester's
+    law of inertia, counts the nonpositive eigenvalues of A.  Raises
+    IndefiniteOperatorError unless every pivot is positive.
     """
-    order = None if op is None else op._free_order
+    order = op._free_order
     try:
         # the copy handed to SuperLU dies with the call, before the
         # certificate materializes U: kept alive, it lifts the peak RSS of
@@ -255,18 +247,8 @@ def _factor_spd(A: sp.spmatrix, op: OperatorAssembly | None = None):
         raise IndefiniteOperatorError("nonpositive pivot: the matrix is not positive definite")
     if order is not None:
         return _OrderedFactor(lu, order)
-    if op is not None:
-        op._free_order = np.argsort(lu.perm_c)
+    op._free_order = np.argsort(lu.perm_c)
     return lu
-
-
-def _free_system(op: OperatorAssembly):
-    if op._free_matrix is None:
-        free = op.mesh.free_mask
-        A = op.matrix
-        op._free_matrix = A[free][:, free].tocsr()
-        op._free_to_fixed = A[free][:, ~free].tocsr()
-    return op._free_matrix, op._free_to_fixed
 
 
 def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=None) -> LinearSolveReport:
@@ -274,10 +256,13 @@ def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=None) -> Li
 
     rhs is the interior source f1, robin_rhs the boundary source f2 of the
     mixed weak form (default 0); Dirichlet rows return the supplied data
-    exactly.  The free-node block is factored once by _factor_spd and the
-    factor is cached on the assembly, so repeated solves with one operator
-    are back-substitutions.  Raises IndefiniteOperatorError when the
-    operator is not positive definite (the caller should raise c) and
+    exactly.  The data enter the free rows through op.matrix applied to
+    the data with its free entries zeroed, which adds exactly the products
+    of the free-to-fixed block.  op.free_matrix is factored once by
+    _factor_spd on the operator's one ordering and the factor is cached on
+    the assembly, so repeated solves with one operator are
+    back-substitutions.  Raises IndefiniteOperatorError when the operator
+    is not positive definite (the caller should raise c) and
     NonConvergenceError when the relative residual of the reduced system
     exceeds 1e-6.
     """
@@ -294,10 +279,9 @@ def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=None) -> Li
 
     free = mesh.free_mask
     b = op.volume_mass * rvals + op.boundary_mass * gvals
-    A_ff, A_fd = _free_system(op)
-    b_f = b[free] - A_fd @ dvals[~free]
+    b_f = (b - op.matrix @ np.where(free, 0.0, dvals))[free]
     if op._free_factor is None:
-        op._free_factor = _factor_spd(A_ff)
+        op._free_factor = _factor_spd(op.free_matrix, op)
     x = op._free_factor.solve(b_f)
 
     u = np.empty(mesh.n_nodes)
@@ -305,7 +289,7 @@ def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=None) -> Li
     u[free] = x
 
     bnorm = np.linalg.norm(b_f)
-    relres = float(np.linalg.norm(b_f - A_ff @ x) / bnorm) if bnorm > 0 else 0.0
+    relres = float(np.linalg.norm(b_f - op.free_matrix @ x) / bnorm) if bnorm > 0 else 0.0
     if relres > 1e-6:
         raise NonConvergenceError(
             f"direct solve residual {relres:.3e} exceeds tolerance", residual=relres
@@ -325,22 +309,18 @@ def rayleigh_quotient(op: OperatorAssembly, zeta) -> float:
     den = float(np.sum(op.volume_mass * z * z))
     if den == 0.0:
         raise ValueError("zeta is identically zero on the volume quadrature")
-    num = float(z @ (op.stiffness @ z))
-    num += float(np.sum(op.volume_mass * op.c * z * z))
-    num += float(np.sum(op.boundary_mass * op.c2 * z * z))
-    return num / den
+    return float(z @ (op.matrix @ z)) / den
 
 
 def _eigen_matrices(op: OperatorAssembly, variant: str):
     free = op.mesh.free_mask
-    A, _ = _free_system(op)
     if variant == "volume":
         bdiag = op.volume_mass[free]
     elif variant == "volume-plus-boundary":
         bdiag = (op.volume_mass + op.boundary_mass)[free]
     else:
         raise ValueError(f"unknown eigenvalue denominator variant {variant!r}")
-    return A, bdiag
+    return op.free_matrix, bdiag
 
 
 def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
@@ -366,7 +346,7 @@ def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
     lower = float(np.min((diag - offsum) / bdiag))
     mu = 0.0 if lower > 0 else -lower + max(1e-8, 0.01 * abs(lower))
 
-    factor = _factor_spd(A + sp.diags(mu * bdiag))
+    factor = _factor_spd(A + sp.diags(mu * bdiag), op)
 
     v = np.ones(n)
     lam = math.inf

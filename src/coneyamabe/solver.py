@@ -52,7 +52,6 @@ from .elliptic import (
     NonConvergenceError,
     OperatorAssembly,
     _factor_spd,
-    _free_system,
     assemble,
     solve_mixed,
 )
@@ -335,7 +334,6 @@ class SolverReport:
     measurements of a truncation family are in LevelRecord."""
 
     solution: Field
-    converged: bool
     final_increment: float
     iterations: int
     residual_sup: float
@@ -440,7 +438,6 @@ def monotone_iterate(
 
     report = SolverReport(
         solution=Field(mesh, lower),
-        converged=True,
         final_increment=inc,
         iterations=iterations,
         residual_sup=residual,
@@ -502,7 +499,7 @@ def newton_solve(
     op0 = problem.linear_operator
     free = mesh.free_mask
     data = problem.dirichlet_data.values
-    A_ff, _ = _free_system(op0)
+    A_ff = op0.free_matrix
 
     u = np.empty(mesh.n_nodes)
     if u0 is None:
@@ -565,7 +562,6 @@ def newton_solve(
 
     return SolverReport(
         solution=Field(mesh, u),
-        converged=True,
         final_increment=inc,
         iterations=iterations,
         residual_sup=problem.residual_sup(u),

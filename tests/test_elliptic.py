@@ -24,7 +24,8 @@ from coneyamabe import (
     solve_mixed,
     write_coo_system,
 )
-from coneyamabe.elliptic import _eigen_matrices, _factor_spd, _free_system
+from coneyamabe.elliptic import _eigen_matrices, _factor_spd
+from coneyamabe.solver import NonlinearProblem
 
 RNG = np.random.default_rng(7121331)
 
@@ -46,12 +47,16 @@ def lap_radial_power(n, d, alpha, rho):
 def test_constants_are_annihilated():
     # constants lie in the stiffness kernel by the row-sum construction;
     # the only nonzero left is matvec association-order roundoff, amplified
-    # by the operator-form division by the (small) volume weights
+    # by the operator-form division by the (small) volume weights.  The
+    # Robin part is the flux form of the half-cell rows: du/dnu + c2 u plus
+    # half the angular cell height times rho_polar times the interior
+    # residual at the same node, second-order consistent with the boundary
+    # condition whenever u satisfies the interior equation
     mesh = make_mesh()
-    op = assemble(mesh)
     u = np.full(mesh.n_nodes, 3.7)
-    assert np.max(np.abs(op.pointwise_interior(u))) < 1e-9
-    assert np.max(np.abs(op.pointwise_robin(u))) < 1e-9
+    r_int, r_rob = NonlinearProblem(mesh, 0, 0, 0, 0, 0).residual_parts(u)
+    assert np.max(np.abs(r_int)) < 1e-9
+    assert np.max(np.abs(r_rob)) < 1e-9
 
 
 def test_pointwise_application_of_rho_polar():
@@ -59,11 +64,11 @@ def test_pointwise_application_of_rho_polar():
     prev = None
     for nn in (16, 32, 64):
         mesh = make_mesh(nn=nn, grading=1.0)
-        op = assemble(mesh)
         u = mesh.rho_polar.copy()
         n, d = 3, 1
         exact = (-(n - d) / mesh.rho_polar)[mesh.tags == 0]
-        err = np.max(np.abs(op.pointwise_interior(u) - exact) / np.abs(exact))
+        got, _ = NonlinearProblem(mesh, 0, 0, 0, 0, 0).residual_parts(u)
+        err = np.max(np.abs(got - exact) / np.abs(exact))
         if prev is not None:
             assert math.log2(prev / err) > 1.8
         prev = err
@@ -78,7 +83,7 @@ def test_pointwise_application_of_power_solution_order():
         m = cone.blowup_exponent
         u = mesh.rho**-m
         exact = -lap_radial_power(cone.n, cone.d, -m, mesh.rho)[mesh.tags == 0]
-        got = op = assemble(mesh).pointwise_interior(u)
+        got, _ = NonlinearProblem(mesh, 0, 0, 0, 0, 0).residual_parts(u)
         errs.append(np.max(np.abs(got - exact) / np.abs(exact)))
     assert math.log2(errs[0] / errs[1]) >= 1.8
     assert math.log2(errs[1] / errs[2]) >= 1.8
@@ -246,12 +251,13 @@ def test_factor_on_the_cached_order_solves_like_the_mmd_factor(orderings):
     # the first factorization of an operator's free block orders it by
     # minimum degree and caches the order; a later one with another
     # diagonal factors on that order and still solves in the caller's
-    # numbering
+    # numbering, like the minimum-degree factor of a fresh operator
     mesh = make_mesh(n=4, d=1, nn=14)
-    op = assemble(mesh, Field.full(mesh, 0.5), Field.full(mesh, 0.3))
-    A, _ = _free_system(op)
+    c, c2 = Field.full(mesh, 0.5), Field.full(mesh, 0.3)
+    op = assemble(mesh, c, c2)
+    A = op.free_matrix
     J = A + sp.diags(RNG.uniform(0.0, 5.0, A.shape[0]))
-    mmd = _factor_spd(J)
+    mmd = _factor_spd(J, assemble(mesh, c, c2))
     _factor_spd(A, op)
     assert orderings == {"MMD_AT_PLUS_A": 2}
     assert np.array_equal(np.sort(op._free_order), np.arange(A.shape[0]))
@@ -268,12 +274,32 @@ def test_factor_on_the_cached_order_rejects_an_indefinite_matrix(orderings):
     # cached-order path too
     mesh = make_mesh(nn=12)
     op = assemble(mesh)
-    A, _ = _free_system(op)
+    A = op.free_matrix
     _factor_spd(A, op)
     lowest = np.linalg.eigvalsh(A.toarray())[0]
     with pytest.raises(IndefiniteOperatorError):
         _factor_spd(A - sp.diags(np.full(A.shape[0], 2.0 * lowest)), op)
     assert orderings == {"MMD_AT_PLUS_A": 1, "NATURAL": 1}
+
+
+def test_every_factorization_of_an_operator_shares_its_ordering(orderings):
+    # whoever factors an operator first (here solve_mixed) orders its free
+    # block by minimum degree; a Jacobian-like factor and the eigenvalue
+    # pencil of the same operator reuse that order, and a second operator
+    # runs its own single ordering
+    mesh = make_mesh(nn=12)
+    c = Field.full(mesh, 0.5)
+    op = assemble(mesh, c)
+    solve_mixed(op, 1.0, 0.0)
+    assert orderings == {"MMD_AT_PLUS_A": 1}
+    A = op.free_matrix
+    _factor_spd(A + sp.diags(np.full(A.shape[0], 2.0)), op)
+    assert orderings == {"MMD_AT_PLUS_A": 1, "NATURAL": 1}
+    lam_fresh, _ = principal_eigen(assemble(mesh, c), "volume")
+    assert orderings == {"MMD_AT_PLUS_A": 2, "NATURAL": 1}
+    lam_reused, _ = principal_eigen(op, "volume")
+    assert orderings == {"MMD_AT_PLUS_A": 2, "NATURAL": 2}
+    assert lam_reused == pytest.approx(lam_fresh, rel=1e-12)
 
 
 def test_linear_comparison_principle():
