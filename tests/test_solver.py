@@ -15,6 +15,7 @@ from coneyamabe import (
     MMatrixWarning,
     ReducedDomain,
     Verdict,
+    assemble,
     barrier_psi_fit,
     build_mesh,
     check_sub_super,
@@ -28,10 +29,12 @@ from coneyamabe import (
     monotone_iterate,
     newton_solve,
     pick_cap,
+    solve_mixed,
     solve_problem,
     truncation_family,
 )
 from coneyamabe import solver
+from coneyamabe.elliptic import _back_solve, _dirichlet_lift
 from coneyamabe.solver import CapSearchError
 
 RNG = np.random.default_rng(421731)
@@ -219,6 +222,58 @@ def test_monotone_solution_positive_on_free_nodes():
     prob = model_problem(mesh)
     rep, _ = monotone_iterate(prob, Field.zeros(mesh), pick_cap(prob), tol=1e-10)
     assert np.all(rep.solution.values[mesh.free_mask] > 0)
+
+
+def test_monotone_back_solves_equal_solve_mixed_on_every_step():
+    # one lift per solve and one back-solve per branch step are bitwise the
+    # iteration that calls solve_mixed on every step; the model data
+    # rho^(-1/2) make the lift nonzero
+    mesh = make_mesh(nn=12)
+    prob = model_problem(mesh)
+    S = pick_cap(prob)
+    tol = 1e-10
+    rep, bracket = monotone_iterate(prob, Field.zeros(mesh), S, tol=tol)
+
+    p, q = prob.p_interior, prob.p_boundary
+    c, c2, c0, c1 = prob.c.values, prob.c2_lin.values, prob.c0.values, prob.c1.values
+    rob = mesh.robin_mask
+    shift_i = max(0.0, float(np.max(c + p * c0 * S ** (p - 1))))
+    shift_b = max(0.0, float(np.max(c2[rob] + q * c1[rob] * S ** (q - 1))))
+    op = assemble(mesh, Field.full(mesh, shift_i), Field.full(mesh, shift_b))
+
+    def sources(u):
+        un = np.clip(u, 0.0, None)
+        return ((shift_i - c) * un - c0 * un**p, (shift_b - c2) * un - c1 * un**q)
+
+    def step(u):
+        f, g = sources(u)
+        return solve_mixed(op, Field(mesh, f), prob.dirichlet_data,
+                           robin_rhs=Field(mesh, g)).solution.values
+
+    lower, upper = np.zeros(mesh.n_nodes), np.full(mesh.n_nodes, S)
+    for iterations in range(1, solver.MONOTONE_MAX_ITER + 1):
+        new_lower, upper = step(lower), step(upper)
+        inc = float(np.max(np.abs(new_lower - lower)))
+        lower = new_lower
+        if inc < tol:
+            break
+    assert rep.iterations == bracket.iteration == iterations > 1
+    assert rep.solution.values.tobytes() == lower.tobytes()
+    assert bracket.super.values.tobytes() == upper.tobytes()
+
+    # solve_mixed is the lift plus one back-solve, and the lift is the
+    # free-to-fixed block applied to the data
+    free = mesh.free_mask
+    data = prob.dirichlet_data.values
+    lift = _dirichlet_lift(op, data)
+    assert np.any(lift != 0.0)
+    assert np.array_equal(lift, op.matrix[free][:, ~free] @ data[~free])
+    f, g = sources(upper)
+    x, relres = _back_solve(op, (op.volume_mass * f + op.boundary_mass * g)[free] - lift)
+    rep_mixed = solve_mixed(op, Field(mesh, f), prob.dirichlet_data, robin_rhs=Field(mesh, g))
+    assert rep_mixed.solution.values[free].tobytes() == x.tobytes()
+    assert rep_mixed.solution.values[~free].tobytes() == data[~free].tobytes()
+    assert rep_mixed.relative_residual == relres
 
 
 # ---------------------------------------------------------------------------
