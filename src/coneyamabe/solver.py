@@ -362,13 +362,14 @@ def monotone_iterate(
     keeping the frozen maps t -> (shift - c) t - c0 t^p nondecreasing on
     [0, S], namely max(c + p c0 S^(p-1)) and its Robin analogue: this
     preserves the ordering argument verbatim while collapsing to a single
-    direct solve when the problem is linear.  Ordering is enforced nodewise at every
-    iteration to 1e-12 * max(1, S); violations raise OrderingViolationError
-    since they signal a failed discrete maximum principle.  sub0 must be an
-    admissible discrete subsolution with 0 <= sub0 <= S, else ValueError.
-    Stops when the lower increment drops below tol in sup norm; a huge shift
-    makes every step tiny, so the limit's residual must also lie within
-    10 * tol * (1 + S^p), else NonConvergenceError.
+    direct solve when the problem is linear.  Ordering is enforced nodewise
+    at every iteration to 1e-12 * max(1, S); violations raise
+    OrderingViolationError since they signal a failed discrete maximum
+    principle.  sub0 must be an admissible discrete subsolution with
+    0 <= sub0 <= S, else ValueError.  Stops when the lower increment drops
+    below tol in sup norm; a huge shift makes every step tiny, so the
+    limit's residual must also lie within 10 * tol * (1 + S^p), else
+    NonConvergenceError.
     """
     mesh = problem.mesh
     S = float(S)

@@ -376,3 +376,20 @@ def test_stalled_monotone_solve_fails_loudly(tmp_path, c0):
     summary = (out / "summary.txt").read_text()
     assert "status = solver-failed" in summary
     assert "error = NonConvergenceError" in summary
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_monotone_solve_with_overflowing_data_fails_loudly(tmp_path):
+    # at data 1e70 the cap branch's frozen source c0 u^5 overflows; the
+    # back-solve's residual check must stop the run with exit 2 on the
+    # first step, not iterate on a non-finite right-hand side
+    cfgpath = write_cfg(
+        tmp_path, "solve", extra="method = monotone\ndirichlet = 1e70",
+        body="[mesh]\nn_radial = 8\nn_angular = 8\n",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 2
+    summary = (out / "summary.txt").read_text()
+    assert "status = solver-failed" in summary
+    assert "error = NonConvergenceError: direct solve residual nan" in summary

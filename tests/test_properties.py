@@ -1,4 +1,4 @@
-"""Property tests of the nonlinear solver over random cones and meshes."""
+"""Property tests of the nonlinear and eigenvalue solvers over random cones and meshes."""
 
 import numpy as np
 import pytest
