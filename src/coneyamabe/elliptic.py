@@ -65,8 +65,8 @@ class NonConvergenceError(RuntimeError):
 
 
 class IndefiniteOperatorError(RuntimeError):
-    """A factorization pivot was nonpositive: the matrix is not positive
-    definite (raise the potential c)."""
+    """A factored matrix could not be certified positive definite (raise
+    the potential c)."""
 
 
 class NegativeEigenvectorError(RuntimeError):
@@ -88,7 +88,9 @@ class OperatorAssembly:
 
     Only what depends on a factorization is filled in later: the
     minimum-degree elimination order of the free block, computed by the
-    first _factor_spd of this operator, and solve_mixed's factor.
+    first _factor_spd of this operator, the free block permuted into that
+    order with the positions of its diagonal, built by the second, and
+    solve_mixed's factor.
     """
 
     mesh: Mesh
@@ -103,6 +105,7 @@ class OperatorAssembly:
 
     _free_factor: object | None = None
     _free_order: np.ndarray | None = None
+    _free_permuted: tuple[sp.csc_matrix, np.ndarray] | None = None
 
 
 def assemble(mesh: Mesh, c: Field | None = None, c2: Field | None = None) -> OperatorAssembly:
@@ -215,36 +218,70 @@ class _OrderedFactor:
         return x
 
 
-def _factor_spd(A: sp.spmatrix, op: OperatorAssembly):
-    """Sparse LU of a symmetric matrix, certified positive definite.
+def _diagonal_positions(A: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of A's diagonal entries in A.data, and a mask of the others."""
+    off = A.indices != np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+    return np.flatnonzero(~off), off
 
-    A must have the sparsity pattern of op's free block: that block itself,
-    or the block plus a diagonal (a Newton Jacobian, a shifted eigenvalue
-    pencil).  The first factorization of op orders A by minimum degree and
-    caches the elimination order argsort(perm_c) on op; every later one
-    factors A permuted into that order under the natural ordering, which
-    skips SuperLU's ordering step.  So each operator runs one ordering,
-    whichever caller factors it first, and the returned factor solves in
-    A's own numbering either way.
 
-    The symmetric ordering with diagonal pivots keeps perm_r == perm_c, so
-    the diagonal of U holds the pivots of A = L D L^T and, by Sylvester's
-    law of inertia, counts the nonpositive eigenvalues of A.  Raises
-    IndefiniteOperatorError unless every pivot is positive.
+def _factor_spd(op: OperatorAssembly, diag: np.ndarray | None = None):
+    """Sparse LU of op.free_matrix + diag(diag), certified positive definite.
+
+    diag is None for the free block itself, else a diagonal added to it (a
+    Newton Jacobian, a shifted eigenvalue pencil); the matrix is formed here
+    on the block's own sparsity pattern.  The first factorization of op
+    checks that the block's off-diagonal entries are nonpositive, orders the
+    matrix by minimum degree and caches the elimination order
+    argsort(perm_c) on op.  The next one caches the block permuted into
+    that order (CSC) with the positions of its diagonal, and every later
+    one copies its values, adds diag[order] on the diagonal and factors
+    under the natural ordering, which skips SuperLU's ordering step.  The
+    result is bitwise (block + diags(diag)) permuted into the order.  So
+    each operator runs one ordering, whichever caller factors it first, and
+    the returned factor solves in the block's own numbering either way.
+
+    Every factored matrix is thus a symmetric Z-matrix, which is positive
+    definite exactly when it is a nonsingular M-matrix, that is when some
+    y > 0 has A y > 0.  The certificate takes y = A^-1 1 from the factor
+    and requires y > 0 and A y > k eps |A| y in every row, where k is the
+    longest row, so that the matvec's rounding cannot fake a positive row;
+    it also requires perm_r == perm_c, since a row permutation means
+    SuperLU met a zero diagonal pivot.  Raises IndefiniteOperatorError
+    when the block is not a Z-matrix or the certificate fails.  Newton's
+    default start factors the free block of a problem's linear operator
+    with no diagonal, so an API caller whose linear part is indefinite
+    must pass Newton a start u0.
     """
     order = op._free_order
+    if order is None:
+        A = op.free_matrix.tocsc()
+        pos, off = _diagonal_positions(A)
+        if np.any(A.data[off] > 0.0):
+            raise IndefiniteOperatorError(
+                "the free block has a positive off-diagonal entry: not a Z-matrix, "
+                "so its positive definiteness cannot be certified"
+            )
+    else:
+        if op._free_permuted is None:
+            block = op.free_matrix[order][:, order].tocsc()
+            op._free_permuted = block, _diagonal_positions(block)[0]
+        block, pos = op._free_permuted
+        A = sp.csc_matrix((block.data.copy(), block.indices, block.indptr), shape=block.shape)
+    if diag is not None:
+        A.data[pos] += diag if order is None else diag[order]
     try:
-        # the copy handed to SuperLU dies with the call, before the
-        # certificate materializes U: kept alive, it lifts the peak RSS of
-        # a dichotomy run by about 10% through heap fragmentation
-        lu = spla.splu(A.tocsc() if order is None else A.tocsr()[order][:, order].tocsc(),
-                       permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:  # an exactly singular factor
         raise IndefiniteOperatorError(f"sparse factorization failed ({exc})") from exc
-    # a row permutation means SuperLU met a zero diagonal pivot
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
-        raise IndefiniteOperatorError("nonpositive pivot: the matrix is not positive definite")
+    y = lu.solve(np.ones(A.shape[0]))
+    k = float(np.max(np.diff(A.indptr)))
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(y > 0.0)
+            and np.all(A @ y > k * np.finfo(float).eps * (abs(A) @ y))):
+        raise IndefiniteOperatorError(
+            "no positive vector certifies the matrix as an M-matrix: "
+            "it is not positive definite"
+        )
     if order is not None:
         return _OrderedFactor(lu, order)
     op._free_order = np.argsort(lu.perm_c)
@@ -273,7 +310,7 @@ def _back_solve(op: OperatorAssembly, b_f: np.ndarray) -> tuple[np.ndarray, floa
     residual exceeds 1e-6 or is not finite.
     """
     if op._free_factor is None:
-        op._free_factor = _factor_spd(op.free_matrix, op)
+        op._free_factor = _factor_spd(op)
     x = op._free_factor.solve(b_f)
     bnorm = np.linalg.norm(b_f)
     relres = float(np.linalg.norm(b_f - op.free_matrix @ x) / bnorm) if bnorm != 0.0 else 0.0
@@ -366,7 +403,7 @@ def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
     lower = float(np.min((diag - offsum) / bdiag))
     mu = 0.0 if lower > 0 else -lower + max(1e-8, 0.01 * abs(lower))
 
-    factor = _factor_spd(A + sp.diags(mu * bdiag), op)
+    factor = _factor_spd(op, mu * bdiag)
 
     v = np.ones(n)
     lam = math.inf

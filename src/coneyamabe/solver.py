@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .elliptic import (
     NonConvergenceError,
@@ -466,6 +465,20 @@ def monotone_iterate(
 # ---------------------------------------------------------------------------
 
 
+def _linear_lift(problem: NonlinearProblem) -> np.ndarray:
+    """Newton's default start: the Dirichlet data extended to the free
+    nodes by the linear problem, A u = 0 on the free rows.
+
+    Back-solved on a factor of the free block that dies here: cached on the
+    operator, it would stay alive through every Jacobian factorization.
+    """
+    op0 = problem.linear_operator
+    free = problem.mesh.free_mask
+    u = problem.dirichlet_data.values.copy()
+    u[free] = _factor_spd(op0).solve(-_dirichlet_lift(op0, u))
+    return u
+
+
 def newton_solve(
     problem: NonlinearProblem,
     u0: Field | None = None,
@@ -474,9 +487,15 @@ def newton_solve(
 ) -> SolverReport:
     """Full-step Newton iteration on the discrete system.
 
-    Starts from the constant supersolution max(data) unless u0 is given
-    (Dirichlet rows of any start are overwritten by the data).  Each step
-    solves the linearization with potentials c + p c0 u^(p-1) and
+    Starts from the linear lift of the data unless u0 is given (Dirichlet
+    rows of any start are overwritten by the data): the solution u_L of the
+    linear problem, A u_L = 0 on the free rows (_linear_lift), whose
+    factorization counts.  The lift is a supersolution, since
+    F(u_L) = c0 u_L^p + c1 u_L^q >= 0 (integrated), and lies in
+    [0, max(data)] when c, c2_lin >= 0.  It needs problem.linear_operator
+    to be positive definite, else IndefiniteOperatorError: an API caller
+    whose linear part is indefinite must pass u0.  Each step solves the
+    linearization with potentials c + p c0 u^(p-1) and
     c2 + q c1 u^(q-1) and takes the whole step, clipped at zero.  No damping
     is needed: the residual is convex in u (p, q > 1, c0, c1 >= 0) and its
     Jacobian has nonpositive off-diagonals and is certified positive
@@ -492,12 +511,15 @@ def newton_solve(
     supersolution iterates u* <= u_k <= u_j with j >= 1, J(u_j) - J(u_k) is
     a nonnegative diagonal, so J(u_j)^-1 >= 0, and convexity gives
     u* <= u_k - J(u_j)^-1 F(u_k) <= u_k, again a supersolution.  Every kept
-    factor was certified when it was built.  A cold start far above the
-    solution sheds about a factor p / (p-1) of its excess per step, too
-    slowly for reuse, so it refactors at every step of that phase.
+    factor was certified when it was built.  A start far above the
+    solution, such as the constant max(data), sheds about a factor
+    p / (p-1) of its excess per step, too slowly for reuse, so it refactors
+    at every step of that phase; the lift starts below it.
     Converges when the row-normalized residual is below 1e-11 and the
-    sup-norm increment below tol * (1 + sup u).  The report counts the
-    steps in iterations and the Jacobian factorizations in factorizations.
+    sup-norm increment below tol * (1 + sup u); a residual that is not
+    finite (c0 u^p or c1 u^q overflows) raises NonConvergenceError.  The
+    report counts the steps in iterations and the factorizations, the
+    lift's included, in factorizations.
     Every Jacobian shares the sparsity pattern of the free block of
     problem.linear_operator, so only the first factorization of that
     operator computes a minimum-degree ordering; later ones, including
@@ -511,14 +533,12 @@ def newton_solve(
     op0 = problem.linear_operator
     free = mesh.free_mask
     data = problem.dirichlet_data.values
-    A_ff = op0.free_matrix
 
-    u = np.empty(mesh.n_nodes)
     if u0 is None:
-        u[:] = max(float(np.max(data[mesh.dirichlet_mask])), 1.0)
+        u, factorizations = _linear_lift(problem), 1
     else:
-        u[:] = u0.values
-    u[~free] = data[~free]
+        u, factorizations = u0.values.copy(), 0
+        u[~free] = data[~free]
     u = np.clip(u, 0.0, None)
 
     abs_matrix = abs(op0.matrix)
@@ -528,20 +548,24 @@ def newton_solve(
         # orders of magnitude and a global norm would let the interior be
         # sloppy, so each row is measured against its own term sizes.
         # Returns the norm and the integrated residual it measured.
+        F = problem.integrated_residual(vec)
+        if not np.all(np.isfinite(F)):
+            raise NonConvergenceError(
+                "non-finite residual: c0 u^p or c1 u^q overflows at the Newton iterate",
+                iterations=iterations,
+            )
         un = np.clip(vec, 0.0, None)
         scale = (
             abs_matrix @ np.abs(vec)
             + op0.volume_mass * (problem.c0.values * un**p + 1.0)
             + op0.boundary_mass * problem.c1.values * un**q
         )
-        F = problem.integrated_residual(vec)
         return float(np.max(np.abs(F) / scale[free])), F
 
+    iterations = 0
     res, F = normalized_residual(u)
     inc = math.inf
     factor = None  # the kept Jacobian factor; None forces a fresh one
-    factorizations = 0
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         if factor is None:
             un = np.clip(u, 0.0, None)
@@ -549,7 +573,7 @@ def newton_solve(
                 op0.volume_mass * (p * problem.c0.values * un ** (p - 1.0))
                 + op0.boundary_mass * (q * problem.c1.values * un ** (q - 1.0))
             )
-            factor = _factor_spd(A_ff + sp.diags(jac_diag[free]), op0)
+            factor = _factor_spd(op0, jac_diag[free])
             factorizations += 1
         trial = u.copy()
         trial[free] += factor.solve(-F)
@@ -589,7 +613,7 @@ def solve_problem(
 ) -> SolverReport:
     """Dispatch to the requested nonlinear scheme with its standard setup.
 
-    Newton starts from its constant supersolution, the monotone iteration
+    Newton starts from the linear lift of the data, the monotone iteration
     from the bracket [0, pick_cap(problem)]; max_iter=None keeps the
     scheme's own iteration limit.
     """
@@ -657,7 +681,7 @@ def exhaustion_blowup_solve(
     the discrete maximum principle already keeps below the new datum.  The
     first datum starts from u0 when given (any nonnegative field; Newton
     reaches the same solution from every such start), else from Newton's
-    constant supersolution.
+    default start, the linear lift of the datum.
     Successive solutions must be nodewise nondecreasing (discrete
     comparison), else OrderingViolationError.  Every report after the first
     carries in interior_change the sup-norm change on the interior probe set

@@ -172,7 +172,7 @@ def test_solve_experiment_and_outputs(tmp_path):
 
 
 def test_solve_from_cold_start_at_blowup_data(tmp_path):
-    # Newton starts at the constant max(data) = 2^16, far above the solution
+    # constant blow-up-scale data 2^16, solved by Newton from their linear lift
     cfgpath = tmp_path / "run.cfg"
     cfgpath.write_text(
         "[cone]\nn = 4\nd = 1\nh = 1.0\n"
@@ -241,6 +241,22 @@ def test_verify_model_experiment(tmp_path):
     orders = [float(line.split(",")[3]) for line in lines[2:]]
     assert all(1.7 <= o <= 2.3 for o in orders)
     assert (out / "convergence.svg").exists()
+
+
+def test_verify_model_counts_every_factorization(tmp_path, orderings):
+    # each mesh's summary count includes the factor of the linear lift that
+    # Newton starts from: together they are every SuperLU call, one of them
+    # per mesh ordering by minimum degree
+    cfgpath = write_cfg(
+        tmp_path, "verify-model", extra="mesh_sizes = 12,24,48\nplot = false",
+        body="[mesh]\nomega_min = 0.15\n",
+    )
+    out = tmp_path / "out"
+    assert main(["verify-model", "--config", cfgpath, "--out", str(out)]) == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    summary = dict(line.split(" = ", 1) for line in lines)
+    total = sum(int(summary[f"verify_model.factorizations_{size}"]) for size in (12, 24, 48))
+    assert orderings == {"MMD_AT_PLUS_A": 3, "NATURAL": total - 3}
 
 
 def test_eigen_experiment(tmp_path):
@@ -380,16 +396,21 @@ def test_stalled_monotone_solve_fails_loudly(tmp_path, c0):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
-def test_monotone_solve_with_overflowing_data_fails_loudly(tmp_path):
-    # at data 1e70 the cap branch's frozen source c0 u^5 overflows; the
-    # back-solve's residual check must stop the run with exit 2 on the
-    # first step, not iterate on a non-finite right-hand side
+@pytest.mark.parametrize("method, error", [
+    ("monotone", "NonConvergenceError: direct solve residual nan"),
+    ("newton", "NonConvergenceError: non-finite residual"),
+], ids=["monotone", "newton"])
+def test_monotone_solve_with_overflowing_data_fails_loudly(tmp_path, method, error):
+    # at data 1e70 the source c0 u^5 overflows: the monotone cap branch's
+    # back-solve residual check stops the run on the first step, and Newton
+    # refuses the residual at its start, the linear lift; both exit 2 and
+    # name the non-finite value, not an indefinite operator
     cfgpath = write_cfg(
-        tmp_path, "solve", extra="method = monotone\ndirichlet = 1e70",
+        tmp_path, "solve", extra=f"method = {method}\ndirichlet = 1e70",
         body="[mesh]\nn_radial = 8\nn_angular = 8\n",
     )
     out = tmp_path / "out"
     assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 2
     summary = (out / "summary.txt").read_text()
     assert "status = solver-failed" in summary
-    assert "error = NonConvergenceError: direct solve residual nan" in summary
+    assert f"error = {error}" in summary

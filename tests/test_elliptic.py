@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from coneyamabe import (
     ConeModel,
@@ -257,12 +258,13 @@ def test_factor_on_the_cached_order_solves_like_the_mmd_factor(orderings):
     c, c2 = Field.full(mesh, 0.5), Field.full(mesh, 0.3)
     op = assemble(mesh, c, c2)
     A = op.free_matrix
-    J = A + sp.diags(RNG.uniform(0.0, 5.0, A.shape[0]))
-    mmd = _factor_spd(J, assemble(mesh, c, c2))
-    _factor_spd(A, op)
+    jac = RNG.uniform(0.0, 5.0, A.shape[0])
+    J = A + sp.diags(jac)
+    mmd = _factor_spd(assemble(mesh, c, c2), jac)
+    _factor_spd(op)
     assert orderings == {"MMD_AT_PLUS_A": 2}
     assert np.array_equal(np.sort(op._free_order), np.arange(A.shape[0]))
-    reused = _factor_spd(J, op)
+    reused = _factor_spd(op, jac)
     assert orderings == {"MMD_AT_PLUS_A": 2, "NATURAL": 1}
     b = RNG.uniform(-1.0, 1.0, A.shape[0])
     x = mmd.solve(b)
@@ -271,15 +273,15 @@ def test_factor_on_the_cached_order_solves_like_the_mmd_factor(orderings):
 
 
 def test_factor_on_the_cached_order_rejects_an_indefinite_matrix(orderings):
-    # the certificate (perm_r == perm_c, positive pivots) runs on the
-    # cached-order path too
+    # the certificate (perm_r == perm_c, a positive vector y with A y > 0)
+    # runs on the cached-order path too
     mesh = make_mesh(nn=12)
     op = assemble(mesh)
     A = op.free_matrix
-    _factor_spd(A, op)
+    _factor_spd(op)
     lowest = np.linalg.eigvalsh(A.toarray())[0]
     with pytest.raises(IndefiniteOperatorError):
-        _factor_spd(A - sp.diags(np.full(A.shape[0], 2.0 * lowest)), op)
+        _factor_spd(op, np.full(A.shape[0], -2.0 * lowest))
     assert orderings == {"MMD_AT_PLUS_A": 1, "NATURAL": 1}
 
 
@@ -293,14 +295,94 @@ def test_every_factorization_of_an_operator_shares_its_ordering(orderings):
     op = assemble(mesh, c)
     solve_mixed(op, 1.0, 0.0)
     assert orderings == {"MMD_AT_PLUS_A": 1}
-    A = op.free_matrix
-    _factor_spd(A + sp.diags(np.full(A.shape[0], 2.0)), op)
+    _factor_spd(op, np.full(op.free_matrix.shape[0], 2.0))
     assert orderings == {"MMD_AT_PLUS_A": 1, "NATURAL": 1}
     lam_fresh, _ = principal_eigen(assemble(mesh, c), "volume")
     assert orderings == {"MMD_AT_PLUS_A": 2, "NATURAL": 1}
     lam_reused, _ = principal_eigen(op, "volume")
     assert orderings == {"MMD_AT_PLUS_A": 2, "NATURAL": 2}
     assert lam_reused == pytest.approx(lam_fresh, rel=1e-12)
+
+
+def _splu_spd(A, permc_spec):
+    return scipy.sparse.linalg.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                                    options={"SymmetricMode": True})
+
+
+def test_factors_solve_bitwise_like_splu_of_the_explicit_sum():
+    # the free block plus a diagonal, formed on the block's own pattern
+    # (and on the cached order, from the permuted block), is the matrix
+    # (A_ff + diags(d)) permuted explicitly, so both factors solve bitwise
+    # like SuperLU's factor of that matrix; the second and third diagonal
+    # cover the call that builds the permuted block and one that reuses it
+    mesh = make_mesh(n=4, d=1, nn=14)
+    op = assemble(mesh, Field.full(mesh, 0.5), Field.full(mesh, 0.3))
+    A = op.free_matrix
+    b = RNG.uniform(-1.0, 1.0, A.shape[0])
+    diags = [RNG.uniform(0.0, 5.0, A.shape[0]) for _ in range(3)]
+    first = _factor_spd(op, diags[0])
+    mmd = _splu_spd((A + sp.diags(diags[0])).tocsc(), "MMD_AT_PLUS_A")
+    assert np.array_equal(first.solve(b), mmd.solve(b))
+    order = op._free_order
+    for jac in diags[1:]:
+        ref = _splu_spd((A + sp.diags(jac)).tocsr()[order][:, order].tocsc(), "NATURAL")
+        x = np.empty_like(b)
+        x[order] = ref.solve(b[order])
+        assert np.array_equal(_factor_spd(op, jac).solve(b), x)
+
+
+def test_an_indefinite_shift_is_refused_on_both_paths(orderings):
+    # a shift between the two lowest eigenvalues leaves one negative
+    # eigenvalue: no positive y has A y > 0, so the certificate refuses the
+    # minimum-degree factor and the cached-order factor alike
+    mesh = make_mesh(nn=12)
+    op = assemble(mesh)
+    A = op.free_matrix
+    lam = np.linalg.eigvalsh(A.toarray())
+    shift = np.full(A.shape[0], -0.5 * (lam[0] + lam[1]))
+    with pytest.raises(IndefiniteOperatorError):
+        _factor_spd(op, shift)
+    assert op._free_order is None
+    _factor_spd(op)
+    with pytest.raises(IndefiniteOperatorError):
+        _factor_spd(op, shift)
+    assert orderings == {"MMD_AT_PLUS_A": 2, "NATURAL": 1}
+
+
+def test_a_free_block_with_a_positive_off_diagonal_is_refused(orderings):
+    # the certificate holds for Z-matrices only; a tampered block with one
+    # small positive off-diagonal pair stays positive definite, and the
+    # Z-matrix check refuses it before SuperLU runs
+    mesh = make_mesh(nn=12)
+    op = assemble(mesh, Field.full(mesh, 1.0))
+    A = op.free_matrix
+    i, j = 0, A.indices[A.indptr[0]:A.indptr[1]].max()
+    A[i, j] = A[j, i] = 1e-3 * abs(A[i, j])
+    assert np.linalg.eigvalsh(A.toarray())[0] > 0.0
+    with pytest.raises(IndefiniteOperatorError, match="off-diagonal"):
+        _factor_spd(op)
+    assert orderings == {}
+
+
+def test_a_positive_vector_certifies_only_through_its_rows(monkeypatch):
+    # y > 0 alone is not the certificate: A y must clear the matvec's
+    # rounding in every row.  A factor whose solve returns the constant
+    # vector, on which the interior rows of the stiffness sum to rounding
+    # noise, is refused although the block is positive definite
+    class ConstantSolve:
+        def __init__(self, lu):
+            self.perm_r, self.perm_c = lu.perm_r, lu.perm_c
+
+        def solve(self, b):
+            return np.ones_like(b)
+
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda *args, **kwargs: ConstantSolve(splu(*args, **kwargs)))
+    op = assemble(make_mesh(nn=12))
+    assert np.linalg.eigvalsh(op.free_matrix.toarray())[0] > 0.0
+    with pytest.raises(IndefiniteOperatorError):
+        _factor_spd(op)
 
 
 def test_linear_comparison_principle():

@@ -19,6 +19,7 @@ from coneyamabe import (
     pick_cap,
     principal_eigen,
     rayleigh_quotient,
+    solver,
     truncation_family,
 )
 
@@ -57,7 +58,7 @@ def ordered_problem_pairs(draw):
 @given(problem=cone_problems(), seed=st.integers(0, 2**32 - 1))
 def test_newton_solution_does_not_depend_on_the_start(problem, seed):
     # a random nonnegative start with one spike at 2^16 reaches the same
-    # solution as the default constant start max(data)
+    # solution as the default start, the linear lift of the data
     rng = np.random.default_rng(seed)
     data = float(np.max(problem.dirichlet_data.values))
     start = rng.uniform(0.0, 2.0 * data, problem.mesh.n_nodes)
@@ -146,3 +147,30 @@ def test_warm_started_levels_match_the_full_ladder(family):
         ref = exhaustion_blowup_solve(prob, seq, tol=None)[-1].solution.values
         u = rep.solution.values
         assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@st.composite
+def lift_problems(draw):
+    # nonnegative nodewise c0, c1 and Dirichlet data, each zero on a random
+    # part of the nodes, on the flat cone (c = 0, c2 >= 0)
+    mesh = draw_mesh(draw)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c0, c1 = rng.uniform(0.0, 2.0, (2, mesh.n_nodes)) * (rng.random((2, mesh.n_nodes)) < 0.7)
+    data = 2.0 ** draw(st.integers(0, 14)) * rng.random(mesh.n_nodes) * (rng.random(mesh.n_nodes) < 0.8)
+    return flat_cone_problem(mesh, c0, c1, data)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(problem=lift_problems())
+def test_the_default_start_is_a_supersolution(problem):
+    # Newton's default start, the linear lift of the data, lies in
+    # [0, max(data)] by the maximum principle, and the nonlinear terms can
+    # only add to its zero linear residual: F(u_L) >= 0 on every free node,
+    # up to the rounding of the solve, a few ulps of the row scale
+    mesh = problem.mesh
+    u = solver._linear_lift(problem)
+    top = float(np.max(problem.dirichlet_data.values[mesh.dirichlet_mask]))
+    assert np.all(u >= 0.0) and np.all(u <= top)
+    op = problem.linear_operator
+    scale = (abs(op.matrix) @ u)[mesh.free_mask]
+    assert np.all(problem.integrated_residual(u) >= -8.0 * np.finfo(float).eps * scale)

@@ -323,25 +323,29 @@ def test_newton_rejects_indefinite_jacobian():
 
 @pytest.mark.parametrize("n, d", [(3, 1), (4, 1)])
 def test_newton_cold_start_at_blowup_data_matches_ladder(n, d):
-    # the default start max(data) = 2^16 sits far above the solution; full
-    # Newton steps reach the same discrete solution as the data ladder
+    # the constant start 2^16, the data maximum, sits far above the
+    # solution, where Newton refactors at every step (the default start, the
+    # linear lift, never reaches that phase); full Newton steps reach the
+    # same discrete solution as the data ladder
     mesh = make_mesh(n, d, omega_min=ConeModel(n, d, 1.0).theta / 8.0, nn=12)
-    rep = newton_solve(flat_cone_problem(mesh, 1.0, 1.0, 2.0**16))
+    rep = newton_solve(flat_cone_problem(mesh, 1.0, 1.0, 2.0**16),
+                       u0=Field.full(mesh, 2.0**16))
     ladder = exhaustion_blowup_solve(flat_cone_problem(mesh, 1.0, 1.0, 1.0), tol=None)[-1]
     u, ref = rep.solution.values, ladder.solution.values
     assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_newton_cold_start_on_the_desk_family_within_max_iter():
-    # a (3,1) cold start at 2^16 sheds only about a third of its excess per
-    # step; with factor reuse it must still converge within the default
-    # max_iter (else NonConvergenceError) on the shallowest and the deepest
-    # desk level
+    # a (3,1) cold start at the constant 2^16, the data maximum, sheds only
+    # about a third of its excess per step and refactors at every step of
+    # that phase; it must still converge within the default max_iter (else
+    # NonConvergenceError) on the shallowest and the deepest desk level
     cone = ConeModel(3, 1, 1.0)
     base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 40, 32, 2.0)
     meshes = truncation_family(base, 22, nodes_per_octave=10)
     for mesh in (meshes[0], meshes[21]):
-        rep = newton_solve(flat_cone_problem(mesh, 1.0, 1.0, 2.0**16))
+        rep = newton_solve(flat_cone_problem(mesh, 1.0, 1.0, 2.0**16),
+                           u0=Field.full(mesh, 2.0**16))
         ladder = exhaustion_blowup_solve(flat_cone_problem(mesh, 1.0, 1.0, 1.0), tol=None)[-1]
         u, ref = rep.solution.values, ladder.solution.values
         assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
@@ -370,8 +374,8 @@ def factors(monkeypatch):
     built = []
     factor = solver._factor_spd
 
-    def counting(A, op=None):
-        built.append(_CountingFactor(factor(A, op)))
+    def counting(op, diag=None):
+        built.append(_CountingFactor(factor(op, diag)))
         return built[-1]
 
     monkeypatch.setattr(solver, "_factor_spd", counting)
@@ -532,16 +536,17 @@ def test_one_ordering_per_level(orderings):
 
 
 def test_level_factorization_counts_on_the_threshold_family():
-    # deterministic counts of the (4,1) desk family at 6 levels.  The
-    # octave-shifted warm start brings the new face layer close to the
-    # level's solution, so fewer Newton steps need a fresh factor; a start
-    # that copies the coarse first free column onto the new octave takes
-    # [34, 15, 12, 11, 11, 10]
+    # deterministic counts of the (4,1) desk family at 6 levels.  Level 0's
+    # first solve starts from the linear lift of its data, whose factor
+    # counts.  The octave-shifted warm start brings the new face layer close
+    # to the level's solution, so fewer Newton steps need a fresh factor; a
+    # start that copies the coarse first free column onto the new octave
+    # takes 15, 12, 11, 11, 10 on levels 1-5
     cone = ConeModel(4, 1, 1.0)
     base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 40, 32, 2.0)
     problems = [flat_cone_problem(m, 1.0, 1.0, 1.0) for m in truncation_family(base, 6)]
     reports = maximal_solution(problems, tol=0.03)
-    assert [r.factorizations for r in reports] == [34, 13, 7, 7, 7, 6]
+    assert [r.factorizations for r in reports] == [35, 13, 7, 7, 7, 6]
 
 
 def test_level_reports_keep_the_fit_quality():
