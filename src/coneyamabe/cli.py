@@ -36,7 +36,7 @@ from .geometry import (
     product_scalar_curvature,
     vertex_asymptotics,
 )
-from .mesh import Field, Mesh, build_mesh, truncation_family, write_field_table
+from .mesh import Mesh, build_mesh, truncation_family, write_field_table
 from .solver import (
     CapSearchError,
     MonotonicityViolationError,
@@ -183,8 +183,8 @@ def write_svg_lines(path: Path, series, title, xlabel, ylabel) -> None:
 
 def _build_problem(cfg: ExperimentConfig, mesh, data=None) -> NonlinearProblem:
     """Flat-cone problem with the configured coefficients; data overrides cfg.dirichlet."""
-    c0 = Field(mesh, coefficient_values(cfg.c0, cfg.c0_profile, mesh.rho_polar))
-    c1 = Field(mesh, coefficient_values(cfg.c1, cfg.c1_profile, mesh.rho_polar))
+    c0 = coefficient_values(cfg.c0, cfg.c0_profile, mesh.rho_polar)
+    c1 = coefficient_values(cfg.c1, cfg.c1_profile, mesh.rho_polar)
     if data is None:
         data = model_dirichlet_data(mesh) if cfg.dirichlet == "model" else float(cfg.dirichlet)
     return flat_cone_problem(mesh, c0, c1, data)
@@ -427,6 +427,7 @@ def main(argv=None) -> int:
     summary = Summary()
     summary.extend(echo_config(cfg))
     t0 = time.time()
+    status, code, error = "ok", EXIT_OK, None
     try:
         if args.command == "curvature":
             run_curvature(cfg, out, summary)
@@ -442,23 +443,17 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AcceptanceCheckError as exc:
-        summary.add("status", "check-failed")
-        summary.add("error", str(exc))
-        summary.add("seconds", time.time() - t0)
-        summary.write(out / "summary.txt")
-        print(f"acceptance check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
+        status, code, error = "check-failed", EXIT_CHECK, str(exc)
+        print(f"acceptance check failed: {error}", file=sys.stderr)
     except SOLVER_ERRORS as exc:
-        summary.add("status", "solver-failed")
-        summary.add("error", f"{type(exc).__name__}: {exc}")
-        summary.add("seconds", time.time() - t0)
-        summary.write(out / "summary.txt")
-        print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    summary.add("status", "ok")
+        status, code, error = "solver-failed", EXIT_SOLVER, f"{type(exc).__name__}: {exc}"
+        print(f"solver failure: {error}", file=sys.stderr)
+    summary.add("status", status)
+    if error is not None:
+        summary.add("error", error)
     summary.add("seconds", time.time() - t0)
     summary.write(out / "summary.txt")
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

@@ -63,7 +63,7 @@ def _finite_float(text: str) -> float:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    return [int(x) for x in text.split(",")]
 
 
 def _flag(text: str) -> bool:
@@ -74,8 +74,6 @@ def _parse_profile(text: str) -> list[tuple[float, float]]:
     pairs = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if not chunk:
-            continue
         if ":" not in chunk:
             raise ValueError(f"expected 'rho_polar:value' pairs, got {chunk!r}")
         a, b = chunk.split(":", 1)

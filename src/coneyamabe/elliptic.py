@@ -108,18 +108,17 @@ class OperatorAssembly:
     _free_permuted: tuple[sp.csc_matrix, np.ndarray] | None = None
 
 
-def assemble(mesh: Mesh, c: Field | None = None, c2: Field | None = None) -> OperatorAssembly:
+def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
     """Assemble the weighted divergence-form operator with Robin rows.
 
-    c is the interior linear potential, c2 the Robin potential (both
-    full-length fields; c2 is only read on ROBIN_CONE nodes).  Builds the
-    full matrix and its free block, the two matrices every solve, residual
-    and quotient reads.  Off-diagonal entries are nonpositive by
+    c is the interior linear potential, c2 the Robin potential, each given
+    in any form Field.of takes (c2 is only read on ROBIN_CONE nodes).
+    Builds the full matrix and its free block, the two matrices every
+    solve, residual and quotient reads.  Off-diagonal entries are nonpositive by
     construction; the certificate degrades only through negative c or c2,
     which is reported as a warning, not an error.
     """
-    cvals = np.zeros(mesh.n_nodes) if c is None else _field_values(mesh, c)
-    c2vals = np.zeros(mesh.n_nodes) if c2 is None else _field_values(mesh, c2)
+    cvals, c2vals = Field.of(mesh, c).values, Field.of(mesh, c2).values
 
     cone = mesh.domain.cone
     p = cone.n - cone.d
@@ -185,17 +184,6 @@ def assemble(mesh: Mesh, c: Field | None = None, c2: Field | None = None) -> Ope
         matrix=matrix,
         free_matrix=matrix[free][:, free].tocsr(),
     )
-
-
-def _field_values(mesh: Mesh, f) -> np.ndarray:
-    if isinstance(f, Field):
-        if f.mesh is not mesh:
-            raise ValueError("field is attached to a different mesh")
-        return f.values
-    arr = np.asarray(f, dtype=float)
-    if arr.shape != (mesh.n_nodes,):
-        raise ValueError(f"field length {arr.shape} does not match mesh ({mesh.n_nodes} nodes)")
-    return arr
 
 
 @dataclass
@@ -321,31 +309,23 @@ def _back_solve(op: OperatorAssembly, b_f: np.ndarray) -> tuple[np.ndarray, floa
     return x, relres
 
 
-def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=None) -> LinearSolveReport:
+def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=0.0) -> LinearSolveReport:
     """Solve the mixed linear problem L u + c u = rhs with Robin data.
 
     rhs is the interior source f1, robin_rhs the boundary source f2 of the
-    mixed weak form (default 0); Dirichlet rows return the supplied data
-    exactly.  The free rows' right side is the integrated source minus the
-    Dirichlet lift (_dirichlet_lift), solved by _back_solve on the factor
-    cached on the operator, so repeated solves with one operator are
-    back-substitutions.  A caller that keeps the data across solves, as
-    monotone_iterate does, forms the lift once and calls _back_solve
-    directly.  Raises IndefiniteOperatorError when the operator is not
+    mixed weak form; they and the Dirichlet data take any form Field.of
+    takes, and Dirichlet rows return the supplied data exactly.  The free
+    rows' right side is the integrated source minus the Dirichlet lift
+    (_dirichlet_lift), solved by _back_solve on the factor cached on the
+    operator, so repeated solves with one operator are back-substitutions.
+    A caller that keeps the data across solves, as monotone_iterate does,
+    forms the lift once and calls _back_solve directly.  Raises IndefiniteOperatorError when the operator is not
     positive definite and NonConvergenceError when the relative residual
     of the reduced system exceeds 1e-6.
     """
     mesh = op.mesh
-    rvals = _field_values(mesh, rhs) if not np.isscalar(rhs) else np.full(mesh.n_nodes, float(rhs))
-    dvals = (_field_values(mesh, dirichlet_data) if not np.isscalar(dirichlet_data)
-             else np.full(mesh.n_nodes, float(dirichlet_data)))
-    if robin_rhs is None:
-        gvals = np.zeros(mesh.n_nodes)
-    elif np.isscalar(robin_rhs):
-        gvals = np.full(mesh.n_nodes, float(robin_rhs))
-    else:
-        gvals = _field_values(mesh, robin_rhs)
-
+    rvals, dvals, gvals = (Field.of(mesh, f).values
+                           for f in (rhs, dirichlet_data, robin_rhs))
     free = mesh.free_mask
     b = op.volume_mass * rvals + op.boundary_mass * gvals
     x, relres = _back_solve(op, b[free] - _dirichlet_lift(op, dvals))
@@ -357,10 +337,11 @@ def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=None) -> Li
 def rayleigh_quotient(op: OperatorAssembly, zeta) -> float:
     """(energy[zeta] + int c zeta^2 + int_Robin c2 zeta^2) / int zeta^2.
 
-    zeta must vanish on every Dirichlet-tagged node; this is the variational
-    quotient whose infimum the principal eigenvalue realizes.
+    zeta, in any form Field.of takes, must vanish on every Dirichlet-tagged
+    node; this is the variational quotient whose infimum the principal
+    eigenvalue realizes.
     """
-    z = _field_values(op.mesh, zeta)
+    z = Field.of(op.mesh, zeta).values
     if np.any(z[op.mesh.dirichlet_mask] != 0.0):
         raise ValueError("zeta must vanish on all Dirichlet-tagged nodes")
     den = float(np.sum(op.volume_mass * z * z))
@@ -441,19 +422,14 @@ def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
     return lam, Field(op.mesh, full)
 
 
-def write_coo_system(op: OperatorAssembly, target) -> None:
-    """Dump the assembled integrated-form matrix as 'row,col,value' text.
+def write_coo_system(op: OperatorAssembly, fh) -> None:
+    """Dump the assembled integrated-form matrix as 'row,col,value' text to
+    the open text file fh.
 
     Entries are sorted by row, then column; values are printed at 17
     significant digits, which read back bit-exactly.
     """
     coo = op.matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    own = isinstance(target, (str, bytes))
-    fh = open(target, "w", newline="\n") if own else target
-    try:
-        fh.write("row,col,value\n")
-        _write_rows(fh, "%d,%d,%.17g\n", coo.row[order], coo.col[order], coo.data[order])
-    finally:
-        if own:
-            fh.close()
+    fh.write("row,col,value\n")
+    _write_rows(fh, "%d,%d,%.17g\n", coo.row[order], coo.col[order], coo.data[order])

@@ -150,7 +150,7 @@ class Mesh:
 
 @dataclass
 class Field:
-    """Node-indexed scalar values on a mesh."""
+    """Node-indexed scalar values on a mesh; Field.of coerces every input."""
 
     mesh: Mesh
     values: np.ndarray
@@ -164,6 +164,19 @@ class Field:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
+
+    @classmethod
+    def of(cls, mesh: Mesh, f) -> "Field":
+        """f as a field on mesh: a scalar becomes a constant field, a Field
+        must live on mesh and is returned as is, and anything else is read
+        as node values (length n_nodes, finite, else ValueError)."""
+        if isinstance(f, Field):
+            if f.mesh is not mesh:
+                raise ValueError("field is attached to a different mesh")
+            return f
+        if np.isscalar(f):
+            return cls.full(mesh, f)
+        return cls(mesh, f)
 
     @classmethod
     def full(cls, mesh: Mesh, value: float) -> "Field":
@@ -292,44 +305,34 @@ def _write_rows(fh, row_format: str, *columns) -> None:
         fh.write("".join([row_format % row for row in rows]))
 
 
-def write_field_table(target, mesh: Mesh, values) -> None:
-    """Plain-text tabular dump, one node per row: rho_polar, omega, tag, value.
+def write_field_table(fh, mesh: Mesh, values) -> None:
+    """Plain-text tabular dump to the open text file fh, one node per row:
+    rho_polar, omega, tag, value.
 
-    `target` is a path or a writable text file.  Floats are printed at 17
-    significant digits, so read_field_table returns them bit-exactly.  Rows
-    are streamed in chunks of _CHUNK_ROWS, each formatted in one pass.
-    Format is documented in the README (debugging/plotting aid).
+    Floats are printed at 17 significant digits, so read_field_table
+    returns them bit-exactly.  Rows are streamed in chunks of _CHUNK_ROWS,
+    each formatted in one pass.  Format is documented in the README
+    (debugging/plotting aid).
     """
     vals = np.asarray(values, float)
     if vals.shape != (mesh.n_nodes,):
         raise ValueError("values length does not match mesh")
-    own = isinstance(target, (str, bytes))
-    fh = open(target, "w", newline="\n") if own else target
-    try:
-        fh.write("rho_polar,omega,tag,value\n")
-        _write_rows(fh, "%.17g,%.17g,%s,%.17g\n",
-                    mesh.rho_polar, mesh.omega, _TAG_NAMES[mesh.tags], vals)
-    finally:
-        if own:
-            fh.close()
+    fh.write("rho_polar,omega,tag,value\n")
+    _write_rows(fh, "%.17g,%.17g,%s,%.17g\n",
+                mesh.rho_polar, mesh.omega, _TAG_NAMES[mesh.tags], vals)
 
 
-def read_field_table(source) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
-    """Inverse of write_field_table: arrays (rho_polar, omega, tag names, values)."""
-    own = isinstance(source, (str, bytes))
-    fh = open(source, "r") if own else source
-    try:
-        header = fh.readline().strip()
-        if header != "rho_polar,omega,tag,value":
-            raise ValueError(f"unrecognized field table header: {header!r}")
-        rp, om, tg, vals = [], [], [], []
-        for line in fh:
-            a, b, c, d = line.strip().split(",")
-            rp.append(float(a))
-            om.append(float(b))
-            tg.append(c)
-            vals.append(float(d))
-    finally:
-        if own:
-            fh.close()
+def read_field_table(fh) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
+    """Inverse of write_field_table on the open text file fh: arrays
+    (rho_polar, omega, tag names, values)."""
+    header = fh.readline().strip()
+    if header != "rho_polar,omega,tag,value":
+        raise ValueError(f"unrecognized field table header: {header!r}")
+    rp, om, tg, vals = [], [], [], []
+    for line in fh:
+        a, b, c, d = line.strip().split(",")
+        rp.append(float(a))
+        om.append(float(b))
+        tg.append(c)
+        vals.append(float(d))
     return np.array(rp), np.array(om), tg, np.array(vals)

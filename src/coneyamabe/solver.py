@@ -120,11 +120,11 @@ class Verdict(enum.Enum):
 class NonlinearProblem:
     """Coefficient fields of the discrete problem on one mesh.
 
-    All fields are full-length (a scalar or an array given for one becomes
-    a Field); c1 and c2_lin are read on ROBIN_CONE nodes and dirichlet_data
-    on Dirichlet-tagged nodes.  c0, c1 must be nonnegative (strictly
-    positive on runs probing the existence theorem; zero is allowed for
-    linear-regression tests).
+    Each field is coerced by Field.of, so a scalar, node values or a Field
+    on mesh may be given; c1 and c2_lin are read on ROBIN_CONE nodes and
+    dirichlet_data on Dirichlet-tagged nodes.  c0, c1 must be nonnegative
+    (strictly positive on runs probing the existence theorem; zero is
+    allowed for linear-regression tests).
     """
 
     mesh: Mesh
@@ -136,14 +136,7 @@ class NonlinearProblem:
 
     def __post_init__(self):
         for name in ("c0", "c1", "c", "c2_lin", "dirichlet_data"):
-            f = getattr(self, name)
-            if np.isscalar(f):
-                f = Field.full(self.mesh, f)
-            elif not isinstance(f, Field):
-                f = Field(self.mesh, f)
-            setattr(self, name, f)
-            if f.mesh is not self.mesh:
-                raise ValueError(f"{name} lives on a different mesh")
+            setattr(self, name, Field.of(self.mesh, getattr(self, name)))
         if np.min(self.c0.values) < 0 or np.min(self.c1.values) < 0:
             raise ValueError("c0 and c1 must be nonnegative")
         if np.min(self.dirichlet_data.values[self.mesh.dirichlet_mask]) < 0:
@@ -225,8 +218,8 @@ def flat_cone_problem(mesh: Mesh, c0, c1, dirichlet_data) -> NonlinearProblem:
         mesh=mesh,
         c0=c0,
         c1=c1,
-        c=Field.zeros(mesh),
-        c2_lin=Field(mesh, c2),
+        c=0.0,
+        c2_lin=c2,
         dirichlet_data=dirichlet_data,
     )
 
@@ -292,10 +285,11 @@ class AdmissibilityReport:
 
 
 def check_sub_super(problem: NonlinearProblem, candidate, side: str) -> AdmissibilityReport:
-    """Evaluate the discrete differential inequalities for a candidate bracket."""
+    """Evaluate the discrete differential inequalities for a candidate
+    bracket, given in any form Field.of takes on the problem's mesh."""
     if side not in ("sub", "super"):
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
-    u = candidate.values if isinstance(candidate, Field) else np.asarray(candidate, float)
+    u = Field.of(problem.mesh, candidate).values
     r_int, r_rob = problem.residual_parts(u)
     d_m = (u - problem.dirichlet_data.values)[problem.mesh.dirichlet_mask]
     sgn = 1.0 if side == "sub" else -1.0
@@ -391,7 +385,7 @@ def monotone_iterate(
         0.0,
         float(np.max(problem.c2_lin.values[rob] + q * problem.c1.values[rob] * S ** (q - 1))),
     )
-    op = assemble(mesh, Field.full(mesh, shift_i), Field.full(mesh, shift_b))
+    op = assemble(mesh, shift_i, shift_b)
     free = mesh.free_mask
     c0, c1 = problem.c0.values[free], problem.c1.values[free]
     cvals, c2vals = problem.c.values[free], problem.c2_lin.values[free]

@@ -52,18 +52,62 @@ def test_linear_tol_is_an_unknown_key(tmp_path):
     assert main(["solve", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
 
 
-def test_numeric_ranges_validated(tmp_path):
-    with pytest.raises(ConfigError):
-        parse_config(write_cfg(tmp_path, "solve", body="[mesh]\nn_radial = 2\n"))
-    with pytest.raises(ConfigError):
-        parse_config(write_cfg(tmp_path, "solve", body="[mesh]\ngrading = 0.5\n"))
-    with pytest.raises(ConfigError):
-        parse_config(write_cfg(tmp_path, "solve", body="[mesh]\nomega_min = 2.0\n"))
-    with pytest.raises(ConfigError):
-        parse_config(write_cfg(tmp_path, "bogus-kind"))
+@pytest.mark.parametrize("kind, body, match", [
+    ("solve", "[mesh]\nn_radial = 2\n", "at least 4"),
+    ("solve", "[mesh]\ngrading = 0.5\n", "grading must be >= 1"),
+    ("solve", "[mesh]\nomega_min = 2.0\n", "omega_min must lie in"),
+    ("bogus-kind", "", "unknown experiment kind"),
     # the stabilization certificate needs at least two data values, 1 and 2
-    with pytest.raises(ConfigError):
-        parse_config(write_cfg(tmp_path, "dichotomy", body="[tolerances]\ndata_max_exponent = 0\n"))
+    ("dichotomy", "[tolerances]\ndata_max_exponent = 0\n", r"data_max_exponent in \[1, 40\]"),
+], ids=["n_radial", "grading", "omega_min", "kind", "data_max_exponent"])
+def test_numeric_ranges_validated(tmp_path, kind, body, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(write_cfg(tmp_path, kind, body=body))
+
+
+CONE = "[cone]\nn = 3\nd = 1\nh = 1.0\n"
+SOLVE = BASE.format(kind="solve", extra="")
+
+
+@pytest.mark.parametrize("text, match", [
+    (SOLVE + "[coefficients]\nc0_profile = 0.5, 2.0:1.0\n", "expected 'rho_polar:value' pairs"),
+    (SOLVE + "[coefficients]\nc0_profile = 0.5:1.0\n", "at least two profile points"),
+    (SOLVE + "[coefficients]\nc0_profile = 2.0:1.0, 0.5:1.0\n",
+     "abscissae must be strictly increasing"),
+    (SOLVE + "[coefficients]\nc1_profile = 0.5:-1.0, 2.0:1.0\n",
+     "profile values must be nonnegative"),
+    ("n = 3\n" + CONE + "[experiment]\nkind = solve\n", "malformed config"),
+    ("[experiment]\nkind = solve\n", r"missing required section \[cone\]"),
+    ("[cone]\nd = 1\nh = 1.0\n[experiment]\nkind = solve\n", r"missing \[cone\] n"),
+    (CONE + "[experiment]\nmethod = newton\n", r"missing \[experiment\] kind"),
+    ("[cone]\nn = 2\nd = 1\nh = 1.0\n[experiment]\nkind = solve\n", "n >= 3"),
+    (SOLVE + "[coefficients]\nc0 = -1\n", "c0 must be nonnegative"),
+    (SOLVE + "[mesh]\nrho_polar_min = 2.0\nrho_polar_max = 2.0\n",
+     "need 0 < rho_polar_min < rho_polar_max"),
+    (SOLVE + "[mesh]\nnodes_per_octave = 1\n", "nodes_per_octave must be >= 2"),
+    (SOLVE + "[tolerances]\nnonlinear_tol = 0\n", "tolerances must be positive"),
+    (BASE.format(kind="solve", extra="method = bogus"), "unknown method 'bogus'"),
+    (BASE.format(kind="dichotomy", extra="d_list = 3"), "d_list entries must lie in"),
+    (BASE.format(kind="verify-model", extra="mesh_sizes = 32"),
+     "mesh_sizes needs at least two sizes"),
+    (BASE.format(kind="dichotomy", extra="truncation_levels = 1"),
+     "truncation_levels must be >= 2"),
+    (BASE.format(kind="eigen", extra="eigen_denominator = bogus"),
+     "eigen_denominator must be one of"),
+    (BASE.format(kind="solve", extra="dirichlet = abc"),
+     "dirichlet must be 'model' or a nonnegative constant"),
+    (BASE.format(kind="solve", extra="dirichlet = -1"),
+     "constant dirichlet data must be nonnegative"),
+], ids=["profile-point-without-colon", "single-profile-point", "profile-abscissae-decrease",
+        "negative-profile-value", "unparseable-file", "missing-cone", "missing-n",
+        "missing-kind", "n-2", "negative-c0", "rho_polar-range", "nodes_per_octave",
+        "nonlinear_tol-zero", "unknown-method", "d_list-out-of-range", "single-mesh-size",
+        "truncation_levels", "eigen_denominator", "dirichlet-word", "dirichlet-negative"])
+def test_config_errors_name_their_cause(tmp_path, text, match):
+    p = tmp_path / "run.cfg"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=match):
+        parse_config(str(p))
 
 
 SMALL_SWEEP = (
@@ -93,7 +137,11 @@ def test_non_finite_values_rejected(tmp_path, kind, body):
     ("d_list = 1,x", ""),
     ("mesh_sizes = 32,x", ""),
     ("", "[coefficients]\nc0_profile = 0.5:a, 2.0:1.0\n"),
-], ids=["d_list", "mesh_sizes", "c0_profile"])
+    ("d_list = 1,,2", ""),
+    ("mesh_sizes = 32,64,", ""),
+    ("", "[coefficients]\nc0_profile = 0.5:1.0,,2.0:1.0\n"),
+], ids=["d_list", "mesh_sizes", "c0_profile", "d_list-empty-entry", "mesh_sizes-trailing-comma",
+        "c0_profile-empty-point"])
 def test_malformed_lists_rejected(tmp_path, extra, body):
     cfgpath = write_cfg(tmp_path, "solve", extra=extra, body=body)
     with pytest.raises(ConfigError):
@@ -368,6 +416,23 @@ def test_dichotomy_no_stabilization_exit_code(tmp_path):
     assert error.startswith("error = NoStabilizationError")
     assert "final datum 4 " in error
     assert f"omega_min {math.pi / 32:.6g}" in error
+
+
+def test_newton_iteration_limit_exits_2(tmp_path):
+    # one Newton step cannot converge: the run exits 2 and the summary ends
+    # with the status, the error and the run time, in that order
+    cfgpath = write_cfg(
+        tmp_path, "solve", extra="method = newton\nplot = false",
+        body="[mesh]\nn_radial = 12\nn_angular = 12\n[tolerances]\nmax_iter = 1\n",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 2
+    assert not (out / "solution.csv").exists()
+    tail = (out / "summary.txt").read_text().splitlines()[-3:]
+    assert tail[0] == "status = solver-failed"
+    assert tail[1].startswith(
+        "error = NonConvergenceError: Newton did not converge in 1 iterations ")
+    assert tail[2].startswith("seconds = ")
 
 
 def test_dichotomy_rejects_monotone_method(tmp_path):

@@ -35,7 +35,12 @@ from coneyamabe import (
 )
 from coneyamabe import solver
 from coneyamabe.elliptic import _back_solve, _dirichlet_lift
-from coneyamabe.solver import CapSearchError
+from coneyamabe.solver import (
+    CapSearchError,
+    MonotonicityViolationError,
+    NonConvergenceError,
+    OrderingViolationError,
+)
 
 RNG = np.random.default_rng(421731)
 
@@ -321,6 +326,16 @@ def test_newton_rejects_indefinite_jacobian():
             newton_solve(prob)
 
 
+def test_newton_stops_at_its_iteration_limit():
+    # the model solve on this mesh converges at step 6; five steps must not
+    # return an unconverged iterate
+    mesh = make_mesh(omega_min=ConeModel(3, 1, 1.0).theta / 8.0, nn=12)
+    assert newton_solve(model_problem(mesh)).iterations == 6
+    with pytest.raises(NonConvergenceError) as caught:
+        newton_solve(model_problem(mesh), max_iter=5)
+    assert caught.value.iterations == 5
+
+
 @pytest.mark.parametrize("n, d", [(3, 1), (4, 1)])
 def test_newton_cold_start_at_blowup_data_matches_ladder(n, d):
     # the constant start 2^16, the data maximum, sits far above the
@@ -469,6 +484,68 @@ def test_exhaustion_requires_increasing_data():
     prob = model_problem(mesh)
     with pytest.raises(ValueError):
         exhaustion_blowup_solve(prob, [4.0, 2.0])
+
+
+def test_exhaustion_rejects_a_solution_that_drops_with_the_data(monkeypatch):
+    # a second-datum solution lowered by 0.5 on the free nodes breaks the
+    # discrete comparison between data values
+    newton = solver.newton_solve
+    calls = []
+
+    def lowered(problem, **kwargs):
+        rep = newton(problem, **kwargs)
+        calls.append(rep)
+        if len(calls) == 2:
+            free = problem.mesh.free_mask
+            rep.solution = Field(problem.mesh, rep.solution.values - 0.5 * free)
+        return rep
+
+    monkeypatch.setattr(solver, "newton_solve", lowered)
+    prob = flat_cone_problem(make_mesh(nn=12), 1.0, 1.0, 1.0)
+    with pytest.raises(OrderingViolationError):
+        exhaustion_blowup_solve(prob, [1.0, 2.0, 4.0], tol=None)
+    assert len(calls) == 2
+
+
+def _small_family(n, d, levels, nodes_per_octave):
+    cone = ConeModel(n, d, 1.0)
+    base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 12, 12, 2.0)
+    meshes = truncation_family(base, levels, nodes_per_octave=nodes_per_octave)
+    return [flat_cone_problem(m, 1.0, 1.0, 1.0) for m in meshes]
+
+
+def test_maximal_solution_rejects_a_deeper_level_above_the_coarser(monkeypatch):
+    # level 1 raised by 1.0 on the free nodes it shares with level 0 exceeds
+    # the discretization-noise allowance of the decrease across levels
+    exhaustion = solver.exhaustion_blowup_solve
+    calls = []
+
+    def raised(problem, data, **kwargs):
+        reports = exhaustion(problem, data, **kwargs)
+        calls.append(problem.mesh)
+        if len(calls) == 2:
+            coarse, mesh = calls
+            shared = mesh.free_mask & (mesh.omega > coarse.domain.omega_min)
+            reports[-1].solution = Field(mesh, reports[-1].solution.values + 1.0 * shared)
+        return reports
+
+    monkeypatch.setattr(solver, "exhaustion_blowup_solve", raised)
+    problems = _small_family(3, 1, 3, 4)
+    with pytest.raises(MonotonicityViolationError):
+        maximal_solution(problems, data_sequence=[2.0**k for k in range(6)], tol=1.0)
+    assert len(calls) == 2
+
+
+def test_levels_whose_window_holds_too_few_samples_report_no_fit():
+    # on this family the windows of levels 4 and 5 hold fewer than the 4
+    # samples a fit needs, so they report no exponent; level 6 fits 5
+    problems = _small_family(4, 2, 7, 2)
+    reports = maximal_solution(problems, data_sequence=[2.0**k for k in range(9)], tol=1.0)
+    base_omega = problems[0].mesh.domain.omega_min
+    for k in (4, 5):
+        assert solver._auto_window(problems[k].mesh, base_omega) is not None
+        assert reports[k].fitted_exponent is None and reports[k].fit_samples is None
+    assert reports[6].fit_samples == 5
 
 
 def test_maximal_solution_matches_power_solution_on_common_subdomain():
