@@ -4,8 +4,8 @@ Subcommands: curvature | solve | verify-model | dichotomy | eigen, each
 driven by a config file (see config.py for the schema).  Every run writes
 comma-separated tables with a header row, a structured key = value summary,
 and (unless disabled) line plots of log10 u against log10 rho as standalone
-SVG.  Exit codes: 0 success, 1 config error, 2 solver failure, 3 internal
-acceptance-check failure.
+SVG.  Exit codes: 0 success, 1 config or usage error, 2 solver failure,
+3 internal acceptance-check failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, coefficient_values, echo_config, parse_config
+from .config import ConfigError, ExperimentConfig, echo_config, parse_config
 from .elliptic import (
     IndefiniteOperatorError,
     NonConvergenceError,
@@ -183,11 +183,9 @@ def write_svg_lines(path: Path, series, title, xlabel, ylabel) -> None:
 
 def _build_problem(cfg: ExperimentConfig, mesh, data=None) -> NonlinearProblem:
     """Flat-cone problem with the configured coefficients; data overrides cfg.dirichlet."""
-    c0 = coefficient_values(cfg.c0, cfg.c0_profile, mesh.rho_polar)
-    c1 = coefficient_values(cfg.c1, cfg.c1_profile, mesh.rho_polar)
     if data is None:
         data = model_dirichlet_data(mesh) if cfg.dirichlet == "model" else float(cfg.dirichlet)
-    return flat_cone_problem(mesh, c0, c1, data)
+    return flat_cone_problem(mesh, cfg.c0, cfg.c1, data)
 
 
 def run_curvature(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:
@@ -257,11 +255,6 @@ def run_solve(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:
 
 def run_verify_model(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:
     cone = cfg.cone
-    sol = exact_model_solution(cone)
-    if not sol.complete_regime:
-        raise ConfigError(
-            "verify-model needs the complete regime d > (n-2)/2 for the exact solution"
-        )
     rows = []
     errors = []
     for size in cfg.mesh_sizes:
@@ -385,6 +378,13 @@ def run_eigen(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _thread_count(text: str) -> int:
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError("needs at least one thread")
+    return threads
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="coneyamabe",
@@ -403,11 +403,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_thread_count, default=1,
                        help="concurrent runs for dichotomy sweeps")
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads needs at least one thread")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # --help and --version exit 0; a usage error is a config error
+        return EXIT_CONFIG if exc.code else EXIT_OK
 
     try:
         cfg = parse_config(args.config)
@@ -439,9 +441,6 @@ def main(argv=None) -> int:
             run_dichotomy(cfg, out, summary, threads=args.threads)
         elif args.command == "eigen":
             run_eigen(cfg, out, summary)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except AcceptanceCheckError as exc:
         status, code, error = "check-failed", EXIT_CHECK, str(exc)
         print(f"acceptance check failed: {error}", file=sys.stderr)

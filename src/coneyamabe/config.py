@@ -26,11 +26,12 @@ starts.  The format is INI-style, for example:
     d_list = 1,2,3
     truncation_levels = 8
 
-Coefficients accept either constants (c0, c1), radial profiles
-(c0_profile / c1_profile as comma-separated "rho_polar:value" pairs,
-interpolated piecewise-linearly in rho_polar), or target curvature
-magnitudes (target_R / target_H) converted through the Eq.-(22)-style
-normalizations c0 = (n-2)|R|/(4(n-1)), c1 = (n-2)|H|/(2(n-1)).
+The coefficients are constants, the setting of constant negative scalar
+and boundary mean curvature: each side takes either c0 / c1 directly or a
+target curvature magnitude (target_R / target_H) converted through the
+Eq.-(22)-style normalizations c0 = (n-2)|R|/(4(n-1)), c1 = (n-2)|H|/(2(n-1)).
+A verify-model run outside the complete regime d > (n-2)/2, where no exact
+solution exists, is a config error too.
 """
 
 from __future__ import annotations
@@ -39,12 +40,10 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .geometry import ConeModel, target_H_to_c1, target_R_to_c0
+from .geometry import ConeModel, exact_model_solution, target_H_to_c1, target_R_to_c0
 from .mesh import ReducedDomain
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "coefficient_values"]
+__all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
 
 EXPERIMENT_KINDS = ("curvature", "solve", "verify-model", "dichotomy", "eigen")
 SOLVE_METHODS = ("newton", "monotone")
@@ -70,24 +69,6 @@ def _flag(text: str) -> bool:
     return text.strip().lower() in ("1", "true", "yes")
 
 
-def _parse_profile(text: str) -> list[tuple[float, float]]:
-    pairs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if ":" not in chunk:
-            raise ValueError(f"expected 'rho_polar:value' pairs, got {chunk!r}")
-        a, b = chunk.split(":", 1)
-        pairs.append((_finite_float(a), _finite_float(b)))
-    if len(pairs) < 2:
-        raise ValueError("need at least two profile points")
-    xs = [p[0] for p in pairs]
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError("profile abscissae must be strictly increasing")
-    if any(p[1] < 0 for p in pairs):
-        raise ValueError("profile values must be nonnegative")
-    return pairs
-
-
 # section -> key -> parser of the raw text; every key but target_R and
 # target_H is the ExperimentConfig field of the same name
 _SCHEMA = {
@@ -95,8 +76,6 @@ _SCHEMA = {
     "coefficients": {
         "c0": _finite_float,
         "c1": _finite_float,
-        "c0_profile": _parse_profile,
-        "c1_profile": _parse_profile,
         "target_R": _finite_float,
         "target_H": _finite_float,
     },
@@ -135,11 +114,9 @@ class ExperimentConfig:
     d: int
     h: float
     kind: str
-    # coefficients: constants, profiles or targets (exactly one source per side)
-    c0: float | None = 1.0
-    c1: float | None = 1.0
-    c0_profile: list[tuple[float, float]] | None = None
-    c1_profile: list[tuple[float, float]] | None = None
+    # coefficients: constants or targets (one source per side)
+    c0: float = 1.0
+    c1: float = 1.0
     # mesh
     n_radial: int = 40
     n_angular: int = 32
@@ -173,17 +150,6 @@ class ExperimentConfig:
 
     def data_sequence(self) -> tuple[float, ...]:
         return tuple(float(2**k) for k in range(self.data_max_exponent + 1))
-
-
-def coefficient_values(
-    constant: float | None, profile: list[tuple[float, float]] | None, rho_polar: np.ndarray
-) -> np.ndarray:
-    """Evaluate a constant-or-profile coefficient on polar radii."""
-    if profile is not None:
-        xs = np.array([p[0] for p in profile])
-        ys = np.array([p[1] for p in profile])
-        return np.interp(rho_polar, xs, ys)
-    return np.full_like(np.asarray(rho_polar, dtype=float), float(constant))
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -228,17 +194,15 @@ def parse_config(path: str) -> ExperimentConfig:
     if cfg.kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {cfg.kind!r}; choose from {EXPERIMENT_KINDS}")
 
-    # coefficients: constant, profile or target curvature, exclusively per side
+    # coefficients: constant or target curvature, exclusively per side
     for target, (c, to_c) in _TARGETS.items():
-        if sum(k in vals for k in (c, f"{c}_profile", target)) > 1:
-            raise ConfigError(f"give only one of {c}, {c}_profile, {target}")
-        if f"{c}_profile" in vals:
-            setattr(cfg, c, None)
-        elif target in vals:
+        if target in vals:
+            if c in vals:
+                raise ConfigError(f"give only one of {c}, {target}")
             setattr(cfg, c, to_c(cfg.n, vals[target]))
     for c in ("c0", "c1"):
         val = getattr(cfg, c)
-        if val is not None and val < 0:
+        if val < 0:
             raise ConfigError(f"{c} must be nonnegative, got {val}")
 
     if cfg.n_radial < 4 or cfg.n_angular < 4:
@@ -260,6 +224,10 @@ def parse_config(path: str) -> ExperimentConfig:
 
     if cfg.method not in SOLVE_METHODS:
         raise ConfigError(f"unknown method {cfg.method!r}; choose from {SOLVE_METHODS}")
+    if cfg.kind == "verify-model" and not exact_model_solution(cone).complete_regime:
+        raise ConfigError(
+            "verify-model needs the complete regime d > (n-2)/2 for the exact solution"
+        )
     if cfg.kind == "dichotomy" and cfg.method != "newton":
         raise ConfigError("dichotomy runs its data ladder with Newton; method must be newton")
     if any(not 1 <= dd <= cfg.n - 1 for dd in cfg.d_list):

@@ -1,11 +1,15 @@
 """Config parsing, experiment orchestration, serialization and exit codes."""
 
 import math
+from pathlib import Path
 
 import pytest
 
+from coneyamabe import CurvatureReport, Field, cli
 from coneyamabe.cli import main
-from coneyamabe.config import ConfigError, parse_config
+from coneyamabe.config import _SCHEMA, ConfigError, ExperimentConfig, echo_config, parse_config
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 BASE = """
 [cone]
@@ -43,6 +47,11 @@ def test_unknown_key_rejected(tmp_path):
         parse_config(write_cfg(tmp_path, "curvature", body="[mesh]\nbogus = 1\n"))
     with pytest.raises(ConfigError):
         parse_config(write_cfg(tmp_path, "curvature", body="[nonsense]\nx = 1\n"))
+    # coefficients are constants: a radial profile is no key of the schema
+    cfgpath = write_cfg(tmp_path, "solve", body="[coefficients]\nc0_profile = 0.5:1.0, 2.0:2.0\n")
+    with pytest.raises(ConfigError, match="unknown key 'c0_profile'"):
+        parse_config(cfgpath)
+    assert main(["solve", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
 
 
 def test_linear_tol_is_an_unknown_key(tmp_path):
@@ -70,12 +79,6 @@ SOLVE = BASE.format(kind="solve", extra="")
 
 
 @pytest.mark.parametrize("text, match", [
-    (SOLVE + "[coefficients]\nc0_profile = 0.5, 2.0:1.0\n", "expected 'rho_polar:value' pairs"),
-    (SOLVE + "[coefficients]\nc0_profile = 0.5:1.0\n", "at least two profile points"),
-    (SOLVE + "[coefficients]\nc0_profile = 2.0:1.0, 0.5:1.0\n",
-     "abscissae must be strictly increasing"),
-    (SOLVE + "[coefficients]\nc1_profile = 0.5:-1.0, 2.0:1.0\n",
-     "profile values must be nonnegative"),
     ("n = 3\n" + CONE + "[experiment]\nkind = solve\n", "malformed config"),
     ("[experiment]\nkind = solve\n", r"missing required section \[cone\]"),
     ("[cone]\nd = 1\nh = 1.0\n[experiment]\nkind = solve\n", r"missing \[cone\] n"),
@@ -98,8 +101,7 @@ SOLVE = BASE.format(kind="solve", extra="")
      "dirichlet must be 'model' or a nonnegative constant"),
     (BASE.format(kind="solve", extra="dirichlet = -1"),
      "constant dirichlet data must be nonnegative"),
-], ids=["profile-point-without-colon", "single-profile-point", "profile-abscissae-decrease",
-        "negative-profile-value", "unparseable-file", "missing-cone", "missing-n",
+], ids=["unparseable-file", "missing-cone", "missing-n",
         "missing-kind", "n-2", "negative-c0", "rho_polar-range", "nodes_per_octave",
         "nonlinear_tol-zero", "unknown-method", "d_list-out-of-range", "single-mesh-size",
         "truncation_levels", "eigen_denominator", "dirichlet-word", "dirichlet-negative"])
@@ -121,10 +123,7 @@ SMALL_SWEEP = (
     ("dichotomy", SMALL_SWEEP.format("nan")),
     ("dichotomy", SMALL_SWEEP.format("inf")),
     ("solve", "[mesh]\ngrading = nan\n"),
-    ("solve", "[coefficients]\nc0_profile = 0.5:1.0, 2.0:nan\n"),
-    ("solve", "[coefficients]\nc1_profile = 0.5:1.0, nan:2.0\n"),
-], ids=["exhaustion_tol-nan", "exhaustion_tol-inf", "grading-nan", "profile-value-nan",
-        "profile-abscissa-nan"])
+], ids=["exhaustion_tol-nan", "exhaustion_tol-inf", "grading-nan"])
 def test_non_finite_values_rejected(tmp_path, kind, body):
     extra = "d_list = 1\ntruncation_levels = 2\nplot = false" if kind == "dichotomy" else ""
     cfgpath = write_cfg(tmp_path, kind, extra=extra, body=body)
@@ -133,17 +132,14 @@ def test_non_finite_values_rejected(tmp_path, kind, body):
     assert main([kind, "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
 
 
-@pytest.mark.parametrize("extra, body", [
-    ("d_list = 1,x", ""),
-    ("mesh_sizes = 32,x", ""),
-    ("", "[coefficients]\nc0_profile = 0.5:a, 2.0:1.0\n"),
-    ("d_list = 1,,2", ""),
-    ("mesh_sizes = 32,64,", ""),
-    ("", "[coefficients]\nc0_profile = 0.5:1.0,,2.0:1.0\n"),
-], ids=["d_list", "mesh_sizes", "c0_profile", "d_list-empty-entry", "mesh_sizes-trailing-comma",
-        "c0_profile-empty-point"])
-def test_malformed_lists_rejected(tmp_path, extra, body):
-    cfgpath = write_cfg(tmp_path, "solve", extra=extra, body=body)
+@pytest.mark.parametrize("extra", [
+    "d_list = 1,x",
+    "mesh_sizes = 32,x",
+    "d_list = 1,,2",
+    "mesh_sizes = 32,64,",
+], ids=["d_list", "mesh_sizes", "d_list-empty-entry", "mesh_sizes-trailing-comma"])
+def test_malformed_lists_rejected(tmp_path, extra):
+    cfgpath = write_cfg(tmp_path, "solve", extra=extra)
     with pytest.raises(ConfigError):
         parse_config(cfgpath)
     assert main(["solve", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
@@ -155,20 +151,43 @@ def test_coefficient_sources_exclusive(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, "solve", body="[coefficients]\ntarget_R = 8.0\n"))
     # (n-2)|R|/(4(n-1)) at n=3
     assert cfg.c0 == pytest.approx(8.0 / 8.0)
-    cfg = parse_config(
-        write_cfg(tmp_path, "solve", body="[coefficients]\nc0_profile = 0.5:1.0, 2.0:2.0\n")
-    )
-    assert cfg.c0 is None and len(cfg.c0_profile) == 2
     with pytest.raises(ConfigError):
         parse_config(write_cfg(tmp_path, "solve", body="[coefficients]\nc1 = 1\ntarget_H = 2\n"))
     cfg = parse_config(write_cfg(tmp_path, "solve", body="[coefficients]\ntarget_H = 8.0\n"))
     # (n-2)|H|/(2(n-1)) at n=3
     assert cfg.c1 == pytest.approx(8.0 / 4.0)
-    cfg = parse_config(
-        write_cfg(tmp_path, "solve", body="[coefficients]\nc1_profile = 0.5:1.0, 2.0:2.0\n")
-    )
-    assert cfg.c1 is None and len(cfg.c1_profile) == 2
-    assert cfg.c0 == 1.0 and cfg.c0_profile is None
+    assert cfg.c0 == 1.0
+
+
+def test_verify_model_outside_the_complete_regime_is_a_config_error(tmp_path):
+    # at d = (n-2)/2 the power solution's c0_* is 0, so there is no exact
+    # solution to converge to: the parser refuses the run before main makes
+    # the output directory
+    cfgpath = tmp_path / "run.cfg"
+    cfgpath.write_text("[cone]\nn = 4\nd = 1\nh = 1.0\n[experiment]\nkind = verify-model\n")
+    with pytest.raises(ConfigError, match=r"complete regime d > \(n-2\)/2"):
+        parse_config(str(cfgpath))
+    out = tmp_path / "out"
+    assert main(["verify-model", "--config", str(cfgpath), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in BENCH_CONFIGS.glob("*.cfg")) + ["targets"])
+def test_echo_parses_back_to_the_same_config(tmp_path, name):
+    # every config.<key> = <value> line of the summary is in config syntax:
+    # the key's own parser reads it, and the values rebuild the config
+    if name == "targets":
+        body = "[coefficients]\ntarget_R = 6.0\ntarget_H = 2.0\n"
+        cfg = parse_config(write_cfg(tmp_path, "solve", body=body))
+    else:
+        cfg = parse_config(str(BENCH_CONFIGS / name))
+    parsers = {key: parse for keys in _SCHEMA.values() for key, parse in keys.items()}
+    vals = {}
+    for key, text in echo_config(cfg):
+        section, key = key.split(".", 1)
+        assert section == "config"
+        vals[key] = parsers[key](text)
+    assert ExperimentConfig(**vals) == cfg
 
 
 def test_eigen_requires_denominator_choice(tmp_path):
@@ -325,6 +344,73 @@ def test_kind_mismatch_and_missing_config(tmp_path):
     cfgpath = write_cfg(tmp_path, "curvature")
     assert main(["solve", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
     assert main(["solve", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path)]) == 1
+    assert main(["solve", "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
+    # argparse exits 2 on a usage error, which would read as a solver failure
+    cfgpath = write_cfg(tmp_path, "curvature")
+    out = str(tmp_path / "o")
+    assert main(["curvature", "--config", cfgpath, "--out", out, "--threads", "x"]) == 1
+    assert main(["bogus", "--config", cfgpath, "--out", out]) == 1
+    assert not (tmp_path / "o").exists()
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert main(["--version"]) == 0
+    assert main(["curvature", "--help"]) == 0
+    assert "usage: coneyamabe curvature" in capsys.readouterr().out
+
+
+def _failed_check(tmp_path, kind, extra="", body=""):
+    """Run kind through main; return its exit code and the summary's lines as a dict."""
+    out = tmp_path / "out"
+    code = main([kind, "--config", write_cfg(tmp_path, kind, extra=extra, body=body),
+                 "--out", str(out)])
+    lines = (out / "summary.txt").read_text().splitlines()
+    return code, dict(line.split(" = ", 1) for line in lines)
+
+
+def test_curvature_cross_check_failure_exits_3(tmp_path, monkeypatch):
+    conformal = cli.conformal_rho2_curvatures
+
+    def off(*args):
+        conf = conformal(*args)
+        return CurvatureReport(scalar=conf.scalar + 1e-9, mean=conf.mean)
+
+    monkeypatch.setattr(cli, "conformal_rho2_curvatures", off)
+    code, summary = _failed_check(tmp_path, "curvature")
+    assert code == 3
+    assert summary["status"] == "check-failed"
+    assert summary["error"].startswith("conformal cross-check failed")
+
+
+def test_verify_model_order_window_failure_exits_3(tmp_path, monkeypatch):
+    # a solution offset by a constant has an error that does not fall with h
+    solve = cli.solve_problem
+
+    def offset(problem, **kwargs):
+        rep = solve(problem, **kwargs)
+        rep.solution = Field(problem.mesh, rep.solution.values + 1e-2)
+        return rep
+
+    monkeypatch.setattr(cli, "solve_problem", offset)
+    code, summary = _failed_check(tmp_path, "verify-model", extra="mesh_sizes = 8,16\nplot = false")
+    assert code == 3
+    assert summary["status"] == "check-failed"
+    assert summary["error"].startswith("observed orders [")
+    assert summary["error"].endswith("outside [1.7, 2.3]")
+
+
+def test_eigen_rayleigh_check_failure_exits_3(tmp_path, monkeypatch):
+    rayleigh = cli.rayleigh_quotient
+    monkeypatch.setattr(cli, "rayleigh_quotient", lambda op, vec: rayleigh(op, vec) + 1e-3)
+    code, summary = _failed_check(
+        tmp_path, "eigen", extra="eigen_denominator = volume",
+        body="[mesh]\nn_radial = 8\nn_angular = 8\n",
+    )
+    assert code == 3
+    assert summary["status"] == "check-failed"
+    assert summary["error"].startswith("Rayleigh quotient of the eigenvector")
 
 
 def test_dichotomy_experiment_small(tmp_path):
@@ -396,9 +482,10 @@ def test_dichotomy_threaded_sweep(tmp_path):
         tables.append((out / "dichotomy.csv").read_bytes())
     assert len(tables[1].splitlines()) == 3  # header + one row per dimension
     assert tables[0] == tables[1]
-    with pytest.raises(SystemExit):
-        main(["dichotomy", "--config", cfgpath, "--out", str(tmp_path / "o"),
-              "--threads", "0"])
+    # a thread count below one is a usage error, which exits 1 like a config error
+    assert main(["dichotomy", "--config", cfgpath, "--out", str(tmp_path / "o"),
+                 "--threads", "0"]) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_dichotomy_no_stabilization_exit_code(tmp_path):

@@ -15,6 +15,8 @@ from coneyamabe import (
     Field,
     IndefiniteOperatorError,
     MMatrixWarning,
+    NegativeEigenvectorError,
+    NonConvergenceError,
     ReducedDomain,
     assemble,
     build_mesh,
@@ -25,6 +27,7 @@ from coneyamabe import (
     solve_mixed,
     write_coo_system,
 )
+from coneyamabe import elliptic
 from coneyamabe.elliptic import _eigen_matrices, _factor_spd
 from coneyamabe.mesh import _CHUNK_ROWS
 from coneyamabe.solver import NonlinearProblem
@@ -463,6 +466,28 @@ def test_principal_eigen_positive_for_zero_potentials():
     lam, vec = principal_eigen(op, "volume")
     assert lam > 0.0
     assert np.all(vec.values[mesh.free_mask] > 0)
+
+
+def test_principal_eigen_stops_at_its_iteration_limit(monkeypatch):
+    # one sweep cannot see the quotient settle
+    monkeypatch.setattr(elliptic, "EIGEN_MAX_ITER", 1)
+    with pytest.raises(NonConvergenceError, match="did not settle in 1 iterations"):
+        principal_eigen(assemble(make_mesh(nn=8)), "volume")
+
+
+def test_principal_eigen_refuses_a_sign_changing_ground_state(monkeypatch):
+    # a factor whose solve returns the same vector of both signs every sweep:
+    # the quotient settles at once, and the candidate's negative component
+    # is refused
+    class SignChangingSolve:
+        def solve(self, b):
+            w = np.ones_like(b)
+            w[0] = -0.5
+            return w
+
+    monkeypatch.setattr(elliptic, "_factor_spd", lambda op, diag=None: SignChangingSolve())
+    with pytest.raises(NegativeEigenvectorError, match="negative component -5.000e-01"):
+        principal_eigen(assemble(make_mesh(nn=8)), "volume")
 
 
 def test_principal_eigen_shift_by_constant():

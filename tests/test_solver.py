@@ -222,6 +222,22 @@ def test_monotone_rejects_inadmissible_subsolution():
         monotone_iterate(prob, bad, S)
 
 
+def test_monotone_rejects_a_step_that_lowers_the_iterate(monkeypatch):
+    # back-solves lowered by 2 put the lower branch below its start, zero:
+    # the discrete maximum principle behind the bracket has failed
+    back_solve = solver._back_solve
+
+    def lowered(op, b_f):
+        x, relres = back_solve(op, b_f)
+        return x - 2.0, relres
+
+    monkeypatch.setattr(solver, "_back_solve", lowered)
+    mesh = make_mesh(nn=10)
+    prob = model_problem(mesh)
+    with pytest.raises(OrderingViolationError, match="at iteration 1:"):
+        monotone_iterate(prob, Field.zeros(mesh), pick_cap(prob))
+
+
 def test_monotone_solution_positive_on_free_nodes():
     mesh = make_mesh(nn=12)
     prob = model_problem(mesh)
