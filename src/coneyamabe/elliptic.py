@@ -236,9 +236,9 @@ def _factor_spd(op: OperatorAssembly, diag: np.ndarray | None = None):
     it also requires perm_r == perm_c, since a row permutation means
     SuperLU met a zero diagonal pivot.  Raises IndefiniteOperatorError
     when the block is not a Z-matrix or the certificate fails.  Newton's
-    default start factors the free block of a problem's linear operator
-    with no diagonal, so an API caller whose linear part is indefinite
-    must pass Newton a start u0.
+    first step from its zero-interior default start factors the free block
+    of a problem's linear operator with a zero diagonal, so an API caller
+    whose linear part is indefinite must pass Newton a start u0.
     """
     order = op._free_order
     if order is None:
@@ -370,8 +370,10 @@ def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
     a generalized Gershgorin lower bound so the shifted matrix is positive
     definite; it is factored once by _factor_spd, which certifies that.  The
     iteration stops once the quotient settles to EIGEN_TOL relative, else
-    NonConvergenceError after EIGEN_MAX_ITER sweeps.  The eigenvector is
-    normalized to sup = 1; a genuinely negative component raises
+    NonConvergenceError after EIGEN_MAX_ITER sweeps.  Each sweep normalizes
+    the iterate to sup |v| = 1; the certified factor has a nonnegative
+    inverse and the iteration starts from ones, so the largest entry is +1
+    and the eigenvector has sup = 1.  A genuinely negative component raises
     NegativeEigenvectorError since the ground state of an irreducible
     M-matrix pencil must be positive.
     """
@@ -410,9 +412,6 @@ def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
             iterations=EIGEN_MAX_ITER,
         )
 
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    v /= np.max(v)
     if np.min(v) < -1e-10:
         raise NegativeEigenvectorError(
             f"ground-state candidate has negative component {np.min(v):.3e}"

@@ -116,7 +116,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NonlinearProblem:
     """Coefficient fields of the discrete problem on one mesh.
 
@@ -124,7 +124,10 @@ class NonlinearProblem:
     on mesh may be given; c1 and c2_lin are read on ROBIN_CONE nodes and
     dirichlet_data on Dirichlet-tagged nodes.  c0, c1 must be nonnegative
     (strictly positive on runs probing the existence theorem; zero is
-    allowed for linear-regression tests).
+    allowed for linear-regression tests).  The problem is frozen, since its
+    linear operator is assembled once from c and c2_lin: a changed field
+    is a new problem, dataclasses.replace(problem, c=...), checked and
+    assembled afresh.
     """
 
     mesh: Mesh
@@ -136,12 +139,12 @@ class NonlinearProblem:
 
     def __post_init__(self):
         for name in ("c0", "c1", "c", "c2_lin", "dirichlet_data"):
-            setattr(self, name, Field.of(self.mesh, getattr(self, name)))
+            object.__setattr__(self, name, Field.of(self.mesh, getattr(self, name)))
         if np.min(self.c0.values) < 0 or np.min(self.c1.values) < 0:
             raise ValueError("c0 and c1 must be nonnegative")
         if np.min(self.dirichlet_data.values[self.mesh.dirichlet_mask]) < 0:
             raise ValueError("Dirichlet data must be nonnegative")
-        self._op0 = None
+        object.__setattr__(self, "_op0", None)
 
     @property
     def cone(self) -> ConeModel:
@@ -161,7 +164,7 @@ class NonlinearProblem:
     def linear_operator(self) -> OperatorAssembly:
         """Operator with the linear potentials c, c2_lin."""
         if self._op0 is None:
-            self._op0 = assemble(self.mesh, self.c, self.c2_lin)
+            object.__setattr__(self, "_op0", assemble(self.mesh, self.c, self.c2_lin))
         return self._op0
 
     def with_data(self, data) -> "NonlinearProblem":
@@ -171,7 +174,7 @@ class NonlinearProblem:
         already assembled one is shared with the new problem.
         """
         prob = NonlinearProblem(self.mesh, self.c0, self.c1, self.c, self.c2_lin, data)
-        prob._op0 = self._op0
+        object.__setattr__(prob, "_op0", self._op0)
         return prob
 
     def _integrated(self, u: np.ndarray) -> np.ndarray:
@@ -459,20 +462,6 @@ def monotone_iterate(
 # ---------------------------------------------------------------------------
 
 
-def _linear_lift(problem: NonlinearProblem) -> np.ndarray:
-    """Newton's default start: the Dirichlet data extended to the free
-    nodes by the linear problem, A u = 0 on the free rows.
-
-    Back-solved on a factor of the free block that dies here: cached on the
-    operator, it would stay alive through every Jacobian factorization.
-    """
-    op0 = problem.linear_operator
-    free = problem.mesh.free_mask
-    u = problem.dirichlet_data.values.copy()
-    u[free] = _factor_spd(op0).solve(-_dirichlet_lift(op0, u))
-    return u
-
-
 def newton_solve(
     problem: NonlinearProblem,
     u0: Field | None = None,
@@ -481,17 +470,19 @@ def newton_solve(
 ) -> SolverReport:
     """Full-step Newton iteration on the discrete system.
 
-    Starts from the linear lift of the data unless u0 is given (Dirichlet
-    rows of any start are overwritten by the data): the solution u_L of the
-    linear problem, A u_L = 0 on the free rows (_linear_lift), whose
-    factorization counts.  The lift is a supersolution, since
-    F(u_L) = c0 u_L^p + c1 u_L^q >= 0 (integrated), and lies in
-    [0, max(data)] when c, c2_lin >= 0.  It needs problem.linear_operator
-    to be positive definite, else IndefiniteOperatorError: an API caller
-    whose linear part is indefinite must pass u0.  Each step solves the
-    linearization with potentials c + p c0 u^(p-1) and
-    c2 + q c1 u^(q-1) and takes the whole step, clipped at zero.  No damping
-    is needed: the residual is convex in u (p, q > 1, c0, c1 >= 0) and its
+    Starts from the Dirichlet data with zero on the free nodes unless u0 is
+    given (Dirichlet rows of any start are overwritten by the data).  At the
+    zero-interior start the Jacobian is the free block of
+    problem.linear_operator, since p c0 0^(p-1) = q c1 0^(q-1) = 0, and the
+    residual is the Dirichlet lift, so the first step lands bitwise on the
+    linear lift u_L of the data, A u_L = 0 on the free rows.  The lift is a
+    supersolution, since F(u_L) = c0 u_L^p + c1 u_L^q >= 0 (integrated),
+    and lies in [0, max(data)] when c, c2_lin >= 0.  That step needs
+    problem.linear_operator to be positive definite, else
+    IndefiniteOperatorError: an API caller whose linear part is indefinite
+    must pass u0.  Each step solves the linearization with potentials
+    c + p c0 u^(p-1) and c2 + q c1 u^(q-1) and takes the whole step,
+    clipped at zero.  No damping is needed: the residual is convex in u (p, q > 1, c0, c1 >= 0) and its
     Jacobian has nonpositive off-diagonals and is certified positive
     definite by the sparse LU, so it is a nonsingular M-matrix with a
     nonnegative inverse.  By the monotone convergence theorem for convex
@@ -500,20 +491,21 @@ def newton_solve(
 
     A factor is kept for later steps under two fixed rules: the factor
     built at the start serves one step only, since the start need not be a
-    supersolution, and a step that shrinks the sup-norm increment by less
-    than 4x forces a fresh factor at the new iterate.  Reuse is safe: for
-    supersolution iterates u* <= u_k <= u_j with j >= 1, J(u_j) - J(u_k) is
-    a nonnegative diagonal, so J(u_j)^-1 >= 0, and convexity gives
+    supersolution (the zero start is a subsolution), and a step that
+    shrinks the sup-norm increment by less than 4x forces a fresh factor at
+    the new iterate.  Reuse is safe: for supersolution iterates
+    u* <= u_k <= u_j with j >= 1, J(u_j) - J(u_k) is a nonnegative
+    diagonal, so J(u_j)^-1 >= 0, and convexity gives
     u* <= u_k - J(u_j)^-1 F(u_k) <= u_k, again a supersolution.  Every kept
     factor was certified when it was built.  A start far above the
     solution, such as the constant max(data), sheds about a factor
     p / (p-1) of its excess per step, too slowly for reuse, so it refactors
-    at every step of that phase; the lift starts below it.
+    at every step of that phase; the first step from zero lands below it.
     Converges when the row-normalized residual is below 1e-11 and the
     sup-norm increment below tol * (1 + sup u); a residual that is not
     finite (c0 u^p or c1 u^q overflows) raises NonConvergenceError.  The
-    report counts the steps in iterations and the factorizations, the
-    lift's included, in factorizations.
+    report counts the steps in iterations and the factorizations in
+    factorizations.
     Every Jacobian shares the sparsity pattern of the free block of
     problem.linear_operator, so only the first factorization of that
     operator computes a minimum-degree ordering; later ones, including
@@ -528,12 +520,10 @@ def newton_solve(
     free = mesh.free_mask
     data = problem.dirichlet_data.values
 
-    if u0 is None:
-        u, factorizations = _linear_lift(problem), 1
-    else:
-        u, factorizations = u0.values.copy(), 0
-        u[~free] = data[~free]
+    u = np.zeros(mesh.n_nodes) if u0 is None else u0.values.copy()
+    u[~free] = data[~free]
     u = np.clip(u, 0.0, None)
+    factorizations = 0
 
     abs_matrix = abs(op0.matrix)
 
@@ -607,9 +597,9 @@ def solve_problem(
 ) -> SolverReport:
     """Dispatch to the requested nonlinear scheme with its standard setup.
 
-    Newton starts from the linear lift of the data, the monotone iteration
-    from the bracket [0, pick_cap(problem)]; max_iter=None keeps the
-    scheme's own iteration limit.
+    Newton starts from the data with zero on the free nodes, the monotone
+    iteration from the bracket [0, pick_cap(problem)]; max_iter=None keeps
+    the scheme's own iteration limit.
     """
     limit = {} if max_iter is None else {"max_iter": max_iter}
     if method == "newton":
@@ -675,7 +665,8 @@ def exhaustion_blowup_solve(
     the discrete maximum principle already keeps below the new datum.  The
     first datum starts from u0 when given (any nonnegative field; Newton
     reaches the same solution from every such start), else from Newton's
-    default start, the linear lift of the datum.
+    default start, zero on the free nodes, whose first step is the linear
+    lift of the datum.
     Successive solutions must be nodewise nondecreasing (discrete
     comparison), else OrderingViolationError.  Every report after the first
     carries in interior_change the sup-norm change on the interior probe set
@@ -789,11 +780,11 @@ def maximal_solution(
     """Exhaustion limits over the shrinking truncations omega0, omega0/2, ...
 
     problems must live on meshes produced by truncation_family (same radial
-    nodes, nested angular nodes).  Level 0 runs the full data sequence, with
-    its nondecreasing-in-data check at every datum.  Each deeper level solves
-    only the last two data values, which are all the certificate and the
-    cross-level comparison read, warm-started from the previous level's
-    solution.  Per radial row the start is the smaller of two fields: the
+    nodes, nested angular nodes).  Level 0 runs the full data sequence from
+    Newton's zero-interior start, with its nondecreasing-in-data check at
+    every datum.  Each deeper level solves only the last two data values,
+    which are all the certificate and the cross-level comparison read,
+    warm-started from the previous level's solution.  Per radial row the start is the smaller of two fields: the
     coarse solution on the shared free columns (+inf on the new octave and
     the old inner Dirichlet column), and the coarse solution moved down one
     octave, read at angle min(2 omega, theta) by linear interpolation in

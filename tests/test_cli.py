@@ -239,7 +239,8 @@ def test_solve_experiment_and_outputs(tmp_path):
 
 
 def test_solve_from_cold_start_at_blowup_data(tmp_path):
-    # constant blow-up-scale data 2^16, solved by Newton from their linear lift
+    # constant blow-up-scale data 2^16, solved by Newton from its default
+    # start, zero on the free nodes, whose first step is their linear lift
     cfgpath = tmp_path / "run.cfg"
     cfgpath.write_text(
         "[cone]\nn = 4\nd = 1\nh = 1.0\n"
@@ -311,9 +312,9 @@ def test_verify_model_experiment(tmp_path):
 
 
 def test_verify_model_counts_every_factorization(tmp_path, orderings):
-    # each mesh's summary count includes the factor of the linear lift that
-    # Newton starts from: together they are every SuperLU call, one of them
-    # per mesh ordering by minimum degree
+    # each mesh's summary count includes the factor of Newton's first step
+    # from zero on the free nodes: together they are every SuperLU call,
+    # one of them per mesh ordering by minimum degree
     cfgpath = write_cfg(
         tmp_path, "verify-model", extra="mesh_sizes = 12,24,48\nplot = false",
         body="[mesh]\nomega_min = 0.15\n",
@@ -555,8 +556,8 @@ def test_stalled_monotone_solve_fails_loudly(tmp_path, c0):
 def test_monotone_solve_with_overflowing_data_fails_loudly(tmp_path, method, error):
     # at data 1e70 the source c0 u^5 overflows: the monotone cap branch's
     # back-solve residual check stops the run on the first step, and Newton
-    # refuses the residual at its start, the linear lift; both exit 2 and
-    # name the non-finite value, not an indefinite operator
+    # refuses the residual at its first iterate, the linear lift; both exit
+    # 2 and name the non-finite value, not an indefinite operator
     cfgpath = write_cfg(
         tmp_path, "solve", extra=f"method = {method}\ndirichlet = 1e70",
         body="[mesh]\nn_radial = 8\nn_angular = 8\n",
@@ -566,3 +567,13 @@ def test_monotone_solve_with_overflowing_data_fails_loudly(tmp_path, method, err
     summary = (out / "summary.txt").read_text()
     assert "status = solver-failed" in summary
     assert f"error = {error}" in summary
+
+
+def test_svg_plot_of_a_degenerate_or_empty_series(tmp_path):
+    # a single point widens both axis ranges by one unit around it; a
+    # series without one finite point writes no file
+    cli.write_svg_lines(tmp_path / "point.svg", [([2.0], [3.0], "one")], "t", "x", "y")
+    svg = (tmp_path / "point.svg").read_text()
+    assert svg.startswith("<svg") and ">1.5</text>" in svg and ">3.5</text>" in svg
+    cli.write_svg_lines(tmp_path / "none.svg", [([1.0], [math.nan], "nan")], "t", "x", "y")
+    assert not (tmp_path / "none.svg").exists()

@@ -1,0 +1,37 @@
+"""The directory comparison of tools/compare_outputs.py."""
+
+import importlib.util
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "compare_outputs", Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def test_compare_dirs_reports_each_output_file(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side, alpha, verdict, steps in ((parent, "0.5", "COMPLETE_TYPE", "7"),
+                                        (change, "0.50000000001", "BOUNDED_TYPE", "8")):
+        (side / "run").mkdir(parents=True)
+        (side / "run" / "same.svg").write_text("<svg/>\n")
+        (side / "run" / "dichotomy.csv").write_text(
+            f"n,alpha,verdict\n4,{alpha},{verdict}\n3,1.0,COMPLETE_TYPE\n")
+        (side / "run" / "summary.txt").write_text(
+            f"status = ok\nseconds = {steps}.5\nverify_model.seconds_32 = 0.{steps}\n"
+            f"newton_steps = {steps}\n")
+    (parent / "run" / "plot.svg").write_text("<svg>\n<g/>\n")
+    (change / "run" / "plot.svg").write_text("<svg>\n<h/>\n")
+    (change / "run" / "extra.csv").write_text("a\n1\n")
+    report = compare_outputs.compare_dirs(parent, change)
+    assert report == [
+        "run/dichotomy.csv: differs",
+        "  column n: largest relative difference 0",
+        "  column alpha: largest relative difference 2e-11",
+        "  row 1 column verdict: 'COMPLETE_TYPE' != 'BOUNDED_TYPE'",
+        "run/extra.csv: only in the change",
+        "run/plot.svg: differs in 1 of 2 lines",
+        "run/same.svg: identical",
+        "run/summary.txt: differs",
+        "  newton_steps: 7 -> 8, relative difference 0.125",
+    ]

@@ -388,6 +388,17 @@ def test_a_positive_vector_certifies_only_through_its_rows(monkeypatch):
         _factor_spd(op)
 
 
+def test_an_exactly_singular_factor_is_refused(monkeypatch):
+    # SuperLU raises RuntimeError on an exactly singular matrix; the factor
+    # is then refused as not positive definite, naming SuperLU's message
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    with pytest.raises(IndefiniteOperatorError, match="exactly singular"):
+        _factor_spd(assemble(make_mesh(nn=8)))
+
+
 def test_linear_comparison_principle():
     # with the M-matrix certificate, larger rhs and data give larger solutions
     mesh = make_mesh(nn=10)

@@ -19,7 +19,7 @@ from coneyamabe import (
     pick_cap,
     principal_eigen,
     rayleigh_quotient,
-    solver,
+    solve_mixed,
     truncation_family,
 )
 
@@ -58,7 +58,7 @@ def ordered_problem_pairs(draw):
 @given(problem=cone_problems(), seed=st.integers(0, 2**32 - 1))
 def test_newton_solution_does_not_depend_on_the_start(problem, seed):
     # a random nonnegative start with one spike at 2^16 reaches the same
-    # solution as the default start, the linear lift of the data
+    # solution as the default start, the data with zero on the free nodes
     rng = np.random.default_rng(seed)
     data = float(np.max(problem.dirichlet_data.values))
     start = rng.uniform(0.0, 2.0 * data, problem.mesh.n_nodes)
@@ -149,6 +149,45 @@ def test_warm_started_levels_match_the_full_ladder(family):
         assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
+LADDER = [2.0**k for k in range(9)]
+
+
+@st.composite
+def small_families(draw):
+    # a 3-level truncation family with 4 nodes per octave on a random base
+    mesh = draw_mesh(draw)
+    return [flat_cone_problem(m, 1.0, 1.0, 1.0)
+            for m in truncation_family(mesh, 3, nodes_per_octave=4)]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(problems=small_families())
+def test_exhaustion_increases_with_the_data(problems):
+    # larger constant Dirichlet data give a nodewise larger solution on
+    # every level: the discrete comparison principle behind the exhaustion
+    for prob in problems:
+        sols = [r.solution.values for r in exhaustion_blowup_solve(prob, LADDER, tol=None)]
+        for lo, hi in zip(sols, sols[1:]):
+            assert np.all(hi >= lo - 1e-9 * np.max(hi))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(problems=small_families())
+def test_nested_truncations_decrease(problems):
+    # each level's solution restricted to the previous level's free nodes
+    # is a discrete solution with smaller boundary values there, so it lies
+    # nodewise below the previous level's, up to solver tolerance
+    levels = maximal_solution(problems, data_sequence=LADDER, tol=1.0)
+    for prev, rec in zip(levels, levels[1:]):
+        coarse, fine = prev.solution.mesh, rec.solution.mesh
+        off = fine.angular_offset_of(coarse)
+        uc = prev.solution.values.reshape(coarse.n_radial, coarse.n_angular)
+        uf = rec.solution.values.reshape(fine.n_radial, fine.n_angular)[:, off:]
+        both = (coarse.free_mask.reshape(uc.shape)
+                & fine.free_mask.reshape(fine.n_radial, fine.n_angular)[:, off:])
+        assert np.all((uf - uc)[both] <= 1e-9 * np.max(uc))
+
+
 @st.composite
 def lift_problems(draw):
     # nonnegative nodewise c0, c1 and Dirichlet data, each zero on a random
@@ -163,12 +202,13 @@ def lift_problems(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(problem=lift_problems())
 def test_the_default_start_is_a_supersolution(problem):
-    # Newton's default start, the linear lift of the data, lies in
-    # [0, max(data)] by the maximum principle, and the nonlinear terms can
-    # only add to its zero linear residual: F(u_L) >= 0 on every free node,
-    # up to the rounding of the solve, a few ulps of the row scale
+    # Newton's first iterate from its default start, the linear lift of the
+    # data, lies in [0, max(data)] by the maximum principle, and the
+    # nonlinear terms can only add to its zero linear residual: F(u_L) >= 0
+    # on every free node, up to the rounding of the solve, a few ulps of the
+    # row scale
     mesh = problem.mesh
-    u = solver._linear_lift(problem)
+    u = solve_mixed(problem.linear_operator, 0.0, problem.dirichlet_data).solution.values
     top = float(np.max(problem.dirichlet_data.values[mesh.dirichlet_mask]))
     assert np.all(u >= 0.0) and np.all(u <= top)
     op = problem.linear_operator

@@ -1,0 +1,154 @@
+"""Compare the outputs of the perfbench configs between a parent checkout and this one.
+
+Usage, from the root of this checkout:
+
+    python3 tools/compare_outputs.py --parent PATH
+
+Runs `coneyamabe <kind> --config ... --threads 1` on every file of this
+checkout's perfbench/configs in both checkouts, each importing the package
+from its own src/, and writes the outputs to a temporary directory.  For
+every output file it then prints `identical`, or what differs: for a CSV
+table the largest relative difference of every numeric column, for
+summary.txt that of every `key = value` line whose value changed (keys
+whose last dotted part starts with `seconds` are skipped, since timing
+differs on every run), and for both every non-numeric cell or value that
+differs.
+Any other file that differs is reported with its count of differing lines.
+This is a report, not a gate: it exits 0 whatever it finds.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def rel_diff(a: float, b: float) -> float:
+    """|a - b| relative to the larger magnitude; 0 for equal values (nan too)."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _compare_values(label: str, a: str, b: str, report: list[str]) -> float | None:
+    """Relative difference of two numeric cells, or None after reporting two
+    differing non-numeric ones."""
+    x, y = _number(a), _number(b)
+    if x is not None and y is not None:
+        return rel_diff(x, y)
+    if a != b:
+        report.append(f"  {label}: {a!r} != {b!r}")
+    return None
+
+
+def compare_csv(parent: Path, change: Path) -> list[str]:
+    with open(parent, newline="") as fh:
+        rows_p = list(csv.reader(fh))
+    with open(change, newline="") as fh:
+        rows_c = list(csv.reader(fh))
+    if not rows_p or not rows_c or rows_p[0] != rows_c[0] or len(rows_p) != len(rows_c):
+        return [f"  header or row count differs: {len(rows_p)} against {len(rows_c)} rows"]
+    header, report = rows_p[0], []
+    worst: dict[str, float] = {}  # numeric columns only
+    for k, (rp, rc) in enumerate(zip(rows_p[1:], rows_c[1:]), start=1):
+        for name, a, b in zip(header, rp, rc):
+            d = _compare_values(f"row {k} column {name}", a, b, report)
+            if d is not None:
+                worst[name] = max(worst.get(name, 0.0), d)
+    return [f"  column {name}: largest relative difference {d:.3g}"
+            for name, d in worst.items()] + report
+
+
+def _summary(path: Path) -> dict[str, str]:
+    pairs = (line.split(" = ", 1) for line in path.read_text().splitlines() if " = " in line)
+    return {key: value for key, value in pairs
+            if not key.rsplit(".", 1)[-1].startswith("seconds")}
+
+
+def compare_summary(parent: Path, change: Path) -> list[str]:
+    sp, sc = _summary(parent), _summary(change)
+    report = []
+    for key in sorted(sp.keys() | sc.keys()):
+        if key not in sc or key not in sp:
+            report.append(f"  {key}: only in the {'parent' if key in sp else 'change'}")
+        elif sp[key] != sc[key]:
+            d = _compare_values(key, sp[key], sc[key], report)
+            if d is not None:
+                report.append(f"  {key}: {sp[key]} -> {sc[key]}, relative difference {d:.3g}")
+    return report or ["  equal apart from seconds keys"]
+
+
+def compare_dirs(parent: Path, change: Path) -> list[str]:
+    """One report block per output file found under either directory."""
+    files = sorted({p.relative_to(parent) for p in parent.rglob("*") if p.is_file()}
+                   | {p.relative_to(change) for p in change.rglob("*") if p.is_file()})
+    report = []
+    for rel in files:
+        a, b = parent / rel, change / rel
+        if not (a.is_file() and b.is_file()):
+            report.append(f"{rel}: only in the {'parent' if a.is_file() else 'change'}")
+        elif a.read_bytes() == b.read_bytes():
+            report.append(f"{rel}: identical")
+        elif rel.suffix == ".csv":
+            report += [f"{rel}: differs", *compare_csv(a, b)]
+        elif rel.name == "summary.txt":
+            report += [f"{rel}: differs", *compare_summary(a, b)]
+        else:
+            la, lb = a.read_text().splitlines(), b.read_text().splitlines()
+            n = sum(x != y for x, y in zip(la, lb)) + abs(len(la) - len(lb))
+            report.append(f"{rel}: differs in {n} of {max(len(la), len(lb))} lines")
+    return report
+
+
+def run_configs(checkout: Path, out: Path) -> list[str]:
+    """Every config of this checkout through checkout's CLI; a line per nonzero exit."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    failures = []
+    for cfg in sorted((ROOT / "perfbench" / "configs").glob("*.cfg")):
+        kind = re.search(r"^kind\s*=\s*(\S+)", cfg.read_text(), re.M).group(1)
+        cmd = [sys.executable, "-m", "coneyamabe.cli", kind, "--config", str(cfg),
+               "--out", str(out / cfg.stem), "--threads", "1"]
+        code = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True).returncode
+        if code != 0:
+            failures.append(f"{checkout}: {cfg.name} exited {code}")
+    return failures
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="parent commit checkout")
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    if not (parent / "src" / "coneyamabe").is_dir():
+        parser.error(f"parent checkout {parent} has no src/coneyamabe")
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"parent": parent, "change": ROOT}
+        for side, checkout in sides.items():
+            for line in run_configs(checkout, Path(tmp) / side):
+                print(line)
+        for line in compare_dirs(Path(tmp) / "parent", Path(tmp) / "change"):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
