@@ -39,6 +39,7 @@ from .mesh import (
     ReducedDomain,
     build_mesh,
     read_field_table,
+    resample,
     truncation_family,
     write_field_table,
 )

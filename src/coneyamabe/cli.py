@@ -36,7 +36,7 @@ from .geometry import (
     product_scalar_curvature,
     vertex_asymptotics,
 )
-from .mesh import Mesh, build_mesh, truncation_family, write_field_table
+from .mesh import Mesh, build_mesh, resample, truncation_family, write_field_table
 from .solver import (
     CapSearchError,
     MonotonicityViolationError,
@@ -257,13 +257,17 @@ def run_verify_model(cfg: ExperimentConfig, out: Path, summary: Summary) -> None
     cone = cfg.cone
     rows = []
     errors = []
+    prev = None  # Newton's last solution, the next mesh's start
     for size in cfg.mesh_sizes:
         mesh = build_mesh(cfg.domain(), size, size, cfg.grading)
         problem = model_problem(mesh)
         t0 = time.time()
+        start = None if prev is None else resample(prev, mesh)
         rep = solve_problem(problem, method=cfg.method, tol=cfg.nonlinear_tol,
-                            max_iter=cfg.max_iter)
+                            max_iter=cfg.max_iter, u0=start)
         dt = time.time() - t0
+        if cfg.method == "newton":
+            prev = rep.solution
         exact = mesh.rho ** (-cone.blowup_exponent)
         err = float(np.max(np.abs(rep.solution.values - exact)))
         order = math.log2(errors[-1] / err) if errors else float("nan")

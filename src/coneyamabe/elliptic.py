@@ -13,10 +13,14 @@ W = rho_polar^(n-d) sin^(n-d-1)(omega) rewritten in log-radius.  Both
 directions carry the same coefficient A because log-polar coordinates are
 conformal on the half-plane.
 
-Assembly is vertex-centered finite volume: each grid edge contributes a
+Assembly is vertex-centered finite volume on trapezoidal cells (half-gaps
+on each side of a node, in xi and omega): each grid edge contributes a
 positive conductance, so off-diagonal entries are nonpositive and the matrix
-is symmetric in the weighted inner product.  Robin rows at omega = theta are
-half-cell balances (equivalent to second-order one-sided ghost elimination);
+is symmetric in the weighted inner product.  The quadrature weight of a node
+is the volume density Wt times its cell area, and a Robin-face node carries
+the surface density rho_polar^(n-d) sin^(n-d-1)(theta) times its cell width
+in xi.  Robin rows at omega = theta are half-cell balances (equivalent to
+second-order one-sided ghost elimination);
 the potentials c and c2 enter as diagonal volume and surface mass terms,
 mirroring the bilinear form B[u,v] + (c u, v) + (c2 u, v)_boundary, which is
 uniquely solvable once c is large enough; a shifted operator is assembled
@@ -33,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Field, Mesh, _half_widths, _write_rows
+from .mesh import Field, Mesh, _write_rows
 
 __all__ = [
     "OperatorAssembly",
@@ -78,8 +82,10 @@ class OperatorAssembly:
     """Assembled operator; treat as immutable after construction.
 
     stiffness          : edge-conductance part (symmetric CSR, all nodes)
-    volume_mass        : diagonal volume weights (mesh.node_weights)
-    boundary_mass      : diagonal surface weights (nonzero on Robin nodes)
+    volume_mass        : diagonal volume weights, Wt times the trapezoidal
+                         cell area, per node
+    boundary_mass      : diagonal surface weights (nonzero on Robin nodes;
+                         the Dirichlet-tagged corners carry none)
     c, c2              : linear potentials (full-length arrays; c2 read on Robin)
     m_matrix_ok        : row-sum certificate c >= 0 and c2 >= 0
     matrix             : integrated-form matrix, stiffness plus the volume and
@@ -108,6 +114,16 @@ class OperatorAssembly:
     _free_permuted: tuple[sp.csc_matrix, np.ndarray] | None = None
 
 
+def _half_widths(nodes: np.ndarray) -> np.ndarray:
+    """Trapezoidal cell widths: half-gaps left+right, half-gap at the ends."""
+    gaps = np.diff(nodes)
+    w = np.empty(len(nodes))
+    w[0] = 0.5 * gaps[0]
+    w[-1] = 0.5 * gaps[-1]
+    w[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
+    return w
+
+
 def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
     """Assemble the weighted divergence-form operator with Robin rows.
 
@@ -134,7 +150,8 @@ def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
     # radial edges (i, j) -- (i+1, j): conductance A(midpoint) * cell width / gap,
     # with A = rho_polar^(p-1) sin^(p-1)(omega)
     rho_half = np.sqrt(radial[:-1] * radial[1:])
-    k_rad = np.outer(rho_half ** (p - 1) / gxi, np.sin(angular) ** (p - 1) * domw)
+    sin_domw = np.sin(angular) ** (p - 1) * domw
+    k_rad = np.outer(rho_half ** (p - 1) / gxi, sin_domw)
 
     # angular edges (i, j) -- (i, j+1)
     om_half = 0.5 * (angular[:-1] + angular[1:])
@@ -169,8 +186,12 @@ def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
             stacklevel=2,
         )
 
-    volume_mass = mesh.node_weights.copy()
-    boundary_mass = mesh.robin_weights.copy()
+    # volume density in (xi, omega): Wt = rho_polar^(p+1) sin^(p-1)(omega)
+    volume_mass = np.outer(radial ** (p + 1) * dxiw, sin_domw).ravel()
+    # surface density per unit xi: rho_polar^p sin^(p-1)(theta), off the corners
+    boundary_mass = np.zeros((nr, na))
+    boundary_mass[1:-1, -1] = radial[1:-1] ** p * np.sin(angular[-1]) ** (p - 1) * dxiw[1:-1]
+    boundary_mass = boundary_mass.ravel()
     matrix = (stiffness + sp.diags(volume_mass * cvals + boundary_mass * c2vals)).tocsr()
     free = mesh.free_mask
     return OperatorAssembly(

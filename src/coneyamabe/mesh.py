@@ -10,10 +10,10 @@ rho = rho_polar*sin(omega).
 
 Meshes are tensor products of a log-uniform radial grid and an angular grid
 graded toward omega = 0; in the computational plane (log rho_polar, omega)
-the domain is a rectangle.  The quadrature weight per node is the reduced
-volume density W = rho_polar^(n-d) sin^(n-d-1)(omega) times the cell area
-(measured in the log-radial coordinate), and Robin-face nodes carry the
-surface density rho_polar^(n-d) sin^(n-d-1)(theta) per unit log-radius.
+the domain is a rectangle.  A mesh holds its nodes and their boundary tags
+only; the quadrature weights belong to the finite-volume rule in elliptic.
+resample carries a field between two meshes of one domain, bilinearly in
+that rectangle.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "Field",
     "build_mesh",
     "truncation_family",
+    "resample",
     "write_field_table",
     "read_field_table",
 ]
@@ -86,8 +87,6 @@ class Mesh:
     radial_nodes: np.ndarray
     angular_nodes: np.ndarray
     tags: np.ndarray = field(repr=False)
-    node_weights: np.ndarray = field(repr=False)
-    robin_weights: np.ndarray = field(repr=False)  # full length; nonzero on ROBIN_CONE only
 
     @property
     def n_radial(self) -> int:
@@ -187,18 +186,7 @@ class Field:
         return cls.full(mesh, 0.0)
 
 
-def _half_widths(nodes: np.ndarray) -> np.ndarray:
-    """Trapezoidal cell widths: half-gaps left+right, half-gap at the ends."""
-    gaps = np.diff(nodes)
-    w = np.empty(len(nodes))
-    w[0] = 0.5 * gaps[0]
-    w[-1] = 0.5 * gaps[-1]
-    w[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
-    return w
-
-
 def _assemble_mesh(domain: ReducedDomain, radial_nodes, angular_nodes) -> Mesh:
-    cone = domain.cone
     nr, na = len(radial_nodes), len(angular_nodes)
     if nr < 4 or na < 4:
         raise ValueError(f"need at least 4 nodes per direction, got {nr} x {na}")
@@ -213,24 +201,11 @@ def _assemble_mesh(domain: ReducedDomain, radial_nodes, angular_nodes) -> Mesh:
     tags[(jj == na - 1)] = BoundaryTag.ROBIN_CONE
     tags[(ii == 0) | (ii == nr - 1)] = BoundaryTag.DIRICHLET_RADIAL  # corners go Dirichlet
 
-    p = cone.n - cone.d  # transverse dimension; weight W = rho_polar^p sin^(p-1)(omega)
-    xi = np.log(radial_nodes)
-    dxi = _half_widths(xi)
-    dom = _half_widths(angular_nodes)
-    # volume density in (xi, omega): W * rho_polar = rho_polar^(p+1) sin^(p-1)
-    wvol = np.outer(radial_nodes ** (p + 1) * dxi, np.sin(angular_nodes) ** (p - 1) * dom)
-    # surface density on the cone face per unit xi: W = rho_polar^p sin^(p-1)(theta);
-    # corners are Dirichlet-tagged, so they carry no Robin surface weight
-    wrob = np.zeros((nr, na))
-    wrob[1:-1, na - 1] = radial_nodes[1:-1] ** p * np.sin(angular_nodes[-1]) ** (p - 1) * dxi[1:-1]
-
     return Mesh(
         domain=domain,
         radial_nodes=np.asarray(radial_nodes, dtype=float),
         angular_nodes=np.asarray(angular_nodes, dtype=float),
         tags=tags.reshape(-1),
-        node_weights=wvol.reshape(-1),
-        robin_weights=wrob.reshape(-1),
     )
 
 
@@ -285,6 +260,32 @@ def truncation_family(
         meshes.append(_assemble_mesh(domain, base.radial_nodes, angular))
         omega_min = new_min
     return meshes
+
+
+def _bracket(new: np.ndarray, old: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each new node, the old interval k holding it and its fraction
+    t in [0, 1] along old[k]..old[k+1] (nodes outside are clamped)."""
+    s = np.interp(new, old, np.arange(len(old), dtype=float))
+    k = np.minimum(s.astype(int), len(old) - 2)
+    return k, s - k
+
+
+def resample(f: Field, mesh: Mesh) -> Field:
+    """f carried onto mesh, bilinear in (log rho_polar, omega).
+
+    Both meshes must share one domain (else ValueError), so the target's
+    nodes lie in the source's rectangle and the result is a convex
+    combination of f's values at the four corners of each node's cell:
+    positive when f is, and exact for fields bilinear in the rectangle.
+    """
+    src = f.mesh
+    if src.domain != mesh.domain:
+        raise ValueError("cannot resample between meshes of different domains")
+    kr, tr = _bracket(np.log(mesh.radial_nodes), np.log(src.radial_nodes))
+    ka, ta = _bracket(mesh.angular_nodes, src.angular_nodes)
+    u = f.values.reshape(src.n_radial, src.n_angular)
+    rows = (1.0 - tr)[:, None] * u[kr] + tr[:, None] * u[kr + 1]
+    return Field(mesh, ((1.0 - ta) * rows[:, ka] + ta * rows[:, ka + 1]).reshape(-1))
 
 
 # rows formatted per write: one join per chunk keeps memory flat in the table size

@@ -471,12 +471,13 @@ def newton_solve(
     """Full-step Newton iteration on the discrete system.
 
     Starts from the Dirichlet data with zero on the free nodes unless u0 is
-    given (Dirichlet rows of any start are overwritten by the data).  At the
-    zero-interior start the Jacobian is the free block of
-    problem.linear_operator, since p c0 0^(p-1) = q c1 0^(q-1) = 0, and the
-    residual is the Dirichlet lift, so the first step lands bitwise on the
-    linear lift u_L of the data, A u_L = 0 on the free rows.  The lift is a
-    supersolution, since F(u_L) = c0 u_L^p + c1 u_L^q >= 0 (integrated),
+    given, such as a coarser mesh's solution carried over by mesh.resample
+    (Dirichlet rows of any start are overwritten by the data, and negative
+    values are clipped to zero).  At the zero-interior start the Jacobian
+    is the free block of problem.linear_operator, since
+    p c0 0^(p-1) = q c1 0^(q-1) = 0, and the residual is the Dirichlet
+    lift, so the first step lands bitwise on the linear lift u_L of the
+    data, A u_L = 0 on the free rows.  The lift is a supersolution, since F(u_L) = c0 u_L^p + c1 u_L^q >= 0 (integrated),
     and lies in [0, max(data)] when c, c2_lin >= 0.  That step needs
     problem.linear_operator to be positive definite, else
     IndefiniteOperatorError: an API caller whose linear part is indefinite
@@ -594,17 +595,21 @@ def solve_problem(
     method: str = "newton",
     tol: float = 1e-10,
     max_iter: int | None = None,
+    u0: Field | None = None,
 ) -> SolverReport:
     """Dispatch to the requested nonlinear scheme with its standard setup.
 
-    Newton starts from the data with zero on the free nodes, the monotone
-    iteration from the bracket [0, pick_cap(problem)]; max_iter=None keeps
-    the scheme's own iteration limit.
+    Newton starts from u0 when given (see newton_solve), else from the data
+    with zero on the free nodes; the monotone iteration always starts from
+    the bracket [0, pick_cap(problem)], so a u0 with method "monotone" is a
+    ValueError.  max_iter=None keeps the scheme's own iteration limit.
     """
     limit = {} if max_iter is None else {"max_iter": max_iter}
     if method == "newton":
-        return newton_solve(problem, tol=tol, **limit)
+        return newton_solve(problem, u0=u0, tol=tol, **limit)
     if method == "monotone":
+        if u0 is not None:
+            raise ValueError("the monotone iteration starts from its bracket; it takes no u0")
         S = pick_cap(problem)
         report, _ = monotone_iterate(
             problem, Field.zeros(problem.mesh), S, tol=max(tol, 1e-12), **limit

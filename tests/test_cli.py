@@ -327,6 +327,18 @@ def test_verify_model_counts_every_factorization(tmp_path, orderings):
     assert orderings == {"MMD_AT_PLUS_A": 3, "NATURAL": total - 3}
 
 
+def test_verify_ladder_starts_each_mesh_from_the_coarser_solution(tmp_path):
+    # from its default start every mesh of the benchmark ladder takes 4
+    # factorizations; started from the coarser solution the fine ones take 2
+    out = tmp_path / "out"
+    config = str(BENCH_CONFIGS / "verify_n3_d1.cfg")
+    assert main(["verify-model", "--config", config, "--out", str(out)]) == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    summary = dict(line.split(" = ", 1) for line in lines)
+    assert int(summary["verify_model.factorizations_128"]) <= 2
+    assert int(summary["verify_model.factorizations_256"]) <= 2
+
+
 def test_eigen_experiment(tmp_path):
     cfgpath = write_cfg(
         tmp_path, "eigen", extra="eigen_denominator = volume",

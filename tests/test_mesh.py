@@ -1,4 +1,4 @@
-"""Mesh construction, tags, quadrature weights and serialization."""
+"""Mesh construction, tags, quadrature weights, resampling and serialization."""
 
 import io
 import math
@@ -11,8 +11,10 @@ from coneyamabe import (
     ConeModel,
     Field,
     ReducedDomain,
+    assemble,
     build_mesh,
     read_field_table,
+    resample,
     truncation_family,
     write_field_table,
 )
@@ -91,35 +93,36 @@ def test_weights_positive_and_match_analytic_integral():
     # sum of node weights approximates the analytic integral of
     # rho_polar^(n-d) sin^(n-d-1) within 1% at 64x64 for n=3, d=1
     dom = make_domain(3, 1, 1.0, omega_min=0.1)
-    mesh = build_mesh(dom, 64, 64, 2.0)
-    assert np.all(mesh.node_weights > 0)
+    weights = assemble(build_mesh(dom, 64, 64, 2.0)).volume_mass
+    assert np.all(weights > 0)
     theta = dom.cone.theta
     exact = (2.0**3 - 0.5**3) / 3.0 * (math.cos(0.1) - math.cos(theta))
-    total = mesh.node_weights.sum()
+    total = weights.sum()
     assert abs(total - exact) / exact < 0.01
 
 
 def test_weights_integral_other_dimensions():
     # n=5, d=2: integrand rho^3 sin^2, closed form via sin^2 = (1-cos2)/2
     dom = make_domain(5, 2, 1.0, omega_min=0.2)
-    mesh = build_mesh(dom, 64, 64, 2.0)
+    weights = assemble(build_mesh(dom, 64, 64, 2.0)).volume_mass
     theta = dom.cone.theta
     radial = (2.0**4 - 0.5**4) / 4.0
     ang = 0.5 * (theta - 0.2) - 0.25 * (math.sin(2 * theta) - math.sin(0.4))
     exact = radial * ang
-    assert abs(mesh.node_weights.sum() - exact) / exact < 0.01
+    assert abs(weights.sum() - exact) / exact < 0.01
     # codimension-one case d = n-1: angular weight is flat
     dom = make_domain(4, 3, 1.0, omega_min=0.2)
-    mesh = build_mesh(dom, 64, 64, 2.0)
+    weights = assemble(build_mesh(dom, 64, 64, 2.0)).volume_mass
     exact = (2.0**2 - 0.5**2) / 2.0 * (dom.cone.theta - 0.2)
-    assert abs(mesh.node_weights.sum() - exact) / exact < 0.01
+    assert abs(weights.sum() - exact) / exact < 0.01
 
 
 def test_robin_weights_live_on_cone_face_only():
     mesh = build_mesh(make_domain(), 12, 10, 2.0)
+    weights = assemble(mesh).boundary_mass
     rob = mesh.robin_mask
-    assert np.all(mesh.robin_weights[rob] > 0)
-    assert np.all(mesh.robin_weights[~rob] == 0)
+    assert np.all(weights[rob] > 0)
+    assert np.all(weights[~rob] == 0)
     # surface weight: rho_polar^(n-d) sin^(n-d-1)(theta) per unit log-radius
     theta = mesh.domain.cone.theta
     p = mesh.domain.cone.n - mesh.domain.cone.d
@@ -128,7 +131,32 @@ def test_robin_weights_live_on_cone_face_only():
     xi = np.log(mesh.radial_nodes)
     dxi = 0.5 * (xi[i + 1] - xi[i - 1])
     expected = mesh.radial_nodes[i] ** p * math.sin(theta) ** (p - 1) * dxi
-    assert mesh.robin_weights[idx] == pytest.approx(expected, rel=1e-13)
+    assert weights[idx] == pytest.approx(expected, rel=1e-13)
+
+
+def test_resample_is_exact_on_bilinear_fields():
+    # a field bilinear in (log rho_polar, omega) is its own bilinear
+    # interpolant, whatever the two grids
+    dom = make_domain(3, 1, 1.0, omega_min=0.1)
+    coarse, fine = build_mesh(dom, 12, 12, 2.0), build_mesh(dom, 20, 20, 1.5)
+
+    def bilinear(mesh):
+        xi, om = np.log(mesh.rho_polar), mesh.omega
+        return 2.0 + 0.7 * xi - 1.3 * om + 0.9 * xi * om
+
+    u = resample(Field(coarse, bilinear(coarse)), fine)
+    assert u.mesh is fine
+    assert np.max(np.abs(u.values - bilinear(fine))) <= 1e-12
+    back = resample(Field(fine, bilinear(fine)), coarse)
+    assert np.max(np.abs(back.values - bilinear(coarse))) <= 1e-12
+
+
+def test_resample_refuses_meshes_of_different_domains():
+    mesh = build_mesh(make_domain(omega_min=0.1), 12, 12, 2.0)
+    u = Field.full(mesh, 1.0)
+    for other in (make_domain(omega_min=0.2), make_domain(r1=3.0), make_domain(h=2.0)):
+        with pytest.raises(ValueError, match="different domains"):
+            resample(u, build_mesh(other, 20, 20, 2.0))
 
 
 def test_refinement_scales_node_count_and_preserves_tags():

@@ -30,6 +30,7 @@ from coneyamabe import (
     monotone_iterate,
     newton_solve,
     pick_cap,
+    resample,
     solve_mixed,
     solve_problem,
     truncation_family,
@@ -474,6 +475,27 @@ def test_start_factor_is_used_once(factors):
     rep = newton_solve(problem, u0=start)
     assert factors[0].solves == 1
     assert sum(f.solves for f in factors) == rep.iterations
+
+
+def test_coarse_to_fine_start_agrees_with_the_default_start():
+    # the verify ladder's start: the 32^2 solution resampled onto 64^2
+    # reaches the default start's solution within Newton's tolerance, in
+    # fewer steps
+    tol = 1e-8
+    coarse, fine = (make_mesh(omega_min=ConeModel(3, 1, 1.0).theta / 8.0, nn=nn)
+                    for nn in (32, 64))
+    start = resample(solve_problem(model_problem(coarse), tol=tol).solution, fine)
+    warm = solve_problem(model_problem(fine), tol=tol, u0=start)
+    cold = solve_problem(model_problem(fine), tol=tol)
+    assert warm.iterations < cold.iterations
+    u = cold.solution.values
+    assert np.max(np.abs(warm.solution.values - u)) <= tol * (1.0 + np.max(np.abs(u)))
+
+
+def test_monotone_solve_takes_no_start():
+    mesh = make_mesh(nn=8)
+    with pytest.raises(ValueError, match="bracket"):
+        solve_problem(model_problem(mesh), method="monotone", u0=Field.zeros(mesh))
 
 
 def test_randomized_comparison_orderings():
