@@ -4,8 +4,9 @@ Subcommands: curvature | solve | verify-model | dichotomy | eigen, each
 driven by a config file (see config.py for the schema).  Every run writes
 comma-separated tables with a header row, a structured key = value summary,
 and (unless disabled) line plots of log10 u against log10 rho as standalone
-SVG.  Exit codes: 0 success, 1 config or usage error, 2 solver failure,
-3 internal acceptance-check failure.
+SVG.  Exit codes: 0 success, 1 config or usage error, 2 solver failure
+(any SolverError), 3 internal acceptance-check failure; a run that exits
+2 or 3 still writes its summary, with the status and the error.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, echo_config, parse_config
-from .elliptic import (
-    IndefiniteOperatorError,
-    NonConvergenceError,
-    assemble,
-    principal_eigen,
-    rayleigh_quotient,
-)
+from .elliptic import SolverError, assemble, principal_eigen, rayleigh_quotient
 from .geometry import (
     conformal_rho2_curvatures,
     euclidean_boundary_mean_curvature,
@@ -38,11 +33,7 @@ from .geometry import (
 )
 from .mesh import Mesh, build_mesh, resample, truncation_family, write_field_table
 from .solver import (
-    CapSearchError,
-    MonotonicityViolationError,
     NonlinearProblem,
-    NoStabilizationError,
-    OrderingViolationError,
     flat_cone_problem,
     maximal_solution,
     model_dirichlet_data,
@@ -54,16 +45,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_CHECK = 3
-
-SOLVER_ERRORS = (
-    NonConvergenceError,
-    IndefiniteOperatorError,
-    OrderingViolationError,
-    NoStabilizationError,
-    MonotonicityViolationError,
-    CapSearchError,
-)
-
 
 class AcceptanceCheckError(RuntimeError):
     """An internal consistency check of the experiment failed."""
@@ -448,7 +429,7 @@ def main(argv=None) -> int:
     except AcceptanceCheckError as exc:
         status, code, error = "check-failed", EXIT_CHECK, str(exc)
         print(f"acceptance check failed: {error}", file=sys.stderr)
-    except SOLVER_ERRORS as exc:
+    except SolverError as exc:
         status, code, error = "solver-failed", EXIT_SOLVER, f"{type(exc).__name__}: {exc}"
         print(f"solver failure: {error}", file=sys.stderr)
     summary.add("status", status)

@@ -43,6 +43,7 @@ __all__ = [
     "OperatorAssembly",
     "LinearSolveReport",
     "MMatrixWarning",
+    "SolverError",
     "NonConvergenceError",
     "IndefiniteOperatorError",
     "NegativeEigenvectorError",
@@ -61,19 +62,24 @@ class MMatrixWarning(UserWarning):
     """The assembled operator lost the discrete-maximum-principle certificate."""
 
 
-class NonConvergenceError(RuntimeError):
+class SolverError(RuntimeError):
+    """A solve failed: the base of every solver-layer failure, which the
+    command line reports with exit code 2."""
+
+
+class NonConvergenceError(SolverError):
     def __init__(self, message, iterations=None, residual=None):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual
 
 
-class IndefiniteOperatorError(RuntimeError):
+class IndefiniteOperatorError(SolverError):
     """A factored matrix could not be certified positive definite (raise
     the potential c)."""
 
 
-class NegativeEigenvectorError(RuntimeError):
+class NegativeEigenvectorError(SolverError):
     """Ground-state candidate has negative components: discrete maximum principle lost."""
 
 

@@ -50,6 +50,7 @@ import numpy as np
 from .elliptic import (
     NonConvergenceError,
     OperatorAssembly,
+    SolverError,
     _back_solve,
     _dirichlet_lift,
     _factor_spd,
@@ -92,20 +93,20 @@ DEFAULT_DATA_SEQUENCE = tuple(float(2**k) for k in range(17))  # 1, 2, ..., 2^16
 MONOTONE_MAX_ITER = 2000
 
 
-class OrderingViolationError(RuntimeError):
+class OrderingViolationError(SolverError):
     """Bracket or comparison ordering broke beyond tolerance: the discrete
     maximum principle failed; refine the mesh or raise the shifts."""
 
 
-class NoStabilizationError(RuntimeError):
+class NoStabilizationError(SolverError):
     """Interior probe values failed to settle before the data sequence ran out."""
 
 
-class MonotonicityViolationError(RuntimeError):
+class MonotonicityViolationError(SolverError):
     """Truncation-limit sequence failed to decrease beyond discretization noise."""
 
 
-class CapSearchError(RuntimeError):
+class CapSearchError(SolverError):
     """No constant cap is a supersolution: a negative linear potential
     meets a vanishing nonlinear coefficient."""
 
@@ -365,7 +366,9 @@ def monotone_iterate(
     0 <= sub0 <= S, else ValueError.  Stops when the lower increment drops
     below tol in sup norm; a huge shift makes every step tiny, so the
     limit's residual must also lie within 10 * tol * (1 + S^p), else
-    NonConvergenceError.
+    NonConvergenceError.  A cap so large that S^(p-1), S^(q-1) or S^p
+    leaves the double range also raises NonConvergenceError, naming the
+    power.
     """
     mesh = problem.mesh
     S = float(S)
@@ -382,11 +385,20 @@ def monotone_iterate(
     if np.min(lower) < -otol or np.max(lower) > S + otol:
         raise ValueError("sub0 must satisfy 0 <= sub0 <= S")
 
+    def cap_power(e):
+        # a float power past the double range raises OverflowError
+        try:
+            return S**e
+        except OverflowError:
+            raise NonConvergenceError(
+                f"S^{e:g} overflows at the monotone cap S = {S:.3e}"
+            ) from None
+
     rob = mesh.robin_mask
-    shift_i = max(0.0, float(np.max(problem.c.values + p * problem.c0.values * S ** (p - 1))))
+    shift_i = max(0.0, float(np.max(problem.c.values + p * problem.c0.values * cap_power(p - 1))))
     shift_b = max(
         0.0,
-        float(np.max(problem.c2_lin.values[rob] + q * problem.c1.values[rob] * S ** (q - 1))),
+        float(np.max(problem.c2_lin.values[rob] + q * problem.c1.values[rob] * cap_power(q - 1))),
     )
     op = assemble(mesh, shift_i, shift_b)
     free = mesh.free_mask
@@ -436,7 +448,7 @@ def monotone_iterate(
             residual=inc,
         )
     residual = problem.residual_sup(lower)
-    if residual > 10.0 * tol * (1.0 + S**p):
+    if residual > 10.0 * tol * (1.0 + cap_power(p)):
         raise NonConvergenceError(
             f"monotone iteration stalled at increment {inc:.3e} after {iterations} steps: "
             f"residual {residual:.3e} exceeds 10 * tol * (1 + S^p)",
@@ -789,20 +801,18 @@ def maximal_solution(
     Newton's zero-interior start, with its nondecreasing-in-data check at
     every datum.  Each deeper level solves only the last two data values,
     which are all the certificate and the cross-level comparison read,
-    warm-started from the previous level's solution.  Per radial row the start is the smaller of two fields: the
-    coarse solution on the shared free columns (+inf on the new octave and
-    the old inner Dirichlet column), and the coarse solution moved down one
-    octave, read at angle min(2 omega, theta) by linear interpolation in
-    (log omega, log u).  The shift is defined by angle, not by column
-    index, so it carries the near-face profile to the new face whatever
-    the node spacing.  Newton reaches the same solution from any
-    nonnegative start, so the warm start changes the step and factor
-    counts, not the result.  All levels share the final data
-    height: the restriction of a deeper solution to a coarser mesh is then
-    itself a discrete solution with smaller boundary values and the nodewise
-    decrease across levels is exact up to solver tolerance (checked against
-    ten times the discretization-noise estimate, else
-    MonotonicityViolationError).  Each level's exhaustion orders its last
+    warm-started from the previous level's solution moved down one octave:
+    per radial row, the start at angle omega is the coarse solution at
+    min(2 omega, theta), read by linear interpolation in (log omega, log u).
+    The shift is defined by angle, not by column index, so it carries the
+    near-face profile to the new face whatever the node spacing.  Newton
+    reaches the same solution from any nonnegative start, so the warm start
+    changes the step and factor counts, not the result.  All levels share
+    the final data height: the restriction of a deeper solution to a
+    coarser mesh is then itself a discrete solution with smaller boundary
+    values and the nodewise decrease across levels is exact up to solver
+    tolerance (checked against ten times the discretization-noise estimate,
+    else MonotonicityViolationError).  Each level's exhaustion orders its last
     two solutions and certifies stabilization at the final datum on the
     base level's probe set (NoStabilizationError otherwise).  Returns one
     LevelRecord per level, holding the level's solution, its Newton totals
@@ -826,13 +836,11 @@ def maximal_solution(
             off = mesh.angular_offset_of(coarse)
             na_f, na_c = mesh.n_angular, coarse.n_angular
             uc = levels[-1].solution.values.reshape(coarse.n_radial, na_c)
-            own = np.full((mesh.n_radial, na_f), np.inf)
-            own[:, off + 1:] = uc[:, 1:]
             # the coarse profile moved down one octave, read in (log omega, log u)
             at = np.log(np.minimum(2.0 * mesh.angular_nodes, theta))
             grid = np.log(coarse.angular_nodes)
             shifted = np.exp([np.interp(at, grid, row) for row in np.log(uc)])
-            data, start = seq[-2:], Field(mesh, np.minimum(own, shifted).ravel())
+            data, start = seq[-2:], Field(mesh, shifted.ravel())
         else:
             data, start = seq, None
         solves = exhaustion_blowup_solve(

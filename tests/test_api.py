@@ -24,3 +24,12 @@ def test_every_listed_name_exists(module):
     assert len(set(module.__all__)) == len(module.__all__)
     for name in module.__all__:
         assert getattr(coneyamabe, name) is getattr(module, name)
+
+
+def test_every_solver_failure_is_a_solver_error():
+    failures = (
+        elliptic.NonConvergenceError, elliptic.IndefiniteOperatorError,
+        elliptic.NegativeEigenvectorError, solver.OrderingViolationError,
+        solver.NoStabilizationError, solver.MonotonicityViolationError, solver.CapSearchError,
+    )
+    assert all(issubclass(cls, coneyamabe.SolverError) for cls in failures)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import coneyamabe
 from coneyamabe import CurvatureReport, Field, cli
 from coneyamabe.cli import main
 from coneyamabe.config import _SCHEMA, ConfigError, ExperimentConfig, echo_config, parse_config
@@ -426,6 +427,25 @@ def test_eigen_rayleigh_check_failure_exits_3(tmp_path, monkeypatch):
     assert summary["error"].startswith("Rayleigh quotient of the eigenvector")
 
 
+@pytest.mark.parametrize("name", [
+    "NonConvergenceError", "IndefiniteOperatorError", "NegativeEigenvectorError",
+    "OrderingViolationError", "NoStabilizationError", "MonotonicityViolationError",
+    "CapSearchError",
+])
+def test_every_solver_error_exits_2_with_a_summary(tmp_path, monkeypatch, name):
+    def failing(op, variant):
+        raise getattr(coneyamabe, name)("raised inside the run")
+
+    monkeypatch.setattr(cli, "principal_eigen", failing)
+    code, summary = _failed_check(
+        tmp_path, "eigen", extra="eigen_denominator = volume",
+        body="[mesh]\nn_radial = 8\nn_angular = 8\n",
+    )
+    assert code == 2
+    assert summary["status"] == "solver-failed"
+    assert summary["error"] == f"{name}: raised inside the run"
+
+
 def test_dichotomy_experiment_small(tmp_path):
     # tiny threshold-free sweep: a single supercritical dimension, shallow levels
     cfgpath = write_cfg(
@@ -561,17 +581,19 @@ def test_stalled_monotone_solve_fails_loudly(tmp_path, c0):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("method, error", [
-    ("monotone", "NonConvergenceError: direct solve residual nan"),
-    ("newton", "NonConvergenceError: non-finite residual"),
-], ids=["monotone", "newton"])
-def test_monotone_solve_with_overflowing_data_fails_loudly(tmp_path, method, error):
+@pytest.mark.parametrize("method, data, error", [
+    ("monotone", "1e70", "NonConvergenceError: direct solve residual nan"),
+    ("newton", "1e70", "NonConvergenceError: non-finite residual"),
+    ("monotone", "1e80", "NonConvergenceError: S^4 overflows at the monotone cap S = 1.000e+80"),
+], ids=["monotone", "newton", "monotone-shift"])
+def test_monotone_solve_with_overflowing_data_fails_loudly(tmp_path, method, data, error):
     # at data 1e70 the source c0 u^5 overflows: the monotone cap branch's
     # back-solve residual check stops the run on the first step, and Newton
     # refuses the residual at its first iterate, the linear lift; both exit
-    # 2 and name the non-finite value, not an indefinite operator
+    # 2 and name the non-finite value, not an indefinite operator.  At 1e80
+    # the monotone shift c0 p S^(p-1) itself leaves the double range.
     cfgpath = write_cfg(
-        tmp_path, "solve", extra=f"method = {method}\ndirichlet = 1e70",
+        tmp_path, "solve", extra=f"method = {method}\ndirichlet = {data}",
         body="[mesh]\nn_radial = 8\nn_angular = 8\n",
     )
     out = tmp_path / "out"
