@@ -83,6 +83,22 @@ class ConeModel:
         """(n-2)/2, the rate of the complete conformal factor near the singular set."""
         return 0.5 * (self.n - 2)
 
+    def blowup_amplitude(self, c0) -> float:
+        """K = (a (d-a) / c0)^(1/(p-1)), a = (n-2)/2, p = (n+2)/(n-2).
+
+        Near the singular set the complete solution behaves like K rho^(-a),
+        whatever the slope h and the boundary coefficient c1.  K is 0.0 when
+        d <= a, where no complete solution exists.  c0 must be positive and
+        finite, else ValueError.
+        """
+        c0 = float(c0)
+        if not (c0 > 0.0 and math.isfinite(c0)):
+            raise ValueError(f"c0 must be finite and positive, got {c0}")
+        a = self.blowup_exponent
+        if self.d <= a:
+            return 0.0
+        return (a * (self.d - a) / c0) ** (0.5 * a)  # 1/(p-1) = (n-2)/4 = a/2
+
 
 @dataclass(frozen=True)
 class CurvatureReport:

@@ -26,10 +26,11 @@ Two routes to the discrete solution are provided and cross-checked:
   c1 u^q, Jacobian a nonsingular M-matrix), so after its first step the
   iterates are supersolutions decreasing nodewise to the solution from any
   nonnegative start, and no line search is needed.  The same monotone
-  theory covers a Jacobian frozen at an earlier supersolution iterate
-  (Shamanskii's modified Newton), so a certified factor is kept across
-  steps while they contract fast, and every Jacobian of one operator is
-  factored under the one fill-reducing ordering computed for the first.
+  theory covers a Jacobian frozen at an earlier supersolution iterate, or
+  at a start lying above its first iterate (Shamanskii's modified Newton),
+  so a certified factor is kept across steps while they contract fast,
+  and every Jacobian of one operator is factored under the one
+  fill-reducing ordering computed for the first.
   Used as the inner solver for the exhaustion limits.
 
 On top of these sit the large-data exhaustion (Dirichlet data m -> infinity
@@ -367,8 +368,9 @@ def monotone_iterate(
     below tol in sup norm; a huge shift makes every step tiny, so the
     limit's residual must also lie within 10 * tol * (1 + S^p), else
     NonConvergenceError.  A cap so large that S^(p-1), S^(q-1) or S^p
-    leaves the double range also raises NonConvergenceError, naming the
-    power.
+    leaves the double range, or that the frozen source c0 u^p or c1 u^q
+    overflows on the cap branch, also raises NonConvergenceError, naming
+    the power or the source.
     """
     mesh = problem.mesh
     S = float(S)
@@ -411,8 +413,12 @@ def monotone_iterate(
     def step(u):
         # the frozen right-hand side on the free nodes, as solve_mixed forms it
         un = np.clip(u[free], 0.0, None)
-        rhs = (shift_i - cvals) * un - c0 * un**p
-        g = (shift_b - c2vals) * un - c1 * un**q
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = (shift_i - cvals) * un - c0 * un**p
+            g = (shift_b - c2vals) * un - c1 * un**q
+        for source, term in ((rhs, f"c0 u^{p:g}"), (g, f"c1 u^{q:g}")):
+            if not np.all(np.isfinite(source)):
+                raise NonConvergenceError(f"{term} overflows at the monotone cap S = {S:.3e}")
         x, _ = _back_solve(op, vmass * rhs + bmass * g - lift)
         new = data.copy()
         new[free] = x
@@ -489,31 +495,38 @@ def newton_solve(
     is the free block of problem.linear_operator, since
     p c0 0^(p-1) = q c1 0^(q-1) = 0, and the residual is the Dirichlet
     lift, so the first step lands bitwise on the linear lift u_L of the
-    data, A u_L = 0 on the free rows.  The lift is a supersolution, since F(u_L) = c0 u_L^p + c1 u_L^q >= 0 (integrated),
-    and lies in [0, max(data)] when c, c2_lin >= 0.  That step needs
+    data, A u_L = 0 on the free rows.  The lift is a supersolution, since
+    F(u_L) = c0 u_L^p + c1 u_L^q >= 0 (integrated), and lies in
+    [0, max(data)] when c, c2_lin >= 0.  That step needs
     problem.linear_operator to be positive definite, else
     IndefiniteOperatorError: an API caller whose linear part is indefinite
     must pass u0.  Each step solves the linearization with potentials
     c + p c0 u^(p-1) and c2 + q c1 u^(q-1) and takes the whole step,
-    clipped at zero.  No damping is needed: the residual is convex in u (p, q > 1, c0, c1 >= 0) and its
-    Jacobian has nonpositive off-diagonals and is certified positive
-    definite by the sparse LU, so it is a nonsingular M-matrix with a
-    nonnegative inverse.  By the monotone convergence theorem for convex
-    M-functions, the first step from any start lands on a supersolution
-    and every later iterate decreases nodewise to the solution.
+    clipped at zero.  No damping is needed: the residual is convex in u
+    (p, q > 1, c0, c1 >= 0) and its Jacobian has nonpositive off-diagonals
+    and is certified positive definite by the sparse LU, so it is a
+    nonsingular M-matrix with a nonnegative inverse.  By the monotone
+    convergence theorem for convex M-functions, the first step from any
+    start lands on a supersolution and every later iterate decreases
+    nodewise to the solution.
 
     A factor is kept for later steps under two fixed rules: the factor
-    built at the start serves one step only, since the start need not be a
-    supersolution (the zero start is a subsolution), and a step that
-    shrinks the sup-norm increment by less than 4x forces a fresh factor at
-    the new iterate.  Reuse is safe: for supersolution iterates
-    u* <= u_k <= u_j with j >= 1, J(u_j) - J(u_k) is a nonnegative
-    diagonal, so J(u_j)^-1 >= 0, and convexity gives
-    u* <= u_k - J(u_j)^-1 F(u_k) <= u_k, again a supersolution.  Every kept
-    factor was certified when it was built.  A start far above the
+    built at the start is kept only when the first step goes down nodewise
+    (u_1 <= u_0), and a step that shrinks the sup-norm increment by less
+    than 4x forces a fresh factor at the new iterate.  Reuse is safe: for a
+    supersolution iterate u_k and a kept factor J(u_j) with u_k <= u_j,
+    J(u_j) - J(u_k) is a nonnegative diagonal, so J(u_j)^-1 >= 0, and
+    convexity gives u* <= u_k - J(u_j)^-1 F(u_k) <= u_k, again a
+    supersolution.  For j >= 1 the iterates decrease, so u_k <= u_j; for
+    j = 0 the first rule gives u_k <= u_1 <= u_0.  The zero start and
+    other subsolutions go up on their first step and drop the start
+    factor.  A coarser solution resampled onto a finer mesh lies above the
+    finer solution, goes down, and its factor can carry every step.  Every
+    kept factor was certified when it was built.  A start far above the
     solution, such as the constant max(data), sheds about a factor
-    p / (p-1) of its excess per step, too slowly for reuse, so it refactors
-    at every step of that phase; the first step from zero lands below it.
+    p / (p-1) of its excess per step, too slowly for the 4x rule, so it
+    refactors at nearly every step of that phase; the first step from zero
+    lands below it.
     Converges when the row-normalized residual is below 1e-11 and the
     sup-norm increment below tol * (1 + sup u); a residual that is not
     finite (c0 u^p or c1 u^q overflows) raises NonConvergenceError.  The
@@ -577,11 +590,12 @@ def newton_solve(
         trial = np.clip(trial, 0.0, None)
         trial[~free] = data[~free]
         step = float(np.max(np.abs(trial - u)))
+        # the start factor serves on only after a first step down; every
+        # factor serves on while steps shrink 4x
+        if step > 0.25 * inc or (iterations == 1 and not np.all(trial <= u)):
+            factor = None
         u = trial
         res, F = normalized_residual(u)
-        # the start factor serves one step; later ones while steps shrink 4x
-        if iterations == 1 or step > 0.25 * inc:
-            factor = None
         inc = step
         if res <= 1e-11 and inc <= tol * (1.0 + float(np.max(np.abs(u)))):
             break

@@ -221,6 +221,19 @@ def test_dirichlet_rows_match_data_exactly():
     assert np.array_equal(rep.solution.values[dmask], data.values[dmask])
 
 
+def test_a_solve_with_a_large_residual_is_refused():
+    # every back-solve checks its relative residual; a factor that returns
+    # a wrong solution fails loudly instead of handing it on
+    class Zero:
+        def solve(self, b):
+            return np.zeros_like(b)
+
+    op = assemble(make_mesh(nn=8))
+    op._free_factor = Zero()
+    with pytest.raises(NonConvergenceError, match="direct solve residual 1.000e\\+00"):
+        solve_mixed(op, 1.0, 0.0)
+
+
 def test_indefinite_operator_detection():
     mesh = make_mesh(nn=12)
     with warnings.catch_warnings():

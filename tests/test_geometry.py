@@ -283,6 +283,26 @@ def test_power_solution_satisfies_both_equations_at_random_points():
             assert abs(boundary) < 1e-10 * max(1.0, rho ** (-n / 2))
 
 
+def test_blowup_amplitude_closed_form_and_threshold():
+    # K = (a (d-a) / c0)^(1/(p-1)), a = (n-2)/2, p = (n+2)/(n-2): 2^(-1/2)
+    # for (3,1) and 1 for (4,2) at c0 = 1, independent of the slope h; zero
+    # at and below the threshold d = (n-2)/2
+    for h in (0.5, 1.0, 2.0):
+        assert ConeModel(3, 1, h).blowup_amplitude(1.0) == pytest.approx(2**-0.5, rel=1e-15)
+        assert ConeModel(4, 2, h).blowup_amplitude(1.0) == pytest.approx(1.0, rel=1e-15)
+    assert ConeModel(4, 2, 1.0).blowup_amplitude(4.0) == pytest.approx(0.5, rel=1e-15)
+    for n, d, c0 in [(3, 2, 0.3), (5, 2, 2.0), (6, 3, 1.0), (7, 4, 0.7)]:
+        a, p = 0.5 * (n - 2), (n + 2.0) / (n - 2.0)
+        K = (a * (d - a) / c0) ** (1.0 / (p - 1.0))
+        assert ConeModel(n, d, 1.0).blowup_amplitude(c0) == pytest.approx(K, rel=1e-14)
+    for n, d in [(4, 1), (5, 1), (6, 2), (8, 3)]:
+        assert d <= 0.5 * (n - 2)
+        assert ConeModel(n, d, 1.0).blowup_amplitude(1.0) == 0.0
+    for c0 in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="c0"):
+            ConeModel(3, 1, 1.0).blowup_amplitude(c0)
+
+
 # ---------------------------------------------------------------------------
 # converters and helpers
 # ---------------------------------------------------------------------------
