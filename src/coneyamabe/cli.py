@@ -12,6 +12,7 @@ SVG.  Exit codes: 0 success, 1 config or usage error, 2 solver failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -34,6 +35,7 @@ from .geometry import (
 from .mesh import Mesh, build_mesh, resample, truncation_family, write_field_table
 from .solver import (
     NonlinearProblem,
+    dichotomy_verdict,
     flat_cone_problem,
     maximal_solution,
     model_dirichlet_data,
@@ -276,7 +278,7 @@ def run_verify_model(cfg: ExperimentConfig, out: Path, summary: Summary) -> None
 
 
 def _dichotomy_single(cfg: ExperimentConfig, d: int):
-    sub = ExperimentConfig(**{**vars(cfg), "d": d, "d_list": []})
+    sub = dataclasses.replace(cfg, d=d, d_list=[])
     base = build_mesh(sub.domain(), sub.n_radial, sub.n_angular, sub.grading)
     meshes = truncation_family(base, sub.truncation_levels, sub.nodes_per_octave)
     problems = [_build_problem(sub, m, data=1.0) for m in meshes]
@@ -297,21 +299,17 @@ def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: i
     rows = []
     for d, reports in zip(d_values, results):
         last, prev = reports[-1], reports[-2]
+        verdict = dichotomy_verdict(reports).value
         rows.append([
-            cfg.n, d, cfg.h, len(reports),
-            last.fitted_exponent if last.fitted_exponent is not None else float("nan"),
-            last.completeness_indicator if last.completeness_indicator is not None else float("nan"),
-            prev.completeness_indicator if prev.completeness_indicator is not None else float("nan"),
-            last.near_gamma_sup if last.near_gamma_sup is not None else float("nan"),
-            last.near_gamma_variation if last.near_gamma_variation is not None else float("nan"),
-            last.verdict.value,
+            cfg.n, d, cfg.h, len(reports), last.fitted_exponent,
+            last.completeness_indicator, prev.completeness_indicator,
+            last.near_gamma_sup, last.near_gamma_variation, verdict,
         ])
-        summary.add(f"dichotomy.d{d}.alpha", rows[-1][4])
-        summary.add(f"dichotomy.d{d}.alpha_r2",
-                    last.fit_r2 if last.fit_r2 is not None else float("nan"))
-        summary.add(f"dichotomy.d{d}.completeness", rows[-1][5])
-        summary.add(f"dichotomy.d{d}.near_gamma_variation", rows[-1][8])
-        summary.add(f"dichotomy.d{d}.verdict", last.verdict.value)
+        summary.add(f"dichotomy.d{d}.alpha", last.fitted_exponent)
+        summary.add(f"dichotomy.d{d}.alpha_r2", last.fit_r2)
+        summary.add(f"dichotomy.d{d}.completeness", last.completeness_indicator)
+        summary.add(f"dichotomy.d{d}.near_gamma_variation", last.near_gamma_variation)
+        summary.add(f"dichotomy.d{d}.verdict", verdict)
         summary.add(f"dichotomy.d{d}.newton_steps", sum(r.iterations for r in reports))
         summary.add(f"dichotomy.d{d}.factorizations", sum(r.factorizations for r in reports))
         if cfg.plot:

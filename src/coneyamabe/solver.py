@@ -557,19 +557,22 @@ def newton_solve(
         # row-normalized residual: near blow-up data the raw rows span many
         # orders of magnitude and a global norm would let the interior be
         # sloppy, so each row is measured against its own term sizes.
-        # Returns the norm and the integrated residual it measured.
-        F = problem.integrated_residual(vec)
-        if not np.all(np.isfinite(F)):
-            raise NonConvergenceError(
-                "non-finite residual: c0 u^p or c1 u^q overflows at the Newton iterate",
-                iterations=iterations,
+        # Returns the norm and the integrated residual it measured.  A power
+        # may overflow on a Dirichlet row, which both discard; on a free row
+        # the finite check reports it.
+        with np.errstate(over="ignore"):
+            F = problem.integrated_residual(vec)
+            if not np.all(np.isfinite(F)):
+                raise NonConvergenceError(
+                    "non-finite residual: c0 u^p or c1 u^q overflows at the Newton iterate",
+                    iterations=iterations,
+                )
+            un = np.clip(vec, 0.0, None)
+            scale = (
+                abs_matrix @ np.abs(vec)
+                + op0.volume_mass * (problem.c0.values * un**p + 1.0)
+                + op0.boundary_mass * problem.c1.values * un**q
             )
-        un = np.clip(vec, 0.0, None)
-        scale = (
-            abs_matrix @ np.abs(vec)
-            + op0.volume_mass * (problem.c0.values * un**p + 1.0)
-            + op0.boundary_mass * problem.c1.values * un**q
-        )
         return float(np.max(np.abs(F) / scale[free])), F
 
     iterations = 0
@@ -755,14 +758,15 @@ VERDICT_SUP_VARIATION = 0.05   # near-singular sup change allowed between the la
 VERDICT_INDICATOR_DRIFT = 0.4  # relative completeness-indicator drift allowed
 
 
-def _auto_window(mesh: Mesh, omega_min_base: float) -> tuple[float, float] | None:
-    """Exponent-fit window on the mid-radial slice.
+def _auto_window(mesh: Mesh, omega_min_base: float) -> tuple[float, float]:
+    """Exponent-fit window (lo, hi) on the mid-radial slice.
 
     The top is fixed just below the base truncation angle; the bottom
     follows the shrinking truncation only until it reaches a fixed fraction
     of the top (so that deep truncations fit over a frozen window whose
     distance to the blow-up face keeps growing, where the asymptotic power
-    law is clean).
+    law is clean).  On a shallow truncation lo can reach hi; that empty
+    window is fit_blowup_exponent's to refuse.
     """
     i_mid = mesh.n_radial // 2
     rp = mesh.radial_nodes[i_mid]
@@ -771,8 +775,6 @@ def _auto_window(mesh: Mesh, omega_min_base: float) -> tuple[float, float] | Non
         FIT_FACE_CLEARANCE * math.sin(mesh.domain.omega_min) * rp,
         hi * 10.0**-FIT_WINDOW_SPAN,
     )
-    if lo >= hi:
-        return None
     return lo, hi
 
 
@@ -784,22 +786,22 @@ class LevelRecord:
     its probe change against the previous datum; iterations and
     factorizations are the totals over the level's Newton solves.  The
     near-singular band sup, its relative change against the previous level,
-    and the exponent fit on the level's window (alpha, r2, sample count and
-    completeness indicator) are None where the level has no band, no
-    previous level or no fit.  Only the last level carries a verdict.
+    and the exponent fit on the level's window (alpha, r2 and completeness
+    indicator) are nan where the level has no band, no previous level or
+    no fit, and fit_samples is then 0.  A record holds measurements only;
+    dichotomy_verdict judges a list of them.
     """
 
     solution: Field
     iterations: int
     factorizations: int
-    interior_change: float | None
-    near_gamma_sup: float | None = None
-    near_gamma_variation: float | None = None
-    fitted_exponent: float | None = None
-    fit_r2: float | None = None
-    fit_samples: int | None = None
-    completeness_indicator: float | None = None
-    verdict: Verdict = Verdict.INCONCLUSIVE
+    interior_change: float
+    near_gamma_sup: float = math.nan
+    near_gamma_variation: float = math.nan
+    fitted_exponent: float = math.nan
+    fit_r2: float = math.nan
+    fit_samples: int = 0
+    completeness_indicator: float = math.nan
 
 
 def maximal_solution(
@@ -830,8 +832,8 @@ def maximal_solution(
     two solutions and certifies stabilization at the final datum on the
     base level's probe set (NoStabilizationError otherwise).  Returns one
     LevelRecord per level, holding the level's solution, its Newton totals
-    and the measurements the dichotomy reads; the last record carries
-    dichotomy_verdict of the family.
+    and the measurements that dichotomy_verdict reads; callers judge the
+    family with dichotomy_verdict(levels).
     """
     if not problems:
         raise ValueError("empty truncation family")
@@ -840,7 +842,6 @@ def maximal_solution(
     theta = base_mesh.domain.cone.theta
 
     levels: list[LevelRecord] = []
-    prev_sup = None
     seq = list(data_sequence)
     base_rho_cut = float(np.median(base_mesh.rho[base_mesh.free_mask]))
     for prob in problems:
@@ -889,7 +890,9 @@ def maximal_solution(
 
         # near-singular band fixed across levels: omega in [omega_base/2, omega_base],
         # restricted to the same compact radial margin as the interior probe so the
-        # sup measures the field near the singular set, not the blow-up corners
+        # sup measures the field near the singular set, not the blow-up corners;
+        # band nodes are nested across levels, so the previous level is the
+        # last one that can have a band, and without one the variation is nan
         band = (
             mesh.free_mask
             & (mesh.omega >= 0.5 * omega_base)
@@ -898,26 +901,23 @@ def maximal_solution(
         )
         if np.any(band):
             rec.near_gamma_sup = float(np.max(u[band]))
-            if prev_sup is not None:
+            if levels:
+                prev_sup = levels[-1].near_gamma_sup
                 rec.near_gamma_variation = abs(rec.near_gamma_sup - prev_sup) / max(
                     prev_sup, 1e-300
                 )
-            prev_sup = rec.near_gamma_sup
 
-        window = _auto_window(mesh, omega_base)
-        if window is not None:
-            try:
-                fit = fit_blowup_exponent(rec.solution, window)
-                rec.fitted_exponent = fit.alpha
-                rec.fit_r2 = fit.r2
-                rec.fit_samples = fit.n_samples
-                rec.completeness_indicator = fit.completeness
-            except ValueError:
-                pass
+        try:
+            fit = fit_blowup_exponent(rec.solution, _auto_window(mesh, omega_base))
+            rec.fitted_exponent = fit.alpha
+            rec.fit_r2 = fit.r2
+            rec.fit_samples = fit.n_samples
+            rec.completeness_indicator = fit.completeness
+        except ValueError:
+            pass
 
         levels.append(rec)
 
-    levels[-1].verdict = dichotomy_verdict(levels)
     return levels
 
 
@@ -929,30 +929,24 @@ def dichotomy_verdict(levels: list[LevelRecord]) -> Verdict:
     fitted completeness indicators on the last two levels that differ by at
     most VERDICT_INDICATOR_DRIFT times the larger one.  BOUNDED_TYPE needs
     alpha <= VERDICT_ALPHA_BOUNDED * m and a near-singular sup that changed
-    by less than VERDICT_SUP_VARIATION against the previous level.  Anything
-    else, a last level without a fit included, is INCONCLUSIVE.
+    by less than VERDICT_SUP_VARIATION against the previous level.  A
+    missing measurement is nan and satisfies no comparison, so anything
+    else, a last level without a fit or a single level included, is
+    INCONCLUSIVE.  maximal_solution's callers call this on its levels.
     """
     last = levels[-1]
     alpha = last.fitted_exponent
-    if alpha is None:
-        return Verdict.INCONCLUSIVE
     m_exp = last.solution.mesh.domain.cone.blowup_exponent
     ind_last = last.completeness_indicator
-    ind_prev = levels[-2].completeness_indicator if len(levels) > 1 else None
+    ind_prev = levels[-2].completeness_indicator if len(levels) > 1 else math.nan
     if (
         alpha >= VERDICT_ALPHA_COMPLETE * m_exp
-        and ind_last is not None
         and ind_last > 0
-        and ind_prev is not None
         and ind_prev > 0
         and abs(ind_last - ind_prev) <= VERDICT_INDICATOR_DRIFT * max(ind_last, ind_prev)
     ):
         return Verdict.COMPLETE_TYPE
-    if (
-        alpha <= VERDICT_ALPHA_BOUNDED * m_exp
-        and last.near_gamma_variation is not None
-        and last.near_gamma_variation < VERDICT_SUP_VARIATION
-    ):
+    if alpha <= VERDICT_ALPHA_BOUNDED * m_exp and last.near_gamma_variation < VERDICT_SUP_VARIATION:
         return Verdict.BOUNDED_TYPE
     return Verdict.INCONCLUSIVE
 
@@ -983,7 +977,8 @@ def fit_blowup_exponent(solution: Field, rho_window: tuple[float, float]) -> Blo
     """Least-squares slope of log u against -log rho on the mid-radial slice.
 
     Also returns the completeness indicator min(u * rho^((n-2)/2)) over the
-    window samples.  Fewer than 4 sample nodes is a degenerate window.
+    window samples.  An empty window (not 0 < lo < hi) or one with fewer
+    than 4 sample nodes raises ValueError.
     """
     mesh = solution.mesh
     lo, hi = float(rho_window[0]), float(rho_window[1])

@@ -23,6 +23,7 @@ from coneyamabe import (
     barrier_psi_fit,
     build_mesh,
     conformal_rho2_curvatures,
+    dichotomy_verdict,
     euclidean_boundary_mean_curvature,
     exact_model_solution,
     flat_cone_problem,
@@ -121,20 +122,23 @@ def test_acceptance_4_dichotomy_at_desk_scale():
             problems, data_sequence=[2.0**k for k in range(17)], tol=0.03
         )
 
-    r31 = sweep(3, 1)[-1]
+    l31 = sweep(3, 1)
+    r31 = l31[-1]
     assert abs(r31.fitted_exponent - 0.5) <= 0.05
     assert r31.completeness_indicator > 0
-    assert r31.verdict == Verdict.COMPLETE_TYPE
+    assert dichotomy_verdict(l31) == Verdict.COMPLETE_TYPE
 
-    r42 = sweep(4, 2)[-1]
+    l42 = sweep(4, 2)
+    r42 = l42[-1]
     assert abs(r42.fitted_exponent - 1.0) <= 0.1
     assert r42.completeness_indicator > 0
-    assert r42.verdict == Verdict.COMPLETE_TYPE
+    assert dichotomy_verdict(l42) == Verdict.COMPLETE_TYPE
 
-    r41 = sweep(4, 1)[-1]
+    l41 = sweep(4, 1)
+    r41 = l41[-1]
     assert r41.near_gamma_variation < 0.05
     assert r41.fitted_exponent <= 0.1
-    assert r41.verdict == Verdict.BOUNDED_TYPE
+    assert dichotomy_verdict(l41) == Verdict.BOUNDED_TYPE
 
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0

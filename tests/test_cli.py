@@ -462,6 +462,14 @@ def test_dichotomy_experiment_small(tmp_path):
     lines = (out / "dichotomy.csv").read_text().splitlines()
     assert lines[0].startswith("n,d,h,levels,alpha")
     assert (out / "dichotomy_n3_d1.svg").exists()
+    # no level of this shallow family has an exponent fit: alpha and both
+    # completeness indicators are written as nan, and the verdict reads none
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert [row[k] for k in ("alpha", "completeness_last", "completeness_prev")] == ["nan"] * 3
+    assert row["verdict"] == "INCONCLUSIVE"
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "dichotomy.d1.alpha = nan" in summary
+    assert "dichotomy.d1.alpha_r2 = nan" in summary
 
 
 def test_solver_counters_go_to_the_summary_only(tmp_path):
@@ -585,8 +593,7 @@ def test_stalled_monotone_solve_fails_loudly(tmp_path, c0):
 @pytest.mark.parametrize("method, data, error", [
     pytest.param("monotone", "1e70", "NonConvergenceError: c0 u^5 overflows at the monotone cap "
                  "S = 1.000e+70", id="monotone"),
-    pytest.param("newton", "1e70", "NonConvergenceError: non-finite residual", id="newton",
-                 marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
+    pytest.param("newton", "1e70", "NonConvergenceError: non-finite residual", id="newton"),
     pytest.param("monotone", "1e80", "NonConvergenceError: S^4 overflows at the monotone cap "
                  "S = 1.000e+80", id="monotone-shift"),
 ])
@@ -596,8 +603,8 @@ def test_monotone_solve_with_overflowing_data_fails_loudly(tmp_path, method, dat
     # and Newton refuses the residual at its first iterate, the linear
     # lift; both exit 2 and name the non-finite value, not an indefinite
     # operator.  At 1e80 the monotone shift c0 p S^(p-1) itself leaves the
-    # double range.  The monotone cases run under the suite's
-    # filterwarnings = error, so a numpy warning fails them.
+    # double range.  Every case runs under the suite's filterwarnings =
+    # error, so a numpy warning fails it.
     cfgpath = write_cfg(
         tmp_path, "solve", extra=f"method = {method}\ndirichlet = {data}",
         body="[mesh]\nn_radial = 8\nn_angular = 8\n",

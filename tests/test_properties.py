@@ -214,3 +214,28 @@ def test_the_default_start_is_a_supersolution(problem):
     op = problem.linear_operator
     scale = (abs(op.matrix) @ u)[mesh.free_mask]
     assert np.all(problem.integrated_residual(u) >= -8.0 * np.finfo(float).eps * scale)
+
+
+@st.composite
+def face_problems(draw):
+    # unit data and coefficients on an 8x8 mesh of a random cone
+    n = draw(st.integers(3, 7))
+    cone = ConeModel(n, draw(st.integers(1, n - 1)), draw(st.floats(0.3, 3.0)))
+    mesh = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8.0), 8, 8, 2.0)
+    return flat_cone_problem(mesh, 1.0, 1.0, 1.0)
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(problem=face_problems())
+def test_growth_next_to_the_inner_face_tends_to_one_over_p(problem):
+    # on a fixed grid the node next to the blow-up face solves, as the data
+    # m grow, a balance whose solution grows like m^(1/p): each data
+    # doubling multiplies it by 2^(1/p).  The ladder runs to 2^40, where the
+    # law holds to 1e-2 on every interior radial row for n up to 7
+    mesh = problem.mesh
+    ladder = [2.0**k for k in range(41)]
+    reports = exhaustion_blowup_solve(problem, ladder, tol=None)
+    shape = (mesh.n_radial, mesh.n_angular)
+    assert np.all(mesh.free_mask.reshape(shape)[1:-1, 1])
+    below, top = (r.solution.values.reshape(shape)[1:-1, 1] for r in reports[-2:])
+    assert np.all(np.abs(problem.p_interior * np.log2(top / below) - 1.0) <= 1e-2)

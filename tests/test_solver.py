@@ -631,8 +631,9 @@ def test_levels_whose_window_holds_too_few_samples_report_no_fit():
     reports = maximal_solution(problems, data_sequence=[2.0**k for k in range(9)], tol=1.0)
     base_omega = problems[0].mesh.domain.omega_min
     for k in (4, 5):
-        assert solver._auto_window(problems[k].mesh, base_omega) is not None
-        assert reports[k].fitted_exponent is None and reports[k].fit_samples is None
+        lo, hi = solver._auto_window(problems[k].mesh, base_omega)
+        assert lo < hi
+        assert math.isnan(reports[k].fitted_exponent) and reports[k].fit_samples == 0
     assert reports[6].fit_samples == 5
 
 
@@ -717,21 +718,23 @@ def test_level_factorization_counts_on_the_threshold_family():
 def test_level_reports_keep_the_fit_quality():
     # every level that fits an exponent also reports the fit's r2, sample
     # count and completeness indicator; a level without a window reports
-    # none of the four
+    # nan for the three measurements and 0 samples
     cone = ConeModel(3, 1, 1.0)
     base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 28, 24, 2.0)
     problems = [flat_cone_problem(m, 1.0, 1.0, 1.0)
                 for m in truncation_family(base, 6, nodes_per_octave=8)]
     reports = maximal_solution(problems, data_sequence=[2.0**k for k in range(14)], tol=0.03)
-    assert reports[-1].fitted_exponent is not None
+    assert not math.isnan(reports[-1].fitted_exponent)
     for rep in reports:
-        window = solver._auto_window(rep.solution.mesh, base.domain.omega_min)
+        lo, hi = solver._auto_window(rep.solution.mesh, base.domain.omega_min)
         fields = (rep.fitted_exponent, rep.fit_r2, rep.fit_samples,
                   rep.completeness_indicator)
-        if window is None:
-            assert fields == (None, None, None, None)
+        if lo >= hi:
+            assert rep.fit_samples == 0
+            assert all(math.isnan(x) for x in (rep.fitted_exponent, rep.fit_r2,
+                                               rep.completeness_indicator))
             continue
-        fit = fit_blowup_exponent(rep.solution, window)
+        fit = fit_blowup_exponent(rep.solution, (lo, hi))
         assert fields == (fit.alpha, fit.r2, fit.n_samples, fit.completeness)
         assert 0.9 < rep.fit_r2 <= 1.0 and rep.fit_samples >= 4
 
@@ -744,7 +747,7 @@ def test_maximal_solution_complete_verdict_coarse():
     problems = [flat_cone_problem(m, 1.0, 1.0, 1.0) for m in meshes]
     reports = maximal_solution(problems, data_sequence=[2.0**k for k in range(14)], tol=0.03)
     last = reports[-1]
-    assert last.verdict == Verdict.COMPLETE_TYPE
+    assert dichotomy_verdict(reports) == Verdict.COMPLETE_TYPE
     assert last.fitted_exponent == pytest.approx(0.5, abs=0.08)
     assert last.completeness_indicator > 0
 
@@ -763,9 +766,10 @@ def test_completeness_indicator_reads_the_blowup_amplitude(n, d, h, c0, c1):
     cone = ConeModel(n, d, h)
     base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 40, 32, 2.0)
     meshes = truncation_family(base, 8, nodes_per_octave=10)
-    last = maximal_solution([flat_cone_problem(m, c0, c1, 1.0) for m in meshes], tol=0.03)[-1]
+    levels = maximal_solution([flat_cone_problem(m, c0, c1, 1.0) for m in meshes], tol=0.03)
+    last = levels[-1]
     K = cone.blowup_amplitude(c0)
-    assert last.verdict == Verdict.COMPLETE_TYPE
+    assert dichotomy_verdict(levels) == Verdict.COMPLETE_TYPE
     assert abs(last.completeness_indicator / K - 1.0) <= 0.10
 
 
@@ -781,7 +785,7 @@ def test_maximal_solution_bounded_verdict_threshold():
     last = reports[-1]
     assert last.fitted_exponent <= 0.2
     assert last.near_gamma_variation < 0.05
-    assert last.verdict == Verdict.BOUNDED_TYPE
+    assert dichotomy_verdict(reports) == Verdict.BOUNDED_TYPE
 
 
 def test_threshold_case_is_not_complete_at_five_levels():
@@ -792,13 +796,13 @@ def test_threshold_case_is_not_complete_at_five_levels():
     base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 40, 32, 2.0)
     problems = [flat_cone_problem(m, 1.0, 1.0, 1.0) for m in truncation_family(base, 5)]
     reports = maximal_solution(problems, tol=0.03)
-    assert reports[-2].completeness_indicator is None
-    assert reports[-1].verdict != Verdict.COMPLETE_TYPE
+    assert math.isnan(reports[-2].completeness_indicator)
+    assert dichotomy_verdict(reports) != Verdict.COMPLETE_TYPE
 
 
-def _level(mesh, alpha=None, indicator=None, variation=None):
+def _level(mesh, alpha=math.nan, indicator=math.nan, variation=math.nan):
     return LevelRecord(
-        solution=Field.zeros(mesh), iterations=0, factorizations=0, interior_change=None,
+        solution=Field.zeros(mesh), iterations=0, factorizations=0, interior_change=0.0,
         near_gamma_variation=variation, fitted_exponent=alpha,
         completeness_indicator=indicator,
     )
