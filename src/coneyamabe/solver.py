@@ -92,6 +92,9 @@ __all__ = [
 
 DEFAULT_DATA_SEQUENCE = tuple(float(2**k) for k in range(17))  # 1, 2, ..., 2^16
 MONOTONE_MAX_ITER = 2000
+# the nodewise order checks across data values and across truncation levels
+# allow a violation of at most ORDER_TOL * (1 + max|u|), solver tolerance
+ORDER_TOL = 1e-8
 
 
 class OrderingViolationError(SolverError):
@@ -104,7 +107,7 @@ class NoStabilizationError(SolverError):
 
 
 class MonotonicityViolationError(SolverError):
-    """Truncation-limit sequence failed to decrease beyond discretization noise."""
+    """Truncation-limit sequence failed to decrease beyond solver tolerance."""
 
 
 class CapSearchError(SolverError):
@@ -330,15 +333,16 @@ class SolverReport:
     """What one nonlinear solve did: its solution, the step count and final
     increment, the residual sup, and the Jacobian factorizations behind the
     solution.  exhaustion_blowup_solve also records in interior_change the
-    probe change against the previous datum's solution.  The per-level
-    measurements of a truncation family are in LevelRecord."""
+    probe change against the previous datum's solution (nan on the first
+    datum, which has none).  The per-level measurements of a truncation
+    family are in LevelRecord."""
 
     solution: Field
     final_increment: float
     iterations: int
     residual_sup: float
     factorizations: int = 0
-    interior_change: float | None = None  # exhaustion probe change vs previous data level
+    interior_change: float = math.nan  # exhaustion probe change vs previous data level
 
 
 def monotone_iterate(
@@ -552,15 +556,18 @@ def newton_solve(
     factorizations = 0
 
     abs_matrix = abs(op0.matrix)
+    vmass, bmass = op0.volume_mass[free], op0.boundary_mass[free]
+    c0, c1 = problem.c0.values[free], problem.c1.values[free]
 
     def normalized_residual(vec):
         # row-normalized residual: near blow-up data the raw rows span many
         # orders of magnitude and a global norm would let the interior be
         # sloppy, so each row is measured against its own term sizes.
         # Returns the norm and the integrated residual it measured.  A power
-        # may overflow on a Dirichlet row, which both discard; on a free row
-        # the finite check reports it.
-        with np.errstate(over="ignore"):
+        # may overflow on a Dirichlet row, and meet a zero mass there
+        # (0 * inf), which both discard; on a free row the finite check
+        # reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
             F = problem.integrated_residual(vec)
             if not np.all(np.isfinite(F)):
                 raise NonConvergenceError(
@@ -581,12 +588,10 @@ def newton_solve(
     factor = None  # the kept Jacobian factor; None forces a fresh one
     for iterations in range(1, max_iter + 1):
         if factor is None:
-            un = np.clip(u, 0.0, None)
-            jac_diag = (
-                op0.volume_mass * (p * problem.c0.values * un ** (p - 1.0))
-                + op0.boundary_mass * (q * problem.c1.values * un ** (q - 1.0))
-            )
-            factor = _factor_spd(op0, jac_diag[free])
+            # u >= 0 after the clip at the start and after every step
+            uf = u[free]
+            jac_diag = vmass * (p * c0 * uf ** (p - 1.0)) + bmass * (q * c1 * uf ** (q - 1.0))
+            factor = _factor_spd(op0, jac_diag)
             factorizations += 1
         trial = u.copy()
         trial[free] += factor.solve(-F)
@@ -702,14 +707,15 @@ def exhaustion_blowup_solve(
     default start, zero on the free nodes, whose first step is the linear
     lift of the datum.
     Successive solutions must be nodewise nondecreasing (discrete
-    comparison), else OrderingViolationError.  Every report after the first
-    carries in interior_change the sup-norm change on the interior probe set
-    (free nodes with rho above probe_rho_cut, default the median, a fixed
-    margin away from the Dirichlet faces).  The whole sequence
-    always runs; with tol given, stabilization is certified at the final
-    datum: its probe change must lie below tol * (1 + probe sup), else
-    NoStabilizationError.  tol=None reports the changes without the
-    certificate.
+    comparison): a drop above ORDER_TOL * (1 + max|u|) raises
+    OrderingViolationError.  Every report after the first carries in
+    interior_change the sup-norm change on the interior probe set (free
+    nodes with rho above probe_rho_cut, default the median, a fixed margin
+    away from the Dirichlet faces); the first report's is nan.  The whole
+    sequence always runs; with tol given, stabilization is certified at the
+    final datum: its probe change must lie below tol * (1 + probe sup),
+    else NoStabilizationError, which a one-datum sequence therefore always
+    raises.  tol=None reports the changes without the certificate.
     """
     seq = [float(m) for m in data_sequence]
     if any(b <= a for a, b in zip(seq, seq[1:])) or not seq:
@@ -729,7 +735,7 @@ def exhaustion_blowup_solve(
         u = rep.solution.values
         if prev is not None:
             drop = float(np.max(prev - u))
-            if drop > 1e-8 * (1.0 + float(np.max(np.abs(u)))):
+            if drop > ORDER_TOL * (1.0 + float(np.max(np.abs(u)))):
                 raise OrderingViolationError(
                     f"exhaustion solutions failed to increase with data (drop {drop:.3e})"
                 )
@@ -737,9 +743,7 @@ def exhaustion_blowup_solve(
         reports.append(rep)
         prev = u
     change = reports[-1].interior_change
-    if tol is not None and (
-        change is None or change >= tol * (1.0 + float(np.max(np.abs(prev[probe]))))
-    ):
+    if tol is not None and not change < tol * (1.0 + float(np.max(np.abs(prev[probe])))):
         raise NoStabilizationError(
             f"interior probe change {change} not below tol {tol:g} * (1 + probe sup) "
             f"at the final datum {seq[-1]:g} (omega_min {mesh.domain.omega_min:.6g})"
@@ -824,16 +828,20 @@ def maximal_solution(
     near-face profile to the new face whatever the node spacing.  Newton
     reaches the same solution from any nonnegative start, so the warm start
     changes the step and factor counts, not the result.  All levels share
-    the final data height: the restriction of a deeper solution to a
-    coarser mesh is then itself a discrete solution with smaller boundary
-    values and the nodewise decrease across levels is exact up to solver
-    tolerance (checked against ten times the discretization-noise estimate,
-    else MonotonicityViolationError).  Each level's exhaustion orders its last
-    two solutions and certifies stabilization at the final datum on the
-    base level's probe set (NoStabilizationError otherwise).  Returns one
-    LevelRecord per level, holding the level's solution, its Newton totals
-    and the measurements that dichotomy_verdict reads; callers judge the
-    family with dichotomy_verdict(levels).
+    the final data height, and every free node of a coarser level is free
+    on the deeper one.  On the coarser level's free nodes the deeper
+    solution therefore solves the coarser level's discrete equations, with
+    boundary values no larger on the coarser inner face, so by the discrete
+    comparison principle the decrease across levels is exact up to solver
+    tolerance.  Each level is checked against the previous one by the rule
+    of the data ladder: a rise max(u_deep - u_coarse) on those nodes above
+    ORDER_TOL * (1 + max|u_deep|) raises MonotonicityViolationError.  Each
+    level's exhaustion orders its last two solutions and certifies
+    stabilization at the final datum on the base level's probe set
+    (NoStabilizationError otherwise).  Returns one LevelRecord per level,
+    holding the level's solution, its Newton totals and the measurements
+    that dichotomy_verdict reads; callers judge the family with
+    dichotomy_verdict(levels).
     """
     if not problems:
         raise ValueError("empty truncation family")
@@ -870,22 +878,15 @@ def maximal_solution(
         u = rec.solution.values
 
         if levels:
+            # compare on the coarser level's free nodes, which are free on
+            # this level too (its Dirichlet nodes carry data, not solutions)
             uf = u.reshape(mesh.n_radial, na_f)[:, off:]
-            # compare only where both levels actually solved (nodes that are
-            # Dirichlet on either level carry data, not solution values)
-            both_free = (
-                coarse.free_mask.reshape(coarse.n_radial, na_c)
-                & mesh.free_mask.reshape(mesh.n_radial, na_f)[:, off:]
-            )
-            dom = _angular_half_widths(coarse.angular_nodes)
-            dxi = np.diff(np.log(mesh.radial_nodes))[0]
-            est = 10.0 * (dxi**2 + dom[None, :] ** 2) * (1.0 + np.abs(uc))
-            excess = np.where(both_free, uf - uc - est, -np.inf)
-            if np.max(excess) > 0:
-                k = np.unravel_index(np.argmax(excess), excess.shape)
+            rise = np.where(coarse.free_mask.reshape(uc.shape), uf - uc, -np.inf)
+            if np.max(rise) > ORDER_TOL * (1.0 + float(np.max(np.abs(u)))):
+                k = np.unravel_index(np.argmax(rise), rise.shape)
                 raise MonotonicityViolationError(
-                    "truncation-limit sequence increased beyond discretization noise "
-                    f"at node {k}: excess {np.max(excess):.3e}"
+                    "truncation-limit sequence increased beyond solver tolerance "
+                    f"at node {k}: rise {np.max(rise):.3e}"
                 )
 
         # near-singular band fixed across levels: omega in [omega_base/2, omega_base],
@@ -949,15 +950,6 @@ def dichotomy_verdict(levels: list[LevelRecord]) -> Verdict:
     if alpha <= VERDICT_ALPHA_BOUNDED * m_exp and last.near_gamma_variation < VERDICT_SUP_VARIATION:
         return Verdict.BOUNDED_TYPE
     return Verdict.INCONCLUSIVE
-
-
-def _angular_half_widths(nodes: np.ndarray) -> np.ndarray:
-    gaps = np.diff(nodes)
-    w = np.empty(len(nodes))
-    w[0] = gaps[0]
-    w[-1] = gaps[-1]
-    w[1:-1] = np.maximum(gaps[:-1], gaps[1:])
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -596,6 +596,8 @@ def test_stalled_monotone_solve_fails_loudly(tmp_path, c0):
     pytest.param("newton", "1e70", "NonConvergenceError: non-finite residual", id="newton"),
     pytest.param("monotone", "1e80", "NonConvergenceError: S^4 overflows at the monotone cap "
                  "S = 1.000e+80", id="monotone-shift"),
+    pytest.param("newton", "1e80", "NonConvergenceError: non-finite residual", id="newton-1e80"),
+    pytest.param("newton", "1e200", "NonConvergenceError: non-finite residual", id="newton-1e200"),
 ])
 def test_monotone_solve_with_overflowing_data_fails_loudly(tmp_path, method, data, error):
     # at data 1e70 the source c0 u^5 overflows: the monotone cap branch
@@ -603,8 +605,10 @@ def test_monotone_solve_with_overflowing_data_fails_loudly(tmp_path, method, dat
     # and Newton refuses the residual at its first iterate, the linear
     # lift; both exit 2 and name the non-finite value, not an indefinite
     # operator.  At 1e80 the monotone shift c0 p S^(p-1) itself leaves the
-    # double range.  Every case runs under the suite's filterwarnings =
-    # error, so a numpy warning fails it.
+    # double range.  At 1e80 Newton's Jacobian power u^(p-1) overflows on
+    # the Dirichlet rows, and at 1e200 the residual meets 0 * inf there;
+    # both rows are left out.  Every case runs under the suite's
+    # filterwarnings = error, so a numpy warning fails it.
     cfgpath = write_cfg(
         tmp_path, "solve", extra=f"method = {method}\ndirichlet = {data}",
         body="[mesh]\nn_radial = 8\nn_angular = 8\n",

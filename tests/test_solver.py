@@ -532,7 +532,7 @@ def test_exhaustion_monotone_and_stabilizes_on_model():
     mesh = make_mesh(nn=24, omega_min=None)
     prob = model_problem(mesh)
     reports = exhaustion_blowup_solve(prob, [2.0**k for k in range(10)], tol=0.02)
-    changes = [r.interior_change for r in reports if r.interior_change is not None]
+    changes = [r.interior_change for r in reports[1:]]
     # changes decrease once the data exceeds the interior scale
     peak = int(np.argmax(changes))
     tail = changes[peak:]
@@ -561,7 +561,7 @@ def test_exhaustion_threshold_case_still_stabilizes():
     mesh = make_mesh(n=4, d=1, nn=24)
     prob = flat_cone_problem(mesh, 1.0, 1.0, 1.0)
     reports = exhaustion_blowup_solve(prob, [2.0**k for k in range(12)], tol=0.05)
-    changes = [r.interior_change for r in reports if r.interior_change is not None]
+    changes = [r.interior_change for r in reports[1:]]
     peak = int(np.argmax(changes))
     tail = changes[peak:]
     assert all(b <= a * 1.05 for a, b in zip(tail, tail[1:]))
@@ -602,9 +602,11 @@ def _small_family(n, d, levels, nodes_per_octave):
     return [flat_cone_problem(m, 1.0, 1.0, 1.0) for m in meshes]
 
 
-def test_maximal_solution_rejects_a_deeper_level_above_the_coarser(monkeypatch):
-    # level 1 raised by 1.0 on the free nodes it shares with level 0 exceeds
-    # the discretization-noise allowance of the decrease across levels
+@pytest.mark.parametrize("relative", [False, True], ids=["by-one", "by-1e-6-relative"])
+def test_maximal_solution_rejects_a_deeper_level_above_the_coarser(monkeypatch, relative):
+    # level 1 raised on the free nodes it shares with level 0, by 1.0 or by
+    # 1e-6 (1 + max|u|), exceeds the solver tolerance of the decrease
+    # across levels
     exhaustion = solver.exhaustion_blowup_solve
     calls = []
 
@@ -614,7 +616,9 @@ def test_maximal_solution_rejects_a_deeper_level_above_the_coarser(monkeypatch):
         if len(calls) == 2:
             coarse, mesh = calls
             shared = mesh.free_mask & (mesh.omega > coarse.domain.omega_min)
-            reports[-1].solution = Field(mesh, reports[-1].solution.values + 1.0 * shared)
+            u = reports[-1].solution.values
+            lift = 1e-6 * (1.0 + np.max(np.abs(u))) if relative else 1.0
+            reports[-1].solution = Field(mesh, u + lift * shared)
         return reports
 
     monkeypatch.setattr(solver, "exhaustion_blowup_solve", raised)
