@@ -602,11 +602,7 @@ def _small_family(n, d, levels, nodes_per_octave):
     return [flat_cone_problem(m, 1.0, 1.0, 1.0) for m in meshes]
 
 
-@pytest.mark.parametrize("relative", [False, True], ids=["by-one", "by-1e-6-relative"])
-def test_maximal_solution_rejects_a_deeper_level_above_the_coarser(monkeypatch, relative):
-    # level 1 raised on the free nodes it shares with level 0, by 1.0 or by
-    # 1e-6 (1 + max|u|), exceeds the solver tolerance of the decrease
-    # across levels
+def _check_raised_deeper_level_is_rejected(monkeypatch, relative):
     exhaustion = solver.exhaustion_blowup_solve
     calls = []
 
@@ -626,6 +622,18 @@ def test_maximal_solution_rejects_a_deeper_level_above_the_coarser(monkeypatch, 
     with pytest.raises(MonotonicityViolationError):
         maximal_solution(problems, data_sequence=[2.0**k for k in range(6)], tol=1.0)
     assert len(calls) == 2
+
+
+def test_maximal_solution_rejects_a_deeper_level_above_the_coarser(monkeypatch):
+    # level 1 raised by 1.0 on the free nodes it shares with level 0 exceeds
+    # the solver tolerance of the decrease across levels
+    _check_raised_deeper_level_is_rejected(monkeypatch, relative=False)
+
+
+def test_maximal_solution_rejects_a_deeper_level_raised_by_a_relative_1e_6(monkeypatch):
+    # a raise of 1e-6 (1 + max|u|) on the shared free nodes is already above
+    # the solver tolerance, so it is rejected as well
+    _check_raised_deeper_level_is_rejected(monkeypatch, relative=True)
 
 
 def test_levels_whose_window_holds_too_few_samples_report_no_fit():
