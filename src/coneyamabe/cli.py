@@ -223,10 +223,8 @@ def run_solve(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:
     summary.add("solve.residual_sup", rep.residual_sup)
     summary.add("solve.completeness_indicator", _completeness(mesh, rep.solution.values))
     if cfg.plot:
-        i_mid = mesh.n_radial // 2
-        sl = slice(i_mid * mesh.n_angular, (i_mid + 1) * mesh.n_angular)
-        rho = mesh.rho[sl]
-        u = rep.solution.values[sl]
+        sl = mesh.mid_radial_row
+        rho, u = mesh.rho[sl], rep.solution.values[sl]
         ok = u > 0
         write_svg_lines(
             out / "profile.svg",
@@ -282,13 +280,12 @@ def _dichotomy_single(cfg: ExperimentConfig, d: int):
     base = build_mesh(sub.domain(), sub.n_radial, sub.n_angular, sub.grading)
     meshes = truncation_family(base, sub.truncation_levels, sub.nodes_per_octave)
     problems = [_build_problem(sub, m, data=1.0) for m in meshes]
-    reports = maximal_solution(
+    return maximal_solution(
         problems,
         data_sequence=sub.data_sequence(),
         tol=sub.exhaustion_tol,
         inner_tol=sub.nonlinear_tol,
     )
-    return reports
 
 
 def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: int = 1) -> None:
@@ -308,6 +305,9 @@ def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: i
         summary.add(f"dichotomy.d{d}.alpha", last.fitted_exponent)
         summary.add(f"dichotomy.d{d}.alpha_r2", last.fit_r2)
         summary.add(f"dichotomy.d{d}.completeness", last.completeness_indicator)
+        # K needs c0 > 0, and a c0 = 0 sweep finishes under a loose exhaustion_tol
+        K = last.solution.mesh.domain.cone.blowup_amplitude(cfg.c0) if cfg.c0 > 0 else math.nan
+        summary.add(f"dichotomy.d{d}.blowup_amplitude", K)
         summary.add(f"dichotomy.d{d}.near_gamma_variation", last.near_gamma_variation)
         summary.add(f"dichotomy.d{d}.verdict", verdict)
         summary.add(f"dichotomy.d{d}.newton_steps", sum(r.iterations for r in reports))
@@ -316,10 +316,8 @@ def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: i
             series = []
             for k, rep in enumerate(reports):
                 mesh = rep.solution.mesh
-                i_mid = mesh.n_radial // 2
-                sl = slice(i_mid * mesh.n_angular, (i_mid + 1) * mesh.n_angular)
-                rho = mesh.rho[sl]
-                u = rep.solution.values[sl]
+                sl = mesh.mid_radial_row
+                rho, u = mesh.rho[sl], rep.solution.values[sl]
                 ok = (u > 0) & mesh.free_mask[sl]
                 series.append((np.log10(rho[ok]), np.log10(u[ok]), f"level {k}"))
             write_svg_lines(

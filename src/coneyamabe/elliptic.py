@@ -102,7 +102,11 @@ class OperatorAssembly:
     minimum-degree elimination order of the free block, computed by the
     first _factor_spd of this operator, the free block permuted into that
     order with the positions of its diagonal, built by the second, and
-    solve_mixed's factor.
+    solve_mixed's factor.  That factor is kept for reproducibility as well
+    as speed: the first factor of an operator (minimum-degree ordering) and
+    a later one (the cached order) are the same matrix but round
+    differently, so refactoring per solve would make repeated or concurrent
+    solves with one operator differ in the last bits.
     """
 
     mesh: Mesh

@@ -104,6 +104,13 @@ class Mesh:
         return i * self.n_angular + j
 
     @property
+    def mid_radial_row(self) -> slice:
+        """Flat indices of the mid-radial row i = n_radial // 2, the angular
+        profile that the exponent fit and the profile plots read."""
+        start = self.index(self.n_radial // 2, 0)
+        return slice(start, start + self.n_angular)
+
+    @property
     def rho_polar(self) -> np.ndarray:
         """Polar radius per node, flat ordering."""
         return np.repeat(self.radial_nodes, self.n_angular)

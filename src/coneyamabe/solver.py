@@ -123,30 +123,32 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class NonlinearProblem:
-    """Coefficient fields of the discrete problem on one mesh.
+    """Coefficients of the discrete problem on one mesh.
 
-    Each field is coerced by Field.of, so a scalar, node values or a Field
-    on mesh may be given; c1 and c2_lin are read on ROBIN_CONE nodes and
-    dirichlet_data on Dirichlet-tagged nodes.  c0, c1 must be nonnegative
-    (strictly positive on runs probing the existence theorem; zero is
-    allowed for linear-regression tests).  The problem is frozen, since its
-    linear operator is assembled once from c and c2_lin: a changed field
-    is a new problem, dataclasses.replace(problem, c=...), checked and
-    assembled afresh.
+    c0 and c1, the equation's two constants, are floats that must be
+    nonnegative and finite, else ValueError (zero is allowed for linear
+    tests).  c, c2_lin and dirichlet_data are coerced by Field.of, so a
+    scalar, node values or a Field on mesh may be given; c2_lin is read on
+    ROBIN_CONE nodes and dirichlet_data on Dirichlet-tagged nodes.  The
+    problem is frozen, since its linear operator is assembled once from c
+    and c2_lin: a changed coefficient is a new problem,
+    dataclasses.replace(problem, c=...), checked and assembled afresh.
     """
 
     mesh: Mesh
-    c0: Field
-    c1: Field
+    c0: float
+    c1: float
     c: Field
     c2_lin: Field
     dirichlet_data: Field
 
     def __post_init__(self):
-        for name in ("c0", "c1", "c", "c2_lin", "dirichlet_data"):
+        for name in ("c0", "c1"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not (0.0 <= self.c0 < math.inf and 0.0 <= self.c1 < math.inf):
+            raise ValueError(f"c0 and c1 must be nonnegative and finite, got {self.c0}, {self.c1}")
+        for name in ("c", "c2_lin", "dirichlet_data"):
             object.__setattr__(self, name, Field.of(self.mesh, getattr(self, name)))
-        if np.min(self.c0.values) < 0 or np.min(self.c1.values) < 0:
-            raise ValueError("c0 and c1 must be nonnegative")
         if np.min(self.dirichlet_data.values[self.mesh.dirichlet_mask]) < 0:
             raise ValueError("Dirichlet data must be nonnegative")
         object.__setattr__(self, "_op0", None)
@@ -188,8 +190,8 @@ class NonlinearProblem:
         un = np.maximum(u, 0.0)
         return (
             op.matrix @ u
-            + op.volume_mass * self.c0.values * un**self.p_interior
-            + op.boundary_mass * self.c1.values * un**self.p_boundary
+            + op.volume_mass * self.c0 * un**self.p_interior
+            + op.boundary_mass * self.c1 * un**self.p_boundary
         )
 
     def residual_parts(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,16 +267,15 @@ def pick_cap(problem: NonlinearProblem) -> float:
     nondecreasing on [0, S] for any S, so they ask nothing of the cap.
     """
     mesh = problem.mesh
-    rob = mesh.robin_mask
     S = float(np.max(problem.dirichlet_data.values[mesh.dirichlet_mask]))
     for pot, coef, power in (
-        (problem.c.values, problem.c0.values, problem.p_interior),
-        (problem.c2_lin.values[rob], problem.c1.values[rob], problem.p_boundary),
+        (problem.c.values, problem.c0, problem.p_interior),
+        (problem.c2_lin.values[mesh.robin_mask], problem.c1, problem.p_boundary),
     ):
-        neg = pot < 0.0
-        if np.any(coef[neg] == 0.0):
+        neg = pot[pot < 0.0]
+        if neg.size and coef == 0.0:
             raise CapSearchError("a negative linear potential meets a vanishing c0 or c1")
-        S = float(np.max((-pot[neg] / coef[neg]) ** (1.0 / (power - 1.0)), initial=S))
+        S = float(np.max((-neg / coef) ** (1.0 / (power - 1.0)), initial=S))
     return S
 
 
@@ -362,7 +363,7 @@ def monotone_iterate(
     limit (the minimal solution above sub0) is returned as the solution and
     the upper branch as certificate.  The shifts are the smallest values
     keeping the frozen maps t -> (shift - c) t - c0 t^p nondecreasing on
-    [0, S], namely max(c + p c0 S^(p-1)) and its Robin analogue: this
+    [0, S], namely max(c) + p c0 S^(p-1) and its Robin analogue: this
     preserves the ordering argument verbatim while collapsing to a single
     direct solve when the problem is linear.  Ordering is enforced nodewise
     at every iteration to 1e-12 * max(1, S); violations raise
@@ -400,15 +401,11 @@ def monotone_iterate(
                 f"S^{e:g} overflows at the monotone cap S = {S:.3e}"
             ) from None
 
-    rob = mesh.robin_mask
-    shift_i = max(0.0, float(np.max(problem.c.values + p * problem.c0.values * cap_power(p - 1))))
-    shift_b = max(
-        0.0,
-        float(np.max(problem.c2_lin.values[rob] + q * problem.c1.values[rob] * cap_power(q - 1))),
-    )
+    c0, c1 = problem.c0, problem.c1
+    shift_i = max(0.0, float(np.max(problem.c.values)) + p * c0 * cap_power(p - 1))
+    shift_b = max(0.0, float(np.max(problem.c2_lin.values[mesh.robin_mask])) + q * c1 * cap_power(q - 1))
     op = assemble(mesh, shift_i, shift_b)
     free = mesh.free_mask
-    c0, c1 = problem.c0.values[free], problem.c1.values[free]
     cvals, c2vals = problem.c.values[free], problem.c2_lin.values[free]
     vmass, bmass = op.volume_mass[free], op.boundary_mass[free]
     data = problem.dirichlet_data.values
@@ -533,9 +530,9 @@ def newton_solve(
     lands below it.
     Converges when the row-normalized residual is below 1e-11 and the
     sup-norm increment below tol * (1 + sup u); a residual that is not
-    finite (c0 u^p or c1 u^q overflows) raises NonConvergenceError.  The
-    report counts the steps in iterations and the factorizations in
-    factorizations.
+    finite (c0 u^p or c1 u^q overflows) or max_iter steps raise
+    NonConvergenceError, naming the mesh, omega_min and the data maximum.
+    The report counts the steps and the factorizations.
     Every Jacobian shares the sparsity pattern of the free block of
     problem.linear_operator, so only the first factorization of that
     operator computes a minimum-degree ordering; later ones, including
@@ -554,10 +551,12 @@ def newton_solve(
     u[~free] = data[~free]
     u = np.clip(u, 0.0, None)
     factorizations = 0
+    place = (f"on mesh {mesh.n_radial}x{mesh.n_angular}, omega_min {mesh.domain.omega_min:.6g}, "
+             f"Dirichlet data max {float(np.max(data[~free])):.6g}")
 
     abs_matrix = abs(op0.matrix)
     vmass, bmass = op0.volume_mass[free], op0.boundary_mass[free]
-    c0, c1 = problem.c0.values[free], problem.c1.values[free]
+    c0, c1 = problem.c0, problem.c1
 
     def normalized_residual(vec):
         # row-normalized residual: near blow-up data the raw rows span many
@@ -571,14 +570,15 @@ def newton_solve(
             F = problem.integrated_residual(vec)
             if not np.all(np.isfinite(F)):
                 raise NonConvergenceError(
-                    "non-finite residual: c0 u^p or c1 u^q overflows at the Newton iterate",
+                    "non-finite residual: c0 u^p or c1 u^q overflows at the Newton iterate "
+                    + place,
                     iterations=iterations,
                 )
             un = np.clip(vec, 0.0, None)
             scale = (
                 abs_matrix @ np.abs(vec)
-                + op0.volume_mass * (problem.c0.values * un**p + 1.0)
-                + op0.boundary_mass * problem.c1.values * un**q
+                + op0.volume_mass * (c0 * un**p + 1.0)
+                + op0.boundary_mass * c1 * un**q
             )
         return float(np.max(np.abs(F) / scale[free])), F
 
@@ -596,7 +596,6 @@ def newton_solve(
         trial = u.copy()
         trial[free] += factor.solve(-F)
         trial = np.clip(trial, 0.0, None)
-        trial[~free] = data[~free]
         step = float(np.max(np.abs(trial - u)))
         # the start factor serves on only after a first step down; every
         # factor serves on while steps shrink 4x
@@ -610,7 +609,7 @@ def newton_solve(
     else:
         raise NonConvergenceError(
             f"Newton did not converge in {max_iter} iterations "
-            f"(normalized residual {res:.3e}, increment {inc:.3e})",
+            f"(normalized residual {res:.3e}, increment {inc:.3e}) {place}",
             iterations=max_iter,
             residual=res,
         )
@@ -693,7 +692,7 @@ def _interior_probe(mesh: Mesh, rho_cut: float | None = None) -> np.ndarray:
 def exhaustion_blowup_solve(
     problem: NonlinearProblem,
     data_sequence=DEFAULT_DATA_SEQUENCE,
-    tol: float | None = 1e-3,
+    tol: float = 1e-3,
     inner_tol: float = 1e-10,
     probe_rho_cut: float | None = None,
     u0: Field | None = None,
@@ -708,14 +707,14 @@ def exhaustion_blowup_solve(
     lift of the datum.
     Successive solutions must be nodewise nondecreasing (discrete
     comparison): a drop above ORDER_TOL * (1 + max|u|) raises
-    OrderingViolationError.  Every report after the first carries in
-    interior_change the sup-norm change on the interior probe set (free
-    nodes with rho above probe_rho_cut, default the median, a fixed margin
-    away from the Dirichlet faces); the first report's is nan.  The whole
-    sequence always runs; with tol given, stabilization is certified at the
-    final datum: its probe change must lie below tol * (1 + probe sup),
-    else NoStabilizationError, which a one-datum sequence therefore always
-    raises.  tol=None reports the changes without the certificate.
+    OrderingViolationError, naming the datum and omega_min.  Every report
+    after the first carries in interior_change the sup-norm change on the
+    interior probe set (free nodes with rho above probe_rho_cut, default
+    the median, a fixed margin away from the Dirichlet faces); the first
+    report's is nan.  The whole sequence always runs; stabilization is
+    certified at the final datum (tol=math.inf waives it): its probe change
+    must lie below tol * (1 + probe sup), else NoStabilizationError, which
+    a one-datum sequence therefore always raises.
     """
     seq = [float(m) for m in data_sequence]
     if any(b <= a for a, b in zip(seq, seq[1:])) or not seq:
@@ -737,13 +736,14 @@ def exhaustion_blowup_solve(
             drop = float(np.max(prev - u))
             if drop > ORDER_TOL * (1.0 + float(np.max(np.abs(u)))):
                 raise OrderingViolationError(
-                    f"exhaustion solutions failed to increase with data (drop {drop:.3e})"
+                    f"exhaustion solutions failed to increase with data (drop {drop:.3e} "
+                    f"at datum {m:g}, omega_min {mesh.domain.omega_min:.6g})"
                 )
             rep.interior_change = float(np.max(np.abs((u - prev)[probe])))
         reports.append(rep)
         prev = u
     change = reports[-1].interior_change
-    if tol is not None and not change < tol * (1.0 + float(np.max(np.abs(prev[probe])))):
+    if not change < tol * (1.0 + float(np.max(np.abs(prev[probe])))):
         raise NoStabilizationError(
             f"interior probe change {change} not below tol {tol:g} * (1 + probe sup) "
             f"at the final datum {seq[-1]:g} (omega_min {mesh.domain.omega_min:.6g})"
@@ -772,8 +772,7 @@ def _auto_window(mesh: Mesh, omega_min_base: float) -> tuple[float, float]:
     law is clean).  On a shallow truncation lo can reach hi; that empty
     window is fit_blowup_exponent's to refuse.
     """
-    i_mid = mesh.n_radial // 2
-    rp = mesh.radial_nodes[i_mid]
+    rp = mesh.rho_polar[mesh.mid_radial_row][0]
     hi = FIT_WINDOW_TOP * math.sin(omega_min_base) * rp
     lo = max(
         FIT_FACE_CLEARANCE * math.sin(mesh.domain.omega_min) * rp,
@@ -886,7 +885,8 @@ def maximal_solution(
                 k = np.unravel_index(np.argmax(rise), rise.shape)
                 raise MonotonicityViolationError(
                     "truncation-limit sequence increased beyond solver tolerance "
-                    f"at node {k}: rise {np.max(rise):.3e}"
+                    f"at node {k}: rise {np.max(rise):.3e} on the level with omega_min "
+                    f"{mesh.domain.omega_min:.6g}, mesh {mesh.n_radial}x{na_f}"
                 )
 
         # near-singular band fixed across levels: omega in [omega_base/2, omega_base],
@@ -904,9 +904,7 @@ def maximal_solution(
             rec.near_gamma_sup = float(np.max(u[band]))
             if levels:
                 prev_sup = levels[-1].near_gamma_sup
-                rec.near_gamma_variation = abs(rec.near_gamma_sup - prev_sup) / max(
-                    prev_sup, 1e-300
-                )
+                rec.near_gamma_variation = abs(rec.near_gamma_sup - prev_sup) / prev_sup
 
         try:
             fit = fit_blowup_exponent(rec.solution, _auto_window(mesh, omega_base))
@@ -976,13 +974,9 @@ def fit_blowup_exponent(solution: Field, rho_window: tuple[float, float]) -> Blo
     lo, hi = float(rho_window[0]), float(rho_window[1])
     if not 0.0 < lo < hi:
         raise ValueError(f"invalid window ({lo}, {hi})")
-    i_mid = mesh.n_radial // 2
-    na = mesh.n_angular
-    sl = slice(i_mid * na, (i_mid + 1) * na)
-    rho = mesh.rho[sl]
-    u = solution.values[sl]
-    free = mesh.free_mask[sl]
-    sel = free & (rho >= lo) & (rho <= hi) & (u > 0.0)
+    sl = mesh.mid_radial_row
+    rho, u = mesh.rho[sl], solution.values[sl]
+    sel = mesh.free_mask[sl] & (rho >= lo) & (rho <= hi) & (u > 0.0)
     if int(np.sum(sel)) < 4:
         raise ValueError(
             f"degenerate window: only {int(np.sum(sel))} sample nodes in ({lo:g}, {hi:g})"
@@ -1053,13 +1047,9 @@ def barrier_psi_fit(problem: NonlinearProblem, solution: Field | None = None) ->
     feasible = C1 > 0.0
 
     if feasible:
-        c0_sup = float(np.max(problem.c0.values[band]))
-        rob = mesh.robin_mask & (rho <= band_rho_max)
-        c1_sup = float(np.max(problem.c1.values[rob])) if np.any(rob) else float(
-            np.max(problem.c1.values[mesh.robin_mask])
-        )
-        bound_int = math.inf if c0_sup == 0 else ((n - 2) * margin_165 / (2.0 * c0_sup)) ** ((n - 2) / 4.0)
-        bound_bdy = math.inf if c1_sup == 0 else ((n - 2) * margin_166 / (2.0 * c1_sup)) ** ((n - 2) / 2.0)
+        c0, c1 = problem.c0, problem.c1
+        bound_int = math.inf if c0 == 0 else ((n - 2) * margin_165 / (2.0 * c0)) ** ((n - 2) / 4.0)
+        bound_bdy = math.inf if c1 == 0 else ((n - 2) * margin_166 / (2.0 * c1)) ** ((n - 2) / 2.0)
         C_star = min(bound_int, bound_bdy)
     else:
         C_star = 0.0

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import coneyamabe
-from coneyamabe import CurvatureReport, Field, cli
+from coneyamabe import CurvatureReport, Field, build_mesh, cli, model_dirichlet_data
 from coneyamabe.cli import main
 from coneyamabe.config import _SCHEMA, ConfigError, ExperimentConfig, echo_config, parse_config
 
@@ -473,24 +473,24 @@ def test_dichotomy_experiment_small(tmp_path):
 
 
 def test_solver_counters_go_to_the_summary_only(tmp_path):
-    # Newton steps, factorizations and the exponent fit's r2 are reported in
-    # summary.txt; the CSVs carry none of them and stay byte-identical on a
-    # rerun
+    # Newton steps, factorizations, the exponent fit's r2 and the closed-form
+    # blow-up amplitude K of each dimension are reported in summary.txt; the
+    # CSVs carry none of them and stay byte-identical on a rerun
     runs = [
         ("dichotomy", "d_list = 1,2\ntruncation_levels = 3",
          "[mesh]\nn_radial = 16\nn_angular = 12\nnodes_per_octave = 5\n"
          "[tolerances]\nexhaustion_tol = 0.08\ndata_max_exponent = 8\n",
          ["dichotomy.d1.newton_steps", "dichotomy.d1.factorizations",
-          "dichotomy.d2.newton_steps", "dichotomy.d2.factorizations"], []),
+          "dichotomy.d2.newton_steps", "dichotomy.d2.factorizations"], [], [1, 2]),
         ("dichotomy", "d_list = 1\ntruncation_levels = 6",
          "[mesh]\nn_radial = 28\nn_angular = 24\nnodes_per_octave = 8\n"
          "[tolerances]\nexhaustion_tol = 0.03\ndata_max_exponent = 13\n",
          ["dichotomy.d1.newton_steps", "dichotomy.d1.factorizations"],
-         ["dichotomy.d1.alpha_r2"]),
+         ["dichotomy.d1.alpha_r2"], [1]),
         ("verify-model", "mesh_sizes = 12,24", "[mesh]\nomega_min = 0.15\n",
-         ["verify_model.factorizations_12", "verify_model.factorizations_24"], []),
+         ["verify_model.factorizations_12", "verify_model.factorizations_24"], [], []),
     ]
-    for k, (kind, extra, body, counters, fits) in enumerate(runs):
+    for k, (kind, extra, body, counters, fits, dims) in enumerate(runs):
         cfgpath = write_cfg(tmp_path, kind, extra=extra, body=body)
         outs = [tmp_path / f"{kind}_{k}_{rerun}" for rerun in range(2)]
         for out in outs:
@@ -501,13 +501,31 @@ def test_solver_counters_go_to_the_summary_only(tmp_path):
             assert int(summary[key]) >= 1
         for key in fits:
             assert 0.9 < float(summary[key]) <= 1.0
+        for d in dims:
+            # (3,1) and (3,2) at c0 = 1: K = (a (d-a))^(a/2) with a = 1/2
+            K = float(summary[f"dichotomy.d{d}.blowup_amplitude"])
+            assert K == pytest.approx((0.5 * (d - 0.5)) ** 0.25, rel=1e-11)
         csvs = sorted(p.name for p in outs[0].glob("*.csv"))
         assert csvs
         for name in csvs:
             first = (outs[0] / name).read_bytes()
             assert b"factorizations" not in first and b"newton_steps" not in first
-            assert b"r2" not in first
+            assert b"r2" not in first and b"amplitude" not in first
             assert first == (outs[1] / name).read_bytes()
+
+
+def test_dichotomy_without_absorption_reports_no_blowup_amplitude(tmp_path):
+    # K needs c0 > 0.  With c0 = 0 the interior has no absorption and never
+    # settles, but a loose enough exhaustion_tol lets the sweep finish: the
+    # amplitude then reads nan instead of failing the run
+    cfgpath = write_cfg(
+        tmp_path, "dichotomy", extra="d_list = 1\ntruncation_levels = 2\nplot = false",
+        body="[coefficients]\nc0 = 0\n[mesh]\nn_radial = 12\nn_angular = 12\n"
+             "nodes_per_octave = 4\n[tolerances]\nexhaustion_tol = 1e9\ndata_max_exponent = 4\n",
+    )
+    out = tmp_path / "out"
+    assert main(["dichotomy", "--config", cfgpath, "--out", str(out)]) == 0
+    assert "dichotomy.d1.blowup_amplitude = nan" in (out / "summary.txt").read_text().splitlines()
 
 
 def test_dichotomy_threaded_sweep(tmp_path):
@@ -563,6 +581,12 @@ def test_newton_iteration_limit_exits_2(tmp_path):
     assert tail[0] == "status = solver-failed"
     assert tail[1].startswith(
         "error = NonConvergenceError: Newton did not converge in 1 iterations ")
+    # the error names the mesh, its truncation and the data maximum of the
+    # model data rho^(-1/2) on the Dirichlet nodes
+    mesh = build_mesh(parse_config(cfgpath).domain(), 12, 12)
+    data_max = max(model_dirichlet_data(mesh).values[mesh.dirichlet_mask])
+    assert tail[1].endswith(f" on mesh 12x12, omega_min {mesh.domain.omega_min:.6g}, "
+                            f"Dirichlet data max {data_max:.6g}")
     assert tail[2].startswith("seconds = ")
 
 

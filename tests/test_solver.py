@@ -2,6 +2,7 @@
 exhaustion, truncation limits, barriers and exponent fits."""
 
 import math
+import re
 import warnings
 from dataclasses import FrozenInstanceError, replace
 
@@ -81,8 +82,11 @@ def test_a_problem_is_frozen_and_replace_builds_a_fresh_one():
     fresh = newton_solve(solver.NonlinearProblem(mesh, 1.0, 1.0, 0.0, 0.0, 1.0)).solution.values
     assert np.array_equal(changed, fresh)
     assert np.max(np.abs(changed - first)) > 0.01
-    with pytest.raises(ValueError, match="nonnegative"):
-        replace(prob, c0=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            replace(prob, c0=bad)
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            replace(prob, c1=bad)
 
 
 def test_model_problem_needs_the_complete_regime():
@@ -99,9 +103,9 @@ def test_pick_cap_model_problem_monotonicity_conditions_hold():
     assert S == data_max
     p, q = prob.p_interior, prob.p_boundary
     # the constant cap is a supersolution: c S + c0 S^p >= 0 and its Robin analogue
-    assert np.min(prob.c.values * S + prob.c0.values * S**p) >= 0.0
+    assert np.min(prob.c.values * S + prob.c0 * S**p) >= 0.0
     rob = mesh.robin_mask
-    assert np.min(prob.c2_lin.values[rob] * S + prob.c1.values[rob] * S**q) >= 0.0
+    assert np.min(prob.c2_lin.values[rob] * S + prob.c1 * S**q) >= 0.0
     assert check_sub_super(prob, Field.full(mesh, S), "super").worst_margin <= 0.0
 
 
@@ -111,7 +115,7 @@ def test_pick_cap_lifts_the_cap_only_for_a_negative_potential():
     S = pick_cap(prob)
     # (-c/c0)^(1/(p-1)) = 3 for p = 5 lies above the data maximum 0.5
     assert S == pytest.approx(3.0, rel=1e-12)
-    assert np.min(prob.c.values + prob.c0.values * S**4) >= -1e-12 * 2.0 * 3.0**4
+    assert np.min(prob.c.values + prob.c0 * S**4) >= -1e-12 * 2.0 * 3.0**4
 
 
 def test_pick_cap_needs_absorption_where_a_potential_is_negative():
@@ -217,8 +221,7 @@ def test_monotone_comparison_doubling_c0_shrinks_solution():
     prob = model_problem(mesh)
     S = pick_cap(prob)
     rep1, _ = monotone_iterate(prob, Field.zeros(mesh), S, tol=1e-11)
-    prob2 = flat_cone_problem(mesh, Field(mesh, 2.0 * prob.c0.values), prob.c1,
-                              prob.dirichlet_data)
+    prob2 = flat_cone_problem(mesh, 2.0 * prob.c0, prob.c1, prob.dirichlet_data)
     rep2, _ = monotone_iterate(prob2, Field.zeros(mesh), pick_cap(prob2), tol=1e-11)
     diff = rep1.solution.values - rep2.solution.values
     assert np.min(diff[mesh.free_mask]) >= -1e-9
@@ -278,10 +281,10 @@ def test_monotone_back_solves_equal_solve_mixed_on_every_step():
     rep, bracket = monotone_iterate(prob, Field.zeros(mesh), S, tol=tol)
 
     p, q = prob.p_interior, prob.p_boundary
-    c, c2, c0, c1 = prob.c.values, prob.c2_lin.values, prob.c0.values, prob.c1.values
+    c, c2, c0, c1 = prob.c.values, prob.c2_lin.values, prob.c0, prob.c1
     rob = mesh.robin_mask
     shift_i = max(0.0, float(np.max(c + p * c0 * S ** (p - 1))))
-    shift_b = max(0.0, float(np.max(c2[rob] + q * c1[rob] * S ** (q - 1))))
+    shift_b = max(0.0, float(np.max(c2[rob] + q * c1 * S ** (q - 1))))
     op = assemble(mesh, Field.full(mesh, shift_i), Field.full(mesh, shift_b))
 
     def sources(u):
@@ -406,7 +409,7 @@ def test_newton_cold_start_at_blowup_data_matches_ladder(n, d):
     mesh = make_mesh(n, d, omega_min=ConeModel(n, d, 1.0).theta / 8.0, nn=12)
     rep = newton_solve(flat_cone_problem(mesh, 1.0, 1.0, 2.0**16),
                        u0=Field.full(mesh, 2.0**16))
-    ladder = exhaustion_blowup_solve(flat_cone_problem(mesh, 1.0, 1.0, 1.0), tol=None)[-1]
+    ladder = exhaustion_blowup_solve(flat_cone_problem(mesh, 1.0, 1.0, 1.0), tol=math.inf)[-1]
     u, ref = rep.solution.values, ladder.solution.values
     assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -424,7 +427,7 @@ def test_newton_cold_start_on_the_desk_family_within_max_iter():
     for mesh in (meshes[0], meshes[21]):
         rep = newton_solve(flat_cone_problem(mesh, 1.0, 1.0, 2.0**16),
                            u0=Field.full(mesh, 2.0**16))
-        ladder = exhaustion_blowup_solve(flat_cone_problem(mesh, 1.0, 1.0, 1.0), tol=None)[-1]
+        ladder = exhaustion_blowup_solve(flat_cone_problem(mesh, 1.0, 1.0, 1.0), tol=math.inf)[-1]
         u, ref = rep.solution.values, ladder.solution.values
         assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -550,8 +553,8 @@ def test_exhaustion_scaled_c0_gives_smaller_interior():
     mesh = make_mesh(nn=12)
     p1 = flat_cone_problem(mesh, 1.0, 1.0, 1.0)
     p4 = flat_cone_problem(mesh, 4.0, 1.0, 1.0)
-    r1 = exhaustion_blowup_solve(p1, [1.0, 4.0, 16.0, 64.0], tol=None)
-    r4 = exhaustion_blowup_solve(p4, [1.0, 4.0, 16.0, 64.0], tol=None)
+    r1 = exhaustion_blowup_solve(p1, [1.0, 4.0, 16.0, 64.0], tol=math.inf)
+    r4 = exhaustion_blowup_solve(p4, [1.0, 4.0, 16.0, 64.0], tol=math.inf)
     diff = r1[-1].solution.values - r4[-1].solution.values
     assert np.min(diff[mesh.free_mask]) >= -1e-9
 
@@ -589,9 +592,12 @@ def test_exhaustion_rejects_a_solution_that_drops_with_the_data(monkeypatch):
         return rep
 
     monkeypatch.setattr(solver, "newton_solve", lowered)
-    prob = flat_cone_problem(make_mesh(nn=12), 1.0, 1.0, 1.0)
-    with pytest.raises(OrderingViolationError):
-        exhaustion_blowup_solve(prob, [1.0, 2.0, 4.0], tol=None)
+    mesh = make_mesh(nn=12)
+    prob = flat_cone_problem(mesh, 1.0, 1.0, 1.0)
+    # the message names the datum and the truncation it failed at
+    place = f"at datum 2, omega_min {mesh.domain.omega_min:.6g})"
+    with pytest.raises(OrderingViolationError, match=re.escape(place)):
+        exhaustion_blowup_solve(prob, [1.0, 2.0, 4.0], tol=math.inf)
     assert len(calls) == 2
 
 
@@ -619,7 +625,10 @@ def _check_raised_deeper_level_is_rejected(monkeypatch, relative):
 
     monkeypatch.setattr(solver, "exhaustion_blowup_solve", raised)
     problems = _small_family(3, 1, 3, 4)
-    with pytest.raises(MonotonicityViolationError):
+    # the message names the deeper level: its truncation and its 12x16 mesh
+    deep = problems[1].mesh
+    place = f"omega_min {deep.domain.omega_min:.6g}, mesh 12x16"
+    with pytest.raises(MonotonicityViolationError, match=re.escape(place)):
         maximal_solution(problems, data_sequence=[2.0**k for k in range(6)], tol=1.0)
     assert len(calls) == 2
 
@@ -704,7 +713,7 @@ def test_one_ordering_per_level(orderings):
     base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 12, 12, 2.0)
     problems = [flat_cone_problem(m, 1.0, 1.0, 1.0)
                 for m in truncation_family(base, 3, nodes_per_octave=4)]
-    level = exhaustion_blowup_solve(problems[1], [2.0**7, 2.0**8], tol=None)
+    level = exhaustion_blowup_solve(problems[1], [2.0**7, 2.0**8], tol=math.inf)
     assert orderings == {"MMD_AT_PLUS_A": 1,
                          "NATURAL": sum(r.factorizations for r in level) - 1}
     orderings.clear()
