@@ -23,8 +23,9 @@ in xi.  Robin rows at omega = theta are half-cell balances (equivalent to
 second-order one-sided ghost elimination);
 the potentials c and c2 enter as diagonal volume and surface mass terms,
 mirroring the bilinear form B[u,v] + (c u, v) + (c2 u, v)_boundary, which is
-uniquely solvable once c is large enough; a shifted operator is assembled
-by adding its shift to the potentials.
+uniquely solvable once c is large enough.  A shift of the potentials is
+never assembled: it is a diagonal that _factor_spd adds to the free block
+of the operator at hand.
 """
 
 from __future__ import annotations
@@ -247,17 +248,18 @@ def _factor_spd(op: OperatorAssembly, diag: np.ndarray | None = None):
     """Sparse LU of op.free_matrix + diag(diag), certified positive definite.
 
     diag is None for the free block itself, else a diagonal added to it (a
-    Newton Jacobian, a shifted eigenvalue pencil); the matrix is formed here
-    on the block's own sparsity pattern.  The first factorization of op
-    checks that the block's off-diagonal entries are nonpositive, orders the
-    matrix by minimum degree and caches the elimination order
-    argsort(perm_c) on op.  The next one caches the block permuted into
-    that order (CSC) with the positions of its diagonal, and every later
-    one copies its values, adds diag[order] on the diagonal and factors
-    under the natural ordering, which skips SuperLU's ordering step.  The
-    result is bitwise (block + diags(diag)) permuted into the order.  So
-    each operator runs one ordering, whichever caller factors it first, and
-    the returned factor solves in the block's own numbering either way.
+    Newton Jacobian, the monotone shift, a shifted eigenvalue pencil); the
+    matrix is formed here on the block's own sparsity pattern.  The first
+    factorization of op checks that the block's off-diagonal entries are
+    nonpositive, orders the matrix by minimum degree and caches the
+    elimination order argsort(perm_c) on op.  The next one caches the block
+    permuted into that order (CSC) with the positions of its diagonal, and
+    every later one copies its values, adds diag[order] on the diagonal and
+    factors under the natural ordering, which skips SuperLU's ordering
+    step.  The result is bitwise (block + diags(diag)) permuted into the
+    order.  So each operator runs one ordering, whichever caller factors it
+    first, and the returned factor solves in the block's own numbering
+    either way.
 
     Every factored matrix is thus a symmetric Z-matrix, which is positive
     definite exactly when it is a nonsingular M-matrix, that is when some
@@ -307,27 +309,29 @@ def _factor_spd(op: OperatorAssembly, diag: np.ndarray | None = None):
     return lu
 
 
-def _dirichlet_lift(op: OperatorAssembly, dvals: np.ndarray) -> np.ndarray:
-    """What the Dirichlet data dvals move to the right side of the free rows.
+def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=0.0) -> LinearSolveReport:
+    """Solve the mixed linear problem L u + c u = rhs with Robin data.
 
-    op.matrix is applied to the data with its free entries zeroed: CSR
-    matvec sums each row in column order and the free columns add exact
-    zeros, so this is bitwise the product of the free-to-fixed block.
+    rhs is the interior source f1, robin_rhs the boundary source f2 of the
+    mixed weak form; they and the Dirichlet data take any form Field.of
+    takes, and Dirichlet rows return the supplied data exactly.  The free
+    rows' right side is the integrated source minus the Dirichlet lift,
+    op.matrix applied to the data with its free entries zeroed: CSR matvec
+    sums each row in column order and the free columns add exact zeros, so
+    the lift is bitwise the free-to-fixed block times the data.  The first
+    solve with an operator factors its free block by _factor_spd and caches
+    the factor on the operator, so later solves with it, serial or
+    concurrent, are back-substitutions on that one factor.  Raises
+    IndefiniteOperatorError when the operator is not positive definite
+    (raise c) and NonConvergenceError when the relative residual of the
+    reduced system exceeds 1e-6 or is not finite.
     """
-    free = op.mesh.free_mask
-    return (op.matrix @ np.where(free, 0.0, dvals))[free]
-
-
-def _back_solve(op: OperatorAssembly, b_f: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve op.free_matrix x = b_f; return x and its relative residual.
-
-    The first call factors op.free_matrix by _factor_spd on the operator's
-    one ordering and caches the factor on the assembly, so every later call
-    with the operator is one back-substitution.  Raises
-    IndefiniteOperatorError when the operator is not positive definite (the
-    caller should raise c) and NonConvergenceError when the relative
-    residual exceeds 1e-6 or is not finite.
-    """
+    mesh = op.mesh
+    rvals, dvals, gvals = (Field.of(mesh, f).values
+                           for f in (rhs, dirichlet_data, robin_rhs))
+    free = mesh.free_mask
+    b = op.volume_mass * rvals + op.boundary_mass * gvals
+    b_f = b[free] - (op.matrix @ np.where(free, 0.0, dvals))[free]
     if op._free_factor is None:
         op._free_factor = _factor_spd(op)
     x = op._free_factor.solve(b_f)
@@ -337,29 +341,6 @@ def _back_solve(op: OperatorAssembly, b_f: np.ndarray) -> tuple[np.ndarray, floa
         raise NonConvergenceError(
             f"direct solve residual {relres:.3e} exceeds tolerance", residual=relres
         )
-    return x, relres
-
-
-def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=0.0) -> LinearSolveReport:
-    """Solve the mixed linear problem L u + c u = rhs with Robin data.
-
-    rhs is the interior source f1, robin_rhs the boundary source f2 of the
-    mixed weak form; they and the Dirichlet data take any form Field.of
-    takes, and Dirichlet rows return the supplied data exactly.  The free
-    rows' right side is the integrated source minus the Dirichlet lift
-    (_dirichlet_lift), solved by _back_solve on the factor cached on the
-    operator, so repeated solves with one operator are back-substitutions.
-    A caller that keeps the data across solves, as monotone_iterate does,
-    forms the lift once and calls _back_solve directly.  Raises IndefiniteOperatorError when the operator is not
-    positive definite and NonConvergenceError when the relative residual
-    of the reduced system exceeds 1e-6.
-    """
-    mesh = op.mesh
-    rvals, dvals, gvals = (Field.of(mesh, f).values
-                           for f in (rhs, dirichlet_data, robin_rhs))
-    free = mesh.free_mask
-    b = op.volume_mass * rvals + op.boundary_mass * gvals
-    x, relres = _back_solve(op, b[free] - _dirichlet_lift(op, dvals))
     u = dvals.copy()
     u[free] = x
     return LinearSolveReport(solution=Field(mesh, u), relative_residual=relres, iterations=1)

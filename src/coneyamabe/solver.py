@@ -12,14 +12,15 @@ boundary mean-curvature potential (on the flat cone, c = 0 and c2 is the
 
 Two routes to the discrete solution are provided and cross-checked:
 
-* monotone_iterate runs the shifted two-branch Picard scheme: both brackets
-  solve the same shifted linear operator with the remaining terms frozen on
-  the right, the shift being the smallest value that keeps the frozen maps
-  nondecreasing on [0, S]; the iterates then stay ordered (sub
-  nondecreasing, super nonincreasing, sub <= super <= S nodewise).  The cap
-  is the Dirichlet data maximum, so its contraction rate degrades as the
-  data grow: it is the certificate scheme for moderate data, not the
-  workhorse for blow-up-scale data.
+* monotone_iterate runs the shifted two-branch Picard scheme as chord
+  steps on the problem's own residual.  Both brackets solve with one factor
+  of the linear operator plus a diagonal shift, the smallest that keeps the
+  frozen maps nondecreasing on [0, S]; this is the scheme that solves the
+  shifted operator with the remaining terms frozen on the right, and its
+  iterates stay ordered (sub nondecreasing, super nonincreasing,
+  sub <= super <= S nodewise).  The cap is the Dirichlet data maximum, so
+  its contraction rate degrades as the data grow: it is the certificate
+  scheme for moderate data, not the workhorse for blow-up-scale data.
 
 * newton_solve is a full-step Newton iteration on the same discrete
   system.  The residual is a convex M-function (convex terms c0 u^p and
@@ -32,6 +33,9 @@ Two routes to the discrete solution are provided and cross-checked:
   and every Jacobian of one operator is factored under the one
   fill-reducing ordering computed for the first.
   Used as the inner solver for the exhaustion limits.
+
+Both factor through elliptic._factor_spd, as principal_eigen does, and
+each holds its own factor for the length of one solve.
 
 On top of these sit the large-data exhaustion (Dirichlet data m -> infinity
 with interior stabilization), the maximal-solution limit over shrinking
@@ -52,8 +56,6 @@ from .elliptic import (
     NonConvergenceError,
     OperatorAssembly,
     SolverError,
-    _back_solve,
-    _dirichlet_lift,
     _factor_spd,
     assemble,
     solve_mixed,  # not called here: perfbench's tracer patches solver.solve_mixed
@@ -264,7 +266,8 @@ def pick_cap(problem: NonlinearProblem) -> float:
     Dirichlet data maximum; a negative one raises it to (-c/c0)^(1/(p-1))
     or (-c2/c1)^(1/(q-1)), and meeting c0 = 0 or c1 = 0 raises
     CapSearchError.  monotone_iterate's shifts keep its frozen maps
-    nondecreasing on [0, S] for any S, so they ask nothing of the cap.
+    nondecreasing on [0, S] for any S, so they ask nothing of the cap
+    beyond S >= max(data), which monotone_iterate checks.
     """
     mesh = problem.mesh
     S = float(np.max(problem.dirichlet_data.values[mesh.dirichlet_mask]))
@@ -295,7 +298,12 @@ class AdmissibilityReport:
 
 def check_sub_super(problem: NonlinearProblem, candidate, side: str) -> AdmissibilityReport:
     """Evaluate the discrete differential inequalities for a candidate
-    bracket, given in any form Field.of takes on the problem's mesh."""
+    bracket, given in any form Field.of takes on the problem's mesh.
+
+    No solver calls this: monotone_iterate starts from zero and the cap,
+    admissible for every problem it accepts.  It is the sub/supersolution
+    oracle that tests and API callers check candidates with.
+    """
     if side not in ("sub", "super"):
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
     u = Field.of(problem.mesh, candidate).values
@@ -348,49 +356,45 @@ class SolverReport:
 
 def monotone_iterate(
     problem: NonlinearProblem,
-    sub0: Field,
     S: float,
     tol: float = 1e-8,
     max_iter: int = MONOTONE_MAX_ITER,
 ) -> tuple[SolverReport, BracketState]:
-    """Two-branch shifted iteration from the bracket [sub0, S].
+    """Two-branch shifted iteration from the bracket [0, S].
 
-    Both branches repeatedly solve the same shifted linear operator against
-    the frozen monotone right-hand sides.  The Dirichlet data never change,
-    so their lift is formed once per call, and each step of each branch is
-    one back-solve of its frozen right-hand side on the free nodes: bitwise
-    the solve_mixed solution with the same sources.  The lower branch's
-    limit (the minimal solution above sub0) is returned as the solution and
-    the upper branch as certificate.  The shifts are the smallest values
-    keeping the frozen maps t -> (shift - c) t - c0 t^p nondecreasing on
-    [0, S], namely max(c) + p c0 S^(p-1) and its Robin analogue: this
-    preserves the ordering argument verbatim while collapsing to a single
-    direct solve when the problem is linear.  Ordering is enforced nodewise
-    at every iteration to 1e-12 * max(1, S); violations raise
-    OrderingViolationError since they signal a failed discrete maximum
-    principle.  sub0 must be an admissible discrete subsolution with
-    0 <= sub0 <= S, else ValueError.  Stops when the lower increment drops
-    below tol in sup norm; a huge shift makes every step tiny, so the
-    limit's residual must also lie within 10 * tol * (1 + S^p), else
-    NonConvergenceError.  A cap so large that S^(p-1), S^(q-1) or S^p
-    leaves the double range, or that the frozen source c0 u^p or c1 u^q
-    overflows on the cap branch, also raises NonConvergenceError, naming
-    the power or the source.
+    Each step of each branch is a chord step u <- u - M^-1 F(u) on the
+    problem's integrated residual F, with the Dirichlet data on the
+    Dirichlet rows.  M is the free block of problem.linear_operator plus
+    the shift diagonal, factored once per call by _factor_spd, which
+    certifies it as an M-matrix.  With the shifts sigma = max(c) +
+    p c0 S^(p-1) on the volume and max(c2) + q c1 S^(q-1) on the Robin
+    face, M u - F(u) is the shifted Picard right-hand side: the maps
+    t -> (sigma - c) t - c0 t^p are nondecreasing on [0, S], so M^-1 >= 0
+    keeps the branches ordered (lower nondecreasing, upper nonincreasing,
+    0 <= lower <= upper <= S nodewise).  A linear problem takes a single
+    direct solve per branch.  The lower branch starts at zero, a
+    subsolution for any data, since off-diagonals are nonpositive and the
+    data nonnegative; its limit (the minimal solution) is returned as the
+    solution and the upper branch, started at the cap S, as certificate.
+    S below the Dirichlet data maximum is not a supersolution and raises
+    ValueError.  Ordering is enforced nodewise at every iteration to
+    1e-12 * max(1, S), and a step that is not finite fails it; violations
+    raise OrderingViolationError since they signal a failed discrete
+    maximum principle.  Stops when the lower increment drops below tol in
+    sup norm; a huge shift makes every step tiny, so the limit's residual
+    must also lie within 10 * tol * (1 + S^p), else NonConvergenceError.
+    A cap so large that S^(p-1), S^(q-1) or S^p leaves the double range,
+    or that c0 u^p or c1 u^q overflows on the cap branch, also raises
+    NonConvergenceError, naming the power or the term.
     """
     mesh = problem.mesh
     S = float(S)
     p, q = problem.p_interior, problem.p_boundary
     otol = 1e-12 * max(1.0, S)
-
-    adm = check_sub_super(problem, sub0, "sub")
-    if adm.worst_margin > 1e-10 * (1.0 + S):
-        raise ValueError(
-            f"sub0 is not an admissible discrete subsolution "
-            f"(worst margin {adm.worst_margin:.3e})"
-        )
-    lower = np.asarray(sub0.values, float).copy()
-    if np.min(lower) < -otol or np.max(lower) > S + otol:
-        raise ValueError("sub0 must satisfy 0 <= sub0 <= S")
+    free = mesh.free_mask
+    data = problem.dirichlet_data.values
+    if S < np.max(data[mesh.dirichlet_mask]):
+        raise ValueError(f"cap S = {S:.6g} lies below the Dirichlet data maximum")
 
     def cap_power(e):
         # a float power past the double range raises OverflowError
@@ -404,39 +408,35 @@ def monotone_iterate(
     c0, c1 = problem.c0, problem.c1
     shift_i = max(0.0, float(np.max(problem.c.values)) + p * c0 * cap_power(p - 1))
     shift_b = max(0.0, float(np.max(problem.c2_lin.values[mesh.robin_mask])) + q * c1 * cap_power(q - 1))
-    op = assemble(mesh, shift_i, shift_b)
-    free = mesh.free_mask
-    cvals, c2vals = problem.c.values[free], problem.c2_lin.values[free]
-    vmass, bmass = op.volume_mass[free], op.boundary_mass[free]
-    data = problem.dirichlet_data.values
-    lift = _dirichlet_lift(op, data)
+    op = problem.linear_operator
+    shift = op.volume_mass * (shift_i - op.c) + op.boundary_mass * (shift_b - op.c2)
+    factor = _factor_spd(op, shift[free])
 
     def step(u):
-        # the frozen right-hand side on the free nodes, as solve_mixed forms it
-        un = np.clip(u[free], 0.0, None)
+        w = np.where(free, u, data)
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs = (shift_i - cvals) * un - c0 * un**p
-            g = (shift_b - c2vals) * un - c1 * un**q
-        for source, term in ((rhs, f"c0 u^{p:g}"), (g, f"c1 u^{q:g}")):
-            if not np.all(np.isfinite(source)):
+            F = problem.integrated_residual(w)
+            if not np.all(np.isfinite(F)):
+                un = np.clip(w[free], 0.0, None)
+                term = f"c0 u^{p:g}" if not np.all(np.isfinite(c0 * un**p)) else f"c1 u^{q:g}"
                 raise NonConvergenceError(f"{term} overflows at the monotone cap S = {S:.3e}")
-        x, _ = _back_solve(op, vmass * rhs + bmass * g - lift)
-        new = data.copy()
-        new[free] = x
-        return new
+        w[free] -= factor.solve(F)
+        return w
 
+    lower = np.zeros(mesh.n_nodes)
     upper = np.full(mesh.n_nodes, S)
     inc = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
         new_lower = step(lower)
         new_upper = step(upper)
-        if (
-            np.min(new_lower - lower) < -otol
-            or np.max(new_upper - upper) > otol
-            or np.max(new_lower - new_upper) > otol
-            or np.min(new_lower) < -otol
-            or np.max(new_upper) > S + otol
+        # written so that a nan fails every comparison
+        if not (
+            np.min(new_lower - lower) >= -otol
+            and np.max(new_upper - upper) <= otol
+            and np.max(new_lower - new_upper) <= otol
+            and np.min(new_lower) >= -otol
+            and np.max(new_upper) <= S + otol
         ):
             raise OrderingViolationError(
                 "bracket ordering violated beyond tolerance "
@@ -468,7 +468,7 @@ def monotone_iterate(
         final_increment=inc,
         iterations=iterations,
         residual_sup=residual,
-        factorizations=1,  # the shifted operator, factored by its first solve
+        factorizations=1,  # the shifted free block, factored once
     )
     bracket = BracketState(
         sub=Field(mesh, lower), super=Field(mesh, upper), S=S, iteration=iterations
@@ -490,9 +490,10 @@ def newton_solve(
     """Full-step Newton iteration on the discrete system.
 
     Starts from the Dirichlet data with zero on the free nodes unless u0 is
-    given, such as a coarser mesh's solution carried over by mesh.resample
-    (Dirichlet rows of any start are overwritten by the data, and negative
-    values are clipped to zero).  At the zero-interior start the Jacobian
+    given, such as a coarser mesh's solution carried over by mesh.resample,
+    in any form Field.of takes on the problem's mesh, so a Field on another
+    mesh is a ValueError (Dirichlet rows of any start are overwritten by
+    the data, and negative values are clipped to zero).  At the zero-interior start the Jacobian
     is the free block of problem.linear_operator, since
     p c0 0^(p-1) = q c1 0^(q-1) = 0, and the residual is the Dirichlet
     lift, so the first step lands bitwise on the linear lift u_L of the
@@ -547,7 +548,7 @@ def newton_solve(
     free = mesh.free_mask
     data = problem.dirichlet_data.values
 
-    u = np.zeros(mesh.n_nodes) if u0 is None else u0.values.copy()
+    u = np.zeros(mesh.n_nodes) if u0 is None else Field.of(mesh, u0).values.copy()
     u[~free] = data[~free]
     u = np.clip(u, 0.0, None)
     factorizations = 0
@@ -643,10 +644,7 @@ def solve_problem(
     if method == "monotone":
         if u0 is not None:
             raise ValueError("the monotone iteration starts from its bracket; it takes no u0")
-        S = pick_cap(problem)
-        report, _ = monotone_iterate(
-            problem, Field.zeros(problem.mesh), S, tol=max(tol, 1e-12), **limit
-        )
+        report, _ = monotone_iterate(problem, pick_cap(problem), tol=max(tol, 1e-12), **limit)
         return report
     raise ValueError(f"unknown method {method!r}")
 

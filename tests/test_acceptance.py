@@ -166,8 +166,7 @@ def test_acceptance_5_monotone_iteration_properties():
     tol = 1e-9
     for prob in cases:
         S = pick_cap(prob)
-        rep, bracket = monotone_iterate(
-            prob, Field.zeros(prob.mesh), S, tol=tol, max_iter=3000
+        rep, bracket = monotone_iterate(prob, S, tol=tol, max_iter=3000
         )
         otol = 1e-12 * max(1.0, S)
         assert np.max(bracket.sub.values - bracket.super.values) <= otol

@@ -624,8 +624,8 @@ def test_stalled_monotone_solve_fails_loudly(tmp_path, c0):
     pytest.param("newton", "1e200", "NonConvergenceError: non-finite residual", id="newton-1e200"),
 ])
 def test_monotone_solve_with_overflowing_data_fails_loudly(tmp_path, method, data, error):
-    # at data 1e70 the source c0 u^5 overflows: the monotone cap branch
-    # refuses its frozen source on the first step, before numpy can warn,
+    # at data 1e70 the term c0 u^5 overflows: the monotone cap branch
+    # refuses its residual on the first step, before numpy can warn,
     # and Newton refuses the residual at its first iterate, the linear
     # lift; both exit 2 and name the non-finite value, not an indefinite
     # operator.  At 1e80 the monotone shift c0 p S^(p-1) itself leaves the

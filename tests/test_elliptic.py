@@ -222,7 +222,7 @@ def test_dirichlet_rows_match_data_exactly():
 
 
 def test_a_solve_with_a_large_residual_is_refused():
-    # every back-solve checks its relative residual; a factor that returns
+    # every mixed solve checks its relative residual; a factor that returns
     # a wrong solution fails loudly instead of handing it on
     class Zero:
         def solve(self, b):

@@ -100,7 +100,7 @@ def moderate_problems(draw):
 @given(problem=moderate_problems())
 def test_newton_equals_the_monotone_iteration(problem):
     # the bracket [0, pick_cap] iteration and Newton reach one discrete solution
-    mono, _ = monotone_iterate(problem, Field.zeros(problem.mesh), pick_cap(problem), tol=1e-11)
+    mono, _ = monotone_iterate(problem, pick_cap(problem), tol=1e-11)
     ref = newton_solve(problem, tol=1e-11).solution.values
     assert np.max(np.abs(mono.solution.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 

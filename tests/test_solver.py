@@ -37,12 +37,12 @@ from coneyamabe import (
     truncation_family,
 )
 from coneyamabe import solver
-from coneyamabe.elliptic import _back_solve, _dirichlet_lift
 from coneyamabe.solver import (
     CapSearchError,
     MonotonicityViolationError,
     NonConvergenceError,
     OrderingViolationError,
+    SolverError,
 )
 
 RNG = np.random.default_rng(421731)
@@ -135,7 +135,7 @@ def test_pick_cap_is_the_smallest_admissible_cap():
     prob = flat_cone_problem(mesh, 1.0, 1.0, 1.0)
     S = pick_cap(prob)
     assert S == 1.0
-    rep, _ = monotone_iterate(prob, Field.zeros(mesh), S, tol=1e-11, max_iter=100)
+    rep, _ = monotone_iterate(prob, S, tol=1e-11, max_iter=100)
     ref = newton_solve(prob, tol=1e-11).solution.values
     assert np.max(np.abs(rep.solution.values - ref)) <= 1e-9
 
@@ -185,7 +185,7 @@ def test_twice_power_solution_is_supersolution():
 def test_monotone_linear_problem_fixed_point_in_two_iterations():
     mesh = make_mesh()
     prob = replace(flat_cone_problem(mesh, 0.0, 0.0, 2.5), c2_lin=Field.zeros(mesh))
-    rep, bracket = monotone_iterate(prob, Field.zeros(mesh), S=2.5, tol=1e-9)
+    rep, bracket = monotone_iterate(prob, S=2.5, tol=1e-9)
     assert np.allclose(rep.solution.values, 2.5, atol=1e-9)
     assert rep.iterations <= 2
     assert bracket.S == 2.5
@@ -197,7 +197,7 @@ def test_monotone_model_problem_converges_to_power_solution():
         mesh = make_mesh(nn=nn)
         prob = model_problem(mesh)
         S = pick_cap(prob)
-        rep, bracket = monotone_iterate(prob, Field.zeros(mesh), S, tol=1e-10)
+        rep, bracket = monotone_iterate(prob, S, tol=1e-10)
         exact = mesh.rho ** (-mesh.domain.cone.blowup_exponent)
         errs.append(np.max(np.abs(rep.solution.values - exact)))
         # bracket ordering persisted to the end
@@ -212,7 +212,7 @@ def test_monotone_residual_bound():
     prob = model_problem(mesh)
     S = pick_cap(prob)
     tol = 1e-9
-    rep, _ = monotone_iterate(prob, Field.zeros(mesh), S, tol=tol)
+    rep, _ = monotone_iterate(prob, S, tol=tol)
     assert rep.residual_sup <= 10.0 * tol * (1.0 + S ** prob.p_interior)
 
 
@@ -220,9 +220,9 @@ def test_monotone_comparison_doubling_c0_shrinks_solution():
     mesh = make_mesh(nn=12)
     prob = model_problem(mesh)
     S = pick_cap(prob)
-    rep1, _ = monotone_iterate(prob, Field.zeros(mesh), S, tol=1e-11)
+    rep1, _ = monotone_iterate(prob, S, tol=1e-11)
     prob2 = flat_cone_problem(mesh, 2.0 * prob.c0, prob.c1, prob.dirichlet_data)
-    rep2, _ = monotone_iterate(prob2, Field.zeros(mesh), pick_cap(prob2), tol=1e-11)
+    rep2, _ = monotone_iterate(prob2, pick_cap(prob2), tol=1e-11)
     diff = rep1.solution.values - rep2.solution.values
     assert np.min(diff[mesh.free_mask]) >= -1e-9
 
@@ -233,52 +233,88 @@ def test_monotone_cap_independence():
     mesh = make_mesh(nn=8)
     prob = model_problem(mesh)
     S = pick_cap(prob)
-    rep1, _ = monotone_iterate(prob, Field.zeros(mesh), S, tol=5e-11, max_iter=8000)
-    rep2, _ = monotone_iterate(prob, Field.zeros(mesh), 2 * S, tol=5e-11, max_iter=8000)
+    rep1, _ = monotone_iterate(prob, S, tol=5e-11, max_iter=8000)
+    rep2, _ = monotone_iterate(prob, 2 * S, tol=5e-11, max_iter=8000)
     assert np.max(np.abs(rep1.solution.values - rep2.solution.values)) <= 1e-8
 
 
-def test_monotone_rejects_inadmissible_subsolution():
+def test_monotone_refuses_a_cap_below_the_data():
+    # a cap under the Dirichlet data is not a supersolution: a caller error,
+    # refused before the first step, not a failed maximum principle
     mesh = make_mesh(nn=10)
     prob = model_problem(mesh)
-    S = pick_cap(prob)
-    bad = Field.full(mesh, S)  # constant cap is not a subsolution here
-    with pytest.raises(ValueError):
-        monotone_iterate(prob, bad, S)
+    with pytest.raises(ValueError, match="below the Dirichlet data maximum"):
+        monotone_iterate(prob, pick_cap(prob) / 2)
+
+
+def _wrapped_factors(monkeypatch, transform):
+    """Make every solver._factor_spd factor return transform(its solve)."""
+    factor_spd = solver._factor_spd
+
+    class Wrapped:
+        def __init__(self, factor):
+            self._factor = factor
+
+        def solve(self, b):
+            return transform(self._factor.solve(b))
+
+    monkeypatch.setattr(solver, "_factor_spd", lambda op, diag=None: Wrapped(factor_spd(op, diag)))
 
 
 def test_monotone_rejects_a_step_that_lowers_the_iterate(monkeypatch):
-    # back-solves lowered by 2 put the lower branch below its start, zero:
-    # the discrete maximum principle behind the bracket has failed
-    back_solve = solver._back_solve
-
-    def lowered(op, b_f):
-        x, relres = back_solve(op, b_f)
-        return x - 2.0, relres
-
-    monkeypatch.setattr(solver, "_back_solve", lowered)
+    # chord corrections raised by 2 put the lower branch below its start,
+    # zero: the discrete maximum principle behind the bracket has failed
+    _wrapped_factors(monkeypatch, lambda x: x + 2.0)
     mesh = make_mesh(nn=10)
     prob = model_problem(mesh)
     with pytest.raises(OrderingViolationError, match="at iteration 1:"):
-        monotone_iterate(prob, Field.zeros(mesh), pick_cap(prob))
+        monotone_iterate(prob, pick_cap(prob))
+
+
+def test_monotone_stops_at_a_step_that_is_not_finite(monkeypatch):
+    # a nan step fails every bracket comparison on the step it appears,
+    # instead of running max_iter steps on an increment that never passes
+    _wrapped_factors(monkeypatch, lambda x: np.full_like(x, np.nan))
+    mesh = make_mesh(nn=10)
+    prob = model_problem(mesh)
+    with pytest.raises(SolverError, match="at iteration 1:"):
+        monotone_iterate(prob, pick_cap(prob))
+
+
+def test_monotone_solve_assembles_only_the_problem_operator(monkeypatch):
+    # the shift is a diagonal added at factorization: a monotone solve of a
+    # fresh problem assembles the problem's own operator and nothing else
+    calls = []
+    assemble_ = solver.assemble
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble_(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble", counted)
+    prob = model_problem(make_mesh(nn=10))
+    rep, _ = monotone_iterate(prob, pick_cap(prob), tol=1e-10)
+    assert len(calls) == 1
+    assert rep.factorizations == 1
 
 
 def test_monotone_solution_positive_on_free_nodes():
     mesh = make_mesh(nn=12)
     prob = model_problem(mesh)
-    rep, _ = monotone_iterate(prob, Field.zeros(mesh), pick_cap(prob), tol=1e-10)
+    rep, _ = monotone_iterate(prob, pick_cap(prob), tol=1e-10)
     assert np.all(rep.solution.values[mesh.free_mask] > 0)
 
 
 def test_monotone_back_solves_equal_solve_mixed_on_every_step():
-    # one lift per solve and one back-solve per branch step are bitwise the
-    # iteration that calls solve_mixed on every step; the model data
-    # rho^(-1/2) make the lift nonzero
+    # the chord steps on the problem's operator plus the shift diagonal are
+    # the iteration that solves the assembled shifted operator with frozen
+    # sources by solve_mixed on every step, up to rounding; the model data
+    # rho^(-1/2) make the Dirichlet lift nonzero
     mesh = make_mesh(nn=12)
     prob = model_problem(mesh)
     S = pick_cap(prob)
     tol = 1e-10
-    rep, bracket = monotone_iterate(prob, Field.zeros(mesh), S, tol=tol)
+    rep, bracket = monotone_iterate(prob, S, tol=tol)
 
     p, q = prob.p_interior, prob.p_boundary
     c, c2, c0, c1 = prob.c.values, prob.c2_lin.values, prob.c0, prob.c1
@@ -287,12 +323,10 @@ def test_monotone_back_solves_equal_solve_mixed_on_every_step():
     shift_b = max(0.0, float(np.max(c2[rob] + q * c1 * S ** (q - 1))))
     op = assemble(mesh, Field.full(mesh, shift_i), Field.full(mesh, shift_b))
 
-    def sources(u):
-        un = np.clip(u, 0.0, None)
-        return ((shift_i - c) * un - c0 * un**p, (shift_b - c2) * un - c1 * un**q)
-
     def step(u):
-        f, g = sources(u)
+        un = np.clip(u, 0.0, None)
+        f = (shift_i - c) * un - c0 * un**p
+        g = (shift_b - c2) * un - c1 * un**q
         return solve_mixed(op, Field(mesh, f), prob.dirichlet_data,
                            robin_rhs=Field(mesh, g)).solution.values
 
@@ -304,22 +338,19 @@ def test_monotone_back_solves_equal_solve_mixed_on_every_step():
         if inc < tol:
             break
     assert rep.iterations == bracket.iteration == iterations > 1
-    assert rep.solution.values.tobytes() == lower.tobytes()
-    assert bracket.super.values.tobytes() == upper.tobytes()
+    for got, ref in ((rep.solution.values, lower), (bracket.super.values, upper)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    # solve_mixed is the lift plus one back-solve, and the lift is the
-    # free-to-fixed block applied to the data
+    # solve_mixed moves the data to the right side as the free-to-fixed
+    # block applied to them, and returns them on the Dirichlet rows
     free = mesh.free_mask
     data = prob.dirichlet_data.values
-    lift = _dirichlet_lift(op, data)
+    lift = op.matrix[free][:, ~free] @ data[~free]
     assert np.any(lift != 0.0)
-    assert np.array_equal(lift, op.matrix[free][:, ~free] @ data[~free])
-    f, g = sources(upper)
-    x, relres = _back_solve(op, (op.volume_mass * f + op.boundary_mass * g)[free] - lift)
-    rep_mixed = solve_mixed(op, Field(mesh, f), prob.dirichlet_data, robin_rhs=Field(mesh, g))
-    assert rep_mixed.solution.values[free].tobytes() == x.tobytes()
-    assert rep_mixed.solution.values[~free].tobytes() == data[~free].tobytes()
-    assert rep_mixed.relative_residual == relres
+    x = solve_mixed(op, 0.0, prob.dirichlet_data).solution.values
+    assert np.allclose(op.free_matrix @ x[free], -lift, rtol=0.0,
+                       atol=1e-12 * np.max(np.abs(lift)))
+    assert x[~free].tobytes() == data[~free].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +361,7 @@ def test_monotone_back_solves_equal_solve_mixed_on_every_step():
 def test_newton_matches_monotone_on_model_problem():
     mesh = make_mesh(nn=16)
     prob = model_problem(mesh)
-    rep_m, _ = monotone_iterate(prob, Field.zeros(mesh), pick_cap(prob), tol=1e-11)
+    rep_m, _ = monotone_iterate(prob, pick_cap(prob), tol=1e-11)
     rep_n = newton_solve(prob, tol=1e-11)
     assert np.max(np.abs(rep_m.solution.values - rep_n.solution.values)) <= 1e-10 * 10
 
@@ -374,6 +405,23 @@ def test_newton_stops_at_its_iteration_limit():
     with pytest.raises(NonConvergenceError) as caught:
         newton_solve(model_problem(mesh), max_iter=7)
     assert caught.value.iterations == 7
+
+
+def test_newton_refuses_a_start_on_another_mesh():
+    # a start is read through Field.of: a field on another mesh, even one
+    # of the same shape, is a caller error, and so is a wrong node count
+    prob = model_problem(make_mesh(nn=10))
+    for other in (make_mesh(nn=12), make_mesh(nn=10)):
+        with pytest.raises(ValueError, match="different mesh"):
+            newton_solve(prob, u0=Field.zeros(other))
+    with pytest.raises(ValueError):
+        newton_solve(prob, u0=np.zeros(12 * 12))
+    # node values of the right length are a start like any other (a fresh
+    # problem each, so that both factor under their own first ordering)
+    mesh = prob.mesh
+    ref = newton_solve(model_problem(mesh)).solution.values
+    got = newton_solve(model_problem(mesh), u0=np.zeros(mesh.n_nodes)).solution.values
+    assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("n, d", [(3, 1), (4, 2)])
@@ -920,7 +968,7 @@ def test_barrier_threshold_case_infeasible():
 def test_converged_solution_dominates_barrier():
     mesh = make_mesh(nn=16)
     prob = model_problem(mesh)
-    rep, _ = monotone_iterate(prob, Field.zeros(mesh), pick_cap(prob), tol=1e-10)
+    rep, _ = monotone_iterate(prob, pick_cap(prob), tol=1e-10)
     fit = barrier_psi_fit(prob, solution=rep.solution)
     assert fit.feasible
     assert fit.lower_bound_margin is not None
