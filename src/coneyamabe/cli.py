@@ -235,7 +235,6 @@ def run_solve(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:
 
 
 def run_verify_model(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:
-    cone = cfg.cone
     rows = []
     errors = []
     prev = None  # Newton's last solution, the next mesh's start
@@ -249,7 +248,8 @@ def run_verify_model(cfg: ExperimentConfig, out: Path, summary: Summary) -> None
         dt = time.time() - t0
         if cfg.method == "newton":
             prev = rep.solution
-        exact = mesh.rho ** (-cone.blowup_exponent)
+        # the model data hold the exact solution on every node
+        exact = problem.dirichlet_data.values
         err = float(np.max(np.abs(rep.solution.values - exact)))
         order = math.log2(errors[-1] / err) if errors else float("nan")
         errors.append(err)

@@ -132,9 +132,12 @@ class NonlinearProblem:
     tests).  c, c2_lin and dirichlet_data are coerced by Field.of, so a
     scalar, node values or a Field on mesh may be given; c2_lin is read on
     ROBIN_CONE nodes and dirichlet_data on Dirichlet-tagged nodes.  The
-    problem is frozen, since its linear operator is assembled once from c
-    and c2_lin: a changed coefficient is a new problem,
-    dataclasses.replace(problem, c=...), checked and assembled afresh.
+    discrete equations live on the free rows (interior and ROBIN_CONE
+    nodes) and are evaluated there only: Dirichlet rows carry the data,
+    not equations.  The problem is frozen, since its linear operator is
+    assembled once from c and c2_lin: a changed coefficient is a new
+    problem, dataclasses.replace(problem, c=...), checked and assembled
+    afresh.
     """
 
     mesh: Mesh
@@ -186,32 +189,30 @@ class NonlinearProblem:
         object.__setattr__(prob, "_op0", self._op0)
         return prob
 
-    def _integrated(self, u: np.ndarray) -> np.ndarray:
-        """Integrated-form residual of the discrete system at every node."""
+    def integrated_residual(self, u: np.ndarray) -> np.ndarray:
+        """Integrated-form residual of the discrete system on the free rows (the
+        Newton objective); the Dirichlet entries of u enter only through A u."""
         op = self.linear_operator
-        un = np.maximum(u, 0.0)
+        free = self.mesh.free_mask
+        uf = np.maximum(u[free], 0.0)
         return (
-            op.matrix @ u
-            + op.volume_mass * self.c0 * un**self.p_interior
-            + op.boundary_mass * self.c1 * un**self.p_boundary
+            (op.matrix @ u)[free]
+            + op.volume_mass[free] * self.c0 * uf**self.p_interior
+            + op.boundary_mass[free] * self.c1 * uf**self.p_boundary
         )
 
     def residual_parts(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pointwise residual of the discrete system at (interior, Robin) nodes."""
-        mesh = self.mesh
+        """Pointwise residual of the discrete system at (interior, Robin) nodes,
+        the free rows of integrated_residual divided by their masses."""
         op = self.linear_operator
-        full = self._integrated(u)
-        r_int = full[mesh.tags == 0] / op.volume_mass[mesh.tags == 0]
-        r_rob = full[mesh.robin_mask] / op.boundary_mass[mesh.robin_mask]
-        return r_int, r_rob
+        free = self.mesh.free_mask
+        F = self.integrated_residual(u)
+        rob = self.mesh.robin_mask[free]
+        return F[~rob] / op.volume_mass[free][~rob], F[rob] / op.boundary_mass[free][rob]
 
     def residual_sup(self, u: np.ndarray) -> float:
         r_int, r_rob = self.residual_parts(u)
         return float(max(np.max(np.abs(r_int)), np.max(np.abs(r_rob))))
-
-    def integrated_residual(self, u: np.ndarray) -> np.ndarray:
-        """Integrated-form residual on free nodes (the Newton objective)."""
-        return self._integrated(u)[self.mesh.free_mask]
 
 
 def model_dirichlet_data(mesh: Mesh) -> Field:
@@ -528,11 +529,13 @@ def newton_solve(
     solution, such as the constant max(data), sheds about a factor
     p / (p-1) of its excess per step, too slowly for the 4x rule, so it
     refactors at nearly every step of that phase; the first step from zero
-    lands below it.
-    Converges when the row-normalized residual is below 1e-11 and the
-    sup-norm increment below tol * (1 + sup u); a residual that is not
-    finite (c0 u^p or c1 u^q overflows) or max_iter steps raise
-    NonConvergenceError, naming the mesh, omega_min and the data maximum.
+    lands below it.  The decrease is checked: a step after the first that
+    rises anywhere by more than ORDER_TOL * (1 + max|u|) raises
+    OrderingViolationError, naming the mesh, omega_min and the data maximum.
+    Converges when the row-normalized residual, formed on the free rows,
+    is below 1e-11 and the sup-norm increment below tol * (1 + sup u); a
+    residual that is not finite (c0 u^p or c1 u^q overflows) or max_iter
+    steps raise NonConvergenceError, with the same naming.
     The report counts the steps and the factorizations.
     Every Jacobian shares the sparsity pattern of the free block of
     problem.linear_operator, so only the first factorization of that
@@ -563,10 +566,10 @@ def newton_solve(
         # row-normalized residual: near blow-up data the raw rows span many
         # orders of magnitude and a global norm would let the interior be
         # sloppy, so each row is measured against its own term sizes.
-        # Returns the norm and the integrated residual it measured.  A power
-        # may overflow on a Dirichlet row, and meet a zero mass there
-        # (0 * inf), which both discard; on a free row the finite check
-        # reports it.
+        # Returns the norm and the integrated residual it measured.  Every
+        # iterate and the data are nonnegative, so |vec| is vec.  A power
+        # may overflow on a free row and meet a zero boundary mass at an
+        # interior node (0 * inf); the finite check reports both.
         with np.errstate(over="ignore", invalid="ignore"):
             F = problem.integrated_residual(vec)
             if not np.all(np.isfinite(F)):
@@ -575,13 +578,9 @@ def newton_solve(
                     + place,
                     iterations=iterations,
                 )
-            un = np.clip(vec, 0.0, None)
-            scale = (
-                abs_matrix @ np.abs(vec)
-                + op0.volume_mass * (c0 * un**p + 1.0)
-                + op0.boundary_mass * c1 * un**q
-            )
-        return float(np.max(np.abs(F) / scale[free])), F
+            uf = vec[free]
+            scale = (abs_matrix @ vec)[free] + vmass * (c0 * uf**p + 1.0) + bmass * c1 * uf**q
+        return float(np.max(np.abs(F) / scale)), F
 
     iterations = 0
     res, F = normalized_residual(u)
@@ -597,10 +596,18 @@ def newton_solve(
         trial = u.copy()
         trial[free] += factor.solve(-F)
         trial = np.clip(trial, 0.0, None)
-        step = float(np.max(np.abs(trial - u)))
+        change = trial - u
+        step, rise = float(np.max(np.abs(change))), float(np.max(change))
+        # after the first step the iterates decrease nodewise, which the
+        # kept factors rely on
+        if iterations > 1 and rise > ORDER_TOL * (1.0 + float(np.max(np.abs(u)))):
+            raise OrderingViolationError(
+                f"Newton step {iterations} rose by {rise:.3e} where the iterates must "
+                "decrease: the discrete maximum principle failed " + place
+            )
         # the start factor serves on only after a first step down; every
         # factor serves on while steps shrink 4x
-        if step > 0.25 * inc or (iterations == 1 and not np.all(trial <= u)):
+        if step > 0.25 * inc or (iterations == 1 and rise > 0.0):
             factor = None
         u = trial
         res, F = normalized_residual(u)

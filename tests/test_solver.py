@@ -177,6 +177,20 @@ def test_twice_power_solution_is_supersolution():
     assert rep.interior_margin < -1e-3
 
 
+def test_dirichlet_rows_are_never_evaluated():
+    # Dirichlet rows carry data, not equations: data whose powers overflow
+    # enter the residual only through the matrix product, so no warning
+    # is raised and every free row is finite
+    mesh = make_mesh(nn=12)
+    prob = flat_cone_problem(mesh, 1.0, 1.0, 1e200)
+    u = np.where(mesh.free_mask, 0.0, prob.dirichlet_data.values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        F = prob.integrated_residual(u)
+    assert F.shape == (int(np.sum(mesh.free_mask)),)
+    assert np.all(np.isfinite(F))
+
+
 # ---------------------------------------------------------------------------
 # monotone iteration
 # ---------------------------------------------------------------------------
@@ -405,6 +419,29 @@ def test_newton_stops_at_its_iteration_limit():
     with pytest.raises(NonConvergenceError) as caught:
         newton_solve(model_problem(mesh), max_iter=7)
     assert caught.value.iterations == 7
+
+
+def test_newton_rejects_a_step_that_rises_after_the_first(monkeypatch):
+    # after the first step the iterates decrease nodewise, which the kept
+    # factors rely on; a later step that lifts one free node is refused,
+    # naming the mesh, its truncation and the data maximum
+    solves = []
+
+    def lift_one_node(x):
+        solves.append(None)
+        if len(solves) > 1:
+            x[0] = abs(x[0]) + 1.0
+        return x
+
+    _wrapped_factors(monkeypatch, lift_one_node)
+    mesh = make_mesh(nn=12)
+    prob = model_problem(mesh)
+    data_max = float(np.max(prob.dirichlet_data.values[mesh.dirichlet_mask]))
+    place = (f"on mesh 12x12, omega_min {mesh.domain.omega_min:.6g}, "
+             f"Dirichlet data max {data_max:.6g}")
+    with pytest.raises(OrderingViolationError,
+                       match="^Newton step 2 rose by .*" + re.escape(place) + "$"):
+        newton_solve(prob)
 
 
 def test_newton_refuses_a_start_on_another_mesh():
