@@ -290,8 +290,12 @@ def _dichotomy_single(cfg: ExperimentConfig, d: int):
 
 def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: int = 1) -> None:
     d_values = cfg.d_list or [cfg.d]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda d: _dichotomy_single(cfg, d), d_values))
+    if threads == 1:
+        # in the calling thread: a pool worker would get a malloc arena of its own
+        results = [_dichotomy_single(cfg, d) for d in d_values]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(lambda d: _dichotomy_single(cfg, d), d_values))
 
     rows = []
     for d, reports in zip(d_values, results):

@@ -318,16 +318,19 @@ def write_field_table(fh, mesh: Mesh, values) -> None:
     rho_polar, omega, tag, value.
 
     Floats are printed at 17 significant digits, so read_field_table
-    returns them bit-exactly.  Rows are streamed in chunks of _CHUNK_ROWS,
-    each formatted in one pass.  Format is documented in the README
-    (debugging/plotting aid).
+    returns them bit-exactly.  Each radial and each angular node is
+    formatted once, and per row only the value; rows are streamed in
+    chunks of _CHUNK_ROWS, each formatted in one pass.  Format is
+    documented in the README (debugging/plotting aid).
     """
     vals = np.asarray(values, float)
     if vals.shape != (mesh.n_nodes,):
         raise ValueError("values length does not match mesh")
+    radial, angular = (np.array(["%.17g" % x for x in nodes.tolist()], dtype=object)
+                       for nodes in (mesh.radial_nodes, mesh.angular_nodes))
     fh.write("rho_polar,omega,tag,value\n")
-    _write_rows(fh, "%.17g,%.17g,%s,%.17g\n",
-                mesh.rho_polar, mesh.omega, _TAG_NAMES[mesh.tags], vals)
+    _write_rows(fh, "%s,%s,%s,%.17g\n", np.repeat(radial, mesh.n_angular),
+                np.tile(angular, mesh.n_radial), _TAG_NAMES[mesh.tags], vals)
 
 
 def read_field_table(fh) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:

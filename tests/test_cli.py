@@ -1,6 +1,7 @@
 """Config parsing, experiment orchestration, serialization and exit codes."""
 
 import math
+import threading
 from pathlib import Path
 
 import pytest
@@ -526,6 +527,27 @@ def test_dichotomy_without_absorption_reports_no_blowup_amplitude(tmp_path):
     out = tmp_path / "out"
     assert main(["dichotomy", "--config", cfgpath, "--out", str(out)]) == 0
     assert "dichotomy.d1.blowup_amplitude = nan" in (out / "summary.txt").read_text().splitlines()
+
+
+def test_a_one_thread_dichotomy_runs_in_the_calling_thread(tmp_path, monkeypatch):
+    # a pool worker would get a malloc arena of its own, so --threads 1
+    # runs each dimension on the main thread, without a pool
+    cfgpath = write_cfg(
+        tmp_path, "dichotomy", extra="d_list = 1\ntruncation_levels = 2\nplot = false",
+        body="[coefficients]\nc0 = 0\n[mesh]\nn_radial = 12\nn_angular = 12\n"
+             "nodes_per_octave = 4\n[tolerances]\nexhaustion_tol = 1e9\ndata_max_exponent = 4\n",
+    )
+    ran_on = []
+    single = cli._dichotomy_single
+
+    def recorded(cfg, d):
+        ran_on.append(threading.current_thread())
+        return single(cfg, d)
+
+    monkeypatch.setattr(cli, "_dichotomy_single", recorded)
+    assert main(["dichotomy", "--config", cfgpath, "--out", str(tmp_path / "out"),
+                 "--threads", "1"]) == 0
+    assert ran_on == [threading.main_thread()]
 
 
 def test_dichotomy_threaded_sweep(tmp_path):

@@ -22,9 +22,11 @@ from coneyamabe import (
     build_mesh,
     euclidean_robin_potential,
     exact_model_solution,
+    flat_cone_problem,
     principal_eigen,
     rayleigh_quotient,
     solve_mixed,
+    truncation_family,
     write_coo_system,
 )
 from coneyamabe import elliptic
@@ -321,8 +323,7 @@ def test_every_factorization_of_an_operator_shares_its_ordering(orderings):
 
 
 def _splu_spd(A, permc_spec):
-    return scipy.sparse.linalg.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
-                                    options={"SymmetricMode": True})
+    return scipy.sparse.linalg.splu(A, permc_spec=permc_spec, **elliptic._SPLU_KEYWORDS)
 
 
 def test_factors_solve_bitwise_like_splu_of_the_explicit_sum():
@@ -345,6 +346,27 @@ def test_factors_solve_bitwise_like_splu_of_the_explicit_sum():
         x = np.empty_like(b)
         x[order] = ref.solve(b[order])
         assert np.array_equal(_factor_spd(op, jac).solve(b), x)
+
+
+def test_the_narrow_panel_keeps_the_fill_of_the_default_panel():
+    # the panel width changes SuperLU's blocking, not its elimination: the
+    # first factor of a truncation level's operator and a cached-order
+    # factor have the fill of SuperLU's default panel on the same matrix
+    base = build_mesh(ReducedDomain(ConeModel(4, 1, 1.0), 0.5, 2.0, 0.15), 16, 12, 2.0)
+    op = flat_cone_problem(truncation_family(base, 3)[-1], 1.0, 1.0, 1.0).linear_operator
+    A = op.free_matrix
+    default_panel = {k: v for k, v in elliptic._SPLU_KEYWORDS.items() if k != "panel_size"}
+    rng = np.random.default_rng(11)
+    diags = [rng.uniform(0.0, 5.0, A.shape[0]) for _ in range(2)]
+    first = _factor_spd(op, diags[0])
+    ref = scipy.sparse.linalg.splu((A + sp.diags(diags[0])).tocsc(),
+                                   permc_spec="MMD_AT_PLUS_A", **default_panel)
+    assert first.nnz == ref.nnz
+    order = op._free_order
+    cached = _factor_spd(op, diags[1])
+    ref = scipy.sparse.linalg.splu((A + sp.diags(diags[1])).tocsr()[order][:, order].tocsc(),
+                                   permc_spec="NATURAL", **default_panel)
+    assert cached.nnz == ref.nnz > A.nnz
 
 
 def test_an_indefinite_shift_is_refused_on_both_paths(orderings):
