@@ -333,6 +333,16 @@ def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: i
         "n", "d", "h", "levels", "alpha", "completeness_last", "completeness_prev",
         "near_gamma_sup", "near_gamma_variation", "verdict",
     ], rows)
+    # under the theorem's hypotheses c0, c1 > 0 a complete solution exists
+    # exactly when d > (n-2)/2; INCONCLUSIVE contradicts neither side
+    if cfg.c0 > 0 and cfg.c1 > 0:
+        threshold = (cfg.n - 2) / 2
+        wrong = [f"d = {d} reads {row[-1]}" for d, row in zip(d_values, rows)
+                 if row[-1] == ("BOUNDED_TYPE" if d > threshold else "COMPLETE_TYPE")]
+        if wrong:
+            raise AcceptanceCheckError(
+                f"{'; '.join(wrong)}, against the theorem's threshold (n-2)/2 = {threshold:g}"
+            )
 
 
 def run_eigen(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:

@@ -31,7 +31,8 @@ and boundary mean curvature: each side takes either c0 / c1 directly or a
 target curvature magnitude (target_R / target_H) converted through the
 Eq.-(22)-style normalizations c0 = (n-2)|R|/(4(n-1)), c1 = (n-2)|H|/(2(n-1)).
 A verify-model run outside the complete regime d > (n-2)/2, where no exact
-solution exists, is a config error too.
+solution exists, is a config error too, and so is a mesh of the run whose
+grading rounds two adjacent nodes to one value.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 
 from .geometry import ConeModel, exact_model_solution, target_H_to_c1, target_R_to_c0
-from .mesh import ReducedDomain
+from .mesh import ReducedDomain, _graded_nodes
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
 
@@ -66,7 +67,12 @@ def _int_list(text: str) -> list[int]:
 
 
 def _flag(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(
+            f"expected a boolean (1/yes/true/on or 0/no/false/off), got {text!r}"
+        ) from None
 
 
 # section -> key -> parser of the raw text; every key but target_R and
@@ -236,6 +242,15 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError("mesh_sizes needs at least two sizes, all >= 4")
     if cfg.truncation_levels < 2:
         raise ConfigError("truncation_levels must be >= 2")
+    # the nodes of every mesh the run builds, without building the meshes
+    domain = cfg.domain()
+    shapes = ([(size, size) for size in cfg.mesh_sizes] if cfg.kind == "verify-model"
+              else [(cfg.n_radial, cfg.n_angular)])
+    for n_radial, n_angular in shapes:
+        try:
+            _graded_nodes(domain, n_radial, n_angular, cfg.grading)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if cfg.kind == "eigen":
         if cfg.eigen_denominator is None:
             raise ConfigError(

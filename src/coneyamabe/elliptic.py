@@ -225,7 +225,6 @@ def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
 class LinearSolveReport:
     solution: Field
     relative_residual: float
-    iterations: int  # back-substitutions: 1 for the direct solve
 
 
 class _OrderedFactor:
@@ -359,7 +358,7 @@ def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=0.0) -> Lin
         )
     u = dvals.copy()
     u[free] = x
-    return LinearSolveReport(solution=Field(mesh, u), relative_residual=relres, iterations=1)
+    return LinearSolveReport(solution=Field(mesh, u), relative_residual=relres)
 
 
 def rayleigh_quotient(op: OperatorAssembly, zeta) -> float:
@@ -378,17 +377,6 @@ def rayleigh_quotient(op: OperatorAssembly, zeta) -> float:
     return float(z @ (op.matrix @ z)) / den
 
 
-def _eigen_matrices(op: OperatorAssembly, variant: str):
-    free = op.mesh.free_mask
-    if variant == "volume":
-        bdiag = op.volume_mass[free]
-    elif variant == "volume-plus-boundary":
-        bdiag = (op.volume_mass + op.boundary_mass)[free]
-    else:
-        raise ValueError(f"unknown eigenvalue denominator variant {variant!r}")
-    return op.free_matrix, bdiag
-
-
 def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
     """Smallest eigenvalue and positive ground state of (A, B) by inverse iteration.
 
@@ -403,9 +391,16 @@ def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
     inverse and the iteration starts from ones, so the largest entry is +1
     and the eigenvector has sup = 1.  A genuinely negative component raises
     NegativeEigenvectorError since the ground state of an irreducible
-    M-matrix pencil must be positive.
+    M-matrix pencil must be positive.  An unknown variant is a ValueError.
     """
-    A, bdiag = _eigen_matrices(op, variant)
+    free = op.mesh.free_mask
+    if variant == "volume":
+        bdiag = op.volume_mass[free]
+    elif variant == "volume-plus-boundary":
+        bdiag = (op.volume_mass + op.boundary_mass)[free]
+    else:
+        raise ValueError(f"unknown eigenvalue denominator variant {variant!r}")
+    A = op.free_matrix
     n = A.shape[0]
     # Gershgorin on B^(-1) A (similar to the pencil): with the row-sum
     # stiffness construction this is tight, lower ~ min potential
@@ -445,7 +440,7 @@ def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
             f"ground-state candidate has negative component {np.min(v):.3e}"
         )
     full = np.zeros(op.mesh.n_nodes)
-    full[op.mesh.free_mask] = v
+    full[free] = v
     return lam, Field(op.mesh, full)
 
 

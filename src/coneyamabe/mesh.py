@@ -19,7 +19,7 @@ that rectangle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class ReducedDomain:
             raise ValueError(
                 f"need 0 <= omega_min < theta = {self.cone.theta}, got {self.omega_min}"
             )
-
-    def with_omega_min(self, omega_min: float) -> "ReducedDomain":
-        return ReducedDomain(self.cone, self.rho_polar_min, self.rho_polar_max, omega_min)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,20 +185,9 @@ class Field:
     def full(cls, mesh: Mesh, value: float) -> "Field":
         return cls(mesh, np.full(mesh.n_nodes, float(value)))
 
-    @classmethod
-    def zeros(cls, mesh: Mesh) -> "Field":
-        return cls.full(mesh, 0.0)
-
 
 def _assemble_mesh(domain: ReducedDomain, radial_nodes, angular_nodes) -> Mesh:
     nr, na = len(radial_nodes), len(angular_nodes)
-    if nr < 4 or na < 4:
-        raise ValueError(f"need at least 4 nodes per direction, got {nr} x {na}")
-    if np.any(np.diff(radial_nodes) <= 0) or np.any(np.diff(angular_nodes) <= 0):
-        raise ValueError("mesh nodes must be strictly increasing")
-    if angular_nodes[0] <= 0.0:
-        raise ValueError("solver meshes require omega_min > 0 (nodes on the singular axis excluded)")
-
     ii, jj = np.meshgrid(np.arange(nr), np.arange(na), indexing="ij")
     tags = np.full((nr, na), BoundaryTag.INTERIOR, dtype=np.int8)
     tags[(jj == 0)] = BoundaryTag.DIRICHLET_INNER_ANGULAR
@@ -230,6 +216,18 @@ def build_mesh(domain: ReducedDomain, n_radial: int, n_angular: int, grading: fl
         raise ValueError(f"grading must be >= 1, got {grading}")
     if domain.omega_min <= 0.0:
         raise ValueError("build_mesh requires omega_min > 0")
+    return _assemble_mesh(domain, *_graded_nodes(domain, n_radial, n_angular, grading))
+
+
+def _graded_nodes(
+    domain: ReducedDomain, n_radial: int, n_angular: int, grading: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Radial and angular nodes of build_mesh(domain, n_radial, n_angular, grading).
+
+    A steep grading can round adjacent angular nodes near omega_min to one
+    value, and a narrow radial range adjacent radii; either raises
+    ValueError, since a mesh needs strictly increasing nodes.
+    """
     theta = domain.cone.theta
     radial = np.exp(
         np.linspace(np.log(domain.rho_polar_min), np.log(domain.rho_polar_max), n_radial)
@@ -238,7 +236,12 @@ def build_mesh(domain: ReducedDomain, n_radial: int, n_angular: int, grading: fl
     angular = domain.omega_min + (theta - domain.omega_min) * s**grading
     angular[0] = domain.omega_min
     angular[-1] = theta
-    return _assemble_mesh(domain, radial, angular)
+    if np.any(np.diff(radial) <= 0) or np.any(np.diff(angular) <= 0):
+        raise ValueError(
+            f"the nodes of the {n_radial}x{n_angular} mesh with grading {grading:g} "
+            "are not strictly increasing"
+        )
+    return radial, angular
 
 
 def truncation_family(
@@ -263,7 +266,7 @@ def truncation_family(
         new_min = 0.5 * omega_min
         octave = np.exp(np.linspace(np.log(new_min), np.log(omega_min), nodes_per_octave + 1))[:-1]
         angular = np.concatenate([octave, angular])
-        domain = base.domain.with_omega_min(new_min)
+        domain = replace(base.domain, omega_min=new_min)
         meshes.append(_assemble_mesh(domain, base.radial_nodes, angular))
         omega_min = new_min
     return meshes

@@ -66,7 +66,6 @@ from .mesh import Field, Mesh
 __all__ = [
     "Verdict",
     "NonlinearProblem",
-    "BracketState",
     "SolverReport",
     "LevelRecord",
     "AdmissibilityReport",
@@ -290,7 +289,6 @@ class AdmissibilityReport:
     Nonpositive worst_margin means admissible for the requested side.
     """
 
-    side: str
     worst_margin: float
     interior_margin: float
     robin_margin: float
@@ -315,7 +313,6 @@ def check_sub_super(problem: NonlinearProblem, candidate, side: str) -> Admissib
     mr = float(np.max(sgn * r_rob))
     md = float(np.max(sgn * d_m))
     return AdmissibilityReport(
-        side=side,
         worst_margin=max(mi, mr, md),
         interior_margin=mi,
         robin_margin=mr,
@@ -326,16 +323,6 @@ def check_sub_super(problem: NonlinearProblem, candidate, side: str) -> Admissib
 # ---------------------------------------------------------------------------
 # monotone two-branch iteration
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class BracketState:
-    """Ordered bracket of the two-branch iteration."""
-
-    sub: Field
-    super: Field
-    S: float
-    iteration: int
 
 
 @dataclass
@@ -360,7 +347,7 @@ def monotone_iterate(
     S: float,
     tol: float = 1e-8,
     max_iter: int = MONOTONE_MAX_ITER,
-) -> tuple[SolverReport, BracketState]:
+) -> tuple[SolverReport, Field]:
     """Two-branch shifted iteration from the bracket [0, S].
 
     Each step of each branch is a chord step u <- u - M^-1 F(u) on the
@@ -375,8 +362,9 @@ def monotone_iterate(
     0 <= lower <= upper <= S nodewise).  A linear problem takes a single
     direct solve per branch.  The lower branch starts at zero, a
     subsolution for any data, since off-diagonals are nonpositive and the
-    data nonnegative; its limit (the minimal solution) is returned as the
-    solution and the upper branch, started at the cap S, as certificate.
+    data nonnegative; its limit (the minimal solution) is the report's
+    solution.  The upper branch starts at the cap S, and its limit is
+    returned next to the report as certificate.
     S below the Dirichlet data maximum is not a supersolution and raises
     ValueError.  Ordering is enforced nodewise at every iteration to
     1e-12 * max(1, S), and a step that is not finite fails it; violations
@@ -471,10 +459,7 @@ def monotone_iterate(
         residual_sup=residual,
         factorizations=1,  # the shifted free block, factored once
     )
-    bracket = BracketState(
-        sub=Field(mesh, lower), super=Field(mesh, upper), S=S, iteration=iterations
-    )
-    return report, bracket
+    return report, Field(mesh, upper)
 
 
 # ---------------------------------------------------------------------------

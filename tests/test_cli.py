@@ -134,6 +134,29 @@ def test_non_finite_values_rejected(tmp_path, kind, body):
     assert main([kind, "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("kind, extra, body, shape", [
+    ("solve", "", "[mesh]\nn_angular = 12\ngrading = 1000\n", "40x12"),
+    # the 8x8 mesh keeps its nodes apart at grading 9, the 128x128 one does not
+    ("verify-model", "mesh_sizes = 8,128", "[mesh]\ngrading = 9\n", "128x128"),
+], ids=["solve-base-mesh", "verify-model-mesh-sizes"])
+def test_a_grading_that_collapses_a_mesh_is_a_config_error(tmp_path, kind, extra, body, shape):
+    cfgpath = write_cfg(tmp_path, kind, extra=extra, body=body)
+    with pytest.raises(ConfigError, match=f"{shape} mesh with grading .* not strictly increasing"):
+        parse_config(cfgpath)
+    assert main([kind, "--config", cfgpath, "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_plot_accepts_only_boolean_words(tmp_path):
+    # configparser's words in any case; any other text is an error, not False
+    for word, value in (("On", True), ("YES", True), ("1", True), ("true", True),
+                        ("Off", False), ("no", False), ("FALSE", False), ("0", False)):
+        assert parse_config(write_cfg(tmp_path, "curvature", extra=f"plot = {word}")).plot is value
+    for text in ("ture", "2", "enabled", ""):
+        with pytest.raises(ConfigError, match=r"\[experiment\] plot: expected a boolean"):
+            parse_config(write_cfg(tmp_path, "curvature", extra=f"plot = {text}"))
+
+
 @pytest.mark.parametrize("extra", [
     "d_list = 1,x",
     "mesh_sizes = 32,x",
@@ -344,6 +367,28 @@ def test_verify_ladder_starts_each_mesh_from_the_coarser_solution(tmp_path):
         assert int(summary[f"verify_model.factorizations_{size}"]) == 1
 
 
+def test_verify_model_with_the_monotone_method(tmp_path):
+    # each mesh starts from its own bracket [0, cap], nothing is carried over:
+    # one factorization per mesh, second order, and the errors of the Newton
+    # run on the same meshes
+    summaries = {}
+    for method in ("monotone", "newton"):
+        cfgpath = write_cfg(
+            tmp_path, "verify-model", extra=f"method = {method}\nmesh_sizes = 12,24\nplot = false",
+            body="[mesh]\nomega_min = 0.15\n",
+        )
+        out = tmp_path / method
+        assert main(["verify-model", "--config", cfgpath, "--out", str(out)]) == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        summaries[method] = dict(line.split(" = ", 1) for line in lines)
+    mono, newton = summaries["monotone"], summaries["newton"]
+    assert 1.7 <= float(mono["verify_model.order_24"]) <= 2.3
+    for size in (12, 24):
+        assert int(mono[f"verify_model.factorizations_{size}"]) == 1
+        err = float(mono[f"verify_model.err_{size}"])
+        assert err == pytest.approx(float(newton[f"verify_model.err_{size}"]), rel=1e-3)
+
+
 def test_eigen_experiment(tmp_path):
     cfgpath = write_cfg(
         tmp_path, "eigen", extra="eigen_denominator = volume",
@@ -429,6 +474,46 @@ def test_eigen_rayleigh_check_failure_exits_3(tmp_path, monkeypatch):
     assert code == 3
     assert summary["status"] == "check-failed"
     assert summary["error"].startswith("Rayleigh quotient of the eigenvector")
+
+
+def test_a_verdict_against_the_theorem_exits_3_after_writing_its_outputs(tmp_path):
+    # (4,1) sits on the threshold d = (n-2)/2 = 1, where the theorem rules
+    # out a complete solution, yet eight levels of the desk family read
+    # COMPLETE_TYPE, a verdict that depends on the truncation depth
+    cfgpath = tmp_path / "run.cfg"
+    cfgpath.write_text("[cone]\nn = 4\nd = 1\nh = 1.0\n"
+                       "[experiment]\nkind = dichotomy\nd_list = 1\ntruncation_levels = 8\n")
+    out = tmp_path / "out"
+    assert main(["dichotomy", "--config", str(cfgpath), "--out", str(out)]) == 3
+    summary = dict(line.split(" = ", 1)
+                   for line in (out / "summary.txt").read_text().splitlines())
+    assert summary["dichotomy.d1.verdict"] == "COMPLETE_TYPE"
+    assert summary["status"] == "check-failed"
+    assert summary["error"] == (
+        "d = 1 reads COMPLETE_TYPE, against the theorem's threshold (n-2)/2 = 1")
+    lines = (out / "dichotomy.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("4,1,1,8,") and lines[1].endswith(",COMPLETE_TYPE")
+    assert (out / "dichotomy_n4_d1.svg").exists()
+
+
+@pytest.mark.parametrize("verdict, c0, code", [
+    ("BOUNDED_TYPE", "1", 3),   # (3,1) is supercritical: 1 > (n-2)/2 = 1/2
+    ("COMPLETE_TYPE", "1", 0),
+    ("BOUNDED_TYPE", "0", 0),   # c0 = 0 is outside the theorem's hypotheses
+])
+def test_the_theorem_check_reads_the_verdict_and_the_hypotheses(tmp_path, monkeypatch,
+                                                                 verdict, c0, code):
+    monkeypatch.setattr(cli, "dichotomy_verdict", lambda levels: coneyamabe.Verdict[verdict])
+    code_run, summary = _failed_check(
+        tmp_path, "dichotomy", extra="d_list = 1\ntruncation_levels = 2\nplot = false",
+        body=f"[coefficients]\nc0 = {c0}\n[mesh]\nn_radial = 12\nn_angular = 12\n"
+             "[tolerances]\nexhaustion_tol = 1e9\ndata_max_exponent = 2\n",
+    )
+    assert code_run == code
+    assert summary["dichotomy.d1.verdict"] == verdict
+    if code:
+        assert summary["error"] == (
+            "d = 1 reads BOUNDED_TYPE, against the theorem's threshold (n-2)/2 = 0.5")
 
 
 @pytest.mark.parametrize("name", [

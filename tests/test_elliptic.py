@@ -30,7 +30,7 @@ from coneyamabe import (
     write_coo_system,
 )
 from coneyamabe import elliptic
-from coneyamabe.elliptic import _eigen_matrices, _factor_spd
+from coneyamabe.elliptic import _factor_spd
 from coneyamabe.mesh import _CHUNK_ROWS
 from coneyamabe.solver import NonlinearProblem
 
@@ -128,7 +128,7 @@ def test_assemble_rejects_mismatched_fields():
     mesh = make_mesh(nn=8)
     other = make_mesh(nn=10)
     with pytest.raises(ValueError):
-        assemble(mesh, Field.zeros(other))
+        assemble(mesh, Field.full(other, 0.0))
     with pytest.raises(ValueError):
         assemble(mesh, np.zeros(3))
 
@@ -486,7 +486,7 @@ def test_rayleigh_quotient_guards():
     with pytest.raises(ValueError):
         rayleigh_quotient(op, Field.full(mesh, 1.0))  # nonzero on Dirichlet nodes
     with pytest.raises(ValueError):
-        rayleigh_quotient(op, Field.zeros(mesh))
+        rayleigh_quotient(op, Field.full(mesh, 0.0))
 
 
 def test_principal_eigen_matches_dense_oracle_on_coarse_mesh():
@@ -496,14 +496,21 @@ def test_principal_eigen_matches_dense_oracle_on_coarse_mesh():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MMatrixWarning)
         op = assemble(mesh, c, c2)
-    for variant in ("volume", "volume-plus-boundary"):
+    free = mesh.free_mask
+    A = op.matrix.toarray()[np.ix_(free, free)]
+    for variant, mass in (("volume", op.volume_mass),
+                          ("volume-plus-boundary", op.volume_mass + op.boundary_mass)):
         lam, vec = principal_eigen(op, variant)
-        A, bdiag = _eigen_matrices(op, variant)
-        dense = scipy.linalg.eigh(A.toarray(), np.diag(bdiag), eigvals_only=True)
+        dense = scipy.linalg.eigh(A, np.diag(mass[free]), eigvals_only=True)
         assert abs(lam - dense[0]) <= 1e-8
         assert np.max(vec.values) == pytest.approx(1.0)
         assert np.all(vec.values[mesh.free_mask] > 0)
         assert np.all(vec.values[mesh.dirichlet_mask] == 0)
+
+
+def test_principal_eigen_refuses_an_unknown_variant():
+    with pytest.raises(ValueError, match="unknown eigenvalue denominator variant 'boundary'"):
+        principal_eigen(assemble(make_mesh(nn=8)), "boundary")
 
 
 def test_principal_eigen_positive_for_zero_potentials():

@@ -49,6 +49,15 @@ def test_build_mesh_rejects_degenerate_parameters():
         build_mesh(ReducedDomain(ConeModel(3, 1, 1.0), 0.5, 2.0, 0.0), 16, 16)
 
 
+def test_build_mesh_rejects_nodes_that_rounding_collapses():
+    # (1/11)^1000 underflows, so the steep grading puts the second angular
+    # node on omega_min; a radial range one ulp wide rounds radii together
+    with pytest.raises(ValueError, match="12x12 mesh with grading 1000 are not strictly"):
+        build_mesh(make_domain(), 12, 12, grading=1000.0)
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        build_mesh(make_domain(r0=1.0, r1=1.0 + 2e-16), 40, 12)
+
+
 def test_linear_grading_gives_uniform_angular_nodes():
     dom = make_domain(omega_min=0.1)
     mesh = build_mesh(dom, 8, 5, grading=1.0)

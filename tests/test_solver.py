@@ -63,7 +63,7 @@ def make_mesh(n=3, d=1, h=1.0, omega_min=None, nn=16, grading=2.0):
 
 def test_pick_cap_linear_problem_returns_data_max():
     mesh = make_mesh()
-    prob = replace(flat_cone_problem(mesh, 0.0, 0.0, 1.0), c2_lin=Field.zeros(mesh))
+    prob = replace(flat_cone_problem(mesh, 0.0, 0.0, 1.0), c2_lin=Field.full(mesh, 0.0))
     assert pick_cap(prob) == 1.0
 
 
@@ -75,7 +75,7 @@ def test_a_problem_is_frozen_and_replace_builds_a_fresh_one():
     prob = flat_cone_problem(mesh, 1.0, 1.0, 1.0)
     first = newton_solve(prob).solution.values
     with pytest.raises(FrozenInstanceError):
-        prob.c2_lin = Field.zeros(mesh)
+        prob.c2_lin = Field.full(mesh, 0.0)
     with pytest.raises(FrozenInstanceError):
         prob.c0 = -1.0
     changed = newton_solve(replace(prob, c2_lin=0.0)).solution.values
@@ -148,7 +148,7 @@ def test_pick_cap_is_the_smallest_admissible_cap():
 def test_zero_is_admissible_subsolution():
     mesh = make_mesh()
     prob = model_problem(mesh)
-    rep = check_sub_super(prob, Field.zeros(mesh), "sub")
+    rep = check_sub_super(prob, Field.full(mesh, 0.0), "sub")
     assert rep.worst_margin <= 0.0
 
 
@@ -198,11 +198,10 @@ def test_dirichlet_rows_are_never_evaluated():
 
 def test_monotone_linear_problem_fixed_point_in_two_iterations():
     mesh = make_mesh()
-    prob = replace(flat_cone_problem(mesh, 0.0, 0.0, 2.5), c2_lin=Field.zeros(mesh))
-    rep, bracket = monotone_iterate(prob, S=2.5, tol=1e-9)
+    prob = replace(flat_cone_problem(mesh, 0.0, 0.0, 2.5), c2_lin=Field.full(mesh, 0.0))
+    rep, _ = monotone_iterate(prob, S=2.5, tol=1e-9)
     assert np.allclose(rep.solution.values, 2.5, atol=1e-9)
     assert rep.iterations <= 2
-    assert bracket.S == 2.5
 
 
 def test_monotone_model_problem_converges_to_power_solution():
@@ -211,13 +210,13 @@ def test_monotone_model_problem_converges_to_power_solution():
         mesh = make_mesh(nn=nn)
         prob = model_problem(mesh)
         S = pick_cap(prob)
-        rep, bracket = monotone_iterate(prob, S, tol=1e-10)
+        rep, upper = monotone_iterate(prob, S, tol=1e-10)
         exact = mesh.rho ** (-mesh.domain.cone.blowup_exponent)
         errs.append(np.max(np.abs(rep.solution.values - exact)))
         # bracket ordering persisted to the end
-        assert np.max(bracket.sub.values - bracket.super.values) <= 1e-12 * (1 + S)
-        assert np.min(bracket.sub.values) >= -1e-12 * (1 + S)
-        assert np.max(bracket.super.values) <= S + 1e-12 * (1 + S)
+        assert np.max(rep.solution.values - upper.values) <= 1e-12 * (1 + S)
+        assert np.min(rep.solution.values) >= -1e-12 * (1 + S)
+        assert np.max(upper.values) <= S + 1e-12 * (1 + S)
     assert errs[1] < 0.4 * errs[0]  # second-order trend
 
 
@@ -328,7 +327,7 @@ def test_monotone_back_solves_equal_solve_mixed_on_every_step():
     prob = model_problem(mesh)
     S = pick_cap(prob)
     tol = 1e-10
-    rep, bracket = monotone_iterate(prob, S, tol=tol)
+    rep, upper_limit = monotone_iterate(prob, S, tol=tol)
 
     p, q = prob.p_interior, prob.p_boundary
     c, c2, c0, c1 = prob.c.values, prob.c2_lin.values, prob.c0, prob.c1
@@ -351,8 +350,8 @@ def test_monotone_back_solves_equal_solve_mixed_on_every_step():
         lower = new_lower
         if inc < tol:
             break
-    assert rep.iterations == bracket.iteration == iterations > 1
-    for got, ref in ((rep.solution.values, lower), (bracket.super.values, upper)):
+    assert rep.iterations == iterations > 1
+    for got, ref in ((rep.solution.values, lower), (upper_limit.values, upper)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     # solve_mixed moves the data to the right side as the free-to-fixed
@@ -450,7 +449,7 @@ def test_newton_refuses_a_start_on_another_mesh():
     prob = model_problem(make_mesh(nn=10))
     for other in (make_mesh(nn=12), make_mesh(nn=10)):
         with pytest.raises(ValueError, match="different mesh"):
-            newton_solve(prob, u0=Field.zeros(other))
+            newton_solve(prob, u0=Field.full(other, 0.0))
     with pytest.raises(ValueError):
         newton_solve(prob, u0=np.zeros(12 * 12))
     # node values of the right length are a start like any other (a fresh
@@ -590,7 +589,7 @@ def test_coarse_to_fine_start_agrees_with_the_default_start(factors):
 def test_monotone_solve_takes_no_start():
     mesh = make_mesh(nn=8)
     with pytest.raises(ValueError, match="bracket"):
-        solve_problem(model_problem(mesh), method="monotone", u0=Field.zeros(mesh))
+        solve_problem(model_problem(mesh), method="monotone", u0=Field.full(mesh, 0.0))
 
 
 def test_randomized_comparison_orderings():
@@ -908,7 +907,7 @@ def test_threshold_case_is_not_complete_at_five_levels():
 
 def _level(mesh, alpha=math.nan, indicator=math.nan, variation=math.nan):
     return LevelRecord(
-        solution=Field.zeros(mesh), iterations=0, factorizations=0, interior_change=0.0,
+        solution=Field.full(mesh, 0.0), iterations=0, factorizations=0, interior_change=0.0,
         near_gamma_variation=variation, fitted_exponent=alpha,
         completeness_indicator=indicator,
     )
