@@ -241,11 +241,11 @@ def run_verify_model(cfg: ExperimentConfig, out: Path, summary: Summary) -> None
     for size in cfg.mesh_sizes:
         mesh = build_mesh(cfg.domain(), size, size, cfg.grading)
         problem = model_problem(mesh)
-        t0 = time.time()
+        t0 = time.perf_counter()
         start = None if prev is None else resample(prev, mesh)
         rep = solve_problem(problem, method=cfg.method, tol=cfg.nonlinear_tol,
                             max_iter=cfg.max_iter, u0=start)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         if cfg.method == "newton":
             prev = rep.solution
         # the model data hold the exact solution on every node
@@ -420,10 +420,14 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path through one
+        print(f"usage error: --out {args.out} cannot be a directory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     summary = Summary()
     summary.extend(echo_config(cfg))
-    t0 = time.time()
+    t0 = time.perf_counter()
     status, code, error = "ok", EXIT_OK, None
     try:
         if args.command == "curvature":
@@ -445,7 +449,7 @@ def main(argv=None) -> int:
     summary.add("status", status)
     if error is not None:
         summary.add("error", error)
-    summary.add("seconds", time.time() - t0)
+    summary.add("seconds", time.perf_counter() - t0)
     summary.write(out / "summary.txt")
     return code
 

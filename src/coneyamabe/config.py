@@ -192,8 +192,16 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError("missing [experiment] kind")
 
     cfg = ExperimentConfig(**{k: v for k, v in vals.items() if k not in _TARGETS})
+    # every cone of the run, its domain and the nodes of its meshes, checked
+    # by their owners without building a mesh
+    shapes = ([(size, size) for size in cfg.mesh_sizes] if cfg.kind == "verify-model"
+              else [(cfg.n_radial, cfg.n_angular)])
     try:
-        cone = cfg.cone
+        for d in cfg.d_list:
+            ConeModel(cfg.n, d, cfg.h)
+        domain = cfg.domain()
+        for n_radial, n_angular in shapes:
+            _graded_nodes(domain, n_radial, n_angular, cfg.grading)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -211,14 +219,6 @@ def parse_config(path: str) -> ExperimentConfig:
         if val < 0:
             raise ConfigError(f"{c} must be nonnegative, got {val}")
 
-    if cfg.n_radial < 4 or cfg.n_angular < 4:
-        raise ConfigError("n_radial and n_angular must be at least 4")
-    if cfg.grading < 1.0:
-        raise ConfigError("grading must be >= 1")
-    if not 0.0 < cfg.rho_polar_min < cfg.rho_polar_max:
-        raise ConfigError("need 0 < rho_polar_min < rho_polar_max")
-    if cfg.omega_min is not None and not 0.0 < cfg.omega_min < cone.theta:
-        raise ConfigError(f"omega_min must lie in (0, theta = {cone.theta:.6g})")
     if cfg.nodes_per_octave < 2:
         raise ConfigError("nodes_per_octave must be >= 2")
 
@@ -230,27 +230,21 @@ def parse_config(path: str) -> ExperimentConfig:
 
     if cfg.method not in SOLVE_METHODS:
         raise ConfigError(f"unknown method {cfg.method!r}; choose from {SOLVE_METHODS}")
-    if cfg.kind == "verify-model" and not exact_model_solution(cone).complete_regime:
+    if cfg.kind == "verify-model" and not exact_model_solution(domain.cone).complete_regime:
         raise ConfigError(
             "verify-model needs the complete regime d > (n-2)/2 for the exact solution"
         )
     if cfg.kind == "dichotomy" and cfg.method != "newton":
         raise ConfigError("dichotomy runs its data ladder with Newton; method must be newton")
-    if any(not 1 <= dd <= cfg.n - 1 for dd in cfg.d_list):
-        raise ConfigError(f"d_list entries must lie in [1, n-1] = [1, {cfg.n - 1}]")
-    if len(cfg.mesh_sizes) < 2 or any(s < 4 for s in cfg.mesh_sizes):
-        raise ConfigError("mesh_sizes needs at least two sizes, all >= 4")
+    if len(set(cfg.d_list)) < len(cfg.d_list):
+        raise ConfigError(f"d_list entries must be distinct, got {cfg.d_list}")
+    # the observed orders compare each mesh with the next coarser one; the
+    # node rule above checks each size of a verify-model run
+    if len(cfg.mesh_sizes) < 2 or any(a >= b for a, b in zip(cfg.mesh_sizes, cfg.mesh_sizes[1:])):
+        raise ConfigError(f"mesh_sizes needs at least two sizes, strictly increasing, "
+                          f"got {cfg.mesh_sizes}")
     if cfg.truncation_levels < 2:
         raise ConfigError("truncation_levels must be >= 2")
-    # the nodes of every mesh the run builds, without building the meshes
-    domain = cfg.domain()
-    shapes = ([(size, size) for size in cfg.mesh_sizes] if cfg.kind == "verify-model"
-              else [(cfg.n_radial, cfg.n_angular)])
-    for n_radial, n_angular in shapes:
-        try:
-            _graded_nodes(domain, n_radial, n_angular, cfg.grading)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     if cfg.kind == "eigen":
         if cfg.eigen_denominator is None:
             raise ConfigError(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +50,8 @@ class BoundaryTag(enum.IntEnum):
 
 @dataclass(frozen=True)
 class ReducedDomain:
-    """Truncated wedge omega_min <= omega <= theta, rho_polar in [min, max]."""
+    """Truncated wedge omega_min <= omega <= theta, rho_polar in [min, max],
+    with finite 0 < rho_polar_min < rho_polar_max and 0 < omega_min < theta."""
 
     cone: ConeModel
     rho_polar_min: float
@@ -60,14 +62,14 @@ class ReducedDomain:
         object.__setattr__(self, "rho_polar_min", float(self.rho_polar_min))
         object.__setattr__(self, "rho_polar_max", float(self.rho_polar_max))
         object.__setattr__(self, "omega_min", float(self.omega_min))
-        if not 0.0 < self.rho_polar_min < self.rho_polar_max:
+        if not 0.0 < self.rho_polar_min < self.rho_polar_max < np.inf:
             raise ValueError(
-                f"need 0 < rho_polar_min < rho_polar_max, got "
+                f"need 0 < rho_polar_min < rho_polar_max < inf, got "
                 f"[{self.rho_polar_min}, {self.rho_polar_max}]"
             )
-        if not 0.0 <= self.omega_min < self.cone.theta:
+        if not 0.0 < self.omega_min < self.cone.theta:
             raise ValueError(
-                f"need 0 <= omega_min < theta = {self.cone.theta}, got {self.omega_min}"
+                f"need 0 < omega_min < theta = {self.cone.theta:.6g}, got {self.omega_min}"
             )
 
 
@@ -135,6 +137,14 @@ class Mesh:
     @property
     def free_mask(self) -> np.ndarray:
         return ~self.dirichlet_mask
+
+    @cached_property
+    def robin_rows(self) -> np.ndarray:
+        """Positions of the Robin nodes among the free nodes (flat order), the
+        rows of a free-row vector that carry a boundary mass; read-only."""
+        rows = np.flatnonzero(self.robin_mask[self.free_mask])
+        rows.setflags(write=False)
+        return rows
 
     def angular_offset_of(self, coarser: "Mesh") -> int:
         """Index offset embedding a coarser truncation's angular grid into this one.
@@ -208,14 +218,9 @@ def build_mesh(domain: ReducedDomain, n_radial: int, n_angular: int, grading: fl
     Radial nodes are uniform in log(rho_polar).  Angular node k sits at
     omega_min + (theta - omega_min) * (k/(n_angular-1))^grading, so grading 1
     is uniform and grading > 1 concentrates nodes toward the singular axis
-    where the rho^(-(n-2)/2) profile must be resolved.
+    where the rho^(-(n-2)/2) profile must be resolved.  Shapes and gradings
+    that break the node rules of _graded_nodes are a ValueError.
     """
-    if n_radial < 4 or n_angular < 4:
-        raise ValueError(f"need n_radial, n_angular >= 4, got {n_radial}, {n_angular}")
-    if grading < 1.0:
-        raise ValueError(f"grading must be >= 1, got {grading}")
-    if domain.omega_min <= 0.0:
-        raise ValueError("build_mesh requires omega_min > 0")
     return _assemble_mesh(domain, *_graded_nodes(domain, n_radial, n_angular, grading))
 
 
@@ -224,10 +229,15 @@ def _graded_nodes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Radial and angular nodes of build_mesh(domain, n_radial, n_angular, grading).
 
-    A steep grading can round adjacent angular nodes near omega_min to one
-    value, and a narrow radial range adjacent radii; either raises
-    ValueError, since a mesh needs strictly increasing nodes.
+    A mesh needs n_radial, n_angular >= 4, grading >= 1 and strictly
+    increasing nodes; anything else raises ValueError.  A steep grading can
+    round adjacent angular nodes near omega_min to one value, and a narrow
+    radial range adjacent radii.  Every check fails on nan.
     """
+    if not (n_radial >= 4 and n_angular >= 4):
+        raise ValueError(f"need n_radial, n_angular >= 4, got {n_radial}, {n_angular}")
+    if not grading >= 1.0:
+        raise ValueError(f"grading must be >= 1, got {grading}")
     theta = domain.cone.theta
     radial = np.exp(
         np.linspace(np.log(domain.rho_polar_min), np.log(domain.rho_polar_max), n_radial)
@@ -236,7 +246,7 @@ def _graded_nodes(
     angular = domain.omega_min + (theta - domain.omega_min) * s**grading
     angular[0] = domain.omega_min
     angular[-1] = theta
-    if np.any(np.diff(radial) <= 0) or np.any(np.diff(angular) <= 0):
+    if not (np.all(np.diff(radial) > 0) and np.all(np.diff(angular) > 0)):
         raise ValueError(
             f"the nodes of the {n_radial}x{n_angular} mesh with grading {grading:g} "
             "are not strictly increasing"

@@ -190,15 +190,19 @@ class NonlinearProblem:
 
     def integrated_residual(self, u: np.ndarray) -> np.ndarray:
         """Integrated-form residual of the discrete system on the free rows (the
-        Newton objective); the Dirichlet entries of u enter only through A u."""
+        Newton objective); the Dirichlet entries of u enter only through A u.
+        A zero coefficient forms no power, and the c1 power, whose boundary
+        mass is zero off the Robin rows, is formed on those rows only."""
         op = self.linear_operator
         free = self.mesh.free_mask
         uf = np.maximum(u[free], 0.0)
-        return (
-            (op.matrix @ u)[free]
-            + op.volume_mass[free] * self.c0 * uf**self.p_interior
-            + op.boundary_mass[free] * self.c1 * uf**self.p_boundary
-        )
+        F = (op.matrix @ u)[free]
+        if self.c0:
+            F += op.volume_mass[free] * self.c0 * uf**self.p_interior
+        if self.c1:
+            rob = self.mesh.robin_rows
+            F[rob] += op.boundary_mass[free][rob] * self.c1 * uf[rob]**self.p_boundary
+        return F
 
     def residual_parts(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise residual of the discrete system at (interior, Robin) nodes,
@@ -395,8 +399,11 @@ def monotone_iterate(
             ) from None
 
     c0, c1 = problem.c0, problem.c1
-    shift_i = max(0.0, float(np.max(problem.c.values)) + p * c0 * cap_power(p - 1))
-    shift_b = max(0.0, float(np.max(problem.c2_lin.values[mesh.robin_mask])) + q * c1 * cap_power(q - 1))
+    # a zero coefficient forms no power
+    slope_i = p * c0 * cap_power(p - 1) if c0 else 0.0
+    slope_b = q * c1 * cap_power(q - 1) if c1 else 0.0
+    shift_i = max(0.0, float(np.max(problem.c.values)) + slope_i)
+    shift_b = max(0.0, float(np.max(problem.c2_lin.values[mesh.robin_mask])) + slope_b)
     op = problem.linear_operator
     shift = op.volume_mass * (shift_i - op.c) + op.boundary_mass * (shift_b - op.c2)
     factor = _factor_spd(op, shift[free])
@@ -407,7 +414,7 @@ def monotone_iterate(
             F = problem.integrated_residual(w)
             if not np.all(np.isfinite(F)):
                 un = np.clip(w[free], 0.0, None)
-                term = f"c0 u^{p:g}" if not np.all(np.isfinite(c0 * un**p)) else f"c1 u^{q:g}"
+                term = f"c0 u^{p:g}" if c0 and not np.all(np.isfinite(un**p)) else f"c1 u^{q:g}"
                 raise NonConvergenceError(f"{term} overflows at the monotone cap S = {S:.3e}")
         w[free] -= factor.solve(F)
         return w
@@ -544,7 +551,10 @@ def newton_solve(
              f"Dirichlet data max {float(np.max(data[~free])):.6g}")
 
     abs_matrix = abs(op0.matrix)
-    vmass, bmass = op0.volume_mass[free], op0.boundary_mass[free]
+    # a zero coefficient forms no power, and the c1 power is formed on the
+    # Robin rows only, where the boundary mass is nonzero
+    rob = mesh.robin_rows
+    vmass, bmass = op0.volume_mass[free], op0.boundary_mass[free][rob]
     c0, c1 = problem.c0, problem.c1
 
     def normalized_residual(vec):
@@ -552,9 +562,7 @@ def newton_solve(
         # orders of magnitude and a global norm would let the interior be
         # sloppy, so each row is measured against its own term sizes.
         # Returns the norm and the integrated residual it measured.  Every
-        # iterate and the data are nonnegative, so |vec| is vec.  A power
-        # may overflow on a free row and meet a zero boundary mass at an
-        # interior node (0 * inf); the finite check reports both.
+        # iterate and the data are nonnegative, so |vec| is vec.
         with np.errstate(over="ignore", invalid="ignore"):
             F = problem.integrated_residual(vec)
             if not np.all(np.isfinite(F)):
@@ -564,7 +572,9 @@ def newton_solve(
                     iterations=iterations,
                 )
             uf = vec[free]
-            scale = (abs_matrix @ vec)[free] + vmass * (c0 * uf**p + 1.0) + bmass * c1 * uf**q
+            scale = (abs_matrix @ vec)[free] + (vmass * (c0 * uf**p + 1.0) if c0 else vmass)
+            if c1:
+                scale[rob] += bmass * c1 * uf[rob]**q
         return float(np.max(np.abs(F) / scale)), F
 
     iterations = 0
@@ -575,7 +585,9 @@ def newton_solve(
         if factor is None:
             # u >= 0 after the clip at the start and after every step
             uf = u[free]
-            jac_diag = vmass * (p * c0 * uf ** (p - 1.0)) + bmass * (q * c1 * uf ** (q - 1.0))
+            jac_diag = vmass * (p * c0 * uf ** (p - 1.0)) if c0 else np.zeros(len(uf))
+            if c1:
+                jac_diag[rob] += bmass * (q * c1 * uf[rob] ** (q - 1.0))
             factor = _factor_spd(op0, jac_diag)
             factorizations += 1
         trial = u.copy()

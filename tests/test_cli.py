@@ -64,9 +64,9 @@ def test_linear_tol_is_an_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("kind, body, match", [
-    ("solve", "[mesh]\nn_radial = 2\n", "at least 4"),
+    ("solve", "[mesh]\nn_radial = 2\n", "n_radial, n_angular >= 4"),
     ("solve", "[mesh]\ngrading = 0.5\n", "grading must be >= 1"),
-    ("solve", "[mesh]\nomega_min = 2.0\n", "omega_min must lie in"),
+    ("solve", "[mesh]\nomega_min = 2.0\n", "need 0 < omega_min < theta"),
     ("bogus-kind", "", "unknown experiment kind"),
     # the stabilization certificate needs at least two data values, 1 and 2
     ("dichotomy", "[tolerances]\ndata_max_exponent = 0\n", r"data_max_exponent in \[1, 40\]"),
@@ -92,9 +92,16 @@ SOLVE = BASE.format(kind="solve", extra="")
     (SOLVE + "[mesh]\nnodes_per_octave = 1\n", "nodes_per_octave must be >= 2"),
     (SOLVE + "[tolerances]\nnonlinear_tol = 0\n", "tolerances must be positive"),
     (BASE.format(kind="solve", extra="method = bogus"), "unknown method 'bogus'"),
-    (BASE.format(kind="dichotomy", extra="d_list = 3"), "d_list entries must lie in"),
+    (BASE.format(kind="dichotomy", extra="d_list = 3"), "1 <= d <= n-1, got d=3"),
     (BASE.format(kind="verify-model", extra="mesh_sizes = 32"),
      "mesh_sizes needs at least two sizes"),
+    # a mesh no finer than the one before would read as a failed order check
+    (BASE.format(kind="verify-model", extra="mesh_sizes = 16,8"),
+     r"mesh_sizes needs at least two sizes, strictly increasing, got \[16, 8\]"),
+    (BASE.format(kind="verify-model", extra="mesh_sizes = 32,32"),
+     "mesh_sizes needs at least two sizes, strictly increasing"),
+    # a repeated d would write its dichotomy row and summary keys twice
+    (BASE.format(kind="dichotomy", extra="d_list = 2,2"), "d_list entries must be distinct"),
     (BASE.format(kind="dichotomy", extra="truncation_levels = 1"),
      "truncation_levels must be >= 2"),
     (BASE.format(kind="eigen", extra="eigen_denominator = bogus"),
@@ -106,6 +113,7 @@ SOLVE = BASE.format(kind="solve", extra="")
 ], ids=["unparseable-file", "missing-cone", "missing-n",
         "missing-kind", "n-2", "negative-c0", "rho_polar-range", "nodes_per_octave",
         "nonlinear_tol-zero", "unknown-method", "d_list-out-of-range", "single-mesh-size",
+        "mesh_sizes-decreasing", "mesh_sizes-repeated", "d_list-repeated",
         "truncation_levels", "eigen_denominator", "dirichlet-word", "dirichlet-negative"])
 def test_config_errors_name_their_cause(tmp_path, text, match):
     p = tmp_path / "run.cfg"
@@ -422,6 +430,16 @@ def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
     assert main(["--version"]) == 0
     assert main(["curvature", "--help"]) == 0
     assert "usage: coneyamabe curvature" in capsys.readouterr().out
+
+
+def test_an_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys):
+    cfgpath = write_cfg(tmp_path, "curvature")
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    for out in (taken, taken / "sub"):
+        assert main(["curvature", "--config", cfgpath, "--out", str(out)]) == 1
+        assert f"usage error: --out {out} cannot be a directory" in capsys.readouterr().err
+    assert taken.read_text() == "a file\n"
 
 
 def _failed_check(tmp_path, kind, extra="", body=""):

@@ -58,6 +58,27 @@ def test_build_mesh_rejects_nodes_that_rounding_collapses():
         build_mesh(make_domain(r0=1.0, r1=1.0 + 2e-16), 40, 12)
 
 
+def test_robin_rows_are_the_last_free_node_of_each_interior_radial_row():
+    # the free nodes of radial row i = 1..4 are j = 1..4, the Robin node last
+    mesh = build_mesh(make_domain(), 6, 5)
+    assert mesh.robin_rows.tolist() == [3, 7, 11, 15]
+    assert not mesh.robin_rows.flags.writeable
+
+
+@pytest.mark.parametrize("build, match", [
+    # no mesh has a node on the axis, where the singular set sits
+    (lambda: make_domain(omega_min=0.0), "need 0 < omega_min < theta"),
+    # an infinite radius made radial nodes [nan, inf, ...]
+    (lambda: make_domain(r1=math.inf), r"rho_polar_max < inf"),
+    (lambda: make_domain(omega_min=math.nan), "need 0 < omega_min"),
+    # a nan grading made angular nodes [0.1, nan, ...]
+    (lambda: build_mesh(make_domain(), 8, 8, grading=math.nan), "grading must be >= 1"),
+], ids=["omega_min-zero", "rho_polar_max-inf", "omega_min-nan", "grading-nan"])
+def test_the_domain_and_the_node_rule_refuse_zero_inf_and_nan(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_linear_grading_gives_uniform_angular_nodes():
     dom = make_domain(omega_min=0.1)
     mesh = build_mesh(dom, 8, 5, grading=1.0)

@@ -191,6 +191,20 @@ def test_dirichlet_rows_are_never_evaluated():
     assert np.all(np.isfinite(F))
 
 
+def test_a_zero_coefficient_forms_no_power():
+    # with c0 = 0 the term c0 u^p is identically zero and is never formed:
+    # at 1e70, u^5 would overflow (a warning here) and 0 * inf would be nan
+    mesh = make_mesh(nn=8)
+    prob = flat_cone_problem(mesh, 0.0, 1.0, 1e70)
+    assert np.all(np.isfinite(prob.integrated_residual(np.full(mesh.n_nodes, 1e70))))
+    # Newton's row scale and Jacobian and the monotone shifts keep the rule:
+    # both run out of steps instead of naming an overflow of the zero term
+    with pytest.raises(NonConvergenceError, match="did not converge in 3 iterations"):
+        newton_solve(prob, max_iter=3)
+    with pytest.raises(NonConvergenceError, match="did not reach tol .* within 3 steps"):
+        monotone_iterate(prob, 1e70, max_iter=3)
+
+
 # ---------------------------------------------------------------------------
 # monotone iteration
 # ---------------------------------------------------------------------------
