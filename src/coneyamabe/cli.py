@@ -174,16 +174,16 @@ def _build_problem(cfg: ExperimentConfig, mesh, data=None) -> NonlinearProblem:
 def run_curvature(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:
     cone = cfg.cone
     va = vertex_asymptotics(cone)
-    R = product_scalar_curvature(cone.n, cone.d)
-    H = model_boundary_mean_curvature(cone.d, cone.h)
+    R = product_scalar_curvature(cone)
+    H = model_boundary_mean_curvature(cone)
     conf = conformal_rho2_curvatures(cone, 0.0, va.rho_lap_rho, va.rho_H, va.grad_rho_nu)
     sol = exact_model_solution(cone)
     rows = [[
         cone.n, cone.d, cone.h, cone.theta, R, H,
-        euclidean_boundary_mean_curvature(cone.n, cone.d, cone.h, 1.0),
+        euclidean_boundary_mean_curvature(cone, 1.0),
         va.grad_rho_nu, va.rho_H, va.rho_lap_rho,
         conf.scalar, conf.mean,
-        sol.exponent, sol.c0_star, sol.c1_star, int(sol.complete_regime),
+        cone.blowup_exponent, sol.c0_star, sol.c1_star, int(cone.complete_regime),
     ]]
     write_csv(out / "curvature.csv", [
         "n", "d", "h", "theta", "R_product", "H_model", "H_euclidean_t1",
@@ -298,9 +298,15 @@ def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: i
             results = list(pool.map(lambda d: _dichotomy_single(cfg, d), d_values))
 
     rows = []
+    wrong = []
     for d, reports in zip(d_values, results):
         last, prev = reports[-1], reports[-2]
+        cone = last.solution.mesh.domain.cone
         verdict = dichotomy_verdict(reports).value
+        # under the theorem's hypotheses c0, c1 > 0 a complete solution exists
+        # exactly in the cone's complete regime; INCONCLUSIVE contradicts neither side
+        if verdict == ("BOUNDED_TYPE" if cone.complete_regime else "COMPLETE_TYPE"):
+            wrong.append(f"d = {d} reads {verdict}")
         rows.append([
             cfg.n, d, cfg.h, len(reports), last.fitted_exponent,
             last.completeness_indicator, prev.completeness_indicator,
@@ -310,7 +316,7 @@ def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: i
         summary.add(f"dichotomy.d{d}.alpha_r2", last.fit_r2)
         summary.add(f"dichotomy.d{d}.completeness", last.completeness_indicator)
         # K needs c0 > 0, and a c0 = 0 sweep finishes under a loose exhaustion_tol
-        K = last.solution.mesh.domain.cone.blowup_amplitude(cfg.c0) if cfg.c0 > 0 else math.nan
+        K = cone.blowup_amplitude(cfg.c0) if cfg.c0 > 0 else math.nan
         summary.add(f"dichotomy.d{d}.blowup_amplitude", K)
         summary.add(f"dichotomy.d{d}.near_gamma_variation", last.near_gamma_variation)
         summary.add(f"dichotomy.d{d}.verdict", verdict)
@@ -333,16 +339,11 @@ def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: i
         "n", "d", "h", "levels", "alpha", "completeness_last", "completeness_prev",
         "near_gamma_sup", "near_gamma_variation", "verdict",
     ], rows)
-    # under the theorem's hypotheses c0, c1 > 0 a complete solution exists
-    # exactly when d > (n-2)/2; INCONCLUSIVE contradicts neither side
-    if cfg.c0 > 0 and cfg.c1 > 0:
-        threshold = (cfg.n - 2) / 2
-        wrong = [f"d = {d} reads {row[-1]}" for d, row in zip(d_values, rows)
-                 if row[-1] == ("BOUNDED_TYPE" if d > threshold else "COMPLETE_TYPE")]
-        if wrong:
-            raise AcceptanceCheckError(
-                f"{'; '.join(wrong)}, against the theorem's threshold (n-2)/2 = {threshold:g}"
-            )
+    if cfg.c0 > 0 and cfg.c1 > 0 and wrong:
+        raise AcceptanceCheckError(
+            f"{'; '.join(wrong)}, against the theorem's threshold "
+            f"(n-2)/2 = {cone.blowup_exponent:g}"
+        )
 
 
 def run_eigen(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:

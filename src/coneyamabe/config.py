@@ -41,7 +41,7 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-from .geometry import ConeModel, exact_model_solution, target_H_to_c1, target_R_to_c0
+from .geometry import ConeModel, target_H_to_c1, target_R_to_c0
 from .mesh import ReducedDomain, _graded_nodes
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
@@ -213,7 +213,7 @@ def parse_config(path: str) -> ExperimentConfig:
         if target in vals:
             if c in vals:
                 raise ConfigError(f"give only one of {c}, {target}")
-            setattr(cfg, c, to_c(cfg.n, vals[target]))
+            setattr(cfg, c, to_c(domain.cone, vals[target]))
     for c in ("c0", "c1"):
         val = getattr(cfg, c)
         if val < 0:
@@ -230,7 +230,7 @@ def parse_config(path: str) -> ExperimentConfig:
 
     if cfg.method not in SOLVE_METHODS:
         raise ConfigError(f"unknown method {cfg.method!r}; choose from {SOLVE_METHODS}")
-    if cfg.kind == "verify-model" and not exact_model_solution(domain.cone).complete_regime:
+    if cfg.kind == "verify-model" and not domain.cone.complete_regime:
         raise ConfigError(
             "verify-model needs the complete regime d > (n-2)/2 for the exact solution"
         )

@@ -14,7 +14,8 @@ limits of (grad rho . nu, rho*H, rho*Laplacian(rho)), the conformal
 transformation laws for metrics rho^(-2) g and u^(4/(n-2)) g, and the exact
 power solution u_*(rho) = rho^(-(n-2)/2) with its coefficient pair
 (c0_*, c1_*).  These serve as the formula oracle for the mesh, operator and
-solver modules.
+solver modules.  Each takes the ConeModel, the one owner of the rules on
+(n, d, h) and of the paper's criterion d > (n-2)/2 (complete_regime).
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ __all__ = [
 
 
 def _as_int(value, name):
-    iv = int(value)
-    if iv != value:
+    if not (math.isfinite(float(value)) and int(value) == value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return iv
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -83,20 +83,30 @@ class ConeModel:
         """(n-2)/2, the rate of the complete conformal factor near the singular set."""
         return 0.5 * (self.n - 2)
 
+    @property
+    def complete_regime(self) -> bool:
+        """d > (n-2)/2: the paper's criterion for a complete conformal metric.
+
+        Exactly here the exact power solution has c0_star > 0; outside it,
+        with c0, c1 > 0, the maximal solution stays bounded near the singular
+        set.
+        """
+        return self.d > self.blowup_exponent
+
     def blowup_amplitude(self, c0) -> float:
         """K = (a (d-a) / c0)^(1/(p-1)), a = (n-2)/2, p = (n+2)/(n-2).
 
         Near the singular set the complete solution behaves like K rho^(-a),
-        whatever the slope h and the boundary coefficient c1.  K is 0.0 when
-        d <= a, where no complete solution exists.  c0 must be positive and
-        finite, else ValueError.
+        whatever the slope h and the boundary coefficient c1.  K is 0.0
+        outside the complete regime, where no complete solution exists.  c0
+        must be positive and finite, else ValueError.
         """
         c0 = float(c0)
         if not (c0 > 0.0 and math.isfinite(c0)):
             raise ValueError(f"c0 must be finite and positive, got {c0}")
-        a = self.blowup_exponent
-        if self.d <= a:
+        if not self.complete_regime:
             return 0.0
+        a = self.blowup_exponent
         return (a * (self.d - a) / c0) ** (0.5 * a)  # 1/(p-1) = (n-2)/4 = a/2
 
 
@@ -125,64 +135,45 @@ class VertexAsymptotics:
 
 @dataclass(frozen=True)
 class ModelSolution:
-    """The exact power solution u_*(rho) = rho^(-exponent) on the flat cone.
+    """Coefficients of the exact power solution u_*(rho) = rho^(-(n-2)/2) on the flat cone.
 
-    complete_regime is True exactly when c0_star > 0, i.e. d > (n-2)/2;
-    otherwise u_* fails to define a complete conformal metric and the flag
-    marks the no-complete-solution regime (not an error).
+    c0_star > 0 exactly in the cone's complete regime; outside it u_* fails
+    to define a complete conformal metric (not an error).
     """
 
-    exponent: float
     c0_star: float
     c1_star: float
-    complete_regime: bool
 
 
-def product_scalar_curvature(n, d) -> float:
+def product_scalar_curvature(cone: ConeModel) -> float:
     """Scalar curvature (n-1)(n-2-2d) of the product model H^{d+1} x S^{n-d-1}.
 
     Its sign is the sign of n-2-2d, i.e. positive for d < (n-2)/2 and
     negative for d > (n-2)/2.
     """
-    n = _as_int(n, "n")
-    d = _as_int(d, "d")
-    if n < 3:
-        raise ValueError(f"n >= 3 required, got {n}")
-    if not 0 <= d <= n - 1:
-        raise ValueError(f"0 <= d <= n-1 required, got d={d}, n={n}")
+    n, d = cone.n, cone.d
     return float((n - 1) * (n - 2 - 2 * d))
 
 
-def model_boundary_mean_curvature(d, h) -> float:
+def model_boundary_mean_curvature(cone: ConeModel) -> float:
     """Mean curvature -d*h/sqrt(1+h^2) = -d*cos(theta) of the model boundary.
 
     Computed with respect to the rho^(-2)-scaled metric on the cone; always
     nonpositive, vanishing only in the orthogonal-intersection limit h -> 0.
     """
-    d = _as_int(d, "d")
-    if d < 1:
-        raise ValueError(f"d >= 1 required, got {d}")
-    h = float(h)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"h > 0 required, got {h}")
+    d, h = cone.d, cone.h
     return -d * h / math.sqrt(1.0 + h * h)
 
 
-def euclidean_boundary_mean_curvature(n, d, h, t) -> float:
+def euclidean_boundary_mean_curvature(cone: ConeModel, t) -> float:
     """Euclidean mean curvature (n-d-1)*h / (sqrt(1+h^2) * t) of the cone face.
 
     t > 0 parametrizes the boundary ray (t equals the distance rho to the
     singular set at that boundary point); the curvature diverges like 1/t,
     except in the codimension-one case d = n-1 where it vanishes identically.
     """
-    n = _as_int(n, "n")
-    d = _as_int(d, "d")
-    if n < 3 or not 1 <= d <= n - 1:
-        raise ValueError(f"need n >= 3 and 1 <= d <= n-1, got n={n}, d={d}")
-    h = float(h)
+    n, d, h = cone.n, cone.d, cone.h
     t = float(t)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"h > 0 required, got {h}")
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"t > 0 required, got {t}")
     return (n - d - 1) * h / (math.sqrt(1.0 + h * h) * t)
@@ -226,7 +217,7 @@ def conformal_rho2_curvatures(
     return CurvatureReport(scalar=float(scalar), mean=float(mean))
 
 
-def conformal_u_curvatures(n, u, lap_u, du_dnu, R_g, H_g) -> CurvatureReport:
+def conformal_u_curvatures(cone: ConeModel, u, lap_u, du_dnu, R_g, H_g) -> CurvatureReport:
     """Curvatures of the conformal metric u^(4/(n-2)) g at a point.
 
     scalar = -(4(n-1)/(n-2)) u^(-(n+2)/(n-2)) (Lap u - (n-2)/(4(n-1)) R_g u)
@@ -235,9 +226,7 @@ def conformal_u_curvatures(n, u, lap_u, du_dnu, R_g, H_g) -> CurvatureReport:
     The identity conformal factor (u = 1 with vanishing derivatives) returns
     (R_g, H_g) unchanged.
     """
-    n = _as_int(n, "n")
-    if n < 3:
-        raise ValueError(f"n >= 3 required, got {n}")
+    n = cone.n
     u = float(u)
     if not (u > 0.0 and math.isfinite(u)):
         raise ValueError(f"conformal factor must be positive, got {u}")
@@ -260,27 +249,18 @@ def exact_model_solution(cone: ConeModel) -> ModelSolution:
     n, d, h = cone.n, cone.d, cone.h
     c0 = (n - 2) * (2 * d + 2 - n) / 4.0
     c1 = d * (n - 2) * h / (2.0 * (n - 1) * math.sqrt(1.0 + h * h))
-    return ModelSolution(
-        exponent=0.5 * (n - 2),
-        c0_star=float(c0),
-        c1_star=float(c1),
-        complete_regime=c0 > 0.0,
-    )
+    return ModelSolution(c0_star=float(c0), c1_star=float(c1))
 
 
-def target_R_to_c0(n, R_target) -> float:
+def target_R_to_c0(cone: ConeModel, R_target) -> float:
     """Interior coefficient c0 so the solved metric has scalar curvature -|R_target|."""
-    n = _as_int(n, "n")
-    if n < 3:
-        raise ValueError(f"n >= 3 required, got {n}")
+    n = cone.n
     return (n - 2) * abs(float(R_target)) / (4.0 * (n - 1))
 
 
-def target_H_to_c1(n, H_target) -> float:
+def target_H_to_c1(cone: ConeModel, H_target) -> float:
     """Boundary coefficient c1 so the solved metric has mean curvature -|H_target|."""
-    n = _as_int(n, "n")
-    if n < 3:
-        raise ValueError(f"n >= 3 required, got {n}")
+    n = cone.n
     return (n - 2) * abs(float(H_target)) / (2.0 * (n - 1))
 
 

@@ -248,12 +248,13 @@ def model_problem(mesh: Mesh) -> NonlinearProblem:
     order; the coefficient pair is the closed-form oracle behind the
     verify-model experiment.
     """
-    sol = exact_model_solution(mesh.domain.cone)
-    if not sol.complete_regime:
+    cone = mesh.domain.cone
+    if not cone.complete_regime:
         raise ValueError(
             "exact model solution has c0_star <= 0 (no-complete-solution regime); "
-            f"d > (n-2)/2 required, got n={mesh.domain.cone.n}, d={mesh.domain.cone.d}"
+            f"d > (n-2)/2 required, got n={cone.n}, d={cone.d}"
         )
+    sol = exact_model_solution(cone)
     return flat_cone_problem(mesh, sol.c0_star, sol.c1_star, model_dirichlet_data(mesh))
 
 
@@ -1036,9 +1037,7 @@ def barrier_psi_fit(problem: NonlinearProblem, solution: Field | None = None) ->
     rho = mesh.rho
     free = mesh.free_mask
     band_rho_max = float(np.median(rho[free]))
-    band = free & (rho <= band_rho_max)
-    if not np.any(band):
-        raise ValueError("empty near-singular band")
+    band = free & (rho <= band_rho_max)  # never empty: it holds the free minimum of rho
 
     # |R| recovered from the scaled potential c = (n-2) R / (4(n-1))
     R_sup = float(np.max(np.abs(problem.c.values[band]))) * 4.0 * (n - 1) / (n - 2)

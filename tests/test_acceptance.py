@@ -60,12 +60,12 @@ def test_acceptance_1_curvature_formula_suite():
     for n, d, h in PARAMETER_TABLE:
         cone = ConeModel(n, d, h)
         root = math.sqrt(1.0 + h * h)
-        assert abs(product_scalar_curvature(n, d) - (n - 1) * (n - 2 - 2 * d)) <= 1e-12
-        assert abs(model_boundary_mean_curvature(d, h) - (-d * h / root)) <= 1e-12
-        assert abs(model_boundary_mean_curvature(d, h) + d * math.cos(cone.theta)) <= 1e-12
+        assert abs(product_scalar_curvature(cone) - (n - 1) * (n - 2 - 2 * d)) <= 1e-12
+        assert abs(model_boundary_mean_curvature(cone) - (-d * h / root)) <= 1e-12
+        assert abs(model_boundary_mean_curvature(cone) + d * math.cos(cone.theta)) <= 1e-12
         for t in (0.25, 1.0, 3.0):
             expected = (n - d - 1) * h / (root * t)
-            assert abs(euclidean_boundary_mean_curvature(n, d, h, t) - expected) <= 1e-12
+            assert abs(euclidean_boundary_mean_curvature(cone, t) - expected) <= 1e-12
         va = vertex_asymptotics(cone)
         assert abs(va.grad_rho_nu - h / root) <= 1e-12
         assert abs(va.rho_H - (n - d - 1) * h / root) <= 1e-12
@@ -81,8 +81,8 @@ def test_acceptance_2_conformal_cross_check():
         cone = ConeModel(n, d, h)
         va = vertex_asymptotics(cone)
         rep = conformal_rho2_curvatures(cone, 0.0, va.rho_lap_rho, va.rho_H, va.grad_rho_nu)
-        dr = abs(rep.scalar - product_scalar_curvature(n, d))
-        dh = abs(rep.mean - model_boundary_mean_curvature(d, h))
+        dr = abs(rep.scalar - product_scalar_curvature(cone))
+        dh = abs(rep.mean - model_boundary_mean_curvature(cone))
         worst = max(worst, dr, dh)
         assert dr <= 1e-12 and dh <= 1e-12
     _report(2, f"conformal rescaling reproduces (R, H) on the table, worst dev {worst:.2e}")

@@ -243,6 +243,13 @@ def test_truncation_family_nesting():
         assert np.array_equal(fam[k].radial_nodes, fam[k - 1].radial_nodes)
     with pytest.raises(ValueError):
         fam[1].angular_offset_of(build_mesh(make_domain(omega_min=0.07), 10, 12, 2.0))
+    # the same angular nodes over another radial range are no truncation either
+    with pytest.raises(ValueError, match="do not share radial nodes"):
+        base.angular_offset_of(build_mesh(make_domain(omega_min=0.1, r1=3.0), 10, 12, 2.0))
+    with pytest.raises(ValueError, match="levels must be >= 1"):
+        truncation_family(base, 0)
+    with pytest.raises(ValueError, match="nodes_per_octave must be >= 2"):
+        truncation_family(base, 4, nodes_per_octave=1)
 
 
 def test_field_validation_and_serialization_roundtrip():
@@ -261,6 +268,10 @@ def test_field_validation_and_serialization_roundtrip():
     assert np.array_equal(om, mesh.omega)
     assert tags[0] == "DIRICHLET_RADIAL"
     assert tags.count("ROBIN_CONE") == mesh.robin_mask.sum()
+    with pytest.raises(ValueError, match="values length does not match mesh"):
+        write_field_table(io.StringIO(), mesh, values[:-1])
+    with pytest.raises(ValueError, match="unrecognized field table header"):
+        read_field_table(io.StringIO("rho,omega,value\n"))
 
 
 def test_field_table_matches_the_per_row_format():

@@ -87,6 +87,8 @@ def test_a_problem_is_frozen_and_replace_builds_a_fresh_one():
             replace(prob, c0=bad)
         with pytest.raises(ValueError, match="nonnegative and finite"):
             replace(prob, c1=bad)
+    with pytest.raises(ValueError, match="Dirichlet data must be nonnegative"):
+        replace(prob, dirichlet_data=-1.0)
 
 
 def test_model_problem_needs_the_complete_regime():
@@ -150,6 +152,8 @@ def test_zero_is_admissible_subsolution():
     prob = model_problem(mesh)
     rep = check_sub_super(prob, Field.full(mesh, 0.0), "sub")
     assert rep.worst_margin <= 0.0
+    with pytest.raises(ValueError, match="side must be 'sub' or 'super'"):
+        check_sub_super(prob, 0.0, "both")
 
 
 def test_small_constant_subsolution_in_negative_potential_regime():
@@ -604,6 +608,8 @@ def test_monotone_solve_takes_no_start():
     mesh = make_mesh(nn=8)
     with pytest.raises(ValueError, match="bracket"):
         solve_problem(model_problem(mesh), method="monotone", u0=Field.full(mesh, 0.0))
+    with pytest.raises(ValueError, match="unknown method 'bisection'"):
+        solve_problem(model_problem(mesh), method="bisection")
 
 
 def test_randomized_comparison_orderings():
@@ -673,6 +679,9 @@ def test_exhaustion_requires_increasing_data():
     prob = model_problem(mesh)
     with pytest.raises(ValueError):
         exhaustion_blowup_solve(prob, [4.0, 2.0])
+    # and a truncation family needs a level
+    with pytest.raises(ValueError, match="empty truncation family"):
+        maximal_solution([])
 
 
 def test_exhaustion_rejects_a_solution_that_drops_with_the_data(monkeypatch):
