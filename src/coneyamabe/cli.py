@@ -219,6 +219,7 @@ def run_solve(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:
         write_field_table(fh, mesh, rep.solution.values)
     summary.add("solve.method", cfg.method)
     summary.add("solve.iterations", rep.iterations)
+    summary.add("solve.factor_fill", rep.factor_fill)
     summary.add("solve.final_increment", rep.final_increment)
     summary.add("solve.residual_sup", rep.residual_sup)
     summary.add("solve.completeness_indicator", _completeness(mesh, rep.solution.values))
@@ -257,6 +258,7 @@ def run_verify_model(cfg: ExperimentConfig, out: Path, summary: Summary) -> None
         summary.add(f"verify_model.err_{size}", err)
         summary.add(f"verify_model.seconds_{size}", dt)
         summary.add(f"verify_model.factorizations_{size}", rep.factorizations)
+        summary.add(f"verify_model.factor_fill_{size}", rep.factor_fill)
         if errors[:-1]:
             summary.add(f"verify_model.order_{size}", order)
     write_csv(out / "errors.csv",
@@ -322,6 +324,7 @@ def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: i
         summary.add(f"dichotomy.d{d}.verdict", verdict)
         summary.add(f"dichotomy.d{d}.newton_steps", sum(r.iterations for r in reports))
         summary.add(f"dichotomy.d{d}.factorizations", sum(r.factorizations for r in reports))
+        summary.add(f"dichotomy.d{d}.factor_fill", sum(r.factor_fill for r in reports))
         if cfg.plot:
             series = []
             for k, rep in enumerate(reports):

@@ -334,7 +334,9 @@ def check_sub_super(problem: NonlinearProblem, candidate, side: str) -> Admissib
 class SolverReport:
     """What one nonlinear solve did: its solution, the step count and final
     increment, the residual sup, and the Jacobian factorizations behind the
-    solution.  exhaustion_blowup_solve also records in interior_change the
+    solution with their summed fill (entries of L plus U, the measure of
+    factor work that weighs a large mesh above a small one).
+    exhaustion_blowup_solve also records in interior_change the
     probe change against the previous datum's solution (nan on the first
     datum, which has none).  The per-level measurements of a truncation
     family are in LevelRecord."""
@@ -344,6 +346,7 @@ class SolverReport:
     iterations: int
     residual_sup: float
     factorizations: int = 0
+    factor_fill: int = 0
     interior_change: float = math.nan  # exhaustion probe change vs previous data level
 
 
@@ -375,8 +378,12 @@ def monotone_iterate(
     1e-12 * max(1, S), and a step that is not finite fails it; violations
     raise OrderingViolationError since they signal a failed discrete
     maximum principle.  Stops when the lower increment drops below tol in
-    sup norm; a huge shift makes every step tiny, so the limit's residual
-    must also lie within 10 * tol * (1 + S^p), else NonConvergenceError.
+    sup norm, or below 16 eps max(lower), the rounding level of large
+    data, once the bracket upper - lower has closed below that level too.
+    A huge shift makes every step tiny, so the limit's residual must also
+    lie within 10 * tol * (1 + T), else NonConvergenceError; T is the
+    largest term at the cap, S^p, else S^q when c0 = 0, else S for a
+    linear problem, so a zero coefficient forms no power here either.
     A cap so large that S^(p-1), S^(q-1) or S^p leaves the double range,
     or that c0 u^p or c1 u^q overflows on the cap branch, also raises
     NonConvergenceError, naming the power or the term.
@@ -442,7 +449,11 @@ def monotone_iterate(
             )
         inc = float(np.max(np.abs(new_lower - lower)))
         lower, upper = new_lower, new_upper
-        if inc < tol:
+        # large data leave increments at their rounding level, which stops
+        # the iteration once the bracket has closed to that level as well: a
+        # huge shift stalls the lower branch far below the upper one
+        floor = 16.0 * np.finfo(float).eps * float(np.max(lower))
+        if inc < tol or (inc < floor and float(np.max(upper - lower)) < floor):
             break
     else:
         raise NonConvergenceError(
@@ -452,10 +463,11 @@ def monotone_iterate(
             residual=inc,
         )
     residual = problem.residual_sup(lower)
-    if residual > 10.0 * tol * (1.0 + cap_power(p)):
+    top, name = (cap_power(p), "S^p") if c0 else (cap_power(q), "S^q") if c1 else (S, "S")
+    if residual > 10.0 * tol * (1.0 + top):
         raise NonConvergenceError(
             f"monotone iteration stalled at increment {inc:.3e} after {iterations} steps: "
-            f"residual {residual:.3e} exceeds 10 * tol * (1 + S^p)",
+            f"residual {residual:.3e} exceeds 10 * tol * (1 + {name})",
             iterations=iterations,
             residual=residual,
         )
@@ -466,6 +478,7 @@ def monotone_iterate(
         iterations=iterations,
         residual_sup=residual,
         factorizations=1,  # the shifted free block, factored once
+        factor_fill=factor.nnz,
     )
     return report, Field(mesh, upper)
 
@@ -529,7 +542,7 @@ def newton_solve(
     is below 1e-11 and the sup-norm increment below tol * (1 + sup u); a
     residual that is not finite (c0 u^p or c1 u^q overflows) or max_iter
     steps raise NonConvergenceError, with the same naming.
-    The report counts the steps and the factorizations.
+    The report counts the steps, the factorizations and their summed fill.
     Every Jacobian shares the sparsity pattern of the free block of
     problem.linear_operator, so only the first factorization of that
     operator computes a minimum-degree ordering; later ones, including
@@ -547,7 +560,7 @@ def newton_solve(
     u = np.zeros(mesh.n_nodes) if u0 is None else Field.of(mesh, u0).values.copy()
     u[~free] = data[~free]
     u = np.clip(u, 0.0, None)
-    factorizations = 0
+    factorizations = fill = 0
     place = (f"on mesh {mesh.n_radial}x{mesh.n_angular}, omega_min {mesh.domain.omega_min:.6g}, "
              f"Dirichlet data max {float(np.max(data[~free])):.6g}")
 
@@ -591,6 +604,7 @@ def newton_solve(
                 jac_diag[rob] += bmass * (q * c1 * uf[rob] ** (q - 1.0))
             factor = _factor_spd(op0, jac_diag)
             factorizations += 1
+            fill += factor.nnz
         trial = u.copy()
         trial[free] += factor.solve(-F)
         trial = np.clip(trial, 0.0, None)
@@ -626,6 +640,7 @@ def newton_solve(
         iterations=iterations,
         residual_sup=problem.residual_sup(u),
         factorizations=factorizations,
+        factor_fill=fill,
     )
 
 
@@ -692,6 +707,26 @@ def _interior_probe(mesh: Mesh, rho_cut: float | None = None) -> np.ndarray:
     return free & margin & (rho > rho_cut)
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den nodewise, and 1 where den is zero."""
+    return np.divide(num, den, out=np.ones_like(num), where=den > 0.0)
+
+
+def _octave_shift(values: np.ndarray, coarse: Mesh, mesh: Mesh) -> np.ndarray:
+    """Positive node values on coarse moved down one octave onto mesh, the
+    next level of its truncation family.
+
+    Per radial row, the value at angle omega is the coarse value at
+    min(2 omega, theta), read by linear interpolation in (log omega, log
+    value).  The shift is defined by angle, not by column index, so it
+    carries a near-face profile to the new face whatever the node spacing.
+    """
+    at = np.log(np.minimum(2.0 * mesh.angular_nodes, mesh.domain.cone.theta))
+    grid = np.log(coarse.angular_nodes)
+    rows = np.log(values).reshape(coarse.n_radial, coarse.n_angular)
+    return np.exp([np.interp(at, grid, row) for row in rows]).ravel()
+
+
 def exhaustion_blowup_solve(
     problem: NonlinearProblem,
     data_sequence=DEFAULT_DATA_SEQUENCE,
@@ -699,15 +734,25 @@ def exhaustion_blowup_solve(
     inner_tol: float = 1e-10,
     probe_rho_cut: float | None = None,
     u0: Field | None = None,
+    ratio: np.ndarray | None = None,
 ) -> list[SolverReport]:
     """Solve with constant Dirichlet data m_1 < m_2 < ... and watch the interior.
 
-    Each datum is a Newton solve started from the previous solution, which
-    the discrete maximum principle already keeps below the new datum.  The
-    first datum starts from u0 when given (any nonnegative field; Newton
-    reaches the same solution from every such start), else from Newton's
-    default start, zero on the free nodes, whose first step is the linear
-    lift of the datum.
+    Each datum is a Newton solve started from a secant prediction.  The
+    first datum starts from u0 when given, else from Newton's default
+    start, zero on the free nodes, whose first step is the linear lift of
+    the datum.  The second starts at the first solution times
+    max(ratio, 1) nodewise when ratio, node values of a predicted
+    u(m_2) / u(m_1), is given, else at the first solution.  Every later
+    datum starts at prev * max(prev / prevprev, 1) on the free nodes, the
+    secant of the last two solutions in (log m, log u) for a ladder of
+    constant ratio such as the doubling default (ratio 1 where prevprev is
+    zero).  Next to a blow-up face a node grows like a power of the datum,
+    and far from it the solution settles: both are local power laws, on
+    which the secant is exact.  The clamp at 1 keeps every start at or
+    above the previous solution.  Newton reaches the same solution from
+    every nonnegative start, so the predictions move the step and factor
+    counts, not the result.
     Successive solutions must be nodewise nondecreasing (discrete
     comparison): a drop above ORDER_TOL * (1 + max|u|) raises
     OrderingViolationError, naming the datum and omega_min.  Every report
@@ -726,13 +771,17 @@ def exhaustion_blowup_solve(
     probe = _interior_probe(mesh, probe_rho_cut)
 
     reports: list[SolverReport] = []
-    prev = None
+    prev = prevprev = None
     # each data value derives from the previous one, so the whole ladder
     # shares one assembled operator and frees it on return
     prob_m = problem
     for m in seq:
         prob_m = prob_m.with_data(m)
-        start = u0 if prev is None else Field(mesh, prev)
+        if prev is None:
+            start = u0
+        else:
+            gain = ratio if prevprev is None else _ratio(prev, prevprev)
+            start = Field(mesh, prev if gain is None else prev * np.maximum(gain, 1.0))
         rep = newton_solve(prob_m, u0=start, tol=inner_tol)
         u = rep.solution.values
         if prev is not None:
@@ -744,7 +793,7 @@ def exhaustion_blowup_solve(
                 )
             rep.interior_change = float(np.max(np.abs((u - prev)[probe])))
         reports.append(rep)
-        prev = u
+        prev, prevprev = u, prev
     change = reports[-1].interior_change
     if not change < tol * (1.0 + float(np.max(np.abs(prev[probe])))):
         raise NoStabilizationError(
@@ -789,19 +838,20 @@ class LevelRecord:
     """One truncation level of maximal_solution.
 
     solution is the level's solution at the final datum and interior_change
-    its probe change against the previous datum; iterations and
-    factorizations are the totals over the level's Newton solves.  The
-    near-singular band sup, its relative change against the previous level,
-    and the exponent fit on the level's window (alpha, r2 and completeness
-    indicator) are nan where the level has no band, no previous level or
-    no fit, and fit_samples is then 0.  A record holds measurements only;
-    dichotomy_verdict judges a list of them.
+    its probe change against the previous datum; iterations,
+    factorizations and factor_fill are the totals over the level's Newton
+    solves.  The near-singular band sup, its relative change against the
+    previous level, and the exponent fit on the level's window (alpha, r2
+    and completeness indicator) are nan where the level has no band, no
+    previous level or no fit, and fit_samples is then 0.  A record holds
+    measurements only; dichotomy_verdict judges a list of them.
     """
 
     solution: Field
     iterations: int
     factorizations: int
     interior_change: float
+    factor_fill: int = 0
     near_gamma_sup: float = math.nan
     near_gamma_variation: float = math.nan
     fitted_exponent: float = math.nan
@@ -821,17 +871,25 @@ def maximal_solution(
     problems must live on meshes produced by truncation_family (same radial
     nodes, nested angular nodes).  Level 0 runs the full data sequence from
     Newton's zero-interior start, with its nondecreasing-in-data check at
-    every datum.  Each deeper level solves only the last two data values,
-    which are all the certificate and the cross-level comparison read,
-    warm-started from the previous level's solution moved down one octave:
-    per radial row, the start at angle omega is the coarse solution at
-    min(2 omega, theta), read by linear interpolation in (log omega, log u).
-    The shift is defined by angle, not by column index, so it carries the
-    near-face profile to the new face whatever the node spacing.  Newton
-    reaches the same solution from any nonnegative start, so the warm start
-    changes the step and factor counts, not the result.  All levels share
-    the final data height, and every free node of a coarser level is free
-    on the deeper one.  On the coarser level's free nodes the deeper
+    every datum and the data ladder's secant starts (see
+    exhaustion_blowup_solve).  Each deeper level k solves only the last two
+    data values, which are all the certificate and the cross-level
+    comparison read, each started from a measured secant.  With shift the
+    move down one octave (_octave_shift: per radial row, the value at angle
+    omega is the coarse value at min(2 omega, theta), read in (log omega,
+    log value)), the first datum starts at shift(u_(k-1)) times
+    max(shift(R_(k-1)), 1), where R_(k-1) = u_(k-1) / shift(u_(k-2)) is the
+    level-to-level ratio measured on the previous level, 1 on its
+    Dirichlet rows.  Near the singular set the flat cone's solution follows
+    u ~ K rho^(-a), a = (n-2)/2, so halving the truncation raises the
+    near-face profile by about 2^a; level 1, with no measured ratio, scales
+    by that 2^a.  The second datum starts at the first solution times
+    max(shift(r_(k-1)), 1), where r_(k-1) is the previous level's own ratio
+    u(m) / u(m/2) of its last two solutions.  Newton reaches the same
+    solution from any nonnegative start, so the starts change the step and
+    factor counts, not the result.  All levels share the final data
+    height, and every free node of a coarser level is free on the deeper
+    one.  On the coarser level's free nodes the deeper
     solution therefore solves the coarser level's discrete equations, with
     boundary values no larger on the coarser inner face, so by the discrete
     comparison principle the decrease across levels is exact up to solver
@@ -849,47 +907,53 @@ def maximal_solution(
         raise ValueError("empty truncation family")
     base_mesh = problems[0].mesh
     omega_base = base_mesh.domain.omega_min
-    theta = base_mesh.domain.cone.theta
+    law = 2.0 ** base_mesh.domain.cone.blowup_exponent
 
     levels: list[LevelRecord] = []
     seq = list(data_sequence)
     base_rho_cut = float(np.median(base_mesh.rho[base_mesh.free_mask]))
+    # the ratios measured on the previous level: its solution against the
+    # shifted one before it (None until a deep level has run), and its
+    # solution against its previous datum's
+    across = within = None
     for prob in problems:
         mesh = prob.mesh
         if levels:
             coarse = levels[-1].solution.mesh
-            off = mesh.angular_offset_of(coarse)
-            na_f, na_c = mesh.n_angular, coarse.n_angular
-            uc = levels[-1].solution.values.reshape(coarse.n_radial, na_c)
-            # the coarse profile moved down one octave, read in (log omega, log u)
-            at = np.log(np.minimum(2.0 * mesh.angular_nodes, theta))
-            grid = np.log(coarse.angular_nodes)
-            shifted = np.exp([np.interp(at, grid, row) for row in np.log(uc)])
-            data, start = seq[-2:], Field(mesh, shifted.ravel())
+            uc = levels[-1].solution.values
+            shifted = _octave_shift(uc, coarse, mesh)
+            gain = law if across is None else np.maximum(_octave_shift(across, coarse, mesh), 1.0)
+            data, start = seq[-2:], Field(mesh, shifted * gain)
+            second = None if within is None else _octave_shift(within, coarse, mesh)
         else:
-            data, start = seq, None
+            data, start, second = seq, None, None
         solves = exhaustion_blowup_solve(
-            prob, data, tol=tol, inner_tol=inner_tol, probe_rho_cut=base_rho_cut, u0=start
+            prob, data, tol=tol, inner_tol=inner_tol, probe_rho_cut=base_rho_cut,
+            u0=start, ratio=second,
         )
         rec = LevelRecord(
             solution=solves[-1].solution,
             iterations=sum(r.iterations for r in solves),
             factorizations=sum(r.factorizations for r in solves),
+            factor_fill=sum(r.factor_fill for r in solves),
             interior_change=solves[-1].interior_change,
         )
         u = rec.solution.values
+        within = _ratio(u, solves[-2].solution.values) if len(solves) > 1 else None
 
         if levels:
+            across = np.where(mesh.free_mask, _ratio(u, shifted), 1.0)
             # compare on the coarser level's free nodes, which are free on
             # this level too (its Dirichlet nodes carry data, not solutions)
-            uf = u.reshape(mesh.n_radial, na_f)[:, off:]
+            uc = uc.reshape(coarse.n_radial, coarse.n_angular)
+            uf = u.reshape(mesh.n_radial, mesh.n_angular)[:, mesh.angular_offset_of(coarse):]
             rise = np.where(coarse.free_mask.reshape(uc.shape), uf - uc, -np.inf)
             if np.max(rise) > ORDER_TOL * (1.0 + float(np.max(np.abs(u)))):
                 k = np.unravel_index(np.argmax(rise), rise.shape)
                 raise MonotonicityViolationError(
                     "truncation-limit sequence increased beyond solver tolerance "
                     f"at node {k}: rise {np.max(rise):.3e} on the level with omega_min "
-                    f"{mesh.domain.omega_min:.6g}, mesh {mesh.n_radial}x{na_f}"
+                    f"{mesh.domain.omega_min:.6g}, mesh {mesh.n_radial}x{mesh.n_angular}"
                 )
 
         # near-singular band fixed across levels: omega in [omega_base/2, omega_base],

@@ -16,3 +16,18 @@ def orderings(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
     return counts
+
+
+@pytest.fixture
+def factor_fills(monkeypatch):
+    """The fill (L plus U entries) of every SuperLU factorization, in order."""
+    fills = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording(A, **kwargs):
+        lu = splu(A, **kwargs)
+        fills.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    return fills

@@ -4,6 +4,7 @@ import math
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coneyamabe
@@ -577,22 +578,28 @@ def test_dichotomy_experiment_small(tmp_path):
 
 
 def test_solver_counters_go_to_the_summary_only(tmp_path):
-    # Newton steps, factorizations, the exponent fit's r2 and the closed-form
-    # blow-up amplitude K of each dimension are reported in summary.txt; the
-    # CSVs carry none of them and stay byte-identical on a rerun
+    # Newton steps, factorizations and their summed fill, the exponent fit's
+    # r2 and the closed-form blow-up amplitude K of each dimension are
+    # reported in summary.txt; the CSVs carry none of them and stay
+    # byte-identical on a rerun
     runs = [
         ("dichotomy", "d_list = 1,2\ntruncation_levels = 3",
          "[mesh]\nn_radial = 16\nn_angular = 12\nnodes_per_octave = 5\n"
          "[tolerances]\nexhaustion_tol = 0.08\ndata_max_exponent = 8\n",
          ["dichotomy.d1.newton_steps", "dichotomy.d1.factorizations",
-          "dichotomy.d2.newton_steps", "dichotomy.d2.factorizations"], [], [1, 2]),
+          "dichotomy.d1.factor_fill", "dichotomy.d2.newton_steps",
+          "dichotomy.d2.factorizations", "dichotomy.d2.factor_fill"], [], [1, 2]),
         ("dichotomy", "d_list = 1\ntruncation_levels = 6",
          "[mesh]\nn_radial = 28\nn_angular = 24\nnodes_per_octave = 8\n"
          "[tolerances]\nexhaustion_tol = 0.03\ndata_max_exponent = 13\n",
-         ["dichotomy.d1.newton_steps", "dichotomy.d1.factorizations"],
+         ["dichotomy.d1.newton_steps", "dichotomy.d1.factorizations",
+          "dichotomy.d1.factor_fill"],
          ["dichotomy.d1.alpha_r2"], [1]),
         ("verify-model", "mesh_sizes = 12,24", "[mesh]\nomega_min = 0.15\n",
-         ["verify_model.factorizations_12", "verify_model.factorizations_24"], [], []),
+         ["verify_model.factorizations_12", "verify_model.factorizations_24",
+          "verify_model.factor_fill_12", "verify_model.factor_fill_24"], [], []),
+        ("solve", "", "[mesh]\nn_radial = 8\nn_angular = 8\n",
+         ["solve.iterations", "solve.factor_fill"], [], []),
     ]
     for k, (kind, extra, body, counters, fits, dims) in enumerate(runs):
         cfgpath = write_cfg(tmp_path, kind, extra=extra, body=body)
@@ -614,6 +621,7 @@ def test_solver_counters_go_to_the_summary_only(tmp_path):
         for name in csvs:
             first = (outs[0] / name).read_bytes()
             assert b"factorizations" not in first and b"newton_steps" not in first
+            assert b"fill" not in first
             assert b"r2" not in first and b"amplitude" not in first
             assert first == (outs[1] / name).read_bytes()
 
@@ -737,6 +745,23 @@ def test_stalled_monotone_solve_fails_loudly(tmp_path, c0):
     summary = (out / "summary.txt").read_text()
     assert "status = solver-failed" in summary
     assert "error = NonConvergenceError" in summary
+
+
+def test_monotone_solve_of_a_linear_problem_at_large_data_converges(tmp_path):
+    # with c0 = c1 = 0 and data 1e9 the increments settle near 7e-7, the
+    # rounding level of values near 1e9 and above tol = 1e-8; the iteration
+    # stops there once its bracket has closed to that level too, instead of
+    # running out of its 2000 steps
+    cfgpath = write_cfg(
+        tmp_path, "solve", extra="method = monotone\ndirichlet = 1e9",
+        body="[coefficients]\nc0 = 0\nc1 = 0\n"
+             "[mesh]\nn_radial = 8\nn_angular = 8\nomega_min = 0.39269908169872414\n",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 0
+    summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
+    assert int(summary["solve.iterations"]) < 20
+    assert float(summary["solve.final_increment"]) < 16 * np.finfo(float).eps * 1e9
 
 
 @pytest.mark.parametrize("method, data, error", [

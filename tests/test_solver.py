@@ -285,6 +285,7 @@ def _wrapped_factors(monkeypatch, transform):
     class Wrapped:
         def __init__(self, factor):
             self._factor = factor
+            self.nnz = factor.nnz
 
         def solve(self, b):
             return transform(self._factor.solve(b))
@@ -544,6 +545,7 @@ def _warm_threshold_problem():
 class _CountingFactor:
     def __init__(self, lu):
         self.lu = lu
+        self.nnz = lu.nnz
         self.solves = 0
 
     def solve(self, b):
@@ -832,15 +834,78 @@ def test_one_ordering_per_level(orderings):
 def test_level_factorization_counts_on_the_threshold_family():
     # deterministic counts of the (4,1) desk family at 6 levels.  Level 0's
     # first solve starts from zero on the free nodes, and its first step
-    # lands on the linear lift of its data.  The octave-shifted warm start
-    # brings the new face layer close to the level's solution, so fewer
-    # Newton steps need a fresh factor; a start that copies the coarse first
-    # free column onto the new octave takes 15, 12, 11, 11, 10 on levels 1-5
+    # lands on the linear lift of its data; every later datum starts from
+    # the data ladder's secant.  Each deep level starts from the coarse
+    # solution moved down one octave and scaled by the measured
+    # level-to-level ratio (2^a on level 1).  The octave shift alone took
+    # 34, 13, 7, 7, 7, 6, and a start that copies the coarse first free
+    # column onto the new octave 15, 12, 11, 11, 10 on levels 1-5
     cone = ConeModel(4, 1, 1.0)
     base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 40, 32, 2.0)
     problems = [flat_cone_problem(m, 1.0, 1.0, 1.0) for m in truncation_family(base, 6)]
     reports = maximal_solution(problems, tol=0.03)
-    assert [r.factorizations for r in reports] == [34, 13, 7, 7, 7, 6]
+    assert [r.factorizations for r in reports] == [26, 8, 9, 4, 5, 5]
+
+
+def test_every_start_lies_at_or_above_the_start_it_predicts_from(monkeypatch):
+    # each datum after a level's first starts at or above the previous
+    # datum's solution on the free nodes, and each deep level's first datum
+    # at or above the coarse solution moved down one octave: the ratios the
+    # secant starts scale by are clamped at 1, so a start is never lower
+    # than the plain warm start, and it is finite
+    calls = []
+    newton = solver.newton_solve
+
+    def spying(problem, u0=None, **kwargs):
+        rep = newton(problem, u0=u0, **kwargs)
+        calls.append((problem.mesh, None if u0 is None else u0.values, rep.solution.values))
+        return rep
+
+    monkeypatch.setattr(solver, "newton_solve", spying)
+    problems = _small_family(3, 1, 4, 4)
+    seq = [2.0**k for k in range(9)]
+    maximal_solution(problems, data_sequence=seq, tol=1.0)
+    firsts = [0] + [len(seq) + 2 * k for k in range(len(problems) - 1)]
+    assert len(calls) == firsts[-1] + 2
+    for k, (mesh, start, _) in enumerate(calls):
+        free = mesh.free_mask
+        if k in firsts[1:]:
+            coarse, _, uc = calls[k - 1]
+            shifted = solver._octave_shift(uc, coarse, mesh)
+            assert np.all(np.isfinite(start)) and np.all(start[free] >= shifted[free])
+        elif k:
+            prev = calls[k - 1][2]
+            assert np.all(np.isfinite(start)) and np.all(start[free] >= prev[free])
+
+
+def test_a_two_level_n3_family_converges_at_blowup_data_2_28():
+    # the (3,1) desk base at data up to 2^28.  Started from the coarse
+    # solution moved down one octave alone, level 1's first datum 2^27 sat
+    # below the solution in the face column; Newton's first step overshot
+    # to 2.5e7 and ran out of its 60 steps on mesh 40x42.  Scaled by the
+    # blow-up law's 2^a, the start lies above the solution there
+    cone = ConeModel(3, 1, 1.0)
+    base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 40, 32, 2.0)
+    problems = [flat_cone_problem(m, 1.0, 1.0, 1.0) for m in truncation_family(base, 2)]
+    assert problems[1].mesh.n_angular == 42
+    levels = maximal_solution(problems, data_sequence=[2.0**k for k in range(29)],
+                              tol=0.03, inner_tol=1e-8)
+    u = levels[1].solution.values
+    assert np.all(np.isfinite(u)) and np.max(u) <= 2.0**28
+
+
+def test_factor_fill_sums_the_fill_of_every_factor(factor_fills):
+    # the reports total the fill (L plus U entries) of every factorization
+    # behind them: Newton's Jacobians per solve and level, and the monotone
+    # iteration's one shifted factor
+    problems = _small_family(3, 1, 3, 4)
+    levels = maximal_solution(problems, data_sequence=[2.0**k for k in range(7)], tol=1.0)
+    assert sum(r.factor_fill for r in levels) == sum(factor_fills) > 0
+    assert sum(r.factorizations for r in levels) == len(factor_fills)
+    factor_fills.clear()
+    prob = model_problem(make_mesh(nn=8))
+    rep, _ = monotone_iterate(prob, pick_cap(prob))
+    assert rep.factor_fill == sum(factor_fills) == factor_fills[0] > 0
 
 
 def test_level_reports_keep_the_fit_quality():
