@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Field, Mesh, _write_rows
+from .mesh import Field, Mesh
 
 __all__ = [
     "OperatorAssembly",
@@ -52,7 +52,6 @@ __all__ = [
     "solve_mixed",
     "rayleigh_quotient",
     "principal_eigen",
-    "write_coo_system",
 ]
 
 EIGEN_TOL = 1e-10      # relative settling of the Rayleigh quotient in principal_eigen
@@ -283,10 +282,7 @@ def _factor_spd(op: OperatorAssembly, diag: np.ndarray | None = None):
     longest row, so that the matvec's rounding cannot fake a positive row;
     it also requires perm_r == perm_c, since a row permutation means
     SuperLU met a zero diagonal pivot.  Raises IndefiniteOperatorError
-    when the block is not a Z-matrix or the certificate fails.  Newton's
-    first step from its zero-interior default start factors the free block
-    of a problem's linear operator with a zero diagonal, so an API caller
-    whose linear part is indefinite must pass Newton a start u0.
+    when the block is not a Z-matrix or the certificate fails.
     """
     order = op._free_order
     if order is None:
@@ -442,16 +438,3 @@ def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
     full = np.zeros(op.mesh.n_nodes)
     full[free] = v
     return lam, Field(op.mesh, full)
-
-
-def write_coo_system(op: OperatorAssembly, fh) -> None:
-    """Dump the assembled integrated-form matrix as 'row,col,value' text to
-    the open text file fh.
-
-    Entries are sorted by row, then column; values are printed at 17
-    significant digits, which read back bit-exactly.
-    """
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    fh.write("row,col,value\n")
-    _write_rows(fh, "%d,%d,%.17g\n", coo.row[order], coo.col[order], coo.data[order])

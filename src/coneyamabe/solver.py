@@ -68,18 +68,15 @@ __all__ = [
     "NonlinearProblem",
     "SolverReport",
     "LevelRecord",
-    "AdmissibilityReport",
     "BlowupFit",
     "BarrierFit",
     "OrderingViolationError",
     "NoStabilizationError",
     "MonotonicityViolationError",
-    "CapSearchError",
     "flat_cone_problem",
     "model_problem",
     "model_dirichlet_data",
     "pick_cap",
-    "check_sub_super",
     "monotone_iterate",
     "newton_solve",
     "solve_problem",
@@ -111,11 +108,6 @@ class MonotonicityViolationError(SolverError):
     """Truncation-limit sequence failed to decrease beyond solver tolerance."""
 
 
-class CapSearchError(SolverError):
-    """No constant cap is a supersolution: a negative linear potential
-    meets a vanishing nonlinear coefficient."""
-
-
 class Verdict(enum.Enum):
     COMPLETE_TYPE = "COMPLETE_TYPE"
     BOUNDED_TYPE = "BOUNDED_TYPE"
@@ -131,6 +123,9 @@ class NonlinearProblem:
     tests).  c, c2_lin and dirichlet_data are coerced by Field.of, so a
     scalar, node values or a Field on mesh may be given; c2_lin is read on
     ROBIN_CONE nodes and dirichlet_data on Dirichlet-tagged nodes.  The
+    potentials are nonnegative, as on the flat cone (c = 0, c2_lin the
+    cone's Robin potential), and so are the data: a negative c at any
+    node, c2_lin at a Robin node or datum is a ValueError.  The
     discrete equations live on the free rows (interior and ROBIN_CONE
     nodes) and are evaluated there only: Dirichlet rows carry the data,
     not equations.  The problem is frozen, since its linear operator is
@@ -153,6 +148,8 @@ class NonlinearProblem:
             raise ValueError(f"c0 and c1 must be nonnegative and finite, got {self.c0}, {self.c1}")
         for name in ("c", "c2_lin", "dirichlet_data"):
             object.__setattr__(self, name, Field.of(self.mesh, getattr(self, name)))
+        if np.min(self.c.values) < 0 or np.min(self.c2_lin.values[self.mesh.robin_mask]) < 0:
+            raise ValueError("the potentials c and c2_lin must be nonnegative")
         if np.min(self.dirichlet_data.values[self.mesh.dirichlet_mask]) < 0:
             raise ValueError("Dirichlet data must be nonnegative")
         object.__setattr__(self, "_op0", None)
@@ -259,70 +256,22 @@ def model_problem(mesh: Mesh) -> NonlinearProblem:
 
 
 # ---------------------------------------------------------------------------
-# cap selection and admissibility
+# cap selection
 # ---------------------------------------------------------------------------
 
 
 def pick_cap(problem: NonlinearProblem) -> float:
-    """The smallest constant S >= max(data) that is a supersolution.
+    """The smallest constant supersolution S >= max(data): the Dirichlet
+    data maximum.
 
-    That needs c + c0 S^(p-1) >= 0 at every node and c2 + c1 S^(q-1) >= 0
-    on the cone face.  With nonnegative potentials (every CLI path) S is the
-    Dirichlet data maximum; a negative one raises it to (-c/c0)^(1/(p-1))
-    or (-c2/c1)^(1/(q-1)), and meeting c0 = 0 or c1 = 0 raises
-    CapSearchError.  monotone_iterate's shifts keep its frozen maps
-    nondecreasing on [0, S] for any S, so they ask nothing of the cap
-    beyond S >= max(data), which monotone_iterate checks.
+    A constant S is a supersolution when c + c0 S^(p-1) >= 0 at every node
+    and c2 + c1 S^(q-1) >= 0 on the cone face, which the nonnegative
+    potentials of every problem give for any S >= 0.  monotone_iterate's
+    shifts keep its frozen maps nondecreasing on [0, S] for any S, so they
+    ask nothing of the cap beyond S >= max(data), which monotone_iterate
+    checks.
     """
-    mesh = problem.mesh
-    S = float(np.max(problem.dirichlet_data.values[mesh.dirichlet_mask]))
-    for pot, coef, power in (
-        (problem.c.values, problem.c0, problem.p_interior),
-        (problem.c2_lin.values[mesh.robin_mask], problem.c1, problem.p_boundary),
-    ):
-        neg = pot[pot < 0.0]
-        if neg.size and coef == 0.0:
-            raise CapSearchError("a negative linear potential meets a vanishing c0 or c1")
-        S = float(np.max((-neg / coef) ** (1.0 / (power - 1.0)), initial=S))
-    return S
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Worst violated margins of the discrete sub/supersolution inequalities.
-
-    Nonpositive worst_margin means admissible for the requested side.
-    """
-
-    worst_margin: float
-    interior_margin: float
-    robin_margin: float
-    dirichlet_margin: float
-
-
-def check_sub_super(problem: NonlinearProblem, candidate, side: str) -> AdmissibilityReport:
-    """Evaluate the discrete differential inequalities for a candidate
-    bracket, given in any form Field.of takes on the problem's mesh.
-
-    No solver calls this: monotone_iterate starts from zero and the cap,
-    admissible for every problem it accepts.  It is the sub/supersolution
-    oracle that tests and API callers check candidates with.
-    """
-    if side not in ("sub", "super"):
-        raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
-    u = Field.of(problem.mesh, candidate).values
-    r_int, r_rob = problem.residual_parts(u)
-    d_m = (u - problem.dirichlet_data.values)[problem.mesh.dirichlet_mask]
-    sgn = 1.0 if side == "sub" else -1.0
-    mi = float(np.max(sgn * r_int))
-    mr = float(np.max(sgn * r_rob))
-    md = float(np.max(sgn * d_m))
-    return AdmissibilityReport(
-        worst_margin=max(mi, mr, md),
-        interior_margin=mi,
-        robin_margin=mr,
-        dirichlet_margin=md,
-    )
+    return float(np.max(problem.dirichlet_data.values[problem.mesh.dirichlet_mask]))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +359,8 @@ def monotone_iterate(
     # a zero coefficient forms no power
     slope_i = p * c0 * cap_power(p - 1) if c0 else 0.0
     slope_b = q * c1 * cap_power(q - 1) if c1 else 0.0
-    shift_i = max(0.0, float(np.max(problem.c.values)) + slope_i)
-    shift_b = max(0.0, float(np.max(problem.c2_lin.values[mesh.robin_mask])) + slope_b)
+    shift_i = float(np.max(problem.c.values)) + slope_i
+    shift_b = float(np.max(problem.c2_lin.values[mesh.robin_mask])) + slope_b
     op = problem.linear_operator
     shift = op.volume_mass * (shift_i - op.c) + op.boundary_mass * (shift_b - op.c2)
     factor = _factor_spd(op, shift[free])
@@ -505,11 +454,8 @@ def newton_solve(
     p c0 0^(p-1) = q c1 0^(q-1) = 0, and the residual is the Dirichlet
     lift, so the first step lands bitwise on the linear lift u_L of the
     data, A u_L = 0 on the free rows.  The lift is a supersolution, since
-    F(u_L) = c0 u_L^p + c1 u_L^q >= 0 (integrated), and lies in
-    [0, max(data)] when c, c2_lin >= 0.  That step needs
-    problem.linear_operator to be positive definite, else
-    IndefiniteOperatorError: an API caller whose linear part is indefinite
-    must pass u0.  Each step solves the linearization with potentials
+    F(u_L) = c0 u_L^p + c1 u_L^q >= 0 (integrated), and, as c and c2_lin
+    are nonnegative, lies in [0, max(data)].  Each step solves the linearization with potentials
     c + p c0 u^(p-1) and c2 + q c1 u^(q-1) and takes the whole step,
     clipped at zero.  No damping is needed: the residual is convex in u
     (p, q > 1, c0, c1 >= 0) and its Jacobian has nonpositive off-diagonals
@@ -547,9 +493,7 @@ def newton_solve(
     problem.linear_operator, so only the first factorization of that
     operator computes a minimum-degree ordering; later ones, including
     those of other data values sharing the operator through with_data,
-    reuse it (see elliptic._factor_spd).  An indefinite linearization
-    (possible only when c or c2_lin is negative) raises
-    IndefiniteOperatorError.
+    reuse it (see elliptic._factor_spd).
     """
     mesh = problem.mesh
     p, q = problem.p_interior, problem.p_boundary

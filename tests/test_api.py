@@ -30,6 +30,6 @@ def test_every_solver_failure_is_a_solver_error():
     failures = (
         elliptic.NonConvergenceError, elliptic.IndefiniteOperatorError,
         elliptic.NegativeEigenvectorError, solver.OrderingViolationError,
-        solver.NoStabilizationError, solver.MonotonicityViolationError, solver.CapSearchError,
+        solver.NoStabilizationError, solver.MonotonicityViolationError,
     )
     assert all(issubclass(cls, coneyamabe.SolverError) for cls in failures)

@@ -538,7 +538,6 @@ def test_the_theorem_check_reads_the_verdict_and_the_hypotheses(tmp_path, monkey
 @pytest.mark.parametrize("name", [
     "NonConvergenceError", "IndefiniteOperatorError", "NegativeEigenvectorError",
     "OrderingViolationError", "NoStabilizationError", "MonotonicityViolationError",
-    "CapSearchError",
 ])
 def test_every_solver_error_exits_2_with_a_summary(tmp_path, monkeypatch, name):
     def failing(op, variant):

@@ -1,6 +1,5 @@
 """Assembly, mixed solves, Rayleigh quotient and principal eigenvalue."""
 
-import io
 import math
 import warnings
 
@@ -27,11 +26,9 @@ from coneyamabe import (
     rayleigh_quotient,
     solve_mixed,
     truncation_family,
-    write_coo_system,
 )
 from coneyamabe import elliptic
 from coneyamabe.elliptic import _factor_spd
-from coneyamabe.mesh import _CHUNK_ROWS
 from coneyamabe.solver import NonlinearProblem
 
 RNG = np.random.default_rng(7121331)
@@ -563,43 +560,3 @@ def test_rayleigh_quotient_of_eigenvector_is_variational_minimum():
     assert rayleigh_quotient(op, vec) == pytest.approx(lam, abs=1e-8)
     # any admissible competitor sits above the eigenvalue
     assert rayleigh_quotient(op, admissible_bump(mesh)) >= lam - 1e-10
-
-
-def test_coo_dump_roundtrip():
-    mesh = make_mesh(nn=6)
-    op = assemble(mesh, Field.full(mesh, 1.0), Field.full(mesh, 0.5))
-    buf = io.StringIO()
-    write_coo_system(op, buf)
-    text = buf.getvalue().splitlines()
-    assert text[0] == "row,col,value"
-    rows, cols, vals = [], [], []
-    for line in text[1:]:
-        r, c, v = line.split(",")
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(float(v))
-    rebuilt = sp.coo_matrix((vals, (rows, cols)), shape=op.matrix.shape).tocsr()
-    diff = (rebuilt - op.matrix).tocoo()
-    assert np.max(np.abs(diff.data)) if diff.nnz else 0.0 <= 1e-14
-
-
-def test_coo_dump_matches_the_per_row_format():
-    # the chunked dump against the one-entry-at-a-time f-string form, on more
-    # entries than one chunk plus a remainder, with potentials from 0 to 1e300
-    mesh = make_mesh(nn=40)
-    pots = RNG.choice([0.0, 1e-300, 2.0, 3.5, 1e300], (2, mesh.n_nodes))
-    op = assemble(mesh, Field(mesh, pots[0]), Field(mesh, pots[1]))
-    coo = op.matrix.tocoo()
-    assert coo.nnz > _CHUNK_ROWS and coo.nnz % _CHUNK_ROWS
-    buf = io.StringIO()
-    write_coo_system(op, buf)
-    order = np.lexsort((coo.col, coo.row))
-    ref = "row,col,value\n" + "".join(
-        f"{r},{c},{v:.17g}\n" for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order])
-    )
-    got, want = buf.getvalue().splitlines(), ref.splitlines()
-    assert len(got) == len(want)
-    assert [(a, b) for a, b in zip(got, want) if a != b][:1] == []
-    assert buf.getvalue() == ref
-    vals = np.array([float(line.split(",")[2]) for line in got[1:]])
-    assert vals.tobytes() == coo.data[order].tobytes()
