@@ -99,6 +99,9 @@ class OperatorAssembly:
     m_matrix_ok        : row-sum certificate c >= 0 and c2 >= 0
     matrix             : integrated-form matrix, stiffness plus the volume and
                          surface mass terms of c and c2 (CSR, all nodes)
+    free               : mask of the free nodes (interior and Robin), read-only;
+                         every residual and solve on the operator reads it,
+                         so it is formed once here rather than per call
     free_matrix        : matrix restricted to the free nodes, rows and columns
 
     Only what depends on a factorization is filled in later: the
@@ -120,6 +123,7 @@ class OperatorAssembly:
     c2: np.ndarray
     m_matrix_ok: bool
     matrix: sp.csr_matrix
+    free: np.ndarray
     free_matrix: sp.csr_matrix
 
     _free_factor: object | None = None
@@ -207,6 +211,7 @@ def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
     boundary_mass = boundary_mass.ravel()
     matrix = (stiffness + sp.diags(volume_mass * cvals + boundary_mass * c2vals)).tocsr()
     free = mesh.free_mask
+    free.setflags(write=False)
     return OperatorAssembly(
         mesh=mesh,
         stiffness=stiffness,
@@ -216,6 +221,7 @@ def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
         c2=c2vals.copy(),
         m_matrix_ok=ok,
         matrix=matrix,
+        free=free,
         free_matrix=matrix[free][:, free].tocsr(),
     )
 
@@ -340,7 +346,7 @@ def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=0.0) -> Lin
     mesh = op.mesh
     rvals, dvals, gvals = (Field.of(mesh, f).values
                            for f in (rhs, dirichlet_data, robin_rhs))
-    free = mesh.free_mask
+    free = op.free
     b = op.volume_mass * rvals + op.boundary_mass * gvals
     b_f = b[free] - (op.matrix @ np.where(free, 0.0, dvals))[free]
     if op._free_factor is None:
@@ -389,7 +395,7 @@ def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
     NegativeEigenvectorError since the ground state of an irreducible
     M-matrix pencil must be positive.  An unknown variant is a ValueError.
     """
-    free = op.mesh.free_mask
+    free = op.free
     if variant == "volume":
         bdiag = op.volume_mass[free]
     elif variant == "volume-plus-boundary":

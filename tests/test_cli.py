@@ -750,7 +750,7 @@ def test_monotone_solve_of_a_linear_problem_at_large_data_converges(tmp_path):
     # with c0 = c1 = 0 and data 1e9 the increments settle near 7e-7, the
     # rounding level of values near 1e9 and above tol = 1e-8; the iteration
     # stops there once its bracket has closed to that level too, instead of
-    # running out of its 2000 steps
+    # running out of its steps
     cfgpath = write_cfg(
         tmp_path, "solve", extra="method = monotone\ndirichlet = 1e9",
         body="[coefficients]\nc0 = 0\nc1 = 0\n"
@@ -761,6 +761,18 @@ def test_monotone_solve_of_a_linear_problem_at_large_data_converges(tmp_path):
     summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
     assert int(summary["solve.iterations"]) < 20
     assert float(summary["solve.final_increment"]) < 16 * np.finfo(float).eps * 1e9
+
+
+def test_monotone_solve_of_the_default_problem_converges(tmp_path):
+    # the default (3,1) problem (c0 = c1 = 1, model data, theta/8) contracts
+    # slowly under the cap's shift: on 8x8 it needs 2031 steps, past the
+    # former limit of 2000, and must finish within solver.MONOTONE_MAX_ITER
+    cfgpath = write_cfg(tmp_path, "solve", extra="method = monotone",
+                        body="[mesh]\nn_radial = 8\nn_angular = 8\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 0
+    summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
+    assert 2000 < int(summary["solve.iterations"]) <= coneyamabe.solver.MONOTONE_MAX_ITER
 
 
 @pytest.mark.parametrize("method, data, error", [

@@ -482,10 +482,11 @@ def test_newton_refuses_a_start_on_another_mesh():
             newton_solve(prob, u0=Field.full(other, 0.0))
     with pytest.raises(ValueError):
         newton_solve(prob, u0=np.zeros(12 * 12))
-    # node values of the right length are a start like any other (a fresh
-    # problem each, so that both factor under their own first ordering)
+    # node values of the right length are a start like any other: they
+    # solve bitwise as the same start given as a Field (a fresh problem
+    # each, so that both factor under their own first ordering)
     mesh = prob.mesh
-    ref = newton_solve(model_problem(mesh)).solution.values
+    ref = newton_solve(model_problem(mesh), u0=Field.full(mesh, 0.0)).solution.values
     got = newton_solve(model_problem(mesh), u0=np.zeros(mesh.n_nodes)).solution.values
     assert np.array_equal(got, ref)
 
@@ -529,12 +530,13 @@ def test_newton_cold_start_at_blowup_data_matches_ladder(n, d):
 
 
 def test_newton_cold_start_on_the_desk_family_within_max_iter():
-    # a (3,1) cold start at the constant 2^16, the data maximum, sheds only
-    # about a third of its excess per step and refactors at nearly every
-    # step of that phase (its first step goes down, so the start factor
-    # serves until the 4x rule drops it).  The shallowest and the deepest
-    # desk level take 57 and 54 of the default max_iter = 60 steps, and
-    # must converge within it (else NonConvergenceError)
+    # a (3,1) cold start at the constant 2^16, the data maximum.  Newton
+    # sheds only about a fifth of the excess per step, refactoring at
+    # nearly every step of that phase, so the shallowest and the deepest
+    # desk level took 57 and 54 of the default max_iter = 60 steps.  The
+    # two nonlinear Jacobi sweeps on the start bring it down first, to 15
+    # and 17 steps; either way Newton must converge within max_iter (else
+    # NonConvergenceError)
     cone = ConeModel(3, 1, 1.0)
     base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 40, 32, 2.0)
     meshes = truncation_family(base, 22, nodes_per_octave=10)
@@ -848,14 +850,16 @@ def test_level_factorization_counts_on_the_threshold_family():
     # lands on the linear lift of its data; every later datum starts from
     # the data ladder's secant.  Each deep level starts from the coarse
     # solution moved down one octave and scaled by the measured
-    # level-to-level ratio (2^a on level 1).  The octave shift alone took
-    # 34, 13, 7, 7, 7, 6, and a start that copies the coarse first free
-    # column onto the new octave 15, 12, 11, 11, 10 on levels 1-5
+    # level-to-level ratio (2^a on level 1).  Newton runs two nonlinear
+    # Jacobi sweeps on every such start.  The octave shift alone took
+    # 34, 13, 7, 7, 7, 6, a start that copies the coarse first free
+    # column onto the new octave 15, 12, 11, 11, 10 on levels 1-5, and the
+    # secant starts without the sweeps 26, 8, 9, 4, 5, 5
     cone = ConeModel(4, 1, 1.0)
     base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 40, 32, 2.0)
     problems = [flat_cone_problem(m, 1.0, 1.0, 1.0) for m in truncation_family(base, 6)]
     reports = maximal_solution(problems, tol=0.03)
-    assert [r.factorizations for r in reports] == [26, 8, 9, 4, 5, 5]
+    assert [r.factorizations for r in reports] == [21, 5, 4, 4, 4, 4]
 
 
 def test_every_start_lies_at_or_above_the_start_it_predicts_from(monkeypatch):
@@ -889,20 +893,33 @@ def test_every_start_lies_at_or_above_the_start_it_predicts_from(monkeypatch):
             assert np.all(np.isfinite(start)) and np.all(start[free] >= prev[free])
 
 
-def test_a_two_level_n3_family_converges_at_blowup_data_2_28():
-    # the (3,1) desk base at data up to 2^28.  Started from the coarse
-    # solution moved down one octave alone, level 1's first datum 2^27 sat
-    # below the solution in the face column; Newton's first step overshot
-    # to 2.5e7 and ran out of its 60 steps on mesh 40x42.  Scaled by the
-    # blow-up law's 2^a, the start lies above the solution there
+def _two_level_n3_family_at(exponent):
+    # the (3,1) desk base and its next level at data 1..2^exponent
     cone = ConeModel(3, 1, 1.0)
     base = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8), 40, 32, 2.0)
     problems = [flat_cone_problem(m, 1.0, 1.0, 1.0) for m in truncation_family(base, 2)]
     assert problems[1].mesh.n_angular == 42
-    levels = maximal_solution(problems, data_sequence=[2.0**k for k in range(29)],
+    levels = maximal_solution(problems, data_sequence=[2.0**k for k in range(exponent + 1)],
                               tol=0.03, inner_tol=1e-8)
     u = levels[1].solution.values
-    assert np.all(np.isfinite(u)) and np.max(u) <= 2.0**28
+    assert np.all(np.isfinite(u)) and np.max(u) <= 2.0**exponent
+
+
+def test_a_two_level_n3_family_converges_at_blowup_data_2_28():
+    # Started from the coarse solution moved down one octave alone, level
+    # 1's first datum 2^27 sat below the solution in the face column;
+    # Newton's first step overshot to 2.5e7 and ran out of its 60 steps on
+    # mesh 40x42.  Scaled by the blow-up law's 2^a, the start lies above
+    # the solution there
+    _two_level_n3_family_at(28)
+
+
+def test_a_two_level_n3_family_converges_at_blowup_data_2_32():
+    # With the secant starts alone, level 1's first datum 2^31 ran out of
+    # Newton's 60 steps on mesh 40x42 (normalized residual 0.97, increment
+    # 15); the two nonlinear Jacobi sweeps on the start bring it into
+    # Newton's basin
+    _two_level_n3_family_at(32)
 
 
 def test_factor_fill_sums_the_fill_of_every_factor(factor_fills):
