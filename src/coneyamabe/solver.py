@@ -504,9 +504,9 @@ def newton_solve(
     lift, so the first step lands bitwise on the linear lift u_L of the
     data, A u_L = 0 on the free rows.  The lift is a supersolution, since
     F(u_L) = c0 u_L^p + c1 u_L^q >= 0 (integrated), and, as c and c2_lin
-    are nonnegative, lies in [0, max(data)].  Each step solves the linearization with potentials
-    c + p c0 u^(p-1) and c2 + q c1 u^(q-1) and takes the whole step,
-    clipped at zero.  No damping is needed: the residual is convex in u
+    are nonnegative, lies in [0, max(data)].  Each step solves the
+    linearization with potentials c + p c0 u^(p-1) and c2 + q c1 u^(q-1)
+    and takes the whole step, clipped at zero.  No damping is needed: the residual is convex in u
     (p, q > 1, c0, c1 >= 0) and its Jacobian has nonpositive off-diagonals
     and is certified positive definite by the sparse LU, so it is a
     nonsingular M-matrix with a nonnegative inverse.  By the monotone
@@ -531,8 +531,8 @@ def newton_solve(
     rule, so it refactors at nearly every step of that phase; the first
     step from zero lands below it, and the sweeps bring a given start down
     first (the constant 2^16 on the (3,1) desk base takes 15 steps with
-    them, 57 without).  The decrease is checked: a step after the first that
-    rises anywhere by more than ORDER_TOL * (1 + max|u|) raises
+    them, 57 without).  The decrease is checked: a step after the first
+    that rises anywhere by more than ORDER_TOL * (1 + max|u|) raises
     OrderingViolationError, naming the mesh, omega_min and the data maximum.
     Converges when the row-normalized residual, formed on the free rows,
     is below 1e-11 and the sup-norm increment below tol * (1 + sup u); a
