@@ -6,7 +6,8 @@ comma-separated tables with a header row, a structured key = value summary,
 and (unless disabled) line plots of log10 u against log10 rho as standalone
 SVG.  Exit codes: 0 success, 1 config or usage error, 2 solver failure
 (any SolverError), 3 internal acceptance-check failure; a run that exits
-2 or 3 still writes its summary, with the status and the error.
+2 or 3 still writes its summary, with the status and the error, and a
+failed dichotomy names its d and truncation level there.
 """
 
 from __future__ import annotations
@@ -282,12 +283,13 @@ def _dichotomy_single(cfg: ExperimentConfig, d: int):
     base = build_mesh(sub.domain(), sub.n_radial, sub.n_angular, sub.grading)
     meshes = truncation_family(base, sub.truncation_levels, sub.nodes_per_octave)
     problems = [_build_problem(sub, m, data=1.0) for m in meshes]
-    return maximal_solution(
-        problems,
-        data_sequence=sub.data_sequence(),
-        tol=sub.exhaustion_tol,
-        inner_tol=sub.nonlinear_tol,
-    )
+    try:
+        return maximal_solution(problems, data_sequence=sub.data_sequence(),
+                                tol=sub.exhaustion_tol, inner_tol=sub.nonlinear_tol)
+    except SolverError as exc:
+        exc.d = d
+        exc.add_note(f"at d = {d}")
+        raise
 
 
 def run_dichotomy(cfg: ExperimentConfig, out: Path, summary: Summary, threads: int = 1) -> None:
@@ -432,7 +434,7 @@ def main(argv=None) -> int:
     summary = Summary()
     summary.extend(echo_config(cfg))
     t0 = time.perf_counter()
-    status, code, error = "ok", EXIT_OK, None
+    status, code, error, failed = "ok", EXIT_OK, None, {}
     try:
         if args.command == "curvature":
             run_curvature(cfg, out, summary)
@@ -448,11 +450,16 @@ def main(argv=None) -> int:
         status, code, error = "check-failed", EXIT_CHECK, str(exc)
         print(f"acceptance check failed: {error}", file=sys.stderr)
     except SolverError as exc:
-        status, code, error = "solver-failed", EXIT_SOLVER, f"{type(exc).__name__}: {exc}"
+        # a failed dichotomy's notes and keys say where it failed
+        error = "; ".join([f"{type(exc).__name__}: {exc}", *getattr(exc, "__notes__", ())])
+        status, code = "solver-failed", EXIT_SOLVER
+        failed = {f"failed.{key}": getattr(exc, key) for key in ("d", "level")
+                  if getattr(exc, key) is not None}
         print(f"solver failure: {error}", file=sys.stderr)
     summary.add("status", status)
     if error is not None:
         summary.add("error", error)
+    summary.extend(failed.items())
     summary.add("seconds", time.perf_counter() - t0)
     summary.write(out / "summary.txt")
     return code

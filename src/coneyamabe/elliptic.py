@@ -67,7 +67,11 @@ class MMatrixWarning(UserWarning):
 
 class SolverError(RuntimeError):
     """A solve failed: the base of every solver-layer failure, which the
-    command line reports with exit code 2."""
+    command line reports with exit code 2.  A failed dichotomy sets the
+    dimension d and the truncation level (0 for the base) it failed on."""
+
+    d: int | None = None
+    level: int | None = None
 
 
 class NonConvergenceError(SolverError):

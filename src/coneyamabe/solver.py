@@ -48,6 +48,7 @@ the completeness dichotomy verdict.
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -149,12 +150,11 @@ class NonlinearProblem:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not (0.0 <= self.c0 < math.inf and 0.0 <= self.c1 < math.inf):
             raise ValueError(f"c0 and c1 must be nonnegative and finite, got {self.c0}, {self.c1}")
-        for name in ("c", "c2_lin", "dirichlet_data"):
+        for name in ("c", "c2_lin"):
             object.__setattr__(self, name, Field.of(self.mesh, getattr(self, name)))
         if np.min(self.c.values) < 0 or np.min(self.c2_lin.values[self.mesh.robin_mask]) < 0:
             raise ValueError("the potentials c and c2_lin must be nonnegative")
-        if np.min(self.dirichlet_data.values[self.mesh.dirichlet_mask]) < 0:
-            raise ValueError("Dirichlet data must be nonnegative")
+        object.__setattr__(self, "dirichlet_data", _checked_data(self.mesh, self.dirichlet_data))
         object.__setattr__(self, "_op0", None)
 
     @property
@@ -179,43 +179,62 @@ class NonlinearProblem:
         return self._op0
 
     def with_data(self, data) -> "NonlinearProblem":
-        """Same problem with other Dirichlet data.
+        """Same problem with other Dirichlet data, which alone are checked.
 
         The linear operator depends only on the mesh, c and c2_lin, so an
         already assembled one is shared with the new problem.
         """
-        prob = NonlinearProblem(self.mesh, self.c0, self.c1, self.c, self.c2_lin, data)
-        object.__setattr__(prob, "_op0", self._op0)
+        prob = copy.copy(self)
+        object.__setattr__(prob, "dirichlet_data", _checked_data(self.mesh, data))
         return prob
+
+    def absorption(self, uf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The integrated absorption terms at nonnegative free values uf,
+        vm c0 u^p on every free row plus bm c1 u^q on the Robin rows (vm, bm
+        the volume and boundary masses), and their derivatives in u: the
+        one place the law's powers are formed.  A zero coefficient forms no
+        power, and the c1 terms are formed on the Robin rows only."""
+        op = self.linear_operator
+        p, q, c0, c1 = self.p_interior, self.p_boundary, self.c0, self.c1
+        if c0:
+            vm = op.volume_mass[op.free]
+            value, slope = vm * c0 * uf**p, vm * (p * c0 * uf ** (p - 1.0))
+        else:
+            value, slope = np.zeros(len(uf)), np.zeros(len(uf))
+        if c1:
+            rob = self.mesh.robin_rows
+            bm, ur = op.boundary_mass[op.free][rob], uf[rob]
+            value[rob] += bm * c1 * ur**q
+            slope[rob] += bm * (q * c1 * ur ** (q - 1.0))
+        return value, slope
 
     def integrated_residual(self, u: np.ndarray) -> np.ndarray:
         """Integrated-form residual of the discrete system on the free rows (the
-        Newton objective); the Dirichlet entries of u enter only through A u.
-        A zero coefficient forms no power, and the c1 power, whose boundary
-        mass is zero off the Robin rows, is formed on those rows only."""
+        Newton objective), (A u) plus the absorption at u clipped at zero;
+        the Dirichlet entries of u enter only through A u."""
         op = self.linear_operator
-        free = op.free
-        uf = np.maximum(u[free], 0.0)
-        F = (op.matrix @ u)[free]
-        if self.c0:
-            F += op.volume_mass[free] * self.c0 * uf**self.p_interior
-        if self.c1:
-            rob = self.mesh.robin_rows
-            F[rob] += op.boundary_mass[free][rob] * self.c1 * uf[rob]**self.p_boundary
-        return F
+        value, _ = self.absorption(np.maximum(u[op.free], 0.0))
+        return (op.matrix @ u)[op.free] + value
 
     def residual_parts(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise residual of the discrete system at (interior, Robin) nodes,
         the free rows of integrated_residual divided by their masses."""
         op = self.linear_operator
-        free = op.free
-        F = self.integrated_residual(u)
-        rob = self.mesh.robin_mask[free]
-        return F[~rob] / op.volume_mass[free][~rob], F[rob] / op.boundary_mass[free][rob]
+        F, rob = self.integrated_residual(u), self.mesh.robin_rows
+        return (np.delete(F, rob) / np.delete(op.volume_mass[op.free], rob),
+                F[rob] / op.boundary_mass[op.free][rob])
 
     def residual_sup(self, u: np.ndarray) -> float:
         r_int, r_rob = self.residual_parts(u)
         return float(max(np.max(np.abs(r_int)), np.max(np.abs(r_rob))))
+
+
+def _checked_data(mesh: Mesh, data) -> Field:
+    """Dirichlet data coerced by Field.of; a negative datum is a ValueError."""
+    data = Field.of(mesh, data)
+    if np.min(data.values[mesh.dirichlet_mask]) < 0:
+        raise ValueError("Dirichlet data must be nonnegative")
+    return data
 
 
 def model_dirichlet_data(mesh: Mesh) -> Field:
@@ -230,14 +249,7 @@ def flat_cone_problem(mesh: Mesh, c0, c1, dirichlet_data) -> NonlinearProblem:
     c2 = np.zeros(mesh.n_nodes)
     rob = mesh.robin_mask
     c2[rob] = euclidean_robin_potential(cone, mesh.rho_polar[rob])
-    return NonlinearProblem(
-        mesh=mesh,
-        c0=c0,
-        c1=c1,
-        c=0.0,
-        c2_lin=c2,
-        dirichlet_data=dirichlet_data,
-    )
+    return NonlinearProblem(mesh, c0, c1, c=0.0, c2_lin=c2, dirichlet_data=dirichlet_data)
 
 
 def model_problem(mesh: Mesh) -> NonlinearProblem:
@@ -373,8 +385,9 @@ def monotone_iterate(
         with np.errstate(over="ignore", invalid="ignore"):
             F = problem.integrated_residual(w)
             if not np.all(np.isfinite(F)):
-                un = np.clip(w[free], 0.0, None)
-                term = f"c0 u^{p:g}" if c0 and not np.all(np.isfinite(un**p)) else f"c1 u^{q:g}"
+                # the branches lie in [0, S]: c0 u^p overflowed if it does at S
+                big = c0 and not np.isfinite(c0 * np.float64(S) ** p)
+                term = f"c0 u^{p:g}" if big else f"c1 u^{q:g}"
                 raise NonConvergenceError(f"{term} overflows at the monotone cap S = {S:.3e}")
         w[free] -= factor.solve(F)
         return w
@@ -424,14 +437,9 @@ def monotone_iterate(
             residual=residual,
         )
 
-    report = SolverReport(
-        solution=Field(mesh, lower),
-        final_increment=inc,
-        iterations=iterations,
-        residual_sup=residual,
-        factorizations=1,  # the shifted free block, factored once
-        factor_fill=factor.nnz,
-    )
+    # the shifted free block is factored once
+    report = SolverReport(solution=Field(mesh, lower), final_increment=inc, iterations=iterations,
+                          residual_sup=residual, factorizations=1, factor_fill=factor.nnz)
     return report, Field(mesh, upper)
 
 
@@ -445,16 +453,14 @@ def _jacobi_sweeps(problem: NonlinearProblem, u: np.ndarray) -> np.ndarray:
     free rows of the integrated residual.
 
     Each free node solves its own row with its neighbours frozen,
-    a_ii x + vm c0 x^p + bm c1 x^q = r, where vm and bm are the node's
-    volume and boundary masses and r = a_ii u_i - (A u)_i, the sum of
-    -a_ij u_j over the neighbours, is nonnegative.  Every term of the row
-    is nonnegative, so each of r / a_ii, (r / (vm c0))^(1/p) and
+    a_ii x + vm c0 x^p + bm c1 x^q = r (problem.absorption), where vm and
+    bm are the node's volume and boundary masses and r = a_ii u_i - (A u)_i,
+    the sum of -a_ij u_j over the neighbours, is nonnegative.  Every term
+    of the row is nonnegative, so each of r / a_ii, (r / (vm c0))^(1/p) and
     (r / (bm c1))^(1/q) bounds the root from above, and two scalar Newton
     steps start from their minimum.  The row is convex and increasing in x,
-    so the steps stay at or above the root.  A zero coefficient forms no
-    power, and the c1 terms are formed on the Robin rows only.  This is the
-    nonlinear Jacobi method for M-functions (Ortega-Rheinboldt, ch. 13;
-    Rheinboldt 1970).
+    so the steps stay at or above the root.  This is the nonlinear Jacobi
+    method for M-functions (Ortega-Rheinboldt, ch. 13; Rheinboldt 1970).
     """
     op = problem.linear_operator
     free, rob = op.free, problem.mesh.robin_rows
@@ -470,15 +476,8 @@ def _jacobi_sweeps(problem: NonlinearProblem, u: np.ndarray) -> np.ndarray:
         if c1:
             x[rob] = np.minimum(x[rob], (r[rob] / (bm * c1)) ** (1.0 / q))
         for _ in range(2):
-            g, slope = a * x - r, a.copy()
-            if c0:
-                g += vm * c0 * x**p
-                slope += vm * (p * c0) * x ** (p - 1.0)
-            if c1:
-                xr = x[rob]
-                g[rob] += bm * c1 * xr**q
-                slope[rob] += bm * (q * c1) * xr ** (q - 1.0)
-            x -= g / slope
+            value, slope = problem.absorption(x)
+            x -= (a * x - r + value) / (a + slope)
         u[free] = x
     return u
 
@@ -546,7 +545,6 @@ def newton_solve(
     reuse it (see elliptic._factor_spd).
     """
     mesh = problem.mesh
-    p, q = problem.p_interior, problem.p_boundary
     op0 = problem.linear_operator
     free = op0.free
     data = problem.dirichlet_data.values
@@ -561,18 +559,14 @@ def newton_solve(
              f"Dirichlet data max {float(np.max(data[~free])):.6g}")
 
     abs_matrix = abs(op0.matrix)
-    # a zero coefficient forms no power, and the c1 power is formed on the
-    # Robin rows only, where the boundary mass is nonzero
-    rob = mesh.robin_rows
-    vmass, bmass = op0.volume_mass[free], op0.boundary_mass[free][rob]
-    c0, c1 = problem.c0, problem.c1
 
     def normalized_residual(vec):
         # row-normalized residual: near blow-up data the raw rows span many
         # orders of magnitude and a global norm would let the interior be
         # sloppy, so each row is measured against its own term sizes.
-        # Returns the norm and the integrated residual it measured.  Every
-        # iterate and the data are nonnegative, so |vec| is vec.
+        # Returns the norm, the integrated residual it measured and the
+        # Jacobian's diagonal at vec.  Every iterate and the data are
+        # nonnegative, so |vec| is vec.
         with np.errstate(over="ignore", invalid="ignore"):
             F = problem.integrated_residual(vec)
             if not np.all(np.isfinite(F)):
@@ -581,24 +575,17 @@ def newton_solve(
                     + place,
                     iterations=iterations,
                 )
-            uf = vec[free]
-            scale = (abs_matrix @ vec)[free] + (vmass * (c0 * uf**p + 1.0) if c0 else vmass)
-            if c1:
-                scale[rob] += bmass * c1 * uf[rob]**q
-        return float(np.max(np.abs(F) / scale)), F
+            value, slope = problem.absorption(vec[free])
+            scale = (abs_matrix @ vec)[free] + op0.volume_mass[free] + value
+        return float(np.max(np.abs(F) / scale)), F, slope
 
     iterations = 0
-    res, F = normalized_residual(u)
+    res, F, slope = normalized_residual(u)
     inc = math.inf
     factor = None  # the kept Jacobian factor; None forces a fresh one
     for iterations in range(1, max_iter + 1):
         if factor is None:
-            # u >= 0 after the clip at the start and after every step
-            uf = u[free]
-            jac_diag = vmass * (p * c0 * uf ** (p - 1.0)) if c0 else np.zeros(len(uf))
-            if c1:
-                jac_diag[rob] += bmass * (q * c1 * uf[rob] ** (q - 1.0))
-            factor = _factor_spd(op0, jac_diag)
+            factor = _factor_spd(op0, slope)
             factorizations += 1
             fill += factor.nnz
         trial = u.copy()
@@ -618,7 +605,7 @@ def newton_solve(
         if step > 0.25 * inc or (iterations == 1 and rise > 0.0):
             factor = None
         u = trial
-        res, F = normalized_residual(u)
+        res, F, slope = normalized_residual(u)
         inc = step
         if res <= 1e-11 and inc <= tol * (1.0 + float(np.max(np.abs(u)))):
             break
@@ -630,14 +617,9 @@ def newton_solve(
             residual=res,
         )
 
-    return SolverReport(
-        solution=Field(mesh, u),
-        final_increment=inc,
-        iterations=iterations,
-        residual_sup=problem.residual_sup(u),
-        factorizations=factorizations,
-        factor_fill=fill,
-    )
+    return SolverReport(solution=Field(mesh, u), final_increment=inc, iterations=iterations,
+                        residual_sup=problem.residual_sup(u), factorizations=factorizations,
+                        factor_fill=fill)
 
 
 def solve_problem(
@@ -897,7 +879,9 @@ def maximal_solution(
     (NoStabilizationError otherwise).  Returns one LevelRecord per level,
     holding the level's solution, its Newton totals and the measurements
     that dichotomy_verdict reads; callers judge the family with
-    dichotomy_verdict(levels).
+    dichotomy_verdict(levels).  A SolverError leaves with the failed
+    level's index, 0 for the base, set as its level and a note naming the
+    level, the level count and omega_min.
     """
     if not problems:
         raise ValueError("empty truncation family")
@@ -912,73 +896,80 @@ def maximal_solution(
     # shifted one before it (None until a deep level has run), and its
     # solution against its previous datum's
     across = within = None
-    for prob in problems:
-        mesh = prob.mesh
-        if levels:
-            coarse = levels[-1].solution.mesh
-            uc = levels[-1].solution.values
-            shifted = _octave_shift(uc, coarse, mesh)
-            gain = law if across is None else np.maximum(_octave_shift(across, coarse, mesh), 1.0)
-            data, start = seq[-2:], Field(mesh, shifted * gain)
-            second = None if within is None else _octave_shift(within, coarse, mesh)
-        else:
-            data, start, second = seq, None, None
-        solves = exhaustion_blowup_solve(
-            prob, data, tol=tol, inner_tol=inner_tol, probe_rho_cut=base_rho_cut,
-            u0=start, ratio=second,
-        )
-        rec = LevelRecord(
-            solution=solves[-1].solution,
-            iterations=sum(r.iterations for r in solves),
-            factorizations=sum(r.factorizations for r in solves),
-            factor_fill=sum(r.factor_fill for r in solves),
-            interior_change=solves[-1].interior_change,
-        )
-        u = rec.solution.values
-        within = _ratio(u, solves[-2].solution.values) if len(solves) > 1 else None
-
-        if levels:
-            across = np.where(mesh.free_mask, _ratio(u, shifted), 1.0)
-            # compare on the coarser level's free nodes, which are free on
-            # this level too (its Dirichlet nodes carry data, not solutions)
-            uc = uc.reshape(coarse.n_radial, coarse.n_angular)
-            uf = u.reshape(mesh.n_radial, mesh.n_angular)[:, mesh.angular_offset_of(coarse):]
-            rise = np.where(coarse.free_mask.reshape(uc.shape), uf - uc, -np.inf)
-            if np.max(rise) > ORDER_TOL * (1.0 + float(np.max(np.abs(u)))):
-                k = np.unravel_index(np.argmax(rise), rise.shape)
-                raise MonotonicityViolationError(
-                    "truncation-limit sequence increased beyond solver tolerance "
-                    f"at node {k}: rise {np.max(rise):.3e} on the level with omega_min "
-                    f"{mesh.domain.omega_min:.6g}, mesh {mesh.n_radial}x{mesh.n_angular}"
-                )
-
-        # near-singular band fixed across levels: omega in [omega_base/2, omega_base],
-        # restricted to the same compact radial margin as the interior probe so the
-        # sup measures the field near the singular set, not the blow-up corners;
-        # band nodes are nested across levels, so the previous level is the
-        # last one that can have a band, and without one the variation is nan
-        band = (
-            mesh.free_mask
-            & (mesh.omega >= 0.5 * omega_base)
-            & (mesh.omega <= omega_base)
-            & _radial_margin(mesh)
-        )
-        if np.any(band):
-            rec.near_gamma_sup = float(np.max(u[band]))
+    try:
+        for prob in problems:
+            mesh = prob.mesh
             if levels:
-                prev_sup = levels[-1].near_gamma_sup
-                rec.near_gamma_variation = abs(rec.near_gamma_sup - prev_sup) / prev_sup
+                coarse = levels[-1].solution.mesh
+                uc = levels[-1].solution.values
+                shifted = _octave_shift(uc, coarse, mesh)
+                gain = (law if across is None
+                        else np.maximum(_octave_shift(across, coarse, mesh), 1.0))
+                data, start = seq[-2:], Field(mesh, shifted * gain)
+                second = None if within is None else _octave_shift(within, coarse, mesh)
+            else:
+                data, start, second = seq, None, None
+            solves = exhaustion_blowup_solve(
+                prob, data, tol=tol, inner_tol=inner_tol, probe_rho_cut=base_rho_cut,
+                u0=start, ratio=second,
+            )
+            rec = LevelRecord(
+                solution=solves[-1].solution,
+                iterations=sum(r.iterations for r in solves),
+                factorizations=sum(r.factorizations for r in solves),
+                factor_fill=sum(r.factor_fill for r in solves),
+                interior_change=solves[-1].interior_change,
+            )
+            u = rec.solution.values
+            within = _ratio(u, solves[-2].solution.values) if len(solves) > 1 else None
 
-        try:
-            fit = fit_blowup_exponent(rec.solution, _auto_window(mesh, omega_base))
-            rec.fitted_exponent = fit.alpha
-            rec.fit_r2 = fit.r2
-            rec.fit_samples = fit.n_samples
-            rec.completeness_indicator = fit.completeness
-        except ValueError:
-            pass
+            if levels:
+                across = np.where(mesh.free_mask, _ratio(u, shifted), 1.0)
+                # compare on the coarser level's free nodes, which are free on
+                # this level too (its Dirichlet nodes carry data, not solutions)
+                uc = uc.reshape(coarse.n_radial, coarse.n_angular)
+                uf = u.reshape(mesh.n_radial, mesh.n_angular)[:, mesh.angular_offset_of(coarse):]
+                rise = np.where(coarse.free_mask.reshape(uc.shape), uf - uc, -np.inf)
+                if np.max(rise) > ORDER_TOL * (1.0 + float(np.max(np.abs(u)))):
+                    k = np.unravel_index(np.argmax(rise), rise.shape)
+                    raise MonotonicityViolationError(
+                        "truncation-limit sequence increased beyond solver tolerance "
+                        f"at node {k}: rise {np.max(rise):.3e} on the level with omega_min "
+                        f"{mesh.domain.omega_min:.6g}, mesh {mesh.n_radial}x{mesh.n_angular}"
+                    )
 
-        levels.append(rec)
+            # near-singular band fixed across levels: omega in [omega_base/2, omega_base],
+            # restricted to the same compact radial margin as the interior probe so the
+            # sup measures the field near the singular set, not the blow-up corners;
+            # band nodes are nested across levels, so the previous level is the
+            # last one that can have a band, and without one the variation is nan
+            band = (
+                mesh.free_mask
+                & (mesh.omega >= 0.5 * omega_base)
+                & (mesh.omega <= omega_base)
+                & _radial_margin(mesh)
+            )
+            if np.any(band):
+                rec.near_gamma_sup = float(np.max(u[band]))
+                if levels:
+                    prev_sup = levels[-1].near_gamma_sup
+                    rec.near_gamma_variation = abs(rec.near_gamma_sup - prev_sup) / prev_sup
+
+            try:
+                fit = fit_blowup_exponent(rec.solution, _auto_window(mesh, omega_base))
+                rec.fitted_exponent = fit.alpha
+                rec.fit_r2 = fit.r2
+                rec.fit_samples = fit.n_samples
+                rec.completeness_indicator = fit.completeness
+            except ValueError:
+                pass
+
+            levels.append(rec)
+    except SolverError as exc:
+        exc.level = len(levels)
+        exc.add_note(f"at level {exc.level} of {len(problems)}, omega_min "
+                     f"{problems[exc.level].mesh.domain.omega_min:.6g}")
+        raise
 
     return levels
 
@@ -1121,10 +1112,5 @@ def barrier_psi_fit(problem: NonlinearProblem, solution: Field | None = None) ->
         psi = C_star * rho[band] ** (-m) - C_star * band_rho_max ** (-m)
         lower_margin = float(np.min(u[band] - psi))
 
-    return BarrierFit(
-        feasible=feasible,
-        C1_margin=C1,
-        C_star=float(C_star),
-        band_rho_max=band_rho_max,
-        lower_bound_margin=lower_margin,
-    )
+    return BarrierFit(feasible=feasible, C1_margin=C1, C_star=float(C_star),
+                      band_rho_max=band_rho_max, lower_bound_margin=lower_margin)

@@ -553,6 +553,33 @@ def test_every_solver_error_exits_2_with_a_summary(tmp_path, monkeypatch, name):
     assert summary["error"] == f"{name}: raised inside the run"
 
 
+def test_a_failed_dichotomy_names_d_and_the_level(tmp_path, monkeypatch):
+    # newton_solve fails on the first solve of level 2 (the third mesh) of a
+    # 3-level family: the run exits 2, and its error line and summary keys
+    # name the dimension, the level and the level's omega_min
+    solve, meshes = coneyamabe.solver.newton_solve, []
+
+    def failing(problem, *args, **kwargs):
+        if problem.mesh not in meshes:
+            meshes.append(problem.mesh)
+        if len(meshes) == 3:
+            raise coneyamabe.NonConvergenceError("raised inside the run")
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(coneyamabe.solver, "newton_solve", failing)
+    code, summary = _failed_check(
+        tmp_path, "dichotomy", extra="d_list = 1\ntruncation_levels = 3",
+        body="[mesh]\nn_radial = 20\nn_angular = 16\nnodes_per_octave = 6\n"
+             "[tolerances]\nexhaustion_tol = 0.05\ndata_max_exponent = 10\n",
+    )
+    assert code == 2
+    assert summary["status"] == "solver-failed"
+    omega = meshes[2].domain.omega_min
+    assert summary["error"] == ("NonConvergenceError: raised inside the run; "
+                                f"at level 2 of 3, omega_min {omega:.6g}; at d = 1")
+    assert (summary["failed.d"], summary["failed.level"]) == ("1", "2")
+
+
 def test_dichotomy_experiment_small(tmp_path):
     # tiny threshold-free sweep: a single supercritical dimension, shallow levels
     cfgpath = write_cfg(

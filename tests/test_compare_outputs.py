@@ -35,3 +35,21 @@ def test_compare_dirs_reports_each_output_file(tmp_path):
         "run/summary.txt: differs",
         "  newton_steps: 7 -> 8, relative difference 0.125",
     ]
+
+
+def test_compare_csv_reads_shared_columns_across_changed_headers(tmp_path):
+    # a column added or removed is named, every shared column is compared
+    # by name wherever it stands, and a row count that differs is one line
+    parent, change, longer = tmp_path / "p.csv", tmp_path / "c.csv", tmp_path / "l.csv"
+    parent.write_text("n,alpha,old,verdict\n4,0.5,1,COMPLETE_TYPE\n3,2.0,1,BOUNDED_TYPE\n")
+    change.write_text("n,verdict,alpha,reason\n4,COMPLETE_TYPE,0.5,x\n3,COMPLETE_TYPE,2.2,y\n")
+    longer.write_text("n,alpha\n4,0.5\n3,2.0\n2,1.0\n")
+    assert compare_outputs.compare_csv(parent, change) == [
+        "  column old: only in the parent",
+        "  column reason: only in the change",
+        "  column n: largest relative difference 0",
+        "  column alpha: largest relative difference 0.0909",
+        "  row 2 column verdict: 'BOUNDED_TYPE' != 'COMPLETE_TYPE'",
+    ]
+    assert compare_outputs.compare_csv(parent, longer) == [
+        "  row count differs: 2 against 3 rows"]

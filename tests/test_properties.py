@@ -220,6 +220,37 @@ def test_the_default_start_is_a_supersolution(problem):
 
 
 @st.composite
+def absorbing_problems(draw):
+    # c0 and c1 each zero or positive, on a small mesh of a random cone
+    mesh = draw_mesh(draw)
+    c0, c1 = (draw(st.just(0.0) | st.floats(0.1, 4.0)) for _ in range(2))
+    return flat_cone_problem(mesh, c0, c1, 1.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(problem=absorbing_problems(), seed=st.integers(0, 2**32 - 1))
+def test_the_residual_and_its_jacobian_read_one_absorption_law(problem, seed):
+    # the absorption's slope is the central difference of its value, and
+    # the Jacobian that Newton factors, the free block plus that slope, is
+    # the directional difference of the residual: the residual and every
+    # Jacobian read the one law
+    rng = np.random.default_rng(seed)
+    op = problem.linear_operator
+    free = op.free
+    u = np.where(free, rng.uniform(0.5, 2.0, free.size), problem.dirichlet_data.values)
+    value, slope = problem.absorption(u[free])
+    t = 1e-5
+    (up, _), (down, _) = (problem.absorption(u[free] * (1.0 + s)) for s in (t, -t))
+    assert np.all(np.abs((up - down) / (2.0 * t * u[free]) - slope) <= 1e-6 * slope)
+    h = np.where(free, rng.uniform(0.5, 1.0, free.size) * rng.choice([-1.0, 1.0], free.size), 0.0)
+    F = problem.integrated_residual
+    diff = (F(u + t * h) - F(u - t * h)) / (2.0 * t)
+    jh = op.free_matrix @ h[free] + slope * h[free]
+    scale = (abs(op.matrix) @ np.abs(h))[free] + slope * np.abs(h[free])
+    assert np.all(np.abs(diff - jh) <= 1e-6 * scale)
+
+
+@st.composite
 def face_problems(draw):
     # unit data and coefficients on an 8x8 mesh of a random cone
     n = draw(st.integers(3, 7))

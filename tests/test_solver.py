@@ -85,6 +85,9 @@ def test_a_problem_is_frozen_and_replace_builds_a_fresh_one():
             replace(prob, c1=bad)
     with pytest.raises(ValueError, match="Dirichlet data must be nonnegative"):
         replace(prob, dirichlet_data=-1.0)
+    # with_data checks the new data only, as the constructor does
+    with pytest.raises(ValueError, match="Dirichlet data must be nonnegative"):
+        prob.with_data(np.where(mesh.dirichlet_mask, -1e-300, 1.0))
 
 
 def test_a_negative_potential_is_refused():

@@ -8,7 +8,8 @@ Runs `coneyamabe <kind> --config ... --threads 1` on every file of this
 checkout's perfbench/configs in both checkouts, each importing the package
 from its own src/, and writes the outputs to a temporary directory.  For
 every output file it then prints `identical`, or what differs: for a CSV
-table the largest relative difference of every numeric column, for
+table the columns only one side has and the largest relative difference
+of every numeric column both have (a differing row count is one line), for
 summary.txt that of every `key = value` line whose value changed (keys
 whose last dotted part starts with `seconds` are skipped, since timing
 differs on every run), and for both every non-numeric cell or value that
@@ -60,22 +61,29 @@ def _compare_values(label: str, a: str, b: str, report: list[str]) -> float | No
     return None
 
 
+def _table(path: Path) -> tuple[list[str], list[dict[str, str]]]:
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames or [], list(reader)
+
+
 def compare_csv(parent: Path, change: Path) -> list[str]:
-    with open(parent, newline="") as fh:
-        rows_p = list(csv.reader(fh))
-    with open(change, newline="") as fh:
-        rows_c = list(csv.reader(fh))
-    if not rows_p or not rows_c or rows_p[0] != rows_c[0] or len(rows_p) != len(rows_c):
-        return [f"  header or row count differs: {len(rows_p)} against {len(rows_c)} rows"]
-    header, report = rows_p[0], []
+    (head_p, rows_p), (head_c, rows_c) = _table(parent), _table(change)
+    if len(rows_p) != len(rows_c):
+        return [f"  row count differs: {len(rows_p)} against {len(rows_c)} rows"]
+    report = [f"  column {name}: only in the {side}"
+              for side, head, other in (("parent", head_p, head_c), ("change", head_c, head_p))
+              for name in head if name not in other]
+    shared = [name for name in head_p if name in head_c]
     worst: dict[str, float] = {}  # numeric columns only
-    for k, (rp, rc) in enumerate(zip(rows_p[1:], rows_c[1:]), start=1):
-        for name, a, b in zip(header, rp, rc):
-            d = _compare_values(f"row {k} column {name}", a, b, report)
+    cells: list[str] = []
+    for k, (rp, rc) in enumerate(zip(rows_p, rows_c), start=1):
+        for name in shared:
+            d = _compare_values(f"row {k} column {name}", rp[name], rc[name], cells)
             if d is not None:
                 worst[name] = max(worst.get(name, 0.0), d)
-    return [f"  column {name}: largest relative difference {d:.3g}"
-            for name, d in worst.items()] + report
+    return report + [f"  column {name}: largest relative difference {d:.3g}"
+                     for name, d in worst.items()] + cells
 
 
 def _summary(path: Path) -> dict[str, str]:
