@@ -223,6 +223,8 @@ def run_solve(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:
     summary.add("solve.factor_fill", rep.factor_fill)
     summary.add("solve.final_increment", rep.final_increment)
     summary.add("solve.residual_sup", rep.residual_sup)
+    if cfg.method == "monotone":
+        summary.add("solve.bracket", rep.bracket)
     summary.add("solve.completeness_indicator", _completeness(mesh, rep.solution.values))
     if cfg.plot:
         sl = mesh.mid_radial_row

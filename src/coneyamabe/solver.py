@@ -12,17 +12,7 @@ boundary mean-curvature potential (on the flat cone, c = 0 and c2 is the
 
 Two routes to the discrete solution are provided and cross-checked:
 
-* monotone_iterate runs the shifted two-branch Picard scheme as chord
-  steps on the problem's own residual.  Both brackets solve with one factor
-  of the linear operator plus a diagonal shift, the smallest that keeps the
-  frozen maps nondecreasing on [0, S]; this is the scheme that solves the
-  shifted operator with the remaining terms frozen on the right, and its
-  iterates stay ordered (sub nondecreasing, super nonincreasing,
-  sub <= super <= S nodewise).  The cap is the Dirichlet data maximum, so
-  its contraction rate degrades as the data grow: it is the certificate
-  scheme for moderate data, not the workhorse for blow-up-scale data.
-
-* newton_solve is a full-step Newton iteration on the same discrete
+* newton_solve is a full-step Newton iteration on the discrete
   system.  The residual is a convex M-function (convex terms c0 u^p and
   c1 u^q, Jacobian a nonsingular M-matrix), so after its first step the
   iterates are supersolutions decreasing nodewise to the solution from any
@@ -36,8 +26,17 @@ Two routes to the discrete solution are provided and cross-checked:
   basin near blow-up data.  Used as the inner solver for the exhaustion
   limits.
 
-Both factor through elliptic._factor_spd, as principal_eigen does, and
-each holds its own factor for the length of one solve.
+* monotone_iterate is the two-sided Newton bracket for convex M-functions
+  (Ortega-Rheinboldt, ch. 13.3).  Its upper branch is Newton's iterates
+  from the default start, supersolutions decreasing to the solution.  Its
+  lower branch starts at zero, a subsolution, and steps with the factor
+  Newton holds at each step once that factor was built at a
+  supersolution, so it increases to the solution without passing it.  It
+  stops once the bracket is narrower than tol (1 + max upper), which
+  makes tol a proven bound on the error of the reported lower limit.
+
+Both run the one step, clip and refactor loop of _newton_steps, whose
+factors come from elliptic._factor_spd, as principal_eigen's do.
 
 On top of these sit the large-data exhaustion (Dirichlet data m -> infinity
 with interior stabilization), the maximal-solution limit over shrinking
@@ -92,7 +91,7 @@ __all__ = [
 ]
 
 DEFAULT_DATA_SEQUENCE = tuple(float(2**k) for k in range(17))  # 1, 2, ..., 2^16
-MONOTONE_MAX_ITER = 10000
+NEWTON_MAX_ITER = 60  # the step limit of newton_solve and of the monotone bracket
 JACOBI_SWEEPS = 2  # nonlinear Jacobi sweeps on every start given to newton_solve
 # the nodewise order checks across data values and across truncation levels
 # allow a violation of at most ORDER_TOL * (1 + max|u|), solver tolerance
@@ -276,21 +275,22 @@ def model_problem(mesh: Mesh) -> NonlinearProblem:
 
 
 def pick_cap(problem: NonlinearProblem) -> float:
-    """The smallest constant supersolution S >= max(data): the Dirichlet
-    data maximum.
+    """The constant supersolution S = max(data) that bounds the monotone
+    bracket from above.
 
     A constant S is a supersolution when c + c0 S^(p-1) >= 0 at every node
     and c2 + c1 S^(q-1) >= 0 on the cone face, which the nonnegative
-    potentials of every problem give for any S >= 0.  monotone_iterate's
-    shifts keep its frozen maps nondecreasing on [0, S] for any S, so they
-    ask nothing of the cap beyond S >= max(data), which monotone_iterate
-    checks.
+    potentials of every problem give for any S >= 0, and it lies above the
+    data when S >= max(data).  The bracket's upper branch starts at the
+    linear lift of the data, which lies in [0, max(data)], and decreases,
+    so the data maximum is the smallest cap it keeps below; monotone_iterate
+    checks that it does and refuses a cap under the data.
     """
     return float(np.max(problem.dirichlet_data.values[problem.mesh.dirichlet_mask]))
 
 
 # ---------------------------------------------------------------------------
-# monotone two-branch iteration
+# Newton's iteration and its two-sided bracket
 # ---------------------------------------------------------------------------
 
 
@@ -311,141 +311,28 @@ class SolverReport:
     residual_sup: float
     factorizations: int = 0
     factor_fill: int = 0
+    bracket: float = math.nan  # monotone bracket width max(upper - lower) at the stop
     interior_change: float = math.nan  # exhaustion probe change vs previous data level
 
 
-def monotone_iterate(
-    problem: NonlinearProblem,
-    S: float,
-    tol: float = 1e-8,
-    max_iter: int = MONOTONE_MAX_ITER,
-) -> tuple[SolverReport, Field]:
-    """Two-branch shifted iteration from the bracket [0, S].
-
-    Each step of each branch is a chord step u <- u - M^-1 F(u) on the
-    problem's integrated residual F, with the Dirichlet data on the
-    Dirichlet rows.  M is the free block of problem.linear_operator plus
-    the shift diagonal, factored once per call by _factor_spd, which
-    certifies it as an M-matrix.  With the shifts sigma = max(c) +
-    p c0 S^(p-1) on the volume and max(c2) + q c1 S^(q-1) on the Robin
-    face, M u - F(u) is the shifted Picard right-hand side: the maps
-    t -> (sigma - c) t - c0 t^p are nondecreasing on [0, S], so M^-1 >= 0
-    keeps the branches ordered (lower nondecreasing, upper nonincreasing,
-    0 <= lower <= upper <= S nodewise).  A linear problem takes a single
-    direct solve per branch.  The lower branch starts at zero, a
-    subsolution for any data, since off-diagonals are nonpositive and the
-    data nonnegative; its limit (the minimal solution) is the report's
-    solution.  The upper branch starts at the cap S, and its limit is
-    returned next to the report as certificate.
-    S below the Dirichlet data maximum is not a supersolution and raises
-    ValueError.  Ordering is enforced nodewise at every iteration to
-    1e-12 * max(1, S), and a step that is not finite fails it; violations
-    raise OrderingViolationError since they signal a failed discrete
-    maximum principle.  Stops when the lower increment drops below tol in
-    sup norm, or below 16 eps max(lower), the rounding level of large
-    data, once the bracket upper - lower has closed below that level too.
-    A huge shift makes every step tiny, so the limit's residual must also
-    lie within 10 * tol * (1 + T), else NonConvergenceError; T is the
-    largest term at the cap, S^p, else S^q when c0 = 0, else S for a
-    linear problem, so a zero coefficient forms no power here either.
-    A cap so large that S^(p-1), S^(q-1) or S^p leaves the double range,
-    or that c0 u^p or c1 u^q overflows on the cap branch, also raises
-    NonConvergenceError, naming the power or the term.
-    """
-    mesh = problem.mesh
-    S = float(S)
-    p, q = problem.p_interior, problem.p_boundary
-    otol = 1e-12 * max(1.0, S)
+def _free_residual(problem: NonlinearProblem, u: np.ndarray):
+    """(F, value, slope) at a nonnegative u: the integrated residual on the
+    free rows, bitwise integrated_residual(u), formed from the one
+    problem.absorption call that also gives the absorption's value and
+    slope.  An overflowing term leaves F non-finite, without a warning,
+    for the caller to check."""
     op = problem.linear_operator
-    free = op.free
-    data = problem.dirichlet_data.values
-    if S < np.max(data[mesh.dirichlet_mask]):
-        raise ValueError(f"cap S = {S:.6g} lies below the Dirichlet data maximum")
-
-    def cap_power(e):
-        # a float power past the double range raises OverflowError
-        try:
-            return S**e
-        except OverflowError:
-            raise NonConvergenceError(
-                f"S^{e:g} overflows at the monotone cap S = {S:.3e}"
-            ) from None
-
-    c0, c1 = problem.c0, problem.c1
-    # a zero coefficient forms no power
-    slope_i = p * c0 * cap_power(p - 1) if c0 else 0.0
-    slope_b = q * c1 * cap_power(q - 1) if c1 else 0.0
-    shift_i = float(np.max(problem.c.values)) + slope_i
-    shift_b = float(np.max(problem.c2_lin.values[mesh.robin_mask])) + slope_b
-    shift = op.volume_mass * (shift_i - op.c) + op.boundary_mass * (shift_b - op.c2)
-    factor = _factor_spd(op, shift[free])
-
-    def step(u):
-        w = np.where(free, u, data)
-        with np.errstate(over="ignore", invalid="ignore"):
-            F = problem.integrated_residual(w)
-            if not np.all(np.isfinite(F)):
-                # the branches lie in [0, S]: c0 u^p overflowed if it does at S
-                big = c0 and not np.isfinite(c0 * np.float64(S) ** p)
-                term = f"c0 u^{p:g}" if big else f"c1 u^{q:g}"
-                raise NonConvergenceError(f"{term} overflows at the monotone cap S = {S:.3e}")
-        w[free] -= factor.solve(F)
-        return w
-
-    lower = np.zeros(mesh.n_nodes)
-    upper = np.full(mesh.n_nodes, S)
-    inc = math.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        new_lower = step(lower)
-        new_upper = step(upper)
-        # written so that a nan fails every comparison
-        if not (
-            np.min(new_lower - lower) >= -otol
-            and np.max(new_upper - upper) <= otol
-            and np.max(new_lower - new_upper) <= otol
-            and np.min(new_lower) >= -otol
-            and np.max(new_upper) <= S + otol
-        ):
-            raise OrderingViolationError(
-                "bracket ordering violated beyond tolerance "
-                f"{otol:.1e} at iteration {iterations}: discrete maximum principle "
-                "failed; refine the mesh or enlarge the shifts"
-            )
-        inc = float(np.max(np.abs(new_lower - lower)))
-        lower, upper = new_lower, new_upper
-        # large data leave increments at their rounding level, which stops
-        # the iteration once the bracket has closed to that level as well: a
-        # huge shift stalls the lower branch far below the upper one
-        floor = 16.0 * np.finfo(float).eps * float(np.max(lower))
-        if inc < tol or (inc < floor and float(np.max(upper - lower)) < floor):
-            break
-    else:
-        raise NonConvergenceError(
-            f"monotone iteration did not reach tol {tol:g} within {max_iter} steps "
-            f"(last increment {inc:.3e})",
-            iterations=max_iter,
-            residual=inc,
-        )
-    residual = problem.residual_sup(lower)
-    top, name = (cap_power(p), "S^p") if c0 else (cap_power(q), "S^q") if c1 else (S, "S")
-    if residual > 10.0 * tol * (1.0 + top):
-        raise NonConvergenceError(
-            f"monotone iteration stalled at increment {inc:.3e} after {iterations} steps: "
-            f"residual {residual:.3e} exceeds 10 * tol * (1 + {name})",
-            iterations=iterations,
-            residual=residual,
-        )
-
-    # the shifted free block is factored once
-    report = SolverReport(solution=Field(mesh, lower), final_increment=inc, iterations=iterations,
-                          residual_sup=residual, factorizations=1, factor_fill=factor.nnz)
-    return report, Field(mesh, upper)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, slope = problem.absorption(u[op.free])
+        return (op.matrix @ u)[op.free] + value, value, slope
 
 
-# ---------------------------------------------------------------------------
-# full-step Newton inner solver
-# ---------------------------------------------------------------------------
+def _newton_update(u: np.ndarray, free: np.ndarray, factor, F: np.ndarray) -> np.ndarray:
+    """The Newton step u - J^-1 F on the free rows with the factor of J,
+    clipped at zero."""
+    new = u.copy()
+    new[free] += factor.solve(-F)
+    return np.clip(new, 0.0, None)
 
 
 def _jacobi_sweeps(problem: NonlinearProblem, u: np.ndarray) -> np.ndarray:
@@ -482,11 +369,101 @@ def _jacobi_sweeps(problem: NonlinearProblem, u: np.ndarray) -> np.ndarray:
     return u
 
 
+@dataclass
+class _NewtonState:
+    """Newton's iteration after a step: the iterate u, the place its errors
+    name (the mesh, omega_min and the data maximum), the factor that made
+    the step, the row-normalized residual at u, the step's sup-norm
+    increment, and the steps, factorizations and summed fill so far."""
+
+    u: np.ndarray
+    place: str
+    factor: object = None
+    res: float = math.inf
+    inc: float = math.inf
+    iterations: int = 0
+    factorizations: int = 0
+    fill: int = 0
+
+    def report(self, problem: NonlinearProblem, u: np.ndarray, **extra) -> SolverReport:
+        return SolverReport(solution=Field(problem.mesh, u), final_increment=self.inc,
+                            iterations=self.iterations, residual_sup=problem.residual_sup(u),
+                            factorizations=self.factorizations, factor_fill=self.fill, **extra)
+
+
+def _newton_steps(problem: NonlinearProblem, u: np.ndarray, max_iter: int):
+    """Full Newton steps from the nonnegative start u, which holds the data
+    on the Dirichlet rows: yields the _NewtonState after each of at most
+    max_iter steps, one state object updated in place.
+
+    The one copy of the step, clip and refactor rules that newton_solve's
+    docstring states.  A step after the first that rises raises
+    OrderingViolationError, and a residual that is not finite raises
+    NonConvergenceError, both naming the place; max_iter below 1 is a
+    ValueError.
+    """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    mesh, op0 = problem.mesh, problem.linear_operator
+    free = op0.free
+    abs_matrix = abs(op0.matrix)
+    data_max = float(np.max(problem.dirichlet_data.values[~free]))
+    place = (f"on mesh {mesh.n_radial}x{mesh.n_angular}, omega_min {mesh.domain.omega_min:.6g}, "
+             f"Dirichlet data max {data_max:.6g}")
+    state = _NewtonState(u, place)
+
+    def normalized_residual(vec):
+        # row-normalized residual: near blow-up data the raw rows span many
+        # orders of magnitude and a global norm would let the interior be
+        # sloppy, so each row is measured against its own term sizes.
+        # Returns the norm, the integrated residual it measured and the
+        # Jacobian's diagonal at vec.  Every iterate and the data are
+        # nonnegative, so |vec| is vec.
+        F, value, slope = _free_residual(problem, vec)
+        if not np.all(np.isfinite(F)):
+            raise NonConvergenceError(
+                f"non-finite residual at iteration {state.iterations}: c0 u^p or c1 u^q "
+                "overflows at the Newton iterate " + place,
+                iterations=state.iterations,
+            )
+        scale = (abs_matrix @ vec)[free] + op0.volume_mass[free] + value
+        return float(np.max(np.abs(F) / scale)), F, slope
+
+    res, F, slope = normalized_residual(u)
+    factor = None  # the kept Jacobian factor; None forces a fresh one
+    for iterations in range(1, max_iter + 1):
+        state.iterations = iterations
+        if factor is None:
+            factor = _factor_spd(op0, slope)
+            state.factorizations += 1
+            state.fill += factor.nnz
+        trial = _newton_update(u, free, factor, F)
+        change = trial - u
+        step, rise = float(np.max(np.abs(change))), float(np.max(change))
+        # after the first step the iterates decrease nodewise, which the
+        # kept factors rely on
+        if iterations > 1 and rise > ORDER_TOL * (1.0 + float(np.max(np.abs(u)))):
+            raise OrderingViolationError(
+                f"Newton step {iterations} rose by {rise:.3e} where the iterates must "
+                "decrease: the discrete maximum principle failed " + place
+            )
+        state.factor = factor
+        # the start factor serves on only after a first step down; every
+        # factor serves on while steps shrink 4x
+        if step > 0.25 * state.inc or (iterations == 1 and rise > 0.0):
+            factor = None
+        u = trial
+        res, F, slope = normalized_residual(u)
+        state.u, state.res, state.inc = u, res, step
+        yield state
+        state.factor = None  # a dropped factor is freed before a fresh one is built
+
+
 def newton_solve(
     problem: NonlinearProblem,
     u0: Field | None = None,
     tol: float = 1e-10,
-    max_iter: int = 60,
+    max_iter: int = NEWTON_MAX_ITER,
 ) -> SolverReport:
     """Full-step Newton iteration on the discrete system.
 
@@ -545,8 +522,7 @@ def newton_solve(
     reuse it (see elliptic._factor_spd).
     """
     mesh = problem.mesh
-    op0 = problem.linear_operator
-    free = op0.free
+    free = problem.linear_operator.free
     data = problem.dirichlet_data.values
 
     u = np.zeros(mesh.n_nodes) if u0 is None else Field.of(mesh, u0).values.copy()
@@ -554,72 +530,89 @@ def newton_solve(
     u = np.clip(u, 0.0, None)
     if u0 is not None:
         u = _jacobi_sweeps(problem, u)
-    factorizations = fill = 0
-    place = (f"on mesh {mesh.n_radial}x{mesh.n_angular}, omega_min {mesh.domain.omega_min:.6g}, "
-             f"Dirichlet data max {float(np.max(data[~free])):.6g}")
-
-    abs_matrix = abs(op0.matrix)
-
-    def normalized_residual(vec):
-        # row-normalized residual: near blow-up data the raw rows span many
-        # orders of magnitude and a global norm would let the interior be
-        # sloppy, so each row is measured against its own term sizes.
-        # Returns the norm, the integrated residual it measured and the
-        # Jacobian's diagonal at vec.  Every iterate and the data are
-        # nonnegative, so |vec| is vec.
-        with np.errstate(over="ignore", invalid="ignore"):
-            F = problem.integrated_residual(vec)
-            if not np.all(np.isfinite(F)):
-                raise NonConvergenceError(
-                    "non-finite residual: c0 u^p or c1 u^q overflows at the Newton iterate "
-                    + place,
-                    iterations=iterations,
-                )
-            value, slope = problem.absorption(vec[free])
-            scale = (abs_matrix @ vec)[free] + op0.volume_mass[free] + value
-        return float(np.max(np.abs(F) / scale)), F, slope
-
-    iterations = 0
-    res, F, slope = normalized_residual(u)
-    inc = math.inf
-    factor = None  # the kept Jacobian factor; None forces a fresh one
-    for iterations in range(1, max_iter + 1):
-        if factor is None:
-            factor = _factor_spd(op0, slope)
-            factorizations += 1
-            fill += factor.nnz
-        trial = u.copy()
-        trial[free] += factor.solve(-F)
-        trial = np.clip(trial, 0.0, None)
-        change = trial - u
-        step, rise = float(np.max(np.abs(change))), float(np.max(change))
-        # after the first step the iterates decrease nodewise, which the
-        # kept factors rely on
-        if iterations > 1 and rise > ORDER_TOL * (1.0 + float(np.max(np.abs(u)))):
-            raise OrderingViolationError(
-                f"Newton step {iterations} rose by {rise:.3e} where the iterates must "
-                "decrease: the discrete maximum principle failed " + place
-            )
-        # the start factor serves on only after a first step down; every
-        # factor serves on while steps shrink 4x
-        if step > 0.25 * inc or (iterations == 1 and rise > 0.0):
-            factor = None
-        u = trial
-        res, F, slope = normalized_residual(u)
-        inc = step
-        if res <= 1e-11 and inc <= tol * (1.0 + float(np.max(np.abs(u)))):
+    for state in _newton_steps(problem, u, max_iter):
+        if state.res <= 1e-11 and state.inc <= tol * (1.0 + float(np.max(np.abs(state.u)))):
             break
     else:
         raise NonConvergenceError(
             f"Newton did not converge in {max_iter} iterations "
-            f"(normalized residual {res:.3e}, increment {inc:.3e}) {place}",
+            f"(normalized residual {state.res:.3e}, increment {state.inc:.3e}) {state.place}",
             iterations=max_iter,
-            residual=res,
+            residual=state.res,
         )
+    return state.report(problem, state.u)
 
-    return SolverReport(solution=Field(mesh, u), final_increment=inc, iterations=iterations,
-                        residual_sup=problem.residual_sup(u), factorizations=factorizations,
-                        factor_fill=fill)
+
+def monotone_iterate(
+    problem: NonlinearProblem,
+    S: float,
+    tol: float = 1e-8,
+    max_iter: int = NEWTON_MAX_ITER,
+) -> tuple[SolverReport, Field]:
+    """Two-sided Newton bracket lower <= u* <= upper inside [0, S].
+
+    The upper branch is Newton's iterates from its default start
+    (_newton_steps, under newton_solve's rules): supersolutions from the
+    first, the linear lift of the data, decreasing to the solution u*.  The
+    lower branch starts at zero, a subsolution for any data, and from the
+    second step on takes l <- l - J^-1 F(l), clipped at zero, on the factor
+    that made Newton's step.  That factor was built at a supersolution
+    u_j >= u*, so J - J(u*) is a nonnegative diagonal and convexity keeps l
+    a subsolution, nondecreasing and at most u*; the factor J(0) of the
+    first step lies below J(u*) and is not used.  The lower limit is the
+    report's solution, the upper one is returned next to it as
+    certificate; the report's bracket is the final width max(upper -
+    lower), its final increment Newton's last step.
+    S below the Dirichlet data maximum is not a supersolution and raises
+    ValueError.  Ordering is enforced nodewise at every step to
+    1e-12 * max(1, S) (lower nondecreasing, upper nonincreasing from S,
+    0 <= lower <= upper <= S), and a step that is not finite fails it;
+    violations raise OrderingViolationError, a failed discrete maximum
+    principle.  Stops when the width is below tol * (1 + max upper), or
+    16 eps max(lower), the rounding level of large data, so tol bounds the
+    error of either branch; else, after max_iter steps,
+    NonConvergenceError, as for an overflowing c0 u^p or c1 u^q.  Every
+    error names the mesh, omega_min and the data maximum.
+    """
+    mesh = problem.mesh
+    free = problem.linear_operator.free
+    data = problem.dirichlet_data.values
+    S = float(S)
+    if S < np.max(data[~free]):
+        raise ValueError(f"cap S = {S:.6g} lies below the Dirichlet data maximum")
+    otol = 1e-12 * max(1.0, S)
+    lower = np.where(free, 0.0, data)
+    upper = np.full(mesh.n_nodes, S)
+    for state in _newton_steps(problem, lower, max_iter):
+        new_lower = lower
+        if state.iterations > 1:
+            new_lower = _newton_update(lower, free, state.factor, _free_residual(problem, lower)[0])
+        new_upper = state.u
+        # written so that a nan fails every comparison
+        if not (
+            np.min(new_lower - lower) >= -otol
+            and np.max(new_upper - upper) <= otol
+            and np.max(new_lower - new_upper) <= otol
+            and np.min(new_lower) >= -otol
+            and np.max(new_upper) <= S + otol
+        ):
+            raise OrderingViolationError(
+                f"bracket ordering violated beyond tolerance {otol:.1e} at iteration "
+                f"{state.iterations}: discrete maximum principle failed " + state.place
+            )
+        lower, upper = new_lower, new_upper
+        width = float(np.max(upper - lower))
+        floor = 16.0 * np.finfo(float).eps * float(np.max(lower))
+        if width <= max(tol * (1.0 + float(np.max(upper))), floor):
+            break
+    else:
+        raise NonConvergenceError(
+            f"monotone bracket did not reach tol {tol:g} within {max_iter} steps "
+            f"(width {width:.3e}) {state.place}",
+            iterations=max_iter,
+            residual=width,
+        )
+    return state.report(problem, lower, bracket=width), Field(mesh, upper)
 
 
 def solve_problem(
@@ -632,9 +625,9 @@ def solve_problem(
     """Dispatch to the requested nonlinear scheme with its standard setup.
 
     Newton starts from u0 when given (see newton_solve), else from the data
-    with zero on the free nodes; the monotone iteration always starts from
-    the bracket [0, pick_cap(problem)], so a u0 with method "monotone" is a
-    ValueError.  max_iter=None keeps the scheme's own iteration limit.
+    with zero on the free nodes; the monotone bracket always starts from
+    [0, pick_cap(problem)], so a u0 with method "monotone" is a
+    ValueError.  max_iter=None keeps the schemes' limit, NEWTON_MAX_ITER.
     """
     limit = {} if max_iter is None else {"max_iter": max_iter}
     if method == "newton":

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import coneyamabe
-from coneyamabe import CurvatureReport, Field, build_mesh, cli, model_dirichlet_data
+from coneyamabe import (CurvatureReport, Field, build_mesh, cli, model_dirichlet_data, newton_solve,
+                        read_field_table)
 from coneyamabe.cli import main
 from coneyamabe.config import _SCHEMA, ConfigError, ExperimentConfig, echo_config, parse_config
 
@@ -298,7 +299,7 @@ def test_solve_with_monotone_method(tmp_path):
 
 @pytest.mark.parametrize("method, indicator", [
     ("newton", 0.999901555888),
-    ("monotone", 0.999901554805),
+    ("monotone", 0.999901554983),
 ])
 def test_solve_reports_the_completeness_indicator(tmp_path, method, indicator):
     # min of u * rho^((n-2)/2) over the lowest-rho quartile of free nodes; on
@@ -316,19 +317,55 @@ def test_solve_reports_the_completeness_indicator(tmp_path, method, indicator):
     assert value == pytest.approx(indicator, rel=1e-12)
 
 
-def test_monotone_solve_uses_its_own_iteration_limit(tmp_path):
-    # the exact model problem on the default wedge needs 752 monotone
-    # iterations; without max_iter in the config the method's limit applies
+def _monotone_data_run(tmp_path, body=""):
+    # c0 = c1 = 1 and constant data 2^16 on the 8x8 (3,1) mesh at theta/2:
+    # the upper branch starts at the linear lift, about the datum, and
+    # sheds only about 1/p of its excess per step
     cfgpath = write_cfg(
-        tmp_path, "solve", extra="method = monotone",
-        body=f"[coefficients]\nc0 = 0.25\nc1 = {1.0 / (4.0 * math.sqrt(2.0))!r}\n"
-             "[mesh]\nn_radial = 50\nn_angular = 50\n",
+        tmp_path, "solve", extra="method = monotone\ndirichlet = 65536\nplot = false",
+        body="[mesh]\nn_radial = 8\nn_angular = 8\nomega_min = 0.39269908169872414\n" + body,
     )
     out = tmp_path / "out"
-    assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 0
+    return main(["solve", "--config", cfgpath, "--out", str(out)]), cfgpath, out
+
+
+def test_monotone_solve_uses_its_own_iteration_limit(tmp_path):
+    # the bracket at data 2^16 needs 53 steps; without max_iter in the
+    # config the method's limit, solver.NEWTON_MAX_ITER, applies and admits
+    # them, and a config limit below them fails the run
+    code, _, out = _monotone_data_run(tmp_path)
+    assert code == 0
     summary = (out / "summary.txt").read_text()
-    assert "solve.iterations = 752" in summary
+    assert "solve.iterations = 53" in summary
+    assert 53 <= coneyamabe.solver.NEWTON_MAX_ITER
     assert "config.max_iter" not in summary
+    code, _, out = _monotone_data_run(tmp_path, body="[tolerances]\nmax_iter = 52\n")
+    assert code == 2
+    assert "error = NonConvergenceError: monotone bracket did not reach tol 1e-08 within 52 steps" \
+        in (out / "summary.txt").read_text()
+
+
+def _solution_and_newton(cfgpath, out, tol=1e-13):
+    """The run's solution.csv values, the summary, and newton_solve's
+    solution of the same problem at tol."""
+    cfg = parse_config(cfgpath)
+    mesh = build_mesh(cfg.domain(), cfg.n_radial, cfg.n_angular, cfg.grading)
+    with open(out / "solution.csv") as fh:
+        u = read_field_table(fh)[3]
+    summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
+    return u, summary, newton_solve(cli._build_problem(cfg, mesh), tol=tol).solution.values
+
+
+def test_monotone_solve_at_large_data_lies_within_tol_of_newton(tmp_path):
+    # the shifted chord iteration it replaces stopped here after 2 steps
+    # with status ok and residual 1.36e9, its interior at 4e-52 of the
+    # solution: the bracket's width is a proven bound on the error
+    code, cfgpath, out = _monotone_data_run(tmp_path)
+    assert code == 0
+    u, summary, ref = _solution_and_newton(cfgpath, out)
+    bound = 1e-8 * (1.0 + np.max(ref))
+    assert 0.0 <= float(summary["solve.bracket"]) <= bound
+    assert np.max(np.abs(u - ref)) <= bound
 
 
 def test_verify_model_experiment(tmp_path):
@@ -378,8 +415,10 @@ def test_verify_ladder_starts_each_mesh_from_the_coarser_solution(tmp_path):
 
 def test_verify_model_with_the_monotone_method(tmp_path):
     # each mesh starts from its own bracket [0, cap], nothing is carried over:
-    # one factorization per mesh, second order, and the errors of the Newton
-    # run on the same meshes
+    # its upper branch is Newton from the default start, so the first mesh
+    # factors as often as the Newton run and the second more often than
+    # Newton's coarse-to-fine start; second order, and the errors of the
+    # Newton run on the same meshes
     summaries = {}
     for method in ("monotone", "newton"):
         cfgpath = write_cfg(
@@ -392,8 +431,11 @@ def test_verify_model_with_the_monotone_method(tmp_path):
         summaries[method] = dict(line.split(" = ", 1) for line in lines)
     mono, newton = summaries["monotone"], summaries["newton"]
     assert 1.7 <= float(mono["verify_model.order_24"]) <= 2.3
+    factorizations = {method: [int(s[f"verify_model.factorizations_{size}"]) for size in (12, 24)]
+                      for method, s in summaries.items()}
+    assert factorizations["monotone"][0] == factorizations["newton"][0]
+    assert factorizations["monotone"][1] > factorizations["newton"][1]
     for size in (12, 24):
-        assert int(mono[f"verify_model.factorizations_{size}"]) == 1
         err = float(mono[f"verify_model.err_{size}"])
         assert err == pytest.approx(float(newton[f"verify_model.err_{size}"]), rel=1e-3)
 
@@ -758,26 +800,30 @@ def test_dichotomy_rejects_monotone_method(tmp_path):
 
 @pytest.mark.parametrize("c0", ["1e9", "1e13"])
 def test_stalled_monotone_solve_fails_loudly(tmp_path, c0):
-    # the CLI's potentials are nonnegative, so a cap always exists; the
-    # monotone shift 5 c0 makes every step tiny, far from the discrete
-    # solution, and the stalled iteration fails its residual test: the run
-    # must exit 2, never report that iterate
+    # a large c0 puts the solution far below the data, so the bracket
+    # closes only after dozens of steps (32 and 42 on 8x8).  Stopped short
+    # of that by max_iter, the run must exit 2, naming where, and never
+    # report the open bracket's lower branch
     cfgpath = write_cfg(
         tmp_path, "solve", extra="method = monotone",
-        body=f"[coefficients]\nc0 = {c0}\n[mesh]\nn_radial = 8\nn_angular = 8\n",
+        body=f"[coefficients]\nc0 = {c0}\n[mesh]\nn_radial = 8\nn_angular = 8\n"
+             "[tolerances]\nmax_iter = 20\n",
     )
     out = tmp_path / "out"
     assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 2
     summary = (out / "summary.txt").read_text()
     assert "status = solver-failed" in summary
-    assert "error = NonConvergenceError" in summary
+    assert "error = NonConvergenceError: monotone bracket did not reach tol 1e-08 within 20 " \
+        "steps" in summary
+    assert "on mesh 8x8, omega_min 0.0981748, Dirichlet data max 4.51714" in summary
+    assert not (out / "solution.csv").exists()
 
 
 def test_monotone_solve_of_a_linear_problem_at_large_data_converges(tmp_path):
-    # with c0 = c1 = 0 and data 1e9 the increments settle near 7e-7, the
-    # rounding level of values near 1e9 and above tol = 1e-8; the iteration
-    # stops there once its bracket has closed to that level too, instead of
-    # running out of its steps
+    # with c0 = c1 = 0 and data 1e9 both branches reach the linear
+    # solution on the second step, up to increments near 6e-7, the
+    # rounding level of values near 1e9; the bracket has closed there and
+    # the iteration stops instead of running out of its steps
     cfgpath = write_cfg(
         tmp_path, "solve", extra="method = monotone\ndirichlet = 1e9",
         body="[coefficients]\nc0 = 0\nc1 = 0\n"
@@ -791,33 +837,37 @@ def test_monotone_solve_of_a_linear_problem_at_large_data_converges(tmp_path):
 
 
 def test_monotone_solve_of_the_default_problem_converges(tmp_path):
-    # the default (3,1) problem (c0 = c1 = 1, model data, theta/8) contracts
-    # slowly under the cap's shift: on 8x8 it needs 2031 steps, past the
-    # former limit of 2000, and must finish within solver.MONOTONE_MAX_ITER
-    cfgpath = write_cfg(tmp_path, "solve", extra="method = monotone",
+    # the default (3,1) problem (c0 = c1 = 1, model data, theta/8) on 8x8:
+    # the shifted chord iteration it replaces needed 2031 steps and stopped
+    # 1.37e-6 below the solution at tol 1e-8.  The bracket closes within
+    # Newton's limit, and its reported lower branch lies within
+    # tol * (1 + max u) of Newton's tight solution
+    cfgpath = write_cfg(tmp_path, "solve", extra="method = monotone\nplot = false",
                         body="[mesh]\nn_radial = 8\nn_angular = 8\n")
     out = tmp_path / "out"
     assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 0
-    summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
-    assert 2000 < int(summary["solve.iterations"]) <= coneyamabe.solver.MONOTONE_MAX_ITER
+    u, summary, ref = _solution_and_newton(cfgpath, out)
+    assert int(summary["solve.iterations"]) <= coneyamabe.solver.NEWTON_MAX_ITER
+    bound = 1e-8 * (1.0 + np.max(ref))
+    assert 0.0 <= float(summary["solve.bracket"]) <= bound
+    assert np.max(np.abs(u - ref)) <= bound
 
 
 @pytest.mark.parametrize("method, data, error", [
-    pytest.param("monotone", "1e70", "NonConvergenceError: c0 u^5 overflows at the monotone cap "
-                 "S = 1.000e+70", id="monotone"),
+    pytest.param("monotone", "1e70", "NonConvergenceError: non-finite residual at iteration 1: "
+                 "c0 u^p or c1 u^q overflows at the Newton iterate on mesh 8x8", id="monotone"),
     pytest.param("newton", "1e70", "NonConvergenceError: non-finite residual", id="newton"),
-    pytest.param("monotone", "1e80", "NonConvergenceError: S^4 overflows at the monotone cap "
-                 "S = 1.000e+80", id="monotone-shift"),
+    pytest.param("monotone", "1e80", "NonConvergenceError: non-finite residual at iteration 1: "
+                 "c0 u^p or c1 u^q overflows at the Newton iterate on mesh 8x8", id="monotone-shift"),
     pytest.param("newton", "1e80", "NonConvergenceError: non-finite residual", id="newton-1e80"),
     pytest.param("newton", "1e200", "NonConvergenceError: non-finite residual", id="newton-1e200"),
 ])
 def test_monotone_solve_with_overflowing_data_fails_loudly(tmp_path, method, data, error):
-    # at data 1e70 the term c0 u^5 overflows: the monotone cap branch
-    # refuses its residual on the first step, before numpy can warn,
-    # and Newton refuses the residual at its first iterate, the linear
-    # lift; both exit 2 and name the non-finite value, not an indefinite
-    # operator.  At 1e80 the monotone shift c0 p S^(p-1) itself leaves the
-    # double range.  At 1e80 Newton's Jacobian power u^(p-1) overflows on
+    # at data 1e70 the term c0 u^5 overflows: Newton, and the monotone
+    # bracket whose upper branch is Newton's iterates, refuse the residual
+    # at the first iterate, the linear lift, before numpy can warn; both
+    # exit 2 and name the non-finite value, not an indefinite operator.
+    # At 1e80 Newton's Jacobian power u^(p-1) overflows on
     # the Dirichlet rows, and at 1e200 the residual meets 0 * inf there;
     # both rows are left out.  Every case runs under the suite's
     # filterwarnings = error, so a numpy warning fails it.

@@ -84,8 +84,7 @@ def test_comparison_principle(pair):
 @st.composite
 def moderate_problems(draw):
     # random coefficients and constant data of order one on a wedge of
-    # moderate depth: the monotone shift p c0 S^(p-1) stays small, and so
-    # does the iteration's step count
+    # moderate depth
     n = draw(st.integers(3, 6))
     cone = ConeModel(n, draw(st.integers(1, n - 1)), draw(st.floats(0.5, 2.0)))
     omega_min = draw(st.floats(0.1, 0.4)) * cone.theta
@@ -99,10 +98,38 @@ def moderate_problems(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(problem=moderate_problems())
 def test_newton_equals_the_monotone_iteration(problem):
-    # the bracket [0, pick_cap] iteration and Newton reach one discrete solution
+    # the bracket [0, pick_cap] and Newton reach one discrete solution
     mono, _ = monotone_iterate(problem, pick_cap(problem), tol=1e-11)
     ref = newton_solve(problem, tol=1e-11).solution.values
     assert np.max(np.abs(mono.solution.values - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@st.composite
+def bracket_problems(draw):
+    # random cone, wedge depth, mesh, coefficients and constant data up to
+    # 2^12, where Newton's default start still converges within its limit
+    n = draw(st.integers(3, 6))
+    cone = ConeModel(n, draw(st.integers(1, n - 1)), draw(st.floats(0.5, 2.0)))
+    omega_min = draw(st.floats(0.1, 0.5)) * cone.theta
+    n_radial, n_angular = draw(st.integers(6, 14)), draw(st.integers(6, 14))
+    mesh = build_mesh(ReducedDomain(cone, 0.5, 2.0, omega_min), n_radial, n_angular, 2.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c0, c1 = rng.uniform(0.0, 4.0, 2)
+    return flat_cone_problem(mesh, c0, c1, 2.0 ** draw(st.integers(0, 12)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(problem=bracket_problems())
+def test_monotone_bracket_holds_newtons_solution(problem):
+    # the bracket is ordered, holds Newton's tight solution, and its width
+    # is below its stop bound: tol bounds the error of either branch
+    tol, S = 1e-8, pick_cap(problem)
+    rep, upper = monotone_iterate(problem, S, tol=tol)
+    lower, upper = rep.solution.values, upper.values
+    ref = newton_solve(problem, tol=1e-13).solution.values
+    slack = 1e-12 * max(1.0, S)
+    assert np.all(lower <= ref + slack) and np.all(ref <= upper + slack)
+    assert rep.bracket == np.max(upper - lower) <= tol * (1.0 + np.max(upper))
 
 
 @st.composite

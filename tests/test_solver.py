@@ -141,8 +141,8 @@ def test_pick_cap_model_problem_monotonicity_conditions_hold():
 
 
 def test_pick_cap_is_the_smallest_admissible_cap():
-    # (3,1) with c0 = 1, c = 0: the cap is the data maximum 1, so the interior
-    # shift is p c0 S^(p-1) = 5 and the iteration converges in a few dozen steps
+    # (3,1) with c0 = 1, c = 0: the cap is the data maximum 1, and the
+    # bracket below it closes on Newton's solution
     mesh = make_mesh(nn=8, omega_min=ConeModel(3, 1, 1.0).theta / 4.0)
     prob = flat_cone_problem(mesh, 1.0, 1.0, 1.0)
     S = pick_cap(prob)
@@ -226,8 +226,9 @@ def test_a_zero_coefficient_forms_no_power():
     mesh = make_mesh(nn=8)
     prob = flat_cone_problem(mesh, 0.0, 1.0, 1e70)
     assert np.all(np.isfinite(prob.integrated_residual(np.full(mesh.n_nodes, 1e70))))
-    # Newton's row scale and Jacobian and the monotone shifts keep the rule:
-    # both run out of steps instead of naming an overflow of the zero term
+    # Newton's row scale and Jacobian, and so the monotone bracket, keep the
+    # rule: both run out of steps instead of naming an overflow of the zero
+    # term
     with pytest.raises(NonConvergenceError, match="did not converge in 3 iterations"):
         newton_solve(prob, max_iter=3)
     with pytest.raises(NonConvergenceError, match="did not reach tol .* within 3 steps"):
@@ -284,8 +285,8 @@ def test_monotone_comparison_doubling_c0_shrinks_solution():
 
 
 def test_monotone_cap_independence():
-    # doubling the cap never changes the converged solution beyond tolerance;
-    # the doubled-cap run contracts ~16x slower, hence the generous budget
+    # doubling the cap never changes the converged solution beyond
+    # tolerance: the cap only bounds the bracket, which starts below it
     mesh = make_mesh(nn=8)
     prob = model_problem(mesh)
     S = pick_cap(prob)
@@ -318,9 +319,9 @@ def _wrapped_factors(monkeypatch, transform):
     monkeypatch.setattr(solver, "_factor_spd", lambda op, diag=None: Wrapped(factor_spd(op, diag)))
 
 
-def test_monotone_rejects_a_step_that_lowers_the_iterate(monkeypatch):
-    # chord corrections raised by 2 put the lower branch below its start,
-    # zero: the discrete maximum principle behind the bracket has failed
+def test_monotone_rejects_a_step_that_leaves_the_bracket(monkeypatch):
+    # corrections raised by 2 put the first upper iterate above the cap S:
+    # the discrete maximum principle behind the bracket has failed
     _wrapped_factors(monkeypatch, lambda x: x + 2.0)
     mesh = make_mesh(nn=10)
     prob = model_problem(mesh)
@@ -329,8 +330,9 @@ def test_monotone_rejects_a_step_that_lowers_the_iterate(monkeypatch):
 
 
 def test_monotone_stops_at_a_step_that_is_not_finite(monkeypatch):
-    # a nan step fails every bracket comparison on the step it appears,
-    # instead of running max_iter steps on an increment that never passes
+    # a nan step is refused at the step it appears, by the residual check
+    # of the Newton iterate, instead of running max_iter steps on an
+    # increment that never passes
     _wrapped_factors(monkeypatch, lambda x: np.full_like(x, np.nan))
     mesh = make_mesh(nn=10)
     prob = model_problem(mesh)
@@ -338,9 +340,10 @@ def test_monotone_stops_at_a_step_that_is_not_finite(monkeypatch):
         monotone_iterate(prob, pick_cap(prob))
 
 
-def test_monotone_solve_assembles_only_the_problem_operator(monkeypatch):
-    # the shift is a diagonal added at factorization: a monotone solve of a
-    # fresh problem assembles the problem's own operator and nothing else
+def test_monotone_solve_assembles_only_the_problem_operator(monkeypatch, factors):
+    # every Jacobian is a diagonal added at factorization: a monotone solve
+    # of a fresh problem assembles the problem's own operator and nothing
+    # else, and factors only Newton's Jacobians of it
     calls = []
     assemble_ = solver.assemble
 
@@ -352,7 +355,7 @@ def test_monotone_solve_assembles_only_the_problem_operator(monkeypatch):
     prob = model_problem(make_mesh(nn=10))
     rep, _ = monotone_iterate(prob, pick_cap(prob), tol=1e-10)
     assert len(calls) == 1
-    assert rep.factorizations == 1
+    assert rep.factorizations == len(factors) == newton_solve(prob, tol=1e-10).factorizations
 
 
 def test_monotone_solution_positive_on_free_nodes():
@@ -362,52 +365,21 @@ def test_monotone_solution_positive_on_free_nodes():
     assert np.all(rep.solution.values[mesh.free_mask] > 0)
 
 
-def test_monotone_back_solves_equal_solve_mixed_on_every_step():
-    # the chord steps on the problem's operator plus the shift diagonal are
-    # the iteration that solves the assembled shifted operator with frozen
-    # sources by solve_mixed on every step, up to rounding; the model data
-    # rho^(-1/2) make the Dirichlet lift nonzero
+def test_monotone_branches_step_on_newtons_factors(factors):
+    # the bracket is Newton's loop: its upper branch makes Newton's steps
+    # from the default start, one back-solve each, and the lower branch one
+    # more back-solve per step on the same factor.  The factor built at the
+    # zero start, J(0), lies below J(u*) and serves the upper branch's first
+    # step only; every later one was built at a supersolution iterate
     mesh = make_mesh(nn=12)
     prob = model_problem(mesh)
-    S = pick_cap(prob)
-    tol = 1e-10
-    rep, upper_limit = monotone_iterate(prob, S, tol=tol)
-
-    p, q = prob.p_interior, prob.p_boundary
-    c, c2, c0, c1 = prob.c.values, prob.c2_lin.values, prob.c0, prob.c1
-    rob = mesh.robin_mask
-    shift_i = max(0.0, float(np.max(c + p * c0 * S ** (p - 1))))
-    shift_b = max(0.0, float(np.max(c2[rob] + q * c1 * S ** (q - 1))))
-    op = assemble(mesh, Field.full(mesh, shift_i), Field.full(mesh, shift_b))
-
-    def step(u):
-        un = np.clip(u, 0.0, None)
-        f = (shift_i - c) * un - c0 * un**p
-        g = (shift_b - c2) * un - c1 * un**q
-        return solve_mixed(op, Field(mesh, f), prob.dirichlet_data,
-                           robin_rhs=Field(mesh, g)).solution.values
-
-    lower, upper = np.zeros(mesh.n_nodes), np.full(mesh.n_nodes, S)
-    for iterations in range(1, solver.MONOTONE_MAX_ITER + 1):
-        new_lower, upper = step(lower), step(upper)
-        inc = float(np.max(np.abs(new_lower - lower)))
-        lower = new_lower
-        if inc < tol:
-            break
-    assert rep.iterations == iterations > 1
-    for got, ref in ((rep.solution.values, lower), (upper_limit.values, upper)):
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    # solve_mixed moves the data to the right side as the free-to-fixed
-    # block applied to them, and returns them on the Dirichlet rows
-    free = mesh.free_mask
-    data = prob.dirichlet_data.values
-    lift = op.matrix[free][:, ~free] @ data[~free]
-    assert np.any(lift != 0.0)
-    x = solve_mixed(op, 0.0, prob.dirichlet_data).solution.values
-    assert np.allclose(op.free_matrix @ x[free], -lift, rtol=0.0,
-                       atol=1e-12 * np.max(np.abs(lift)))
-    assert x[~free].tobytes() == data[~free].tobytes()
+    rep, upper = monotone_iterate(prob, pick_cap(prob), tol=1e-10)
+    assert rep.factorizations == len(factors) > 1
+    assert factors[0].solves == 1
+    assert sum(f.solves for f in factors) == 2 * rep.iterations - 1
+    ref = newton_solve(model_problem(mesh), tol=1e-10).solution.values
+    for branch in (rep.solution.values, upper.values):
+        assert np.max(np.abs(branch - ref)) <= 1e-10 * (1.0 + np.max(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -499,22 +471,32 @@ def test_newton_first_step_from_the_default_start_is_the_linear_lift(monkeypatch
     # the default start is the data with zero on the free nodes, where the
     # Jacobian is the linear free block and the residual the Dirichlet
     # lift: the first iterate is bitwise the linear problem's solution,
-    # solved here with solve_mixed on a separate fresh problem
+    # solved here with solve_mixed on a separate fresh problem.  Newton
+    # forms each iterate's residual from one absorption call on its free
+    # values, which records the iterates
     iterates = []
-    residual = solver.NonlinearProblem.integrated_residual
+    absorption = solver.NonlinearProblem.absorption
 
-    def recording(self, u):
-        iterates.append(u.copy())
-        return residual(self, u)
+    def recording(self, uf):
+        iterates.append(uf.copy())
+        return absorption(self, uf)
 
-    monkeypatch.setattr(solver.NonlinearProblem, "integrated_residual", recording)
+    monkeypatch.setattr(solver.NonlinearProblem, "absorption", recording)
     mesh = make_mesh(n, d, omega_min=ConeModel(n, d, 1.0).theta / 8.0, nn=24)
     newton_solve(model_problem(mesh))
+    monkeypatch.undo()
     fresh = model_problem(mesh)
-    data = fresh.dirichlet_data.values
+    data, free = fresh.dirichlet_data.values, mesh.free_mask
     lift = solve_mixed(fresh.linear_operator, 0.0, data).solution.values
-    assert np.array_equal(iterates[0], np.where(mesh.free_mask, 0.0, data))
-    assert np.array_equal(iterates[1], lift)
+    assert np.array_equal(iterates[0], np.zeros(int(np.sum(free))))
+    assert np.array_equal(iterates[1], lift[free])
+    # solve_mixed moves the data to the right side as the free-to-fixed
+    # block applied to them, and the lift takes the data on the Dirichlet rows
+    rhs = fresh.linear_operator.matrix[free][:, ~free] @ data[~free]
+    assert np.any(rhs != 0.0)
+    assert np.allclose(fresh.linear_operator.free_matrix @ lift[free], -rhs, rtol=0.0,
+                       atol=1e-12 * np.max(np.abs(rhs)))
+    assert lift[~free].tobytes() == data[~free].tobytes()
 
 
 @pytest.mark.parametrize("n, d", [(3, 1), (4, 1)])
@@ -620,6 +602,15 @@ def test_coarse_to_fine_start_agrees_with_the_default_start(factors):
     assert warm.iterations < cold.iterations
     u = cold.solution.values
     assert np.max(np.abs(warm.solution.values - u)) <= tol * (1.0 + np.max(np.abs(u)))
+
+
+def test_solvers_refuse_a_step_limit_below_one():
+    # both run _newton_steps, which needs at least one step to report
+    prob = model_problem(make_mesh(nn=8))
+    with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+        newton_solve(prob, max_iter=0)
+    with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+        monotone_iterate(prob, pick_cap(prob), max_iter=0)
 
 
 def test_monotone_solve_takes_no_start():
@@ -927,8 +918,8 @@ def test_a_two_level_n3_family_converges_at_blowup_data_2_32():
 
 def test_factor_fill_sums_the_fill_of_every_factor(factor_fills):
     # the reports total the fill (L plus U entries) of every factorization
-    # behind them: Newton's Jacobians per solve and level, and the monotone
-    # iteration's one shifted factor
+    # behind them: Newton's Jacobians per solve and level, and those of the
+    # monotone bracket, which its two branches share
     problems = _small_family(3, 1, 3, 4)
     levels = maximal_solution(problems, data_sequence=[2.0**k for k in range(7)], tol=1.0)
     assert sum(r.factor_fill for r in levels) == sum(factor_fills) > 0
@@ -936,7 +927,8 @@ def test_factor_fill_sums_the_fill_of_every_factor(factor_fills):
     factor_fills.clear()
     prob = model_problem(make_mesh(nn=8))
     rep, _ = monotone_iterate(prob, pick_cap(prob))
-    assert rep.factor_fill == sum(factor_fills) == factor_fills[0] > 0
+    assert rep.factor_fill == sum(factor_fills) > 0
+    assert rep.factorizations == len(factor_fills)
 
 
 def test_level_reports_keep_the_fit_quality():
