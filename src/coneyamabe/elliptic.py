@@ -94,33 +94,37 @@ class NegativeEigenvectorError(SolverError):
 class OperatorAssembly:
     """Assembled operator; treat as immutable after construction.
 
-    stiffness          : edge-conductance part (symmetric CSR, all nodes)
     volume_mass        : diagonal volume weights, Wt times the trapezoidal
                          cell area, per node
     boundary_mass      : diagonal surface weights (nonzero on Robin nodes;
                          the Dirichlet-tagged corners carry none)
     c, c2              : linear potentials (full-length arrays; c2 read on Robin)
     m_matrix_ok        : row-sum certificate c >= 0 and c2 >= 0
-    matrix             : integrated-form matrix, stiffness plus the volume and
-                         surface mass terms of c and c2 (CSR, all nodes)
+    matrix             : integrated-form matrix, the edge conductances plus
+                         the volume and surface mass terms of c and c2 on
+                         the diagonal (sorted int32 CSR, all nodes)
     free               : mask of the free nodes (interior and Robin), read-only;
                          every residual and solve on the operator reads it,
                          so it is formed once here rather than per call
-    free_matrix        : matrix restricted to the free nodes, rows and columns
+    free_matrix        : matrix restricted to the free nodes, rows and
+                         columns (sorted int32 CSR, symmetric, so its arrays
+                         are also its CSC arrays)
+    stiffness          : the edge-conductance part alone, formed on demand
+                         from matrix (see the property); no solver reads it
 
-    Only what depends on a factorization is filled in later: the
-    minimum-degree elimination order of the free block, computed by the
-    first _factor_spd of this operator, the free block permuted into that
-    order with the positions of its diagonal, built by the second, and
-    solve_mixed's factor.  That factor is kept for reproducibility as well
-    as speed: the first factor of an operator (minimum-degree ordering) and
-    a later one (the cached order) are the same matrix but round
-    differently, so refactoring per solve would make repeated or concurrent
-    solves with one operator differ in the last bits.
+    These are the operator's only matrices.  Only what depends on a
+    factorization is filled in later: the minimum-degree elimination order
+    of the free block, computed by the first _factor_spd of this operator,
+    the free block permuted into that order with the positions of its
+    diagonal, built by the second, and solve_mixed's factor.  That factor
+    is kept for reproducibility as well as speed: the first factor of an
+    operator (minimum-degree ordering) and a later one (the cached order)
+    are the same matrix but round differently, so refactoring per solve
+    would make repeated or concurrent solves with one operator differ in
+    the last bits.
     """
 
     mesh: Mesh
-    stiffness: sp.csr_matrix
     volume_mass: np.ndarray
     boundary_mass: np.ndarray
     c: np.ndarray
@@ -134,6 +138,17 @@ class OperatorAssembly:
     _free_order: np.ndarray | None = None
     _free_permuted: tuple[sp.csc_matrix, np.ndarray] | None = None
 
+    @property
+    def stiffness(self) -> sp.csr_matrix:
+        """A new CSR copy of matrix with its diagonal replaced by minus the
+        sum of each row's off-diagonal entries, formed as assemble forms
+        it: the edge-conductance part, whose kernel holds the constants."""
+        S = self.matrix.copy()
+        pos = _diagonal_positions(S)[0]
+        S.data[pos] = 0.0
+        S.data[pos] = -np.add.reduceat(S.data, S.indptr[:-1])
+        return S
+
 
 def _half_widths(nodes: np.ndarray) -> np.ndarray:
     """Trapezoidal cell widths: half-gaps left+right, half-gap at the ends."""
@@ -145,15 +160,55 @@ def _half_widths(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
+def _five_point_csr(k_rad: np.ndarray, k_ang: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The five-point matrix of an R x C grid in sorted int32 CSR, with the
+    positions of its diagonal entries in its data, which hold zeros.
+
+    Node (i, j) has index i * C + j; k_rad (R-1 x C) couples (i, j) to
+    (i+1, j) and k_ang (R x C-1) couples (i, j) to (i, j+1), each entering
+    as -k in both rows.  A row lists its neighbours (i-1, j), (i, j-1),
+    itself, (i, j+1), (i+1, j), those inside the grid, in column order.
+    """
+    R, C = k_ang.shape[0], k_rad.shape[1]
+    up = (np.arange(R) > 0).astype(np.int32)[:, None]  # 1 where the row has that neighbour
+    left = (np.arange(C) > 0).astype(np.int32)[None, :]
+    down, right = up[::-1], left[:, ::-1]
+    indptr = np.zeros(R * C + 1, dtype=np.int32)
+    np.cumsum(1 + up + left + right + down, dtype=np.int32, out=indptr[1:])
+    mid = indptr[:-1].reshape(R, C) + up + left
+    node = np.arange(R * C, dtype=np.int32).reshape(R, C)
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for pos, cols, k in ((mid[1:] - left - 1, node[:-1], k_rad),
+                         (mid[:, 1:] - 1, node[:, :-1], k_ang),
+                         (mid[:, :-1] + 1, node[:, 1:], k_ang),
+                         (mid[:-1] + right + 1, node[1:], k_rad)):
+        data[pos] = k
+        indices[pos] = cols
+    np.negative(data, out=data)
+    data[mid] = 0.0
+    indices[mid] = node
+    return sp.csr_matrix((data, indices, indptr), shape=(R * C,) * 2), mid.ravel()
+
+
 def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
     """Assemble the weighted divergence-form operator with Robin rows.
 
     c is the interior linear potential, c2 the Robin potential, each given
     in any form Field.of takes (c2 is only read on ROBIN_CONE nodes).
     Builds the full matrix and its free block, the two matrices every
-    solve, residual and quotient reads.  Off-diagonal entries are nonpositive by
-    construction; the certificate degrades only through negative c or c2,
-    which is reported as a warning, not an error.
+    solve, residual and quotient reads, straight into sorted int32 CSR from
+    the edge conductances: the free nodes (interior and Robin) form the
+    sub-grid of radial rows 1..nr-2 and angular columns 1..na-1, so the
+    free block is the same five-point stencil on that sub-grid with the
+    full rows' diagonal.  The diagonal is minus the sum of each row's
+    off-diagonal entries in column order, by np.add.reduceat as
+    scipy's row sum forms it (the row's empty diagonal slot adds an exact
+    zero), plus the volume and surface mass terms of c and c2; constants
+    thus sit in the kernel of the stiffness up to matvec-order roundoff.
+    Off-diagonal entries are nonpositive by construction; the certificate
+    degrades only through negative c or c2, which is reported as a
+    warning, not an error.
     """
     cvals, c2vals = Field.of(mesh, c).values, Field.of(mesh, c2).values
 
@@ -178,25 +233,6 @@ def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
     om_half = 0.5 * (angular[:-1] + angular[1:])
     k_ang = np.outer(radial ** (p - 1) * dxiw, np.sin(om_half) ** (p - 1) / gom)
 
-    ii = np.arange(nr)
-    jj = np.arange(na)
-    idx = (ii[:, None] * na + jj[None, :])
-
-    pr = idx[:-1, :].ravel()
-    qr = idx[1:, :].ravel()
-    kr = k_rad.ravel()
-    pa = idx[:, :-1].ravel()
-    qa = idx[:, 1:].ravel()
-    ka = k_ang.ravel()
-
-    # off-diagonal conductances first; the diagonal is then set to minus the
-    # row sum so constants sit in the kernel up to matvec-order roundoff
-    rows = np.concatenate([pr, qr, pa, qa])
-    cols = np.concatenate([qr, pr, qa, pa])
-    vals = np.concatenate([-kr, -kr, -ka, -ka])
-    off = sp.coo_matrix((vals, (rows, cols)), shape=(mesh.n_nodes,) * 2).tocsr()
-    stiffness = (off + sp.diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
-
     margin = float(min(np.min(cvals), np.min(c2vals[mesh.robin_mask])))
     ok = margin >= 0.0
     if not ok:
@@ -213,12 +249,17 @@ def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
     boundary_mass = np.zeros((nr, na))
     boundary_mass[1:-1, -1] = radial[1:-1] ** p * np.sin(angular[-1]) ** (p - 1) * dxiw[1:-1]
     boundary_mass = boundary_mass.ravel()
-    matrix = (stiffness + sp.diags(volume_mass * cvals + boundary_mass * c2vals)).tocsr()
+
+    matrix, pos = _five_point_csr(k_rad, k_ang)
+    diag = -np.add.reduceat(matrix.data, matrix.indptr[:-1])
+    diag += volume_mass * cvals + boundary_mass * c2vals
+    matrix.data[pos] = diag
+    free_matrix, pos = _five_point_csr(k_rad[1:-1, 1:], k_ang[1:-1, 1:])
+    free_matrix.data[pos] = diag.reshape(nr, na)[1:-1, 1:].ravel()
     free = mesh.free_mask
     free.setflags(write=False)
     return OperatorAssembly(
         mesh=mesh,
-        stiffness=stiffness,
         volume_mass=volume_mass,
         boundary_mass=boundary_mass,
         c=cvals.copy(),
@@ -226,7 +267,7 @@ def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
         m_matrix_ok=ok,
         matrix=matrix,
         free=free,
-        free_matrix=matrix[free][:, free].tocsr(),
+        free_matrix=free_matrix,
     )
 
 
@@ -254,8 +295,9 @@ class _OrderedFactor:
         return x
 
 
-def _diagonal_positions(A: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of A's diagonal entries in A.data, and a mask of the others."""
+def _diagonal_positions(A: sp.csc_matrix | sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the square A's diagonal entries in A.data, and a mask
+    of the others."""
     off = A.indices != np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
     return np.flatnonzero(~off), off
 
@@ -264,18 +306,19 @@ def _factor_spd(op: OperatorAssembly, diag: np.ndarray | None = None):
     """Sparse LU of op.free_matrix + diag(diag), certified positive definite.
 
     diag is None for the free block itself, else a diagonal added to it (a
-    Newton Jacobian, the monotone shift, a shifted eigenvalue pencil); the
-    matrix is formed here on the block's own sparsity pattern.  The first
-    factorization of op checks that the block's off-diagonal entries are
-    nonpositive, orders the matrix by minimum degree and caches the
-    elimination order argsort(perm_c) on op.  The next one caches the block
-    permuted into that order (CSC) with the positions of its diagonal, and
-    every later one copies its values, adds diag[order] on the diagonal and
-    factors under the natural ordering, which skips SuperLU's ordering
-    step.  The result is bitwise (block + diags(diag)) permuted into the
-    order.  So each operator runs one ordering, whichever caller factors it
-    first, and the returned factor solves in the block's own numbering
-    either way, and exposes its fill (L plus U) as nnz.
+    Newton Jacobian, a shifted eigenvalue pencil); the matrix is formed
+    here on the block's own sparsity pattern.  The first factorization of
+    op reads the symmetric block's CSR arrays as its CSC arrays, copying
+    only the values, checks that the off-diagonal entries are nonpositive,
+    orders the matrix by minimum degree and caches the elimination order
+    argsort(perm_c) on op.  The next one caches the block permuted into
+    that order (CSC) with the positions of its diagonal, and every later
+    one copies its values, adds diag[order] on the diagonal and factors
+    under the natural ordering, which skips SuperLU's ordering step.  The
+    result is bitwise (block + diags(diag)) permuted into the order.  So
+    each operator runs one ordering, whichever caller factors it first, and
+    the returned factor solves in the block's own numbering either way, and
+    exposes its fill (L plus U) as nnz.
 
     Both factorizations pass _SPLU_KEYWORDS: diagonal pivots in symmetric
     mode and a panel of one column.  An interleaved sweep of SuperLU's
@@ -285,30 +328,36 @@ def _factor_spd(op: OperatorAssembly, diag: np.ndarray | None = None):
     and 25-35% below the default in time, with the same fill; a narrow
     panel also needs smaller work arrays.
 
-    Every factored matrix is thus a symmetric Z-matrix, which is positive
-    definite exactly when it is a nonsingular M-matrix, that is when some
-    y > 0 has A y > 0.  The certificate takes y = A^-1 1 from the factor
-    and requires y > 0 and A y > k eps |A| y in every row, where k is the
-    longest row, so that the matvec's rounding cannot fake a positive row;
-    it also requires perm_r == perm_c, since a row permutation means
-    SuperLU met a zero diagonal pivot.  Raises IndefiniteOperatorError
-    when the block is not a Z-matrix or the certificate fails.
+    Every factored matrix is thus a symmetric Z-matrix: a later
+    factorization changes only the diagonal of the block checked at the
+    first.  It is positive definite exactly when it is a nonsingular
+    M-matrix, that is when some y > 0 has A y > 0.  The certificate takes
+    y = A^-1 1 from the factor and requires y > 0 and A y > k eps |A| y in
+    every row, where k is the longest row, so that the matvec's rounding
+    cannot fake a positive row; for a Z-matrix and y >= 0, |A| y is
+    2 D y - A y (D the diagonal), so no copy of |A| is formed (in a row
+    whose diagonal entry is not positive, A y is not positive and fails
+    the check all the same).  It also requires perm_r == perm_c,
+    since a row permutation means SuperLU met a zero diagonal pivot.
+    Raises IndefiniteOperatorError when the block is not a Z-matrix or the
+    certificate fails.
     """
     order = op._free_order
     if order is None:
-        A = op.free_matrix.tocsc()
+        block = op.free_matrix  # symmetric: its CSR arrays are its CSC arrays
+    else:
+        if op._free_permuted is None:
+            permuted = op.free_matrix[order][:, order].tocsc()
+            op._free_permuted = permuted, _diagonal_positions(permuted)[0]
+        block, pos = op._free_permuted
+    A = sp.csc_matrix((block.data.copy(), block.indices, block.indptr), shape=block.shape)
+    if order is None:
         pos, off = _diagonal_positions(A)
         if np.any(A.data[off] > 0.0):
             raise IndefiniteOperatorError(
                 "the free block has a positive off-diagonal entry: not a Z-matrix, "
                 "so its positive definiteness cannot be certified"
             )
-    else:
-        if op._free_permuted is None:
-            block = op.free_matrix[order][:, order].tocsc()
-            op._free_permuted = block, _diagonal_positions(block)[0]
-        block, pos = op._free_permuted
-        A = sp.csc_matrix((block.data.copy(), block.indices, block.indptr), shape=block.shape)
     if diag is not None:
         A.data[pos] += diag if order is None else diag[order]
     try:
@@ -318,8 +367,9 @@ def _factor_spd(op: OperatorAssembly, diag: np.ndarray | None = None):
         raise IndefiniteOperatorError(f"sparse factorization failed ({exc})") from exc
     y = lu.solve(np.ones(A.shape[0]))
     k = float(np.max(np.diff(A.indptr)))
+    Ay = A @ y
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(y > 0.0)
-            and np.all(A @ y > k * np.finfo(float).eps * (abs(A) @ y))):
+            and np.all(Ay > k * np.finfo(float).eps * (2.0 * A.data[pos] * y - Ay))):
         raise IndefiniteOperatorError(
             "no positive vector certifies the matrix as an M-matrix: "
             "it is not positive definite"

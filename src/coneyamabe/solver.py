@@ -23,8 +23,9 @@ Two routes to the discrete solution are provided and cross-checked:
   and every Jacobian of one operator is factored under the one
   fill-reducing ordering computed for the first.  A start given to it
   first runs two nonlinear Jacobi sweeps, which move it into Newton's
-  basin near blow-up data.  Used as the inner solver for the exhaustion
-  limits.
+  basin near blow-up data; from the default start the sweeps run on the
+  first iterate, the linear lift of the data.  Used as the inner solver
+  for the exhaustion limits.
 
 * monotone_iterate is the two-sided Newton bracket for convex M-functions
   (Ortega-Rheinboldt, ch. 13.3).  Its upper branch is Newton's iterates
@@ -32,8 +33,9 @@ Two routes to the discrete solution are provided and cross-checked:
   lower branch starts at zero, a subsolution, and steps with the factor
   Newton holds at each step once that factor was built at a
   supersolution, so it increases to the solution without passing it.  It
-  stops once the bracket is narrower than tol (1 + max upper), which
-  makes tol a proven bound on the error of the reported lower limit.
+  stops once the bracket is narrower than tol (1 + max upper) on the free
+  nodes, which makes tol a proven bound on the error of the reported
+  lower limit.
 
 Both run the one step, clip and refactor loop of _newton_steps, whose
 factors come from elliptic._factor_spd, as principal_eigen's do.
@@ -316,15 +318,26 @@ class SolverReport:
 
 
 def _free_residual(problem: NonlinearProblem, u: np.ndarray):
-    """(F, value, slope) at a nonnegative u: the integrated residual on the
-    free rows, bitwise integrated_residual(u), formed from the one
-    problem.absorption call that also gives the absorption's value and
-    slope.  An overflowing term leaves F non-finite, without a warning,
-    for the caller to check."""
+    """(F, Au, value, slope) at a nonnegative u: the integrated residual on
+    the free rows, bitwise integrated_residual(u), its linear part A u on
+    the free rows, and the absorption's value and slope from the one
+    problem.absorption call that forms F.  An overflowing term leaves F
+    non-finite, without a warning, for the caller to check."""
     op = problem.linear_operator
     with np.errstate(over="ignore", invalid="ignore"):
         value, slope = problem.absorption(u[op.free])
-        return (op.matrix @ u)[op.free] + value, value, slope
+        Au = (op.matrix @ u)[op.free]
+        return Au + value, Au, value, slope
+
+
+def _row_scale(op: OperatorAssembly, a: np.ndarray, u: np.ndarray, Au: np.ndarray,
+               value: np.ndarray) -> np.ndarray:
+    """The term sizes of each free row of the residual at a nonnegative u,
+    (|A| u) + vm + value on the free rows, given a, the free block's
+    diagonal, and Au and value from _free_residual.  The off-diagonal
+    entries of A are nonpositive and its diagonal positive, so the free
+    rows of |A| u are 2 a u - A u, and no copy of |A| is formed."""
+    return 2.0 * a * u[op.free] - Au + op.volume_mass[op.free] + value
 
 
 def _newton_update(u: np.ndarray, free: np.ndarray, factor, F: np.ndarray) -> np.ndarray:
@@ -348,6 +361,8 @@ def _jacobi_sweeps(problem: NonlinearProblem, u: np.ndarray) -> np.ndarray:
     steps start from their minimum.  The row is convex and increasing in x,
     so the steps stay at or above the root.  This is the nonlinear Jacobi
     method for M-functions (Ortega-Rheinboldt, ch. 13; Rheinboldt 1970).
+    A row whose terms overflow is left non-finite, without a warning, for
+    Newton's residual check to refuse.
     """
     op = problem.linear_operator
     free, rob = op.free, problem.mesh.robin_rows
@@ -355,17 +370,18 @@ def _jacobi_sweeps(problem: NonlinearProblem, u: np.ndarray) -> np.ndarray:
     vm, bm = op.volume_mass[free], op.boundary_mass[free][rob]
     a = op.free_matrix.diagonal()
     u = u.copy()
-    for _ in range(JACOBI_SWEEPS):
-        r = np.maximum(a * u[free] - (op.matrix @ u)[free], 0.0)
-        x = r / a
-        if c0:
-            x = np.minimum(x, (r / (vm * c0)) ** (1.0 / p))
-        if c1:
-            x[rob] = np.minimum(x[rob], (r[rob] / (bm * c1)) ** (1.0 / q))
-        for _ in range(2):
-            value, slope = problem.absorption(x)
-            x -= (a * x - r + value) / (a + slope)
-        u[free] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(JACOBI_SWEEPS):
+            r = np.maximum(a * u[free] - (op.matrix @ u)[free], 0.0)
+            x = r / a
+            if c0:
+                x = np.minimum(x, (r / (vm * c0)) ** (1.0 / p))
+            if c1:
+                x[rob] = np.minimum(x[rob], (r[rob] / (bm * c1)) ** (1.0 / q))
+            for _ in range(2):
+                value, slope = problem.absorption(x)
+                x -= (a * x - r + value) / (a + slope)
+            u[free] = x
     return u
 
 
@@ -401,12 +417,22 @@ def _newton_steps(problem: NonlinearProblem, u: np.ndarray, max_iter: int):
     OrderingViolationError, and a residual that is not finite raises
     NonConvergenceError, both naming the place; max_iter below 1 is a
     ValueError.
+
+    From a start that is zero on the free rows the first step lands on
+    the linear lift of the data, and ends with the Jacobi sweeps
+    (_jacobi_sweeps) run on the lift.  At the lift A u = 0 on the free
+    rows, so each row's first bound r / a_ii is the lift's own value, and
+    Newton's map for a convex increasing row is nondecreasing in both its
+    start and its right side r: every sweep ends at or below the last one
+    and leaves a supersolution, as the lift is.  So the swept lift is
+    still a supersolution iterate for every rule below, and for the
+    monotone bracket's lower branch.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     mesh, op0 = problem.mesh, problem.linear_operator
     free = op0.free
-    abs_matrix = abs(op0.matrix)
+    a = op0.free_matrix.diagonal()
     data_max = float(np.max(problem.dirichlet_data.values[~free]))
     place = (f"on mesh {mesh.n_radial}x{mesh.n_angular}, omega_min {mesh.domain.omega_min:.6g}, "
              f"Dirichlet data max {data_max:.6g}")
@@ -415,21 +441,21 @@ def _newton_steps(problem: NonlinearProblem, u: np.ndarray, max_iter: int):
     def normalized_residual(vec):
         # row-normalized residual: near blow-up data the raw rows span many
         # orders of magnitude and a global norm would let the interior be
-        # sloppy, so each row is measured against its own term sizes.
-        # Returns the norm, the integrated residual it measured and the
-        # Jacobian's diagonal at vec.  Every iterate and the data are
-        # nonnegative, so |vec| is vec.
-        F, value, slope = _free_residual(problem, vec)
+        # sloppy, so each row is measured against its own term sizes
+        # (_row_scale).  Returns the norm, the integrated residual it
+        # measured and the absorption's slope at vec.  Every iterate and the
+        # data are nonnegative, so |vec| is vec.
+        F, Au, value, slope = _free_residual(problem, vec)
         if not np.all(np.isfinite(F)):
             raise NonConvergenceError(
                 f"non-finite residual at iteration {state.iterations}: c0 u^p or c1 u^q "
                 "overflows at the Newton iterate " + place,
                 iterations=state.iterations,
             )
-        scale = (abs_matrix @ vec)[free] + op0.volume_mass[free] + value
-        return float(np.max(np.abs(F) / scale)), F, slope
+        return float(np.max(np.abs(F) / _row_scale(op0, a, vec, Au, value))), F, slope
 
     res, F, slope = normalized_residual(u)
+    lift = not np.any(u[free])
     factor = None  # the kept Jacobian factor; None forces a fresh one
     for iterations in range(1, max_iter + 1):
         state.iterations = iterations
@@ -438,6 +464,8 @@ def _newton_steps(problem: NonlinearProblem, u: np.ndarray, max_iter: int):
             state.factorizations += 1
             state.fill += factor.nnz
         trial = _newton_update(u, free, factor, F)
+        if lift and iterations == 1:
+            trial = _jacobi_sweeps(problem, trial)
         change = trial - u
         step, rise = float(np.max(np.abs(change))), float(np.max(change))
         # after the first step the iterates decrease nodewise, which the
@@ -474,13 +502,17 @@ def newton_solve(
     the data, and negative values are clipped to zero).  A given start
     then runs JACOBI_SWEEPS nonlinear Jacobi sweeps (_jacobi_sweeps), which
     change only where Newton starts: the theory below holds from any
-    nonnegative start.  The default start runs none.  At the zero-interior
-    start the Jacobian is the free block of problem.linear_operator, since
-    p c0 0^(p-1) = q c1 0^(q-1) = 0, and the residual is the Dirichlet
-    lift, so the first step lands bitwise on the linear lift u_L of the
-    data, A u_L = 0 on the free rows.  The lift is a supersolution, since
+    nonnegative start.  At the zero-interior start the Jacobian is the
+    free block of problem.linear_operator, since p c0 0^(p-1) =
+    q c1 0^(q-1) = 0, and the residual is the Dirichlet lift, so the
+    first step lands bitwise on the linear lift u_L of the data,
+    A u_L = 0 on the free rows.  The lift is a supersolution, since
     F(u_L) = c0 u_L^p + c1 u_L^q >= 0 (integrated), and, as c and c2_lin
-    are nonnegative, lies in [0, max(data)].  Each step solves the
+    are nonnegative, lies in [0, max(data)].  At large data it lies far
+    above the solution, so the first step runs the sweeps on it, which
+    keep it a supersolution and bring it into Newton's basin (constant
+    data 1e6 on the 8x8 (3,1) mesh at theta/2 took more than 60 steps
+    without them, 15 with them).  Each step solves the
     linearization with potentials c + p c0 u^(p-1) and c2 + q c1 u^(q-1)
     and takes the whole step, clipped at zero.  No damping is needed: the residual is convex in u
     (p, q > 1, c0, c1 >= 0) and its Jacobian has nonpositive off-diagonals
@@ -504,10 +536,10 @@ def newton_solve(
     finer solution, goes down, and its factor can carry every step.  Every
     kept factor was certified when it was built.  A start far above the
     solution sheds about 1/p of its excess per step, too slowly for the 4x
-    rule, so it refactors at nearly every step of that phase; the first
-    step from zero lands below it, and the sweeps bring a given start down
-    first (the constant 2^16 on the (3,1) desk base takes 15 steps with
-    them, 57 without).  The decrease is checked: a step after the first
+    rule, so it refactors at nearly every step of that phase; the sweeps
+    bring a given start and the linear lift down first (the constant 2^16
+    on the (3,1) desk base takes 15 steps with them, 57 without).  The
+    decrease is checked: a step after the first
     that rises anywhere by more than ORDER_TOL * (1 + max|u|) raises
     OrderingViolationError, naming the mesh, omega_min and the data maximum.
     Converges when the row-normalized residual, formed on the free rows,
@@ -553,7 +585,8 @@ def monotone_iterate(
 
     The upper branch is Newton's iterates from its default start
     (_newton_steps, under newton_solve's rules): supersolutions from the
-    first, the linear lift of the data, decreasing to the solution u*.  The
+    first, the linear lift of the data after the Jacobi sweeps, decreasing
+    to the solution u*.  The
     lower branch starts at zero, a subsolution for any data, and from the
     second step on takes l <- l - J^-1 F(l), clipped at zero, on the factor
     that made Newton's step.  That factor was built at a supersolution
@@ -569,8 +602,12 @@ def monotone_iterate(
     0 <= lower <= upper <= S), and a step that is not finite fails it;
     violations raise OrderingViolationError, a failed discrete maximum
     principle.  Stops when the width is below tol * (1 + max upper), or
-    16 eps max(lower), the rounding level of large data, so tol bounds the
-    error of either branch; else, after max_iter steps,
+    16 eps max(lower), the rounding level of large data, each maximum
+    taken on the free nodes, so tol bounds the error of either branch
+    relative to the solution, not to the data (the Dirichlet rows hold the
+    data in both branches; from the swept lift on, the data maximum can
+    lie orders of magnitude above every free value); else, after max_iter
+    steps,
     NonConvergenceError, as for an overflowing c0 u^p or c1 u^q.  Every
     error names the mesh, omega_min and the data maximum.
     """
@@ -602,8 +639,8 @@ def monotone_iterate(
             )
         lower, upper = new_lower, new_upper
         width = float(np.max(upper - lower))
-        floor = 16.0 * np.finfo(float).eps * float(np.max(lower))
-        if width <= max(tol * (1.0 + float(np.max(upper))), floor):
+        floor = 16.0 * np.finfo(float).eps * float(np.max(lower[free]))
+        if width <= max(tol * (1.0 + float(np.max(upper[free]))), floor):
             break
     else:
         raise NonConvergenceError(

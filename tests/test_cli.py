@@ -299,7 +299,7 @@ def test_solve_with_monotone_method(tmp_path):
 
 @pytest.mark.parametrize("method, indicator", [
     ("newton", 0.999901555888),
-    ("monotone", 0.999901554983),
+    ("monotone", 0.999901553976),
 ])
 def test_solve_reports_the_completeness_indicator(tmp_path, method, indicator):
     # min of u * rho^((n-2)/2) over the lowest-rho quartile of free nodes; on
@@ -319,8 +319,8 @@ def test_solve_reports_the_completeness_indicator(tmp_path, method, indicator):
 
 def _monotone_data_run(tmp_path, body=""):
     # c0 = c1 = 1 and constant data 2^16 on the 8x8 (3,1) mesh at theta/2:
-    # the upper branch starts at the linear lift, about the datum, and
-    # sheds only about 1/p of its excess per step
+    # the linear lift lies at about the datum, and the Jacobi sweeps bring
+    # the upper branch down from it before its second step
     cfgpath = write_cfg(
         tmp_path, "solve", extra="method = monotone\ndirichlet = 65536\nplot = false",
         body="[mesh]\nn_radial = 8\nn_angular = 8\nomega_min = 0.39269908169872414\n" + body,
@@ -330,18 +330,19 @@ def _monotone_data_run(tmp_path, body=""):
 
 
 def test_monotone_solve_uses_its_own_iteration_limit(tmp_path):
-    # the bracket at data 2^16 needs 53 steps; without max_iter in the
-    # config the method's limit, solver.NEWTON_MAX_ITER, applies and admits
-    # them, and a config limit below them fails the run
+    # the bracket at data 2^16 needs 14 steps (53 before the sweeps on the
+    # lift); without max_iter in the config the method's limit,
+    # solver.NEWTON_MAX_ITER, applies and admits them, and a config limit
+    # below them fails the run
     code, _, out = _monotone_data_run(tmp_path)
     assert code == 0
     summary = (out / "summary.txt").read_text()
-    assert "solve.iterations = 53" in summary
-    assert 53 <= coneyamabe.solver.NEWTON_MAX_ITER
+    assert "solve.iterations = 14" in summary
+    assert 14 <= coneyamabe.solver.NEWTON_MAX_ITER
     assert "config.max_iter" not in summary
-    code, _, out = _monotone_data_run(tmp_path, body="[tolerances]\nmax_iter = 52\n")
+    code, _, out = _monotone_data_run(tmp_path, body="[tolerances]\nmax_iter = 13\n")
     assert code == 2
-    assert "error = NonConvergenceError: monotone bracket did not reach tol 1e-08 within 52 steps" \
+    assert "error = NonConvergenceError: monotone bracket did not reach tol 1e-08 within 13 steps" \
         in (out / "summary.txt").read_text()
 
 
@@ -366,6 +367,31 @@ def test_monotone_solve_at_large_data_lies_within_tol_of_newton(tmp_path):
     bound = 1e-8 * (1.0 + np.max(ref))
     assert 0.0 <= float(summary["solve.bracket"]) <= bound
     assert np.max(np.abs(u - ref)) <= bound
+
+
+@pytest.mark.parametrize("data", ["1e6", "1e9", "1e12"])
+@pytest.mark.parametrize("method", ["newton", "monotone"])
+def test_solve_at_large_constant_data_converges_from_the_default_start(tmp_path, method, data):
+    # the default start's first step lands on the linear lift, about the
+    # datum everywhere and far above the solution, from which Newton shed
+    # only about 1/p of the excess per step and ran out of its steps from
+    # 1e6 on (exit 2).  The Jacobi sweeps on the lift bring it into
+    # Newton's basin, for Newton and the bracket's upper branch alike, and
+    # the bracket measures its width against the free values, not the
+    # data, so its lower branch lies within tol (1 + max free u) of
+    # Newton's tight solution
+    cfgpath = write_cfg(
+        tmp_path, "solve", extra=f"method = {method}\ndirichlet = {data}\nplot = false",
+        body="[mesh]\nn_radial = 8\nn_angular = 8\nomega_min = 0.39269908169872414\n",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 0
+    u, summary, ref = _solution_and_newton(cfgpath, out)
+    assert summary["status"] == "ok"
+    with open(out / "solution.csv") as fh:
+        free = np.isin(read_field_table(fh)[2], ["INTERIOR", "ROBIN_CONE"])
+    assert np.max(ref[~free]) == float(data) > 1e3 * np.max(ref[free])
+    assert np.max(np.abs(u - ref)) <= 1e-8 * (1.0 + np.max(ref[free]))
 
 
 def test_verify_model_experiment(tmp_path):
@@ -801,19 +827,20 @@ def test_dichotomy_rejects_monotone_method(tmp_path):
 @pytest.mark.parametrize("c0", ["1e9", "1e13"])
 def test_stalled_monotone_solve_fails_loudly(tmp_path, c0):
     # a large c0 puts the solution far below the data, so the bracket
-    # closes only after dozens of steps (32 and 42 on 8x8).  Stopped short
-    # of that by max_iter, the run must exit 2, naming where, and never
-    # report the open bracket's lower branch
+    # closes only after 12 and 13 steps on 8x8 (32 and 42 before the
+    # Jacobi sweeps on the lift).  Stopped short of that by max_iter, the
+    # run must exit 2, naming where, and never report the open bracket's
+    # lower branch
     cfgpath = write_cfg(
         tmp_path, "solve", extra="method = monotone",
         body=f"[coefficients]\nc0 = {c0}\n[mesh]\nn_radial = 8\nn_angular = 8\n"
-             "[tolerances]\nmax_iter = 20\n",
+             "[tolerances]\nmax_iter = 10\n",
     )
     out = tmp_path / "out"
     assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 2
     summary = (out / "summary.txt").read_text()
     assert "status = solver-failed" in summary
-    assert "error = NonConvergenceError: monotone bracket did not reach tol 1e-08 within 20 " \
+    assert "error = NonConvergenceError: monotone bracket did not reach tol 1e-08 within 10 " \
         "steps" in summary
     assert "on mesh 8x8, omega_min 0.0981748, Dirichlet data max 4.51714" in summary
     assert not (out / "solution.csv").exists()
@@ -854,22 +881,23 @@ def test_monotone_solve_of_the_default_problem_converges(tmp_path):
 
 
 @pytest.mark.parametrize("method, data, error", [
-    pytest.param("monotone", "1e70", "NonConvergenceError: non-finite residual at iteration 1: "
+    pytest.param("monotone", "1e305", "NonConvergenceError: non-finite residual at iteration 1: "
                  "c0 u^p or c1 u^q overflows at the Newton iterate on mesh 8x8", id="monotone"),
-    pytest.param("newton", "1e70", "NonConvergenceError: non-finite residual", id="newton"),
-    pytest.param("monotone", "1e80", "NonConvergenceError: non-finite residual at iteration 1: "
-                 "c0 u^p or c1 u^q overflows at the Newton iterate on mesh 8x8", id="monotone-shift"),
-    pytest.param("newton", "1e80", "NonConvergenceError: non-finite residual", id="newton-1e80"),
-    pytest.param("newton", "1e200", "NonConvergenceError: non-finite residual", id="newton-1e200"),
+    pytest.param("newton", "1e305", "NonConvergenceError: non-finite residual", id="newton"),
+    pytest.param("monotone", "1e308", "NonConvergenceError: non-finite residual at iteration 0: "
+                 "c0 u^p or c1 u^q overflows at the Newton iterate on mesh 8x8",
+                 id="monotone-start"),
+    pytest.param("newton", "1e308", "NonConvergenceError: non-finite residual at iteration 0",
+                 id="newton-start"),
 ])
 def test_monotone_solve_with_overflowing_data_fails_loudly(tmp_path, method, data, error):
-    # at data 1e70 the term c0 u^5 overflows: Newton, and the monotone
-    # bracket whose upper branch is Newton's iterates, refuse the residual
-    # at the first iterate, the linear lift, before numpy can warn; both
-    # exit 2 and name the non-finite value, not an indefinite operator.
-    # At 1e80 Newton's Jacobian power u^(p-1) overflows on
-    # the Dirichlet rows, and at 1e200 the residual meets 0 * inf there;
-    # both rows are left out.  Every case runs under the suite's
+    # at data 1e305 the neighbour sums of the free rows overflow in the
+    # Jacobi sweeps on the first iterate, the linear lift: Newton, and the
+    # monotone bracket whose upper branch is Newton's iterates, refuse the
+    # residual there, before numpy can warn; both exit 2 and name the
+    # non-finite value, not an indefinite operator.  At 1e308 the data
+    # alone overflow the residual of the start.  Up to 1e300 the sweeps
+    # keep every term finite.  Every case runs under the suite's
     # filterwarnings = error, so a numpy warning fails it.
     cfgpath = write_cfg(
         tmp_path, "solve", extra=f"method = {method}\ndirichlet = {data}",

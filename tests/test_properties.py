@@ -24,6 +24,7 @@ from coneyamabe import (
     solve_mixed,
     truncation_family,
 )
+from coneyamabe import solver
 
 
 def draw_mesh(draw):
@@ -275,6 +276,26 @@ def test_the_residual_and_its_jacobian_read_one_absorption_law(problem, seed):
     jh = op.free_matrix @ h[free] + slope * h[free]
     scale = (abs(op.matrix) @ np.abs(h))[free] + slope * np.abs(h[free])
     assert np.all(np.abs(diff - jh) <= 1e-6 * scale)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(problem=absorbing_problems(), seed=st.integers(0, 2**32 - 1), top=st.integers(0, 16))
+def test_newtons_row_scale_reads_abs_a_through_the_z_matrix_identity(problem, seed, top):
+    # Newton measures each free row against (|A| u) + vm + absorption; for
+    # the Z-matrix A and u >= 0 it forms |A| u as 2 a u - A u from the A u
+    # the residual already holds.  At random nonnegative iterates, zeros
+    # and large values included, the scale and the normalized residual
+    # equal the abs(A)-based reference to 1e-13 relative
+    rng = np.random.default_rng(seed)
+    op = problem.linear_operator
+    free = op.free
+    u = 2.0 ** top * rng.random(free.size) * (rng.random(free.size) < 0.9)
+    F, Au, value, _ = solver._free_residual(problem, u)
+    scale = solver._row_scale(op, op.free_matrix.diagonal(), u, Au, value)
+    ref = (abs(op.matrix) @ u)[free] + op.volume_mass[free] + value
+    assert np.all(np.abs(scale - ref) <= 1e-13 * ref)
+    res, res_ref = np.max(np.abs(F) / scale), np.max(np.abs(F) / ref)
+    assert abs(res - res_ref) <= 1e-13 * res_ref
 
 
 @st.composite
