@@ -438,14 +438,17 @@ def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
 
     A is the operator with potentials c, c2; B is the
     volume mass or, for the "volume-plus-boundary" variant, volume plus
-    Robin surface mass.  The iteration inverts A + mu*B with mu chosen from
-    a generalized Gershgorin lower bound so the shifted matrix is positive
-    definite; it is factored once by _factor_spd, which certifies that.  The
-    iteration stops once the quotient settles to EIGEN_TOL relative, else
-    NonConvergenceError after EIGEN_MAX_ITER sweeps.  Each sweep normalizes
-    the iterate to sup |v| = 1; the certified factor has a nonnegative
-    inverse and the iteration starts from ones, so the largest entry is +1
-    and the eigenvector has sup = 1.  A genuinely negative component raises
+    Robin surface mass.  The iteration inverts A + mu*B, with mu from the
+    Gershgorin lower bound min((A 1) / B) of B^(-1) A: for the Z-matrix A
+    each row sum is the diagonal entry minus the off-diagonal magnitudes,
+    the identity of _factor_spd's certificate, and the bound is tight,
+    about the least potential.  _factor_spd factors the shifted matrix
+    once and certifies it positive definite.  The iteration stops once the
+    quotient settles to EIGEN_TOL relative, else NonConvergenceError after
+    EIGEN_MAX_ITER sweeps.  Each sweep normalizes the iterate to
+    sup |v| = 1; the certified factor has a nonnegative inverse and the
+    iteration starts from ones, so the largest entry is +1 and the
+    eigenvector has sup = 1.  A genuinely negative component raises
     NegativeEigenvectorError since the ground state of an irreducible
     M-matrix pencil must be positive.  An unknown variant is a ValueError.
     """
@@ -458,11 +461,7 @@ def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
         raise ValueError(f"unknown eigenvalue denominator variant {variant!r}")
     A = op.free_matrix
     n = A.shape[0]
-    # Gershgorin on B^(-1) A (similar to the pencil): with the row-sum
-    # stiffness construction this is tight, lower ~ min potential
-    diag = A.diagonal()
-    offsum = np.asarray(np.abs(A).sum(axis=1)).ravel() - np.abs(diag)
-    lower = float(np.min((diag - offsum) / bdiag))
+    lower = float(np.min(A @ np.ones(n) / bdiag))
     mu = 0.0 if lower > 0 else -lower + max(1e-8, 0.01 * abs(lower))
 
     factor = _factor_spd(op, mu * bdiag)

@@ -211,11 +211,9 @@ class NonlinearProblem:
 
     def integrated_residual(self, u: np.ndarray) -> np.ndarray:
         """Integrated-form residual of the discrete system on the free rows (the
-        Newton objective), (A u) plus the absorption at u clipped at zero;
-        the Dirichlet entries of u enter only through A u."""
-        op = self.linear_operator
-        value, _ = self.absorption(np.maximum(u[op.free], 0.0))
-        return (op.matrix @ u)[op.free] + value
+        Newton objective), (A u) plus the absorption, at u clipped at zero
+        (_free_residual); the Dirichlet entries of u enter only through A u."""
+        return _free_residual(self, np.maximum(u, 0.0))[0]
 
     def residual_parts(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise residual of the discrete system at (interior, Robin) nodes,
@@ -288,7 +286,7 @@ def pick_cap(problem: NonlinearProblem) -> float:
     so the data maximum is the smallest cap it keeps below; monotone_iterate
     checks that it does and refuses a cap under the data.
     """
-    return float(np.max(problem.dirichlet_data.values[problem.mesh.dirichlet_mask]))
+    return float(np.max(problem.dirichlet_data.values[~problem.linear_operator.free]))
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +317,9 @@ class SolverReport:
 
 def _free_residual(problem: NonlinearProblem, u: np.ndarray):
     """(F, Au, value, slope) at a nonnegative u: the integrated residual on
-    the free rows, bitwise integrated_residual(u), its linear part A u on
-    the free rows, and the absorption's value and slope from the one
-    problem.absorption call that forms F.  An overflowing term leaves F
+    the free rows, its linear part A u on the free rows, and the
+    absorption's value and slope from the one problem.absorption call that
+    forms F.  An overflowing term leaves F
     non-finite, without a warning, for the caller to check."""
     op = problem.linear_operator
     with np.errstate(over="ignore", invalid="ignore"):
@@ -433,9 +431,8 @@ def _newton_steps(problem: NonlinearProblem, u: np.ndarray, max_iter: int):
     mesh, op0 = problem.mesh, problem.linear_operator
     free = op0.free
     a = op0.free_matrix.diagonal()
-    data_max = float(np.max(problem.dirichlet_data.values[~free]))
     place = (f"on mesh {mesh.n_radial}x{mesh.n_angular}, omega_min {mesh.domain.omega_min:.6g}, "
-             f"Dirichlet data max {data_max:.6g}")
+             f"Dirichlet data max {pick_cap(problem):.6g}")
     state = _NewtonState(u, place)
 
     def normalized_residual(vec):
@@ -615,7 +612,7 @@ def monotone_iterate(
     free = problem.linear_operator.free
     data = problem.dirichlet_data.values
     S = float(S)
-    if S < np.max(data[~free]):
+    if S < pick_cap(problem):
         raise ValueError(f"cap S = {S:.6g} lies below the Dirichlet data maximum")
     otol = 1e-12 * max(1.0, S)
     lower = np.where(free, 0.0, data)

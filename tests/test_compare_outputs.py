@@ -53,3 +53,31 @@ def test_compare_csv_reads_shared_columns_across_changed_headers(tmp_path):
     ]
     assert compare_outputs.compare_csv(parent, longer) == [
         "  row count differs: 2 against 3 rows"]
+
+
+CONFIG = """
+[cone]
+n = 3
+d = 1
+h = 1.0
+[experiment]
+kind = solve
+plot = false
+{extra}
+[mesh]
+n_radial = 8
+n_angular = 8
+"""
+
+
+def test_run_configs_reports_each_runs_own_peak_or_exit_code(tmp_path):
+    # each config runs in a fresh interpreter reaped by os.wait4, which
+    # reads that child's own peak, in MB; a run that fails (here a config
+    # error, exit 1) shows its exit code instead
+    small, broken = tmp_path / "small.cfg", tmp_path / "broken.cfg"
+    small.write_text(CONFIG.format(extra=""))
+    broken.write_text(CONFIG.format(extra="method = chord"))
+    mb, failed = compare_outputs.run_configs(compare_outputs.ROOT, [small, broken],
+                                             tmp_path / "out")
+    assert 10.0 < float(mb) < 10000.0
+    assert failed == "exit 1"

@@ -209,6 +209,25 @@ def test_assembly_peak_stays_below_twice_the_operator():
     assert peak < 2.0 * held
 
 
+def test_principal_eigen_forms_no_abs_copy_of_the_block():
+    # the Gershgorin bound reads the row sums A 1 of the Z-matrix, so no
+    # nnz-sized |A| is formed: at 200^2 the traced peak of principal_eigen
+    # stays below 1.9 times the bytes of the free block, which an |A| copy
+    # exceeds
+    cone = ConeModel(3, 1, 1.0)
+    mesh = make_mesh(omega_min=cone.theta / 8, nn=200)
+    op = flat_cone_problem(mesh, 1.0, 1.0, 1.0).linear_operator
+    A = op.free_matrix
+    block = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    tracemalloc.start()
+    try:
+        principal_eigen(op, "volume")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.9 * block
+
+
 # ---------------------------------------------------------------------------
 # mixed solves
 # ---------------------------------------------------------------------------

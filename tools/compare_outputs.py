@@ -5,16 +5,22 @@ Usage, from the root of this checkout:
     python3 tools/compare_outputs.py --parent PATH
 
 Runs `coneyamabe <kind> --config ... --threads 1` on every file of this
-checkout's perfbench/configs in both checkouts, each importing the package
-from its own src/, and writes the outputs to a temporary directory.  For
-every output file it then prints `identical`, or what differs: for a CSV
-table the columns only one side has and the largest relative difference
-of every numeric column both have (a differing row count is one line), for
-summary.txt that of every `key = value` line whose value changed (keys
-whose last dotted part starts with `seconds` are skipped, since timing
-differs on every run), and for both every non-numeric cell or value that
-differs.
+checkout's perfbench/configs in both checkouts, each in a fresh process
+importing the package from its own src/, and writes the outputs to a
+temporary directory.  For every output file it then prints `identical`, or
+what differs: for a CSV table the columns only one side has and the
+largest relative difference of every numeric column both have (a differing
+row count is one line), for summary.txt that of every `key = value` line
+whose value changed (keys whose last dotted part starts with `seconds` are
+skipped, since timing differs on every run), and for both every
+non-numeric cell or value that differs.
 Any other file that differs is reported with its count of differing lines.
+Last comes a table of each run's peak resident memory, one line per
+config with a column per side: the child's own ru_maxrss, read when
+os.wait4 reaps it, in MB (1024 kB), or `exit N` for a run that failed.
+One run in a fresh process carries none of the benchmark loop's repeated
+rounds, so the figure is the memory of the program, free of the round
+count and of the captures the loop holds.
 This is a report, not a gate: it exits 0 whatever it finds.  Standard
 library only.
 """
@@ -127,18 +133,23 @@ def compare_dirs(parent: Path, change: Path) -> list[str]:
     return report
 
 
-def run_configs(checkout: Path, out: Path) -> list[str]:
-    """Every config of this checkout through checkout's CLI; a line per nonzero exit."""
+def run_configs(checkout: Path, configs: list[Path], out: Path) -> list[str]:
+    """Each config through checkout's CLI in a fresh process: per config,
+    that process's peak resident memory in MB, or `exit N` if it failed."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    failures = []
-    for cfg in sorted((ROOT / "perfbench" / "configs").glob("*.cfg")):
+    peaks = []
+    for cfg in configs:
         kind = re.search(r"^kind\s*=\s*(\S+)", cfg.read_text(), re.M).group(1)
         cmd = [sys.executable, "-m", "coneyamabe.cli", kind, "--config", str(cfg),
                "--out", str(out / cfg.stem), "--threads", "1"]
-        code = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True).returncode
-        if code != 0:
-            failures.append(f"{checkout}: {cfg.name} exited {code}")
-    return failures
+        proc = subprocess.Popen(cmd, cwd=checkout, env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        # this child's own rusage: RUSAGE_CHILDREN keeps only the largest of all
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        peaks.append(f"exit {proc.returncode}" if proc.returncode else
+                     f"{usage.ru_maxrss / 1024.0:.1f}")
+    return peaks
 
 
 def main(argv=None) -> int:
@@ -148,13 +159,17 @@ def main(argv=None) -> int:
     parent = args.parent.resolve()
     if not (parent / "src" / "coneyamabe").is_dir():
         parser.error(f"parent checkout {parent} has no src/coneyamabe")
+    configs = sorted((ROOT / "perfbench" / "configs").glob("*.cfg"))
+    sides = {"parent": parent, "change": ROOT}
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"parent": parent, "change": ROOT}
-        for side, checkout in sides.items():
-            for line in run_configs(checkout, Path(tmp) / side):
-                print(line)
+        peaks = {side: run_configs(checkout, configs, Path(tmp) / side)
+                 for side, checkout in sides.items()}
         for line in compare_dirs(Path(tmp) / "parent", Path(tmp) / "change"):
             print(line)
+    width = max(len(cfg.stem) for cfg in configs)
+    print(f"{'config':<{width}}  " + "  ".join(f"{side + ' MB':>10}" for side in sides))
+    for k, cfg in enumerate(configs):
+        print(f"{cfg.stem:<{width}}  " + "  ".join(f"{peaks[side][k]:>10}" for side in sides))
     return 0
 
 
