@@ -357,6 +357,7 @@ def run_eigen(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:
     mesh = build_mesh(cfg.domain(), cfg.n_radial, cfg.n_angular, cfg.grading)
     problem = _build_problem(cfg, mesh)
     op = assemble(mesh, problem.c, problem.c2_lin)
+    del problem  # the eigen factorization runs beside the operator alone
     lam, vec = principal_eigen(op, cfg.eigen_denominator)
     rq = rayleigh_quotient(op, vec)
     rows = [[cfg.eigen_denominator, lam, rq,

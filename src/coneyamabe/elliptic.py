@@ -100,23 +100,30 @@ class OperatorAssembly:
                          the Dirichlet-tagged corners carry none)
     c, c2              : linear potentials (full-length arrays; c2 read on Robin)
     m_matrix_ok        : row-sum certificate c >= 0 and c2 >= 0
-    matrix             : integrated-form matrix, the edge conductances plus
-                         the volume and surface mass terms of c and c2 on
-                         the diagonal (sorted int32 CSR, all nodes)
     free               : mask of the free nodes (interior and Robin), read-only;
                          every residual and solve on the operator reads it,
                          so it is formed once here rather than per call
-    free_matrix        : matrix restricted to the free nodes, rows and
-                         columns (sorted int32 CSR, symmetric, so its arrays
-                         are also its CSC arrays)
-    stiffness          : the edge-conductance part alone, formed on demand
-                         from matrix (see the property); no solver reads it
+    free_matrix        : the integrated-form matrix A (the edge conductances
+                         plus the volume and surface mass terms of c and c2
+                         on the diagonal) restricted to the free nodes, rows
+                         and columns (sorted int32 CSR, symmetric, so its
+                         arrays are also its CSC arrays)
+    coupling           : the free rows of A in the Dirichlet columns, one
+                         entry per edge from a free node to a Dirichlet one
+                         (sorted int32 CSR, free rows x all nodes), so that
+                         (A u)[free] is free_matrix @ u[free] + coupling @ u
+                         (apply_free)
+    matrix, stiffness  : the full-grid A and its edge-conductance part
+                         alone, formed on demand (see the properties); no
+                         solver reads them
 
-    These are the operator's only matrices.  Only what depends on a
-    factorization is filled in later: the minimum-degree elimination order
-    of the free block, computed by the first _factor_spd of this operator,
-    the free block permuted into that order with the positions of its
-    diagonal, built by the second, and solve_mixed's factor.  That factor
+    These are the operator's only matrices: the solvers' unknowns are the
+    free values, and the Dirichlet data enter only through the coupling.
+    Only what depends on a factorization is filled in later: the
+    minimum-degree elimination order of the free block, computed by the
+    first _factor_spd of this operator, the free block permuted into that
+    order with the positions of its diagonal, built by the second, and
+    solve_mixed's factor.  That factor
     is kept for reproducibility as well as speed: the first factor of an
     operator (minimum-degree ordering) and a later one (the cached order)
     are the same matrix but round differently, so refactoring per solve
@@ -130,24 +137,35 @@ class OperatorAssembly:
     c: np.ndarray
     c2: np.ndarray
     m_matrix_ok: bool
-    matrix: sp.csr_matrix
     free: np.ndarray
     free_matrix: sp.csr_matrix
+    coupling: sp.csr_matrix
 
     _free_factor: object | None = None
     _free_order: np.ndarray | None = None
     _free_permuted: tuple[sp.csc_matrix, np.ndarray] | None = None
 
     @property
+    def matrix(self) -> sp.csr_matrix:
+        """A new sorted int32 CSR matrix of A on all nodes, bitwise the
+        matrix assemble forms its free block's diagonal from: the stiffness
+        plus the volume and surface mass terms of c and c2 on the diagonal."""
+        A, pos = _stiffness(*_grid_weights(self.mesh)[:2])
+        A.data[pos] += self.volume_mass * self.c + self.boundary_mass * self.c2
+        return A
+
+    @property
     def stiffness(self) -> sp.csr_matrix:
-        """A new CSR copy of matrix with its diagonal replaced by minus the
-        sum of each row's off-diagonal entries, formed as assemble forms
-        it: the edge-conductance part, whose kernel holds the constants."""
-        S = self.matrix.copy()
-        pos = _diagonal_positions(S)[0]
-        S.data[pos] = 0.0
-        S.data[pos] = -np.add.reduceat(S.data, S.indptr[:-1])
-        return S
+        """A new sorted int32 CSR matrix of the edge-conductance part of A on
+        all nodes, whose kernel holds the constants (see _stiffness)."""
+        return _stiffness(*_grid_weights(self.mesh)[:2])[0]
+
+    def apply_free(self, u: np.ndarray) -> np.ndarray:
+        """The free rows of A u for u on all nodes: the free block times the
+        free values plus the coupling times the Dirichlet values.  It
+        agrees with (matrix @ u)[free] to the rounding of a sum taken in
+        another order."""
+        return self.free_matrix @ u[self.free] + self.coupling @ u
 
 
 def _half_widths(nodes: np.ndarray) -> np.ndarray:
@@ -191,27 +209,10 @@ def _five_point_csr(k_rad: np.ndarray, k_ang: np.ndarray) -> tuple[sp.csr_matrix
     return sp.csr_matrix((data, indices, indptr), shape=(R * C,) * 2), mid.ravel()
 
 
-def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
-    """Assemble the weighted divergence-form operator with Robin rows.
-
-    c is the interior linear potential, c2 the Robin potential, each given
-    in any form Field.of takes (c2 is only read on ROBIN_CONE nodes).
-    Builds the full matrix and its free block, the two matrices every
-    solve, residual and quotient reads, straight into sorted int32 CSR from
-    the edge conductances: the free nodes (interior and Robin) form the
-    sub-grid of radial rows 1..nr-2 and angular columns 1..na-1, so the
-    free block is the same five-point stencil on that sub-grid with the
-    full rows' diagonal.  The diagonal is minus the sum of each row's
-    off-diagonal entries in column order, by np.add.reduceat as
-    scipy's row sum forms it (the row's empty diagonal slot adds an exact
-    zero), plus the volume and surface mass terms of c and c2; constants
-    thus sit in the kernel of the stiffness up to matvec-order roundoff.
-    Off-diagonal entries are nonpositive by construction; the certificate
-    degrades only through negative c or c2, which is reported as a
-    warning, not an error.
-    """
-    cvals, c2vals = Field.of(mesh, c).values, Field.of(mesh, c2).values
-
+def _grid_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(k_rad, k_ang, volume_mass, boundary_mass) of the mesh: the radial
+    and angular edge conductances in _five_point_csr's layout, and the
+    volume and surface weights per node."""
     cone = mesh.domain.cone
     p = cone.n - cone.d
     radial = mesh.radial_nodes
@@ -233,6 +234,70 @@ def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
     om_half = 0.5 * (angular[:-1] + angular[1:])
     k_ang = np.outer(radial ** (p - 1) * dxiw, np.sin(om_half) ** (p - 1) / gom)
 
+    # volume density in (xi, omega): Wt = rho_polar^(p+1) sin^(p-1)(omega)
+    volume_mass = np.outer(radial ** (p + 1) * dxiw, sin_domw).ravel()
+    # surface density per unit xi: rho_polar^p sin^(p-1)(theta), off the corners
+    boundary_mass = np.zeros((nr, na))
+    boundary_mass[1:-1, -1] = radial[1:-1] ** p * np.sin(angular[-1]) ** (p - 1) * dxiw[1:-1]
+    return k_rad, k_ang, volume_mass, boundary_mass.ravel()
+
+
+def _stiffness(k_rad: np.ndarray, k_ang: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The full grid's edge-conductance matrix in sorted int32 CSR, with
+    the positions of its diagonal in its data.  The diagonal is minus the
+    sum of each row's off-diagonal entries in column order, by
+    np.add.reduceat as scipy's row sum forms it (the row's empty diagonal
+    slot adds an exact zero); constants thus sit in its kernel up to
+    matvec-order roundoff."""
+    S, pos = _five_point_csr(k_rad, k_ang)
+    S.data[pos] = -np.add.reduceat(S.data, S.indptr[:-1])
+    return S, pos
+
+
+def _dirichlet_coupling(k_rad: np.ndarray, k_ang: np.ndarray) -> sp.csr_matrix:
+    """The free rows' entries in the Dirichlet columns of an R x C grid's
+    five-point matrix, -k for each edge from a free node to a Dirichlet
+    one, in sorted int32 CSR over the free rows x all nodes.
+
+    The free node (i, j), i in 1..R-2 and j in 1..C-1, at free row
+    (i-1) (C-1) + j-1, meets the radial end i = 0 when i = 1, the inner
+    face j = 0 when j = 1 and the radial end i = R-1 when i = R-2: R + 2C - 4
+    entries, which a stable sort by row leaves in column order.
+    """
+    R, C = k_ang.shape[0], k_rad.shape[1]
+    row = np.arange((R - 2) * (C - 1), dtype=np.int32).reshape(R - 2, C - 1)
+    node = np.arange(R * C, dtype=np.int32).reshape(R, C)
+    rows = np.concatenate([row[0], row[:, 0], row[-1]])
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(row.size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=row.size), dtype=np.int32, out=indptr[1:])
+    indices = np.concatenate([node[0, 1:], node[1:-1, 0], node[-1, 1:]])[order]
+    data = -np.concatenate([k_rad[0, 1:], k_ang[1:-1, 0], k_rad[-1, 1:]])[order]
+    return sp.csr_matrix((data, indices, indptr), shape=(row.size, R * C))
+
+
+def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
+    """Assemble the weighted divergence-form operator with Robin rows.
+
+    c is the interior linear potential, c2 the Robin potential, each given
+    in any form Field.of takes (c2 is only read on ROBIN_CONE nodes).
+    Builds the two matrices every solve, residual and quotient reads, the
+    free block and the Dirichlet coupling, straight into sorted int32 CSR
+    from the edge conductances: the free nodes (interior and Robin) form
+    the sub-grid of radial rows 1..nr-2 and angular columns 1..na-1, so the
+    free block is the same five-point stencil on that sub-grid with the
+    full rows' diagonal, and the coupling holds the edges that leave it.
+    That diagonal is the full grid's stiffness diagonal (_stiffness),
+    plus the volume and surface mass terms of c and c2; the full-grid
+    build it is read from is dropped before the free block is made, so
+    the operator holds no full-grid matrix (OperatorAssembly.matrix forms
+    one on demand).  Off-diagonal entries are nonpositive by
+    construction; the certificate degrades only through negative c or c2,
+    which is reported as a warning, not an error.
+    """
+    cvals, c2vals = Field.of(mesh, c).values, Field.of(mesh, c2).values
+    k_rad, k_ang, volume_mass, boundary_mass = _grid_weights(mesh)
+
     margin = float(min(np.min(cvals), np.min(c2vals[mesh.robin_mask])))
     ok = margin >= 0.0
     if not ok:
@@ -243,19 +308,12 @@ def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
             stacklevel=2,
         )
 
-    # volume density in (xi, omega): Wt = rho_polar^(p+1) sin^(p-1)(omega)
-    volume_mass = np.outer(radial ** (p + 1) * dxiw, sin_domw).ravel()
-    # surface density per unit xi: rho_polar^p sin^(p-1)(theta), off the corners
-    boundary_mass = np.zeros((nr, na))
-    boundary_mass[1:-1, -1] = radial[1:-1] ** p * np.sin(angular[-1]) ** (p - 1) * dxiw[1:-1]
-    boundary_mass = boundary_mass.ravel()
-
-    matrix, pos = _five_point_csr(k_rad, k_ang)
-    diag = -np.add.reduceat(matrix.data, matrix.indptr[:-1])
+    stiffness, pos = _stiffness(k_rad, k_ang)
+    diag = stiffness.data[pos]
+    del stiffness, pos
     diag += volume_mass * cvals + boundary_mass * c2vals
-    matrix.data[pos] = diag
     free_matrix, pos = _five_point_csr(k_rad[1:-1, 1:], k_ang[1:-1, 1:])
-    free_matrix.data[pos] = diag.reshape(nr, na)[1:-1, 1:].ravel()
+    free_matrix.data[pos] = diag.reshape(mesh.n_radial, mesh.n_angular)[1:-1, 1:].ravel()
     free = mesh.free_mask
     free.setflags(write=False)
     return OperatorAssembly(
@@ -265,9 +323,9 @@ def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
         c=cvals.copy(),
         c2=c2vals.copy(),
         m_matrix_ok=ok,
-        matrix=matrix,
         free=free,
         free_matrix=free_matrix,
+        coupling=_dirichlet_coupling(k_rad, k_ang),
     )
 
 
@@ -387,9 +445,9 @@ def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=0.0) -> Lin
     mixed weak form; they and the Dirichlet data take any form Field.of
     takes, and Dirichlet rows return the supplied data exactly.  The free
     rows' right side is the integrated source minus the Dirichlet lift,
-    op.matrix applied to the data with its free entries zeroed: CSR matvec
-    sums each row in column order and the free columns add exact zeros, so
-    the lift is bitwise the free-to-fixed block times the data.  The first
+    op.coupling applied to the data, bitwise the full matrix applied to the
+    data with its free entries zeroed (CSR matvec sums each row in column
+    order, and there the free columns add exact zeros).  The first
     solve with an operator factors its free block by _factor_spd and caches
     the factor on the operator, so later solves with it, serial or
     concurrent, are back-substitutions on that one factor.  Raises
@@ -402,7 +460,7 @@ def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=0.0) -> Lin
                            for f in (rhs, dirichlet_data, robin_rhs))
     free = op.free
     b = op.volume_mass * rvals + op.boundary_mass * gvals
-    b_f = b[free] - (op.matrix @ np.where(free, 0.0, dvals))[free]
+    b_f = b[free] - op.coupling @ dvals
     if op._free_factor is None:
         op._free_factor = _factor_spd(op)
     x = op._free_factor.solve(b_f)
@@ -422,7 +480,8 @@ def rayleigh_quotient(op: OperatorAssembly, zeta) -> float:
 
     zeta, in any form Field.of takes, must vanish on every Dirichlet-tagged
     node; this is the variational quotient whose infimum the principal
-    eigenvalue realizes.
+    eigenvalue realizes.  The numerator reads the free values z_f alone,
+    z_f . (free_matrix z_f).
     """
     z = Field.of(op.mesh, zeta).values
     if np.any(z[op.mesh.dirichlet_mask] != 0.0):
@@ -430,7 +489,8 @@ def rayleigh_quotient(op: OperatorAssembly, zeta) -> float:
     den = float(np.sum(op.volume_mass * z * z))
     if den == 0.0:
         raise ValueError("zeta is identically zero on the volume quadrature")
-    return float(z @ (op.matrix @ z)) / den
+    zf = z[op.free]
+    return float(zf @ (op.free_matrix @ zf)) / den
 
 
 def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:

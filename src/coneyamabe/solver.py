@@ -33,9 +33,9 @@ Two routes to the discrete solution are provided and cross-checked:
   lower branch starts at zero, a subsolution, and steps with the factor
   Newton holds at each step once that factor was built at a
   supersolution, so it increases to the solution without passing it.  It
-  stops once the bracket is narrower than tol (1 + max upper) on the free
-  nodes, which makes tol a proven bound on the error of the reported
-  lower limit.
+  stops once every free node's bracket is narrower than tol (1 + upper)
+  there, which makes tol a proven bound on the error of the reported
+  lower limit at each node.
 
 Both run the one step, clip and refactor loop of _newton_steps, whose
 factors come from elliptic._factor_spd, as principal_eigen's do.
@@ -212,7 +212,8 @@ class NonlinearProblem:
     def integrated_residual(self, u: np.ndarray) -> np.ndarray:
         """Integrated-form residual of the discrete system on the free rows (the
         Newton objective), (A u) plus the absorption, at u clipped at zero
-        (_free_residual); the Dirichlet entries of u enter only through A u."""
+        (_free_residual); the Dirichlet entries of u enter only through the
+        operator's coupling."""
         return _free_residual(self, np.maximum(u, 0.0))[0]
 
     def residual_parts(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,7 +325,7 @@ def _free_residual(problem: NonlinearProblem, u: np.ndarray):
     op = problem.linear_operator
     with np.errstate(over="ignore", invalid="ignore"):
         value, slope = problem.absorption(u[op.free])
-        Au = (op.matrix @ u)[op.free]
+        Au = op.apply_free(u)
         return Au + value, Au, value, slope
 
 
@@ -370,7 +371,7 @@ def _jacobi_sweeps(problem: NonlinearProblem, u: np.ndarray) -> np.ndarray:
     u = u.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(JACOBI_SWEEPS):
-            r = np.maximum(a * u[free] - (op.matrix @ u)[free], 0.0)
+            r = np.maximum(a * u[free] - op.apply_free(u), 0.0)
             x = r / a
             if c0:
                 x = np.minimum(x, (r / (vm * c0)) ** (1.0 / p))
@@ -598,15 +599,15 @@ def monotone_iterate(
     1e-12 * max(1, S) (lower nondecreasing, upper nonincreasing from S,
     0 <= lower <= upper <= S), and a step that is not finite fails it;
     violations raise OrderingViolationError, a failed discrete maximum
-    principle.  Stops when the width is below tol * (1 + max upper), or
-    16 eps max(lower), the rounding level of large data, each maximum
-    taken on the free nodes, so tol bounds the error of either branch
-    relative to the solution, not to the data (the Dirichlet rows hold the
-    data in both branches; from the swept lift on, the data maximum can
-    lie orders of magnitude above every free value); else, after max_iter
-    steps,
-    NonConvergenceError, as for an overflowing c0 u^p or c1 u^q.  Every
-    error names the mesh, omega_min and the data maximum.
+    principle.  Stops when every free node's width upper_i - lower_i is
+    at most tol * (1 + upper_i), or 16 eps lower_i, the rounding level of
+    that node's value, so tol bounds the error of either branch at each
+    node relative to the solution there, not to the data or to the
+    largest free value (the Dirichlet rows hold the data in both branches,
+    and at huge data the free values span many orders of magnitude); else,
+    after max_iter steps, NonConvergenceError, as for an overflowing
+    c0 u^p or c1 u^q.  Every error names the mesh, omega_min and the data
+    maximum.
     """
     mesh = problem.mesh
     free = problem.linear_operator.free
@@ -636,8 +637,8 @@ def monotone_iterate(
             )
         lower, upper = new_lower, new_upper
         width = float(np.max(upper - lower))
-        floor = 16.0 * np.finfo(float).eps * float(np.max(lower[free]))
-        if width <= max(tol * (1.0 + float(np.max(upper[free]))), floor):
+        if np.all(upper[free] - lower[free]
+                  <= np.maximum(tol * (1.0 + upper[free]), 16.0 * np.finfo(float).eps * lower[free])):
             break
     else:
         raise NonConvergenceError(

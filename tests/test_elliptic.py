@@ -1,5 +1,6 @@
 """Assembly, mixed solves, Rayleigh quotient and principal eigenvalue."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -207,6 +208,26 @@ def test_assembly_peak_stays_below_twice_the_operator():
         tracemalloc.stop()
     assert op.free_matrix.nnz > 0
     assert peak < 2.0 * held
+
+
+def test_assembly_holds_no_full_grid_matrix():
+    # the operator keeps the free block and the Dirichlet coupling, and
+    # forms the full five-point matrix on demand: at 128^2 (3,1), theta/8,
+    # the traced bytes its result holds stay below 1.9 MB, which the full
+    # matrix held beside the free block exceeds (2.62 MB)
+    cone = ConeModel(3, 1, 1.0)
+    mesh = make_mesh(omega_min=cone.theta / 8, nn=128)
+    c2 = flat_cone_problem(mesh, 1.0, 1.0, 1.0).c2_lin
+    tracemalloc.start()
+    try:
+        op = assemble(mesh, 0.0, c2)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1.9e6
+    for field in dataclasses.fields(op):
+        value = getattr(op, field.name)
+        assert not (sp.issparse(value) and value.shape[0] == mesh.n_nodes), field.name
 
 
 def test_principal_eigen_forms_no_abs_copy_of_the_block():

@@ -299,6 +299,43 @@ def test_newtons_row_scale_reads_abs_a_through_the_z_matrix_identity(problem, se
 
 
 @st.composite
+def operators_data_and_vectors(draw):
+    # an operator with random nonnegative potentials on a random cone and a
+    # mesh of independent radial and angular sizes, nonnegative data up to
+    # 2^40 with zeros, and a signed u over many orders of magnitude
+    n = draw(st.integers(3, 5))
+    cone = ConeModel(n, draw(st.integers(1, n - 1)), draw(st.floats(0.5, 2.0)))
+    mesh = build_mesh(ReducedDomain(cone, 0.5, 2.0, cone.theta / 8.0),
+                      draw(st.integers(4, 14)), draw(st.integers(4, 14)), 2.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    op = assemble(mesh, rng.uniform(0.0, 2.0, mesh.n_nodes), rng.uniform(0.0, 1.0, mesh.n_nodes))
+    data = 2.0 ** draw(st.integers(0, 40)) * rng.random(mesh.n_nodes) * (rng.random(mesh.n_nodes) < 0.8)
+    u = 2.0 ** draw(st.integers(-20, 20)) * rng.normal(size=mesh.n_nodes)
+    return op, data, u
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=operators_data_and_vectors())
+def test_the_free_block_and_the_coupling_are_the_free_rows_of_the_matrix(case):
+    # the operator keeps the free rows of its matrix as the free block and
+    # the coupling into the Dirichlet columns: the Dirichlet lift
+    # coupling @ data is bitwise the full matrix on the data with its free
+    # entries zeroed, and free_matrix @ u[free] + coupling @ u (apply_free)
+    # is (A u)[free] up to a few ulps of (|A| |u|)[free], the rounding of
+    # the two sums' different orders
+    op, data, u = case
+    free = op.free
+    A = op.matrix
+    lift = op.coupling @ data
+    assert lift.tobytes() == (A @ np.where(free, 0.0, data))[free].tobytes()
+    scale = (abs(A) @ np.abs(u))[free]
+    assert np.all(np.abs(op.apply_free(u) - (A @ u)[free]) <= 8.0 * np.finfo(float).eps * scale)
+    mesh = op.mesh
+    assert op.coupling.nnz == mesh.n_radial + 2 * mesh.n_angular - 4
+    assert op.coupling.has_sorted_indices and op.coupling.indices.dtype == np.int32
+
+
+@st.composite
 def face_problems(draw):
     # unit data and coefficients on an 8x8 mesh of a random cone
     n = draw(st.integers(3, 7))

@@ -383,6 +383,26 @@ def test_monotone_branches_step_on_newtons_factors(factors):
         assert np.max(np.abs(branch - ref)) <= 1e-10 * (1.0 + np.max(ref))
 
 
+def test_monotone_bracket_closes_at_every_free_node_at_huge_data():
+    # at constant data 1e120 on the 8x8 (3,1) mesh at theta/8 the free
+    # values run from about 19.3 to 5.8e24.  A stop floor set by the
+    # largest of them, 16 eps max(lower), ended the bracket after 10 steps
+    # with the smallest free node left between 2.7e-13 and 2.8e4; measured
+    # per node, each width is within tol (1 + upper_i) or its own rounding
+    # level, and the lower limit lies within tol (1 + u_i) of Newton's
+    cone = ConeModel(3, 1, 1.0)
+    mesh = make_mesh(omega_min=cone.theta / 8, nn=8)
+    prob = flat_cone_problem(mesh, 1.0, 1.0, 1e120)
+    tol = 1e-8
+    rep, upper = monotone_iterate(prob, pick_cap(prob), tol=tol)
+    free = mesh.free_mask
+    lo, hi = rep.solution.values[free], upper.values[free]
+    assert np.all(hi - lo <= np.maximum(tol * (1.0 + hi), 16.0 * np.finfo(float).eps * lo))
+    ref = newton_solve(prob, tol=1e-13).solution.values[free]
+    assert np.max(ref) > 1e20 * np.min(ref)
+    assert np.all(np.abs(lo - ref) <= tol * (1.0 + ref))
+
+
 # ---------------------------------------------------------------------------
 # Newton and scheme equivalence
 # ---------------------------------------------------------------------------
