@@ -54,7 +54,7 @@ __all__ = [
     "principal_eigen",
 ]
 
-EIGEN_TOL = 1e-10      # relative settling of the Rayleigh quotient in principal_eigen
+EIGEN_TOL = 1e-10      # relative tail of the Rayleigh quotients at principal_eigen's stop
 EIGEN_MAX_ITER = 500
 # SuperLU's keywords for every factorization; _factor_spd says why
 _SPLU_KEYWORDS = {"diag_pivot_thresh": 0.0, "panel_size": 1,
@@ -112,13 +112,13 @@ class OperatorAssembly:
                          entry per edge from a free node to a Dirichlet one
                          (sorted int32 CSR, free rows x all nodes), so that
                          (A u)[free] is free_matrix @ u[free] + coupling @ u
-                         (apply_free)
     matrix, stiffness  : the full-grid A and its edge-conductance part
                          alone, formed on demand (see the properties); no
                          solver reads them
 
-    These are the operator's only matrices: the solvers' unknowns are the
-    free values, and the Dirichlet data enter only through the coupling.
+    These are the operator's only matrices: the solvers iterate on the
+    free values, and the Dirichlet data enter as one vector per solve,
+    coupling @ data.
     Only what depends on a factorization is filled in later: the
     minimum-degree elimination order of the free block, computed by the
     first _factor_spd of this operator, the free block permuted into that
@@ -159,13 +159,6 @@ class OperatorAssembly:
         """A new sorted int32 CSR matrix of the edge-conductance part of A on
         all nodes, whose kernel holds the constants (see _stiffness)."""
         return _stiffness(*_grid_weights(self.mesh)[:2])[0]
-
-    def apply_free(self, u: np.ndarray) -> np.ndarray:
-        """The free rows of A u for u on all nodes: the free block times the
-        free values plus the coupling times the Dirichlet values.  It
-        agrees with (matrix @ u)[free] to the rounding of a sum taken in
-        another order."""
-        return self.free_matrix @ u[self.free] + self.coupling @ u
 
 
 def _half_widths(nodes: np.ndarray) -> np.ndarray:
@@ -503,8 +496,11 @@ def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
     each row sum is the diagonal entry minus the off-diagonal magnitudes,
     the identity of _factor_spd's certificate, and the bound is tight,
     about the least potential.  _factor_spd factors the shifted matrix
-    once and certifies it positive definite.  The iteration stops once the
-    quotient settles to EIGEN_TOL relative, else NonConvergenceError after
+    once and certifies it positive definite.  The quotients decrease to
+    the eigenvalue by geometrically contracting steps D_k = lam_(k-1) -
+    lam_k, so the iteration stops at a step D_k <= 0, which is rounding, or
+    once D_k < D_(k-1) and the tail D_k^2 / (D_(k-1) - D_k) is at most
+    EIGEN_TOL (1 + |lam_k|); else NonConvergenceError after
     EIGEN_MAX_ITER sweeps.  Each sweep normalizes the iterate to
     sup |v| = 1; the certified factor has a nonnegative inverse and the
     iteration starts from ones, so the largest entry is +1 and the
@@ -527,23 +523,15 @@ def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
     factor = _factor_spd(op, mu * bdiag)
 
     v = np.ones(n)
-    lam = math.inf
-    lam_old = math.inf
-    polish = 0
+    lam = step = math.nan  # the quotient and its last decrease; none before the first sweep
     for _ in range(EIGEN_MAX_ITER):
         w = factor.solve(bdiag * v)
         w /= np.max(np.abs(w))
-        lam = float((w @ (A @ w)) / (w @ (bdiag * w)))
-        v = w
-        if polish:
-            polish -= 1
-            if polish == 0:
-                break
-        elif abs(lam - lam_old) <= EIGEN_TOL * (1.0 + abs(lam)):
-            # a few extra sweeps: the quotient increment underestimates the
-            # eigenvalue error when the spectral gap is small
-            polish = 4
-        lam_old = lam
+        quotient = float((w @ (A @ w)) / (w @ (bdiag * w)))
+        step, last = lam - quotient, step
+        lam, v = quotient, w
+        if step <= 0.0 or (step < last and step * step / (last - step) <= EIGEN_TOL * (1.0 + abs(lam))):
+            break
     else:
         raise NonConvergenceError(
             f"inverse power iteration did not settle in {EIGEN_MAX_ITER} iterations",

@@ -22,10 +22,10 @@ Two routes to the discrete solution are provided and cross-checked:
   so a certified factor is kept across steps while they contract fast,
   and every Jacobian of one operator is factored under the one
   fill-reducing ordering computed for the first.  A start given to it
-  first runs two nonlinear Jacobi sweeps, which move it into Newton's
-  basin near blow-up data; from the default start the sweeps run on the
-  first iterate, the linear lift of the data.  Used as the inner solver
-  for the exhaustion limits.
+  first runs nonlinear Jacobi sweeps, two and more while some node still
+  halves, which move it into Newton's basin near blow-up data; from the
+  default start the sweeps run on the first iterate, the linear lift of
+  the data.  Used as the inner solver for the exhaustion limits.
 
 * monotone_iterate is the two-sided Newton bracket for convex M-functions
   (Ortega-Rheinboldt, ch. 13.3).  Its upper branch is Newton's iterates
@@ -37,8 +37,9 @@ Two routes to the discrete solution are provided and cross-checked:
   there, which makes tol a proven bound on the error of the reported
   lower limit at each node.
 
-Both run the one step, clip and refactor loop of _newton_steps, whose
-factors come from elliptic._factor_spd, as principal_eigen's do.
+Both run the one step, clip and refactor loop of _newton_steps on the
+free values, the data entering as one vector per solve, coupling @ data;
+its factors come from elliptic._factor_spd, as principal_eigen's do.
 
 On top of these sit the large-data exhaustion (Dirichlet data m -> infinity
 with interior stabilization), the maximal-solution limit over shrinking
@@ -95,6 +96,7 @@ __all__ = [
 DEFAULT_DATA_SEQUENCE = tuple(float(2**k) for k in range(17))  # 1, 2, ..., 2^16
 NEWTON_MAX_ITER = 60  # the step limit of newton_solve and of the monotone bracket
 JACOBI_SWEEPS = 2  # nonlinear Jacobi sweeps on every start given to newton_solve
+JACOBI_MAX_SWEEPS = 64  # and at most this many while some node still falls by half
 # the nodewise order checks across data values and across truncation levels
 # allow a violation of at most ORDER_TOL * (1 + max|u|), solver tolerance
 ORDER_TOL = 1e-8
@@ -213,8 +215,9 @@ class NonlinearProblem:
         """Integrated-form residual of the discrete system on the free rows (the
         Newton objective), (A u) plus the absorption, at u clipped at zero
         (_free_residual); the Dirichlet entries of u enter only through the
-        operator's coupling."""
-        return _free_residual(self, np.maximum(u, 0.0))[0]
+        operator's coupling, as coupling @ u."""
+        u, op = np.maximum(u, 0.0), self.linear_operator
+        return _free_residual(self, u[op.free], op.coupling @ u)[0]
 
     def residual_parts(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise residual of the discrete system at (interior, Robin) nodes,
@@ -316,40 +319,34 @@ class SolverReport:
     interior_change: float = math.nan  # exhaustion probe change vs previous data level
 
 
-def _free_residual(problem: NonlinearProblem, u: np.ndarray):
-    """(F, Au, value, slope) at a nonnegative u: the integrated residual on
-    the free rows, its linear part A u on the free rows, and the
-    absorption's value and slope from the one problem.absorption call that
-    forms F.  An overflowing term leaves F
+def _free_residual(problem: NonlinearProblem, uf: np.ndarray, load: np.ndarray):
+    """(F, Au, value, slope) at the nonnegative free values uf: the
+    integrated residual on the free rows, its linear part
+    Au = free_matrix @ uf + load, load = coupling @ data being formed once
+    per solve, and the absorption's value and slope from the one
+    problem.absorption call that forms F.  An overflowing term leaves F
     non-finite, without a warning, for the caller to check."""
-    op = problem.linear_operator
     with np.errstate(over="ignore", invalid="ignore"):
-        value, slope = problem.absorption(u[op.free])
-        Au = op.apply_free(u)
+        value, slope = problem.absorption(uf)
+        Au = problem.linear_operator.free_matrix @ uf + load
         return Au + value, Au, value, slope
 
 
-def _row_scale(op: OperatorAssembly, a: np.ndarray, u: np.ndarray, Au: np.ndarray,
+def _row_scale(op: OperatorAssembly, a: np.ndarray, uf: np.ndarray, Au: np.ndarray,
                value: np.ndarray) -> np.ndarray:
-    """The term sizes of each free row of the residual at a nonnegative u,
-    (|A| u) + vm + value on the free rows, given a, the free block's
+    """The term sizes of each free row of the residual at the nonnegative
+    free values uf, (|A| u) + vm + value, given a, the free block's
     diagonal, and Au and value from _free_residual.  The off-diagonal
     entries of A are nonpositive and its diagonal positive, so the free
     rows of |A| u are 2 a u - A u, and no copy of |A| is formed."""
-    return 2.0 * a * u[op.free] - Au + op.volume_mass[op.free] + value
+    return 2.0 * a * uf - Au + op.volume_mass[op.free] + value
 
 
-def _newton_update(u: np.ndarray, free: np.ndarray, factor, F: np.ndarray) -> np.ndarray:
-    """The Newton step u - J^-1 F on the free rows with the factor of J,
-    clipped at zero."""
-    new = u.copy()
-    new[free] += factor.solve(-F)
-    return np.clip(new, 0.0, None)
-
-
-def _jacobi_sweeps(problem: NonlinearProblem, u: np.ndarray) -> np.ndarray:
-    """A nonnegative u after JACOBI_SWEEPS nonlinear Jacobi sweeps on the
-    free rows of the integrated residual.
+def _jacobi_sweeps(problem: NonlinearProblem, uf: np.ndarray, load: np.ndarray) -> np.ndarray:
+    """The nonnegative free values uf after JACOBI_SWEEPS nonlinear Jacobi
+    sweeps on the free rows of the integrated residual (load as in
+    _free_residual), and more while some node fell by more than half in
+    the last one, up to JACOBI_MAX_SWEEPS in all.
 
     Each free node solves its own row with its neighbours frozen,
     a_ii x + vm c0 x^p + bm c1 x^q = r (problem.absorption), where vm and
@@ -360,18 +357,19 @@ def _jacobi_sweeps(problem: NonlinearProblem, u: np.ndarray) -> np.ndarray:
     steps start from their minimum.  The row is convex and increasing in x,
     so the steps stay at or above the root.  This is the nonlinear Jacobi
     method for M-functions (Ortega-Rheinboldt, ch. 13; Rheinboldt 1970).
+    At huge data two sweeps leave the lift far above the solution, and
+    the later ones bring it into Newton's basin.
     A row whose terms overflow is left non-finite, without a warning, for
     Newton's residual check to refuse.
     """
     op = problem.linear_operator
-    free, rob = op.free, problem.mesh.robin_rows
+    rob = problem.mesh.robin_rows
     p, q, c0, c1 = problem.p_interior, problem.p_boundary, problem.c0, problem.c1
-    vm, bm = op.volume_mass[free], op.boundary_mass[free][rob]
+    vm, bm = op.volume_mass[op.free], op.boundary_mass[op.free][rob]
     a = op.free_matrix.diagonal()
-    u = u.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(JACOBI_SWEEPS):
-            r = np.maximum(a * u[free] - op.apply_free(u), 0.0)
+        for sweep in range(1, JACOBI_MAX_SWEEPS + 1):
+            r = np.maximum(a * uf - (op.free_matrix @ uf + load), 0.0)
             x = r / a
             if c0:
                 x = np.minimum(x, (r / (vm * c0)) ** (1.0 / p))
@@ -380,19 +378,32 @@ def _jacobi_sweeps(problem: NonlinearProblem, u: np.ndarray) -> np.ndarray:
             for _ in range(2):
                 value, slope = problem.absorption(x)
                 x -= (a * x - r + value) / (a + slope)
-            u[free] = x
-    return u
+            fell = np.any(x < 0.5 * uf)
+            uf = x
+            if sweep >= JACOBI_SWEEPS and not fell:
+                break
+    return uf
+
+
+def _field(problem: NonlinearProblem, uf: np.ndarray) -> Field:
+    """The Field with the free values uf and the data on the Dirichlet rows."""
+    u = problem.dirichlet_data.values.copy()
+    u[problem.linear_operator.free] = uf
+    return Field(problem.mesh, u)
 
 
 @dataclass
 class _NewtonState:
-    """Newton's iteration after a step: the iterate u, the place its errors
-    name (the mesh, omega_min and the data maximum), the factor that made
-    the step, the row-normalized residual at u, the step's sup-norm
-    increment, and the steps, factorizations and summed fill so far."""
+    """Newton's iteration after a step: the iterate's free values u, the
+    place its errors name (the mesh, omega_min and the data maximum), the
+    iterate's sup over all nodes, the data's maximum included, the factor
+    that made the step, the row-normalized residual at u, the step's
+    sup-norm increment, and the steps, factorizations and summed fill so
+    far."""
 
     u: np.ndarray
     place: str
+    sup: float
     factor: object = None
     res: float = math.inf
     inc: float = math.inf
@@ -400,16 +411,18 @@ class _NewtonState:
     factorizations: int = 0
     fill: int = 0
 
-    def report(self, problem: NonlinearProblem, u: np.ndarray, **extra) -> SolverReport:
-        return SolverReport(solution=Field(problem.mesh, u), final_increment=self.inc,
-                            iterations=self.iterations, residual_sup=problem.residual_sup(u),
+    def report(self, problem: NonlinearProblem, uf: np.ndarray, **extra) -> SolverReport:
+        u = _field(problem, uf)
+        return SolverReport(solution=u, final_increment=self.inc,
+                            iterations=self.iterations, residual_sup=problem.residual_sup(u.values),
                             factorizations=self.factorizations, factor_fill=self.fill, **extra)
 
 
-def _newton_steps(problem: NonlinearProblem, u: np.ndarray, max_iter: int):
-    """Full Newton steps from the nonnegative start u, which holds the data
-    on the Dirichlet rows: yields the _NewtonState after each of at most
-    max_iter steps, one state object updated in place.
+def _newton_steps(problem: NonlinearProblem, u: np.ndarray, load: np.ndarray, max_iter: int):
+    """Full Newton steps from the nonnegative free values u, load being the
+    data's term coupling @ data (_free_residual): yields the _NewtonState
+    after each of at most max_iter steps, one state object updated in
+    place.
 
     The one copy of the step, clip and refactor rules that newton_solve's
     docstring states.  A step after the first that rises raises
@@ -430,11 +443,11 @@ def _newton_steps(problem: NonlinearProblem, u: np.ndarray, max_iter: int):
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     mesh, op0 = problem.mesh, problem.linear_operator
-    free = op0.free
     a = op0.free_matrix.diagonal()
+    top = pick_cap(problem)
     place = (f"on mesh {mesh.n_radial}x{mesh.n_angular}, omega_min {mesh.domain.omega_min:.6g}, "
-             f"Dirichlet data max {pick_cap(problem):.6g}")
-    state = _NewtonState(u, place)
+             f"Dirichlet data max {top:.6g}")
+    state = _NewtonState(u, place, max(float(np.max(u)), top))
 
     def normalized_residual(vec):
         # row-normalized residual: near blow-up data the raw rows span many
@@ -443,7 +456,7 @@ def _newton_steps(problem: NonlinearProblem, u: np.ndarray, max_iter: int):
         # (_row_scale).  Returns the norm, the integrated residual it
         # measured and the absorption's slope at vec.  Every iterate and the
         # data are nonnegative, so |vec| is vec.
-        F, Au, value, slope = _free_residual(problem, vec)
+        F, Au, value, slope = _free_residual(problem, vec, load)
         if not np.all(np.isfinite(F)):
             raise NonConvergenceError(
                 f"non-finite residual at iteration {state.iterations}: c0 u^p or c1 u^q "
@@ -453,7 +466,7 @@ def _newton_steps(problem: NonlinearProblem, u: np.ndarray, max_iter: int):
         return float(np.max(np.abs(F) / _row_scale(op0, a, vec, Au, value))), F, slope
 
     res, F, slope = normalized_residual(u)
-    lift = not np.any(u[free])
+    lift = not np.any(u)
     factor = None  # the kept Jacobian factor; None forces a fresh one
     for iterations in range(1, max_iter + 1):
         state.iterations = iterations
@@ -461,14 +474,14 @@ def _newton_steps(problem: NonlinearProblem, u: np.ndarray, max_iter: int):
             factor = _factor_spd(op0, slope)
             state.factorizations += 1
             state.fill += factor.nnz
-        trial = _newton_update(u, free, factor, F)
+        trial = np.clip(u + factor.solve(-F), 0.0, None)
         if lift and iterations == 1:
-            trial = _jacobi_sweeps(problem, trial)
+            trial = _jacobi_sweeps(problem, trial, load)
         change = trial - u
         step, rise = float(np.max(np.abs(change))), float(np.max(change))
         # after the first step the iterates decrease nodewise, which the
         # kept factors rely on
-        if iterations > 1 and rise > ORDER_TOL * (1.0 + float(np.max(np.abs(u)))):
+        if iterations > 1 and rise > ORDER_TOL * (1.0 + state.sup):
             raise OrderingViolationError(
                 f"Newton step {iterations} rose by {rise:.3e} where the iterates must "
                 "decrease: the discrete maximum principle failed " + place
@@ -480,7 +493,7 @@ def _newton_steps(problem: NonlinearProblem, u: np.ndarray, max_iter: int):
             factor = None
         u = trial
         res, F, slope = normalized_residual(u)
-        state.u, state.res, state.inc = u, res, step
+        state.u, state.res, state.inc, state.sup = u, res, step, max(float(np.max(u)), top)
         yield state
         state.factor = None  # a dropped factor is freed before a fresh one is built
 
@@ -493,12 +506,12 @@ def newton_solve(
 ) -> SolverReport:
     """Full-step Newton iteration on the discrete system.
 
-    Starts from the Dirichlet data with zero on the free nodes unless u0 is
-    given, such as a coarser mesh's solution carried over by mesh.resample,
-    in any form Field.of takes on the problem's mesh, so a Field on another
-    mesh is a ValueError (Dirichlet rows of any start are overwritten by
-    the data, and negative values are clipped to zero).  A given start
-    then runs JACOBI_SWEEPS nonlinear Jacobi sweeps (_jacobi_sweeps), which
+    Iterates on the free values (the data enter as coupling @ data), from
+    zero unless u0 is given, such as a coarser mesh's solution carried
+    over by mesh.resample, in any form Field.of takes on the problem's
+    mesh, so a Field on another mesh is a ValueError (only its free values
+    are read, negative ones clipped to zero).  A given start
+    then runs the nonlinear Jacobi sweeps (_jacobi_sweeps), which
     change only where Newton starts: the theory below holds from any
     nonnegative start.  At the zero-interior start the Jacobian is the
     free block of problem.linear_operator, since p c0 0^(p-1) =
@@ -510,7 +523,7 @@ def newton_solve(
     above the solution, so the first step runs the sweeps on it, which
     keep it a supersolution and bring it into Newton's basin (constant
     data 1e6 on the 8x8 (3,1) mesh at theta/2 took more than 60 steps
-    without them, 15 with them).  Each step solves the
+    without them, 10 with them, and data up to 1e300 converge).  Each step solves the
     linearization with potentials c + p c0 u^(p-1) and c2 + q c1 u^(q-1)
     and takes the whole step, clipped at zero.  No damping is needed: the residual is convex in u
     (p, q > 1, c0, c1 >= 0) and its Jacobian has nonpositive off-diagonals
@@ -536,12 +549,13 @@ def newton_solve(
     solution sheds about 1/p of its excess per step, too slowly for the 4x
     rule, so it refactors at nearly every step of that phase; the sweeps
     bring a given start and the linear lift down first (the constant 2^16
-    on the (3,1) desk base takes 15 steps with them, 57 without).  The
+    on the (3,1) desk base takes 13 steps with them, 57 without).  The
     decrease is checked: a step after the first
     that rises anywhere by more than ORDER_TOL * (1 + max|u|) raises
     OrderingViolationError, naming the mesh, omega_min and the data maximum.
     Converges when the row-normalized residual, formed on the free rows,
-    is below 1e-11 and the sup-norm increment below tol * (1 + sup u); a
+    is below 1e-11 and the sup-norm increment below tol * (1 + sup u), max
+    and sup over all nodes, the data included (pick_cap); a
     residual that is not finite (c0 u^p or c1 u^q overflows) or max_iter
     steps raise NonConvergenceError, with the same naming.
     The report counts the steps, the factorizations and their summed fill.
@@ -551,17 +565,14 @@ def newton_solve(
     those of other data values sharing the operator through with_data,
     reuse it (see elliptic._factor_spd).
     """
-    mesh = problem.mesh
-    free = problem.linear_operator.free
-    data = problem.dirichlet_data.values
-
-    u = np.zeros(mesh.n_nodes) if u0 is None else Field.of(mesh, u0).values.copy()
-    u[~free] = data[~free]
-    u = np.clip(u, 0.0, None)
+    op = problem.linear_operator
+    load = op.coupling @ problem.dirichlet_data.values
+    u = np.zeros_like(load)
     if u0 is not None:
-        u = _jacobi_sweeps(problem, u)
-    for state in _newton_steps(problem, u, max_iter):
-        if state.res <= 1e-11 and state.inc <= tol * (1.0 + float(np.max(np.abs(state.u)))):
+        u = _jacobi_sweeps(problem, np.clip(Field.of(problem.mesh, u0).values[op.free], 0.0, None),
+                           load)
+    for state in _newton_steps(problem, u, load, max_iter):
+        if state.res <= 1e-11 and state.inc <= tol * (1.0 + state.sup):
             break
     else:
         raise NonConvergenceError(
@@ -590,12 +601,13 @@ def monotone_iterate(
     that made Newton's step.  That factor was built at a supersolution
     u_j >= u*, so J - J(u*) is a nonnegative diagonal and convexity keeps l
     a subsolution, nondecreasing and at most u*; the factor J(0) of the
-    first step lies below J(u*) and is not used.  The lower limit is the
+    first step lies below J(u*) and is not used.  Both branches are free
+    values, the data entering as coupling @ data.  The lower limit is the
     report's solution, the upper one is returned next to it as
     certificate; the report's bracket is the final width max(upper -
     lower), its final increment Newton's last step.
     S below the Dirichlet data maximum is not a supersolution and raises
-    ValueError.  Ordering is enforced nodewise at every step to
+    ValueError.  Ordering is enforced at every free node and step to
     1e-12 * max(1, S) (lower nondecreasing, upper nonincreasing from S,
     0 <= lower <= upper <= S), and a step that is not finite fails it;
     violations raise OrderingViolationError, a failed discrete maximum
@@ -603,25 +615,24 @@ def monotone_iterate(
     at most tol * (1 + upper_i), or 16 eps lower_i, the rounding level of
     that node's value, so tol bounds the error of either branch at each
     node relative to the solution there, not to the data or to the
-    largest free value (the Dirichlet rows hold the data in both branches,
-    and at huge data the free values span many orders of magnitude); else,
+    largest free value (at huge data the free values span many orders of
+    magnitude); else,
     after max_iter steps, NonConvergenceError, as for an overflowing
     c0 u^p or c1 u^q.  Every error names the mesh, omega_min and the data
     maximum.
     """
-    mesh = problem.mesh
-    free = problem.linear_operator.free
-    data = problem.dirichlet_data.values
+    load = problem.linear_operator.coupling @ problem.dirichlet_data.values
     S = float(S)
     if S < pick_cap(problem):
         raise ValueError(f"cap S = {S:.6g} lies below the Dirichlet data maximum")
     otol = 1e-12 * max(1.0, S)
-    lower = np.where(free, 0.0, data)
-    upper = np.full(mesh.n_nodes, S)
-    for state in _newton_steps(problem, lower, max_iter):
+    lower = np.zeros_like(load)
+    upper = np.full_like(load, S)
+    for state in _newton_steps(problem, lower, load, max_iter):
         new_lower = lower
         if state.iterations > 1:
-            new_lower = _newton_update(lower, free, state.factor, _free_residual(problem, lower)[0])
+            F = _free_residual(problem, lower, load)[0]
+            new_lower = np.clip(lower + state.factor.solve(-F), 0.0, None)
         new_upper = state.u
         # written so that a nan fails every comparison
         if not (
@@ -636,9 +647,10 @@ def monotone_iterate(
                 f"{state.iterations}: discrete maximum principle failed " + state.place
             )
         lower, upper = new_lower, new_upper
-        width = float(np.max(upper - lower))
-        if np.all(upper[free] - lower[free]
-                  <= np.maximum(tol * (1.0 + upper[free]), 16.0 * np.finfo(float).eps * lower[free])):
+        # the width over all nodes: both branches hold the data on the
+        # Dirichlet rows, a width of zero there
+        width = float(np.max(upper - lower, initial=0.0))
+        if np.all(upper - lower <= np.maximum(tol * (1.0 + upper), 16.0 * np.finfo(float).eps * lower)):
             break
     else:
         raise NonConvergenceError(
@@ -647,7 +659,7 @@ def monotone_iterate(
             iterations=max_iter,
             residual=width,
         )
-    return state.report(problem, lower, bracket=width), Field(mesh, upper)
+    return state.report(problem, lower, bracket=width), _field(problem, upper)
 
 
 def solve_problem(
@@ -659,8 +671,8 @@ def solve_problem(
 ) -> SolverReport:
     """Dispatch to the requested nonlinear scheme with its standard setup.
 
-    Newton starts from u0 when given (see newton_solve), else from the data
-    with zero on the free nodes; the monotone bracket always starts from
+    Newton starts from u0 when given (see newton_solve), else from zero on
+    the free nodes; the monotone bracket always starts from
     [0, pick_cap(problem)], so a u0 with method "monotone" is a
     ValueError.  max_iter=None keeps the schemes' limit, NEWTON_MAX_ITER.
     """

@@ -330,19 +330,19 @@ def _monotone_data_run(tmp_path, body=""):
 
 
 def test_monotone_solve_uses_its_own_iteration_limit(tmp_path):
-    # the bracket at data 2^16 needs 15 steps (53 before the sweeps on the
-    # lift); without max_iter in the config the method's limit,
-    # solver.NEWTON_MAX_ITER, applies and admits them, and a config limit
-    # below them fails the run
+    # the bracket at data 2^16 needs 14 steps (15 with two sweeps on the
+    # lift, 53 with none); without max_iter in the config the method's
+    # limit, solver.NEWTON_MAX_ITER, applies and admits them, and a config
+    # limit below them fails the run
     code, _, out = _monotone_data_run(tmp_path)
     assert code == 0
     summary = (out / "summary.txt").read_text()
-    assert "solve.iterations = 15" in summary
-    assert 15 <= coneyamabe.solver.NEWTON_MAX_ITER
+    assert "solve.iterations = 14" in summary
+    assert 14 <= coneyamabe.solver.NEWTON_MAX_ITER
     assert "config.max_iter" not in summary
-    code, _, out = _monotone_data_run(tmp_path, body="[tolerances]\nmax_iter = 14\n")
+    code, _, out = _monotone_data_run(tmp_path, body="[tolerances]\nmax_iter = 13\n")
     assert code == 2
-    assert "error = NonConvergenceError: monotone bracket did not reach tol 1e-08 within 14 steps" \
+    assert "error = NonConvergenceError: monotone bracket did not reach tol 1e-08 within 13 steps" \
         in (out / "summary.txt").read_text()
 
 
@@ -369,20 +369,27 @@ def test_monotone_solve_at_large_data_lies_within_tol_of_newton(tmp_path):
     assert np.max(np.abs(u - ref)) <= bound
 
 
-@pytest.mark.parametrize("data", ["1e6", "1e9", "1e12"])
+@pytest.mark.parametrize("data, omega_min", [
+    pytest.param(data, omega_min, id=data)
+    for data, omega_min in [("1e6", 0.39269908169872414), ("1e9", 0.39269908169872414),
+                            ("1e12", 0.39269908169872414), ("1e160", 0.09817477042468103),
+                            ("1e200", 0.09817477042468103), ("1e300", 0.09817477042468103)]])
 @pytest.mark.parametrize("method", ["newton", "monotone"])
-def test_solve_at_large_constant_data_converges_from_the_default_start(tmp_path, method, data):
+def test_solve_at_large_constant_data_converges_from_the_default_start(tmp_path, method, data,
+                                                                       omega_min):
     # the default start's first step lands on the linear lift, about the
     # datum everywhere and far above the solution, from which Newton shed
     # only about 1/p of the excess per step and ran out of its steps from
-    # 1e6 on (exit 2).  The Jacobi sweeps on the lift bring it into
-    # Newton's basin, for Newton and the bracket's upper branch alike, and
-    # the bracket measures its width against the free values, not the
-    # data, so its lower branch lies within tol (1 + max free u) of
-    # Newton's tight solution
+    # 1e6 on (exit 2) on the 8x8 (3,1) mesh at theta/2.  The Jacobi sweeps
+    # on the lift bring it into Newton's basin, for Newton and the
+    # bracket's upper branch alike; at theta/8 two sweeps still left
+    # 1e160 to 1e300 out of reach, and the sweeps that run on while some
+    # node halves bring them in.  The bracket measures its width against
+    # the free values, not the data, so its lower branch lies within
+    # tol (1 + max free u) of Newton's tight solution
     cfgpath = write_cfg(
         tmp_path, "solve", extra=f"method = {method}\ndirichlet = {data}\nplot = false",
-        body="[mesh]\nn_radial = 8\nn_angular = 8\nomega_min = 0.39269908169872414\n",
+        body=f"[mesh]\nn_radial = 8\nn_angular = 8\nomega_min = {omega_min!r}\n",
     )
     out = tmp_path / "out"
     assert main(["solve", "--config", cfgpath, "--out", str(out)]) == 0

@@ -1,10 +1,13 @@
 """The directory comparison of tools/compare_outputs.py."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-_spec = importlib.util.spec_from_file_location(
-    "compare_outputs", Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py")
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+_spec = importlib.util.spec_from_file_location("compare_outputs", TOOLS / "compare_outputs.py")
 compare_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_outputs)
 
@@ -70,14 +73,31 @@ n_angular = 8
 """
 
 
+def _peaks_from_a_small_process(configs, out):
+    # on Linux a child keeps the peak of the process that started it
+    # (exec carries ru_maxrss over), so every child of this test's large
+    # process would read at least its size; the tool is standard library
+    # only and runs as a small process, and so are the peaks read here
+    code = ("import json, sys\n"
+            "from pathlib import Path\n"
+            f"sys.path.insert(0, {str(TOOLS)!r})\n"
+            "import compare_outputs as c\n"
+            "cfgs, out = [Path(a) for a in sys.argv[2:]], Path(sys.argv[1])\n"
+            "print(json.dumps([c.run_configs(c.ROOT, cfgs, out), c.import_floor(c.ROOT)]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(out), *map(str, configs)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
 def test_run_configs_reports_each_runs_own_peak_or_exit_code(tmp_path):
     # each config runs in a fresh interpreter reaped by os.wait4, which
     # reads that child's own peak, in MB; a run that fails (here a config
-    # error, exit 1) shows its exit code instead
-    small, broken = tmp_path / "small.cfg", tmp_path / "broken.cfg"
+    # error, exit 1) shows its exit code instead.  The import floor, the
+    # peak of a child that only imports the CLI, lies below every run's
+    small, bracket, broken = (tmp_path / f"{name}.cfg" for name in ("small", "bracket", "broken"))
     small.write_text(CONFIG.format(extra=""))
+    bracket.write_text(CONFIG.format(extra="method = monotone"))
     broken.write_text(CONFIG.format(extra="method = chord"))
-    mb, failed = compare_outputs.run_configs(compare_outputs.ROOT, [small, broken],
-                                             tmp_path / "out")
-    assert 10.0 < float(mb) < 10000.0
+    (*mb, failed), floor = _peaks_from_a_small_process([small, bracket, broken], tmp_path / "out")
+    assert all(10.0 < float(floor) < float(peak) < 10000.0 for peak in mb)
     assert failed == "exit 1"

@@ -403,6 +403,27 @@ def test_monotone_bracket_closes_at_every_free_node_at_huge_data():
     assert np.all(np.abs(lo - ref) <= tol * (1.0 + ref))
 
 
+@pytest.mark.parametrize("n, d, nn, data", [
+    (3, 1, 8, 1e160), (3, 1, 8, 1e200), (3, 1, 8, 1e300), (6, 3, 32, 1e300)])
+def test_newton_and_the_bracket_converge_at_huge_data(n, d, nn, data):
+    # two Jacobi sweeps take the linear lift of huge data down by two p-th
+    # roots only, and Newton sheds about 1/p of the rest per step: both
+    # methods ran out of their 60 steps from 1e160 on.  Sweeping on while
+    # some node still falls by half brings the lift into Newton's basin;
+    # every free node's bracket then closes within tol (1 + upper_i), and
+    # the lower limit lies within tol (1 + u_i) of Newton's solution
+    mesh = make_mesh(n, d, omega_min=ConeModel(n, d, 1.0).theta / 8.0, nn=nn)
+    prob = flat_cone_problem(mesh, 1.0, 1.0, data)
+    ref = newton_solve(prob, tol=1e-13)
+    assert ref.iterations <= 13
+    tol = 1e-8
+    rep, upper = monotone_iterate(prob, pick_cap(prob), tol=tol)
+    free = mesh.free_mask
+    lo, hi, u = rep.solution.values[free], upper.values[free], ref.solution.values[free]
+    assert np.all(hi - lo <= tol * (1.0 + hi))
+    assert np.all(np.abs(lo - u) <= tol * (1.0 + u))
+
+
 # ---------------------------------------------------------------------------
 # Newton and scheme equivalence
 # ---------------------------------------------------------------------------
@@ -494,7 +515,7 @@ def test_newton_first_step_from_the_default_start_is_the_linear_lift(monkeypatch
     # Jacobian is the linear free block and the residual the Dirichlet
     # lift: the first step lands bitwise on the linear problem's solution,
     # solved here with solve_mixed on a separate fresh problem, and hands
-    # it to the Jacobi sweeps, which record it.  Newton forms the start's
+    # its free values to the Jacobi sweeps, which record them.  Newton forms the start's
     # residual from one absorption call on its free values, which records
     # the start
     starts, lifts = [], []
@@ -504,9 +525,9 @@ def test_newton_first_step_from_the_default_start_is_the_linear_lift(monkeypatch
         starts.append(uf.copy())
         return absorption(self, uf)
 
-    def sweeping(problem, u):
-        lifts.append(u.copy())
-        return sweeps(problem, u)
+    def sweeping(problem, uf, load):
+        lifts.append(uf.copy())
+        return sweeps(problem, uf, load)
 
     monkeypatch.setattr(solver.NonlinearProblem, "absorption", recording)
     monkeypatch.setattr(solver, "_jacobi_sweeps", sweeping)
@@ -518,7 +539,7 @@ def test_newton_first_step_from_the_default_start_is_the_linear_lift(monkeypatch
     lift = solve_mixed(fresh.linear_operator, 0.0, data).solution.values
     assert np.array_equal(starts[0], np.zeros(int(np.sum(free))))
     assert len(lifts) == 1
-    assert lifts[0].tobytes() == lift.tobytes()
+    assert lifts[0].tobytes() == lift[free].tobytes()
     # solve_mixed moves the data to the right side as the free-to-fixed
     # block applied to them, and the lift takes the data on the Dirichlet rows
     rhs = fresh.linear_operator.matrix[free][:, ~free] @ data[~free]
@@ -720,6 +741,25 @@ def test_exhaustion_requires_increasing_data():
     # and a truncation family needs a level
     with pytest.raises(ValueError, match="empty truncation family"):
         maximal_solution([])
+
+
+def test_each_datum_of_a_shared_operator_ladder_solves_its_own_data():
+    # the ladder derives each datum's problem by with_data, sharing one
+    # assembled operator, and every solve forms its data's term
+    # coupling @ data itself: at each datum the ladder returns bitwise the
+    # solution of a fresh problem holding that datum alone, from the same
+    # start.  The fresh second problem's operator is factored once first,
+    # so that its Newton factors reuse a cached ordering as the ladder's do
+    mesh = make_mesh(nn=12)
+    first, second = exhaustion_blowup_solve(flat_cone_problem(mesh, 1.0, 1.0, 1.0),
+                                            [1.0, 256.0], tol=math.inf)
+    ref = newton_solve(flat_cone_problem(mesh, 1.0, 1.0, 1.0))
+    assert first.solution.values.tobytes() == ref.solution.values.tobytes()
+    fresh = flat_cone_problem(mesh, 1.0, 1.0, 256.0)
+    solver._factor_spd(fresh.linear_operator)
+    ref = newton_solve(fresh, u0=first.solution)
+    assert second.solution.values.tobytes() == ref.solution.values.tobytes()
+    assert np.max((second.solution.values - first.solution.values)[mesh.free_mask]) > 1.0
 
 
 def test_exhaustion_rejects_a_solution_that_drops_with_the_data(monkeypatch):

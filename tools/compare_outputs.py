@@ -20,7 +20,12 @@ config with a column per side: the child's own ru_maxrss, read when
 os.wait4 reaps it, in MB (1024 kB), or `exit N` for a run that failed.
 One run in a fresh process carries none of the benchmark loop's repeated
 rounds, so the figure is the memory of the program, free of the round
-count and of the captures the loop holds.
+count and of the captures the loop holds.  A last `import floor` row is
+the peak of a fresh child that only imports coneyamabe.cli, mostly
+scipy's import: a config's peak minus the floor is what its run
+allocates.  On Linux a child keeps the peak of the process that started
+it (exec carries ru_maxrss over), so the figures hold when this tool is
+started from a shell, not from a large python process.
 This is a report, not a gate: it exits 0 whatever it finds.  Standard
 library only.
 """
@@ -133,22 +138,32 @@ def compare_dirs(parent: Path, change: Path) -> list[str]:
     return report
 
 
+def _peak(checkout: Path, args: list[str]) -> str:
+    """Peak resident memory in MB of a fresh python running args with
+    checkout's src/ on its path, or `exit N` if it failed."""
+    proc = subprocess.Popen([sys.executable, *args], cwd=checkout,
+                            env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    # this child's own rusage: RUSAGE_CHILDREN keeps only the largest of all
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return f"exit {proc.returncode}" if proc.returncode else f"{usage.ru_maxrss / 1024.0:.1f}"
+
+
+def import_floor(checkout: Path) -> str:
+    """The peak of a fresh process that only imports checkout's
+    coneyamabe.cli: the part of every run's peak that no solve controls."""
+    return _peak(checkout, ["-c", "import coneyamabe.cli"])
+
+
 def run_configs(checkout: Path, configs: list[Path], out: Path) -> list[str]:
     """Each config through checkout's CLI in a fresh process: per config,
     that process's peak resident memory in MB, or `exit N` if it failed."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     peaks = []
     for cfg in configs:
         kind = re.search(r"^kind\s*=\s*(\S+)", cfg.read_text(), re.M).group(1)
-        cmd = [sys.executable, "-m", "coneyamabe.cli", kind, "--config", str(cfg),
-               "--out", str(out / cfg.stem), "--threads", "1"]
-        proc = subprocess.Popen(cmd, cwd=checkout, env=env,
-                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        # this child's own rusage: RUSAGE_CHILDREN keeps only the largest of all
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        peaks.append(f"exit {proc.returncode}" if proc.returncode else
-                     f"{usage.ru_maxrss / 1024.0:.1f}")
+        peaks.append(_peak(checkout, ["-m", "coneyamabe.cli", kind, "--config", str(cfg),
+                                      "--out", str(out / cfg.stem), "--threads", "1"]))
     return peaks
 
 
@@ -162,14 +177,15 @@ def main(argv=None) -> int:
     configs = sorted((ROOT / "perfbench" / "configs").glob("*.cfg"))
     sides = {"parent": parent, "change": ROOT}
     with tempfile.TemporaryDirectory() as tmp:
-        peaks = {side: run_configs(checkout, configs, Path(tmp) / side)
+        peaks = {side: run_configs(checkout, configs, Path(tmp) / side) + [import_floor(checkout)]
                  for side, checkout in sides.items()}
         for line in compare_dirs(Path(tmp) / "parent", Path(tmp) / "change"):
             print(line)
-    width = max(len(cfg.stem) for cfg in configs)
+    rows = [cfg.stem for cfg in configs] + ["import floor"]
+    width = max(len(row) for row in rows)
     print(f"{'config':<{width}}  " + "  ".join(f"{side + ' MB':>10}" for side in sides))
-    for k, cfg in enumerate(configs):
-        print(f"{cfg.stem:<{width}}  " + "  ".join(f"{peaks[side][k]:>10}" for side in sides))
+    for k, row in enumerate(rows):
+        print(f"{row:<{width}}  " + "  ".join(f"{peaks[side][k]:>10}" for side in sides))
     return 0
 
 
