@@ -6,13 +6,15 @@ comma-separated tables with a header row, a structured key = value summary,
 and (unless disabled) line plots of log10 u against log10 rho as standalone
 SVG.  Exit codes: 0 success, 1 config or usage error, 2 solver failure
 (any SolverError), 3 internal acceptance-check failure; a run that exits
-2 or 3 still writes its summary, with the status and the error, and a
-failed dichotomy names its d and truncation level there.
+2 or 3 still writes its summary, with the status and the error; a
+failed dichotomy names its d and truncation level there, and a failed
+eigen or verify-model run its mesh.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import sys
@@ -238,6 +240,16 @@ def run_solve(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:
         )
 
 
+@contextlib.contextmanager
+def _failing_on(mesh: Mesh):
+    """Name the mesh, as n_radial x n_angular, on a SolverError raised inside."""
+    try:
+        yield
+    except SolverError as exc:
+        exc.mesh = f"{mesh.n_radial}x{mesh.n_angular}"
+        raise
+
+
 def run_verify_model(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:
     rows = []
     errors = []
@@ -247,8 +259,9 @@ def run_verify_model(cfg: ExperimentConfig, out: Path, summary: Summary) -> None
         problem = model_problem(mesh)
         t0 = time.perf_counter()
         start = None if prev is None else resample(prev, mesh)
-        rep = solve_problem(problem, method=cfg.method, tol=cfg.nonlinear_tol,
-                            max_iter=cfg.max_iter, u0=start)
+        with _failing_on(mesh):
+            rep = solve_problem(problem, method=cfg.method, tol=cfg.nonlinear_tol,
+                                max_iter=cfg.max_iter, u0=start)
         dt = time.perf_counter() - t0
         if cfg.method == "newton":
             prev = rep.solution
@@ -358,7 +371,8 @@ def run_eigen(cfg: ExperimentConfig, out: Path, summary: Summary) -> None:
     problem = _build_problem(cfg, mesh)
     op = assemble(mesh, problem.c, problem.c2_lin)
     del problem  # the eigen factorization runs beside the operator alone
-    lam, vec = principal_eigen(op, cfg.eigen_denominator)
+    with _failing_on(mesh):
+        lam, vec = principal_eigen(op, cfg.eigen_denominator)
     rq = rayleigh_quotient(op, vec)
     rows = [[cfg.eigen_denominator, lam, rq,
              float(np.min(vec.values[mesh.free_mask])), int(op.m_matrix_ok)]]
@@ -453,10 +467,11 @@ def main(argv=None) -> int:
         status, code, error = "check-failed", EXIT_CHECK, str(exc)
         print(f"acceptance check failed: {error}", file=sys.stderr)
     except SolverError as exc:
-        # a failed dichotomy's notes and keys say where it failed
+        # the notes and keys of a failed dichotomy, eigen or verify-model
+        # run say where it failed
         error = "; ".join([f"{type(exc).__name__}: {exc}", *getattr(exc, "__notes__", ())])
         status, code = "solver-failed", EXIT_SOLVER
-        failed = {f"failed.{key}": getattr(exc, key) for key in ("d", "level")
+        failed = {f"failed.{key}": getattr(exc, key) for key in ("d", "level", "mesh")
                   if getattr(exc, key) is not None}
         print(f"solver failure: {error}", file=sys.stderr)
     summary.add("status", status)

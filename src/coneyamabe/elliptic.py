@@ -68,10 +68,12 @@ class MMatrixWarning(UserWarning):
 class SolverError(RuntimeError):
     """A solve failed: the base of every solver-layer failure, which the
     command line reports with exit code 2.  A failed dichotomy sets the
-    dimension d and the truncation level (0 for the base) it failed on."""
+    dimension d and the truncation level (0 for the base) it failed on; a
+    failed eigen or verify-model run sets the mesh, as n_radial x n_angular."""
 
     d: int | None = None
     level: int | None = None
+    mesh: str | None = None
 
 
 class NonConvergenceError(SolverError):
@@ -247,6 +249,23 @@ def _stiffness(k_rad: np.ndarray, k_ang: np.ndarray) -> tuple[sp.csr_matrix, np.
     return S, pos
 
 
+def _free_stiffness_diagonal(k_rad: np.ndarray, k_ang: np.ndarray) -> np.ndarray:
+    """_stiffness's diagonal on the free rows (radial rows 1..R-2, angular
+    columns 1..C-1) of an R x C grid, without the full-grid build.
+
+    np.add.reduceat sums a row as its first entry plus a sequential sum of
+    the rest, so the row (up, left, 0, right, down) of _five_point_csr sums
+    to up + ((left + right) + down); the Robin column has no right
+    neighbour, padded here with an exact 0.  Negation commutes with
+    rounding, so this is bitwise the negated row sum of the -k entries.
+    """
+    up, down = k_rad[:-1, 1:], k_rad[1:, 1:]
+    left = k_ang[1:-1]
+    right = np.zeros_like(left)
+    right[:, :-1] = k_ang[1:-1, 1:]
+    return (up + ((left + right) + down)).ravel()
+
+
 def _dirichlet_coupling(k_rad: np.ndarray, k_ang: np.ndarray) -> sp.csr_matrix:
     """The free rows' entries in the Dirichlet columns of an R x C grid's
     five-point matrix, -k for each edge from a free node to a Dirichlet
@@ -280,10 +299,10 @@ def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
     the sub-grid of radial rows 1..nr-2 and angular columns 1..na-1, so the
     free block is the same five-point stencil on that sub-grid with the
     full rows' diagonal, and the coupling holds the edges that leave it.
-    That diagonal is the full grid's stiffness diagonal (_stiffness),
-    plus the volume and surface mass terms of c and c2; the full-grid
-    build it is read from is dropped before the free block is made, so
-    the operator holds no full-grid matrix (OperatorAssembly.matrix forms
+    That diagonal is the full grid's stiffness diagonal on the free rows,
+    summed from the conductances bitwise as _stiffness sums it
+    (_free_stiffness_diagonal), plus the volume and surface mass terms of
+    c and c2; no full-grid matrix is built (OperatorAssembly.matrix forms
     one on demand).  Off-diagonal entries are nonpositive by
     construction; the certificate degrades only through negative c or c2,
     which is reported as a warning, not an error.
@@ -301,13 +320,10 @@ def assemble(mesh: Mesh, c=0.0, c2=0.0) -> OperatorAssembly:
             stacklevel=2,
         )
 
-    stiffness, pos = _stiffness(k_rad, k_ang)
-    diag = stiffness.data[pos]
-    del stiffness, pos
-    diag += volume_mass * cvals + boundary_mass * c2vals
-    free_matrix, pos = _five_point_csr(k_rad[1:-1, 1:], k_ang[1:-1, 1:])
-    free_matrix.data[pos] = diag.reshape(mesh.n_radial, mesh.n_angular)[1:-1, 1:].ravel()
     free = mesh.free_mask
+    free_matrix, pos = _five_point_csr(k_rad[1:-1, 1:], k_ang[1:-1, 1:])
+    free_matrix.data[pos] = (_free_stiffness_diagonal(k_rad, k_ang)
+                             + (volume_mass * cvals + boundary_mass * c2vals)[free])
     free.setflags(write=False)
     return OperatorAssembly(
         mesh=mesh,
@@ -328,12 +344,15 @@ class LinearSolveReport:
     relative_residual: float
 
 
-class _OrderedFactor:
-    """A factor of A[order][:, order] that solves in A's own numbering."""
+class _Factor:
+    """A SuperLU factor of A[order][:, order] (of A itself when order is
+    None) that solves float64 vectors in A's own numbering, whatever the
+    precision it was factored in."""
 
-    def __init__(self, lu, order: np.ndarray):
+    def __init__(self, lu, order: np.ndarray | None, dtype):
         self._lu = lu
         self._order = order
+        self._dtype = dtype
 
     @property
     def nnz(self) -> int:
@@ -341,8 +360,10 @@ class _OrderedFactor:
         return self._lu.nnz
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        if self._order is None:
+            return self._lu.solve(b.astype(self._dtype, copy=False)).astype(float, copy=False)
         x = np.empty_like(b)
-        x[self._order] = self._lu.solve(b[self._order])
+        x[self._order] = self._lu.solve(b[self._order].astype(self._dtype, copy=False))
         return x
 
 
@@ -353,23 +374,37 @@ def _diagonal_positions(A: sp.csc_matrix | sp.csr_matrix) -> tuple[np.ndarray, n
     return np.flatnonzero(~off), off
 
 
-def _factor_spd(op: OperatorAssembly, diag: np.ndarray | None = None):
+def _factor_spd(op: OperatorAssembly, diag: np.ndarray | None = None, dtype=np.float64):
     """Sparse LU of op.free_matrix + diag(diag), certified positive definite.
 
     diag is None for the free block itself, else a diagonal added to it (a
     Newton Jacobian, a shifted eigenvalue pencil); the matrix is formed
-    here on the block's own sparsity pattern.  The first factorization of
-    op reads the symmetric block's CSR arrays as its CSC arrays, copying
-    only the values, checks that the off-diagonal entries are nonpositive,
-    orders the matrix by minimum degree and caches the elimination order
-    argsort(perm_c) on op.  The next one caches the block permuted into
-    that order (CSC) with the positions of its diagonal, and every later
-    one copies its values, adds diag[order] on the diagonal and factors
-    under the natural ordering, which skips SuperLU's ordering step.  The
-    result is bitwise (block + diags(diag)) permuted into the order.  So
-    each operator runs one ordering, whichever caller factors it first, and
-    the returned factor solves in the block's own numbering either way, and
-    exposes its fill (L plus U) as nnz.
+    here on the block's own sparsity pattern, its values cast straight to
+    dtype, with diag added to the diagonal in float64 first.  The first
+    factorization of op reads the symmetric block's CSR arrays as its CSC
+    arrays, copying only the values, checks that the off-diagonal entries
+    are nonpositive, orders the matrix by minimum degree and caches the
+    elimination order argsort(perm_c) on op.  The next one caches the
+    block permuted into that order (CSC) with the positions of its
+    diagonal, and every later one copies its values, sets the diagonal
+    and factors under the natural ordering, which skips SuperLU's ordering
+    step.  In float64 the result is bitwise (block + diags(diag)) permuted
+    into the order.  So each operator runs one ordering (minimum degree
+    reads the pattern alone, so the precision does not move it), whichever
+    caller factors it first, and the returned factor solves float64
+    vectors in the block's own numbering either way, and exposes its fill
+    (L plus U) as nnz.
+
+    dtype is float64 for every linear and Newton solve, whose steps must
+    be exact M-matrix inverses to the last bits: a kept Jacobian factor
+    orders the iterates nodewise, and solver's ORDER_TOL checks (1e-8
+    relative) would read a float32 factor's rounding, which grows with
+    the condition number from 6e-8, as a broken maximum principle.
+    principal_eigen alone passes float32, as a preconditioner: its
+    residual and quotients are float64 and converge to the float64
+    eigenpair from any good preconditioner, and the certificate below
+    stays a float64 proof.  Single precision halves the bytes of the
+    factor's values and speeds the factorization and the back-solves.
 
     Both factorizations pass _SPLU_KEYWORDS: diagonal pivots in symmetric
     mode and a panel of one column.  An interleaved sweep of SuperLU's
@@ -383,52 +418,68 @@ def _factor_spd(op: OperatorAssembly, diag: np.ndarray | None = None):
     factorization changes only the diagonal of the block checked at the
     first.  It is positive definite exactly when it is a nonsingular
     M-matrix, that is when some y > 0 has A y > 0.  The certificate takes
-    y = A^-1 1 from the factor and requires y > 0 and A y > k eps |A| y in
-    every row, where k is the longest row, so that the matvec's rounding
-    cannot fake a positive row; for a Z-matrix and y >= 0, |A| y is
-    2 D y - A y (D the diagonal), so no copy of |A| is formed (in a row
-    whose diagonal entry is not positive, A y is not positive and fails
-    the check all the same).  It also requires perm_r == perm_c,
-    since a row permutation means SuperLU met a zero diagonal pivot.
+    y = A^-1 1 from the factor, refined once in float64 (y += A^-1 (1 -
+    A y)) when the factor is single precision, reads A y in float64 as
+    free_matrix @ y + diag * y in the block's own numbering (once the
+    copy handed to SuperLU is freed), and requires y > 0 and
+    A y > k eps |A| y in every row, where k counts the longest row's
+    products (the block's row, plus one for diag), so that the matvec's
+    rounding cannot fake a positive row; for a Z-matrix and y >= 0, |A| y is 2 D y - A y (D the
+    diagonal), so no copy of |A| is formed (in a row whose diagonal entry
+    is not positive, A y is not positive and fails the check all the
+    same).  The certificate is a proof about the float64 matrix whatever
+    produced y.  It also requires perm_r == perm_c, since a row
+    permutation means SuperLU met a zero diagonal pivot.
     Raises IndefiniteOperatorError when the block is not a Z-matrix or the
     certificate fails.
     """
     order = op._free_order
     if order is None:
         block = op.free_matrix  # symmetric: its CSR arrays are its CSC arrays
+        pos, off = _diagonal_positions(block)
+        if np.any(block.data[off] > 0.0):
+            raise IndefiniteOperatorError(
+                "the free block has a positive off-diagonal entry: not a Z-matrix, "
+                "so its positive definiteness cannot be certified"
+            )
     else:
         if op._free_permuted is None:
             permuted = op.free_matrix[order][:, order].tocsc()
             op._free_permuted = permuted, _diagonal_positions(permuted)[0]
         block, pos = op._free_permuted
-    A = sp.csc_matrix((block.data.copy(), block.indices, block.indptr), shape=block.shape)
-    if order is None:
-        pos, off = _diagonal_positions(A)
-        if np.any(A.data[off] > 0.0):
-            raise IndefiniteOperatorError(
-                "the free block has a positive off-diagonal entry: not a Z-matrix, "
-                "so its positive definiteness cannot be certified"
-            )
+    A = sp.csc_matrix((block.data.astype(dtype), block.indices, block.indptr), shape=block.shape)
     if diag is not None:
-        A.data[pos] += diag if order is None else diag[order]
+        A.data[pos] = block.data[pos] + (diag if order is None else diag[order])
     try:
         lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
                        **_SPLU_KEYWORDS)
     except RuntimeError as exc:  # an exactly singular factor
         raise IndefiniteOperatorError(f"sparse factorization failed ({exc})") from exc
-    y = lu.solve(np.ones(A.shape[0]))
-    k = float(np.max(np.diff(A.indptr)))
-    Ay = A @ y
+    del A
+    factor = _Factor(lu, order, dtype)
+
+    block = op.free_matrix  # the certificate reads the block in its own numbering
+
+    def apply(x):
+        return block @ x if diag is None else block @ x + diag * x
+
+    ones = np.ones(block.shape[0])
+    y = factor.solve(ones)
+    Ay = apply(y)
+    if dtype != np.float64:
+        y += factor.solve(ones - Ay)
+        Ay = apply(y)
+    d = block.diagonal() if diag is None else block.diagonal() + diag
+    k = float(np.max(np.diff(block.indptr)) + (diag is not None))
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(y > 0.0)
-            and np.all(Ay > k * np.finfo(float).eps * (2.0 * A.data[pos] * y - Ay))):
+            and np.all(Ay > k * np.finfo(float).eps * (2.0 * d * y - Ay))):
         raise IndefiniteOperatorError(
             "no positive vector certifies the matrix as an M-matrix: "
             "it is not positive definite"
         )
-    if order is not None:
-        return _OrderedFactor(lu, order)
-    op._free_order = np.argsort(lu.perm_c)
-    return lu
+    if order is None:
+        op._free_order = np.argsort(lu.perm_c)
+    return factor
 
 
 def solve_mixed(op: OperatorAssembly, rhs, dirichlet_data, robin_rhs=0.0) -> LinearSolveReport:
@@ -487,26 +538,37 @@ def rayleigh_quotient(op: OperatorAssembly, zeta) -> float:
 
 
 def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
-    """Smallest eigenvalue and positive ground state of (A, B) by inverse iteration.
+    """Smallest eigenvalue and positive ground state of (A, B) by
+    preconditioned inverse iteration.
 
     A is the operator with potentials c, c2; B is the
     volume mass or, for the "volume-plus-boundary" variant, volume plus
-    Robin surface mass.  The iteration inverts A + mu*B, with mu from the
-    Gershgorin lower bound min((A 1) / B) of B^(-1) A: for the Z-matrix A
-    each row sum is the diagonal entry minus the off-diagonal magnitudes,
-    the identity of _factor_spd's certificate, and the bound is tight,
-    about the least potential.  _factor_spd factors the shifted matrix
-    once and certifies it positive definite.  The quotients decrease to
-    the eigenvalue by geometrically contracting steps D_k = lam_(k-1) -
-    lam_k, so the iteration stops at a step D_k <= 0, which is rounding, or
-    once D_k < D_(k-1) and the tail D_k^2 / (D_(k-1) - D_k) is at most
-    EIGEN_TOL (1 + |lam_k|); else NonConvergenceError after
+    Robin surface mass.  The preconditioner M is a single-precision
+    factor of A + mu*B, with mu from the Gershgorin lower bound
+    min((A 1) / B) of B^(-1) A: for the Z-matrix A each row sum is the
+    diagonal entry minus the off-diagonal magnitudes, the identity of
+    _factor_spd's certificate, and the bound is tight, about the least
+    potential.  _factor_spd factors the shifted matrix once in float32
+    and certifies it positive definite in float64.  Each sweep steps
+    w = v - M^-1 (A v - q B v), q the Rayleigh quotient of v, with A v
+    kept from the last quotient (Knyazev-Neymeyr's PINVIT); with an exact
+    M this is (q + mu) (A + mu B)^-1 B v, inverse iteration.  Single
+    precision is safe here because the residual and the quotients are
+    formed in float64: the iteration converges to the float64 eigenpair,
+    and M's rounding perturbs only the contraction rate (the certify
+    pencil at 200^2, condition number 8.8e5, takes 10 sweeps with a
+    float32 or a float64 factor, and so do 400^2 and 600^2).  (A Newton
+    factor must be exact; see _factor_spd.)  The quotients
+    decrease to the eigenvalue by geometrically contracting steps D_k =
+    lam_(k-1) - lam_k, so the iteration stops at a step D_k <= 0, which is
+    rounding, or once D_k < D_(k-1) and the tail D_k^2 / (D_(k-1) - D_k)
+    is at most EIGEN_TOL (1 + |lam_k|); else NonConvergenceError after
     EIGEN_MAX_ITER sweeps.  Each sweep normalizes the iterate to
-    sup |v| = 1; the certified factor has a nonnegative inverse and the
-    iteration starts from ones, so the largest entry is +1 and the
-    eigenvector has sup = 1.  A genuinely negative component raises
-    NegativeEigenvectorError since the ground state of an irreducible
-    M-matrix pencil must be positive.  An unknown variant is a ValueError.
+    sup |v| = 1, starting from ones.  An inexact M does not keep every
+    iterate positive, so the ground state's sign is checked once, at the
+    end: a genuinely negative component raises NegativeEigenvectorError
+    since the ground state of an irreducible M-matrix pencil must be
+    positive.  An unknown variant is a ValueError.
     """
     free = op.free
     if variant == "volume":
@@ -516,20 +578,22 @@ def principal_eigen(op: OperatorAssembly, variant: str) -> tuple[float, Field]:
     else:
         raise ValueError(f"unknown eigenvalue denominator variant {variant!r}")
     A = op.free_matrix
-    n = A.shape[0]
-    lower = float(np.min(A @ np.ones(n) / bdiag))
+    v = np.ones(A.shape[0])
+    Av = A @ v
+    lower = float(np.min(Av / bdiag))
     mu = 0.0 if lower > 0 else -lower + max(1e-8, 0.01 * abs(lower))
 
-    factor = _factor_spd(op, mu * bdiag)
+    factor = _factor_spd(op, mu * bdiag, np.float32)
 
-    v = np.ones(n)
-    lam = step = math.nan  # the quotient and its last decrease; none before the first sweep
+    q = float((v @ Av) / (v @ (bdiag * v)))
+    lam = step = math.nan  # the last stop-rule quotient and its decrease; none before the first sweep
     for _ in range(EIGEN_MAX_ITER):
-        w = factor.solve(bdiag * v)
+        w = v - factor.solve(Av - q * (bdiag * v))
         w /= np.max(np.abs(w))
-        quotient = float((w @ (A @ w)) / (w @ (bdiag * w)))
-        step, last = lam - quotient, step
-        lam, v = quotient, w
+        Av = A @ w
+        q = float((w @ Av) / (w @ (bdiag * w)))
+        step, last = lam - q, step
+        lam, v = q, w
         if step <= 0.0 or (step < last and step * step / (last - step) <= EIGEN_TOL * (1.0 + abs(lam))):
             break
     else:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import coneyamabe
 from coneyamabe import (CurvatureReport, Field, build_mesh, cli, model_dirichlet_data, newton_solve,
@@ -653,6 +654,51 @@ def test_a_failed_dichotomy_names_d_and_the_level(tmp_path, monkeypatch):
     assert summary["error"] == ("NonConvergenceError: raised inside the run; "
                                 f"at level 2 of 3, omega_min {omega:.6g}; at d = 1")
     assert (summary["failed.d"], summary["failed.level"]) == ("1", "2")
+
+
+def test_a_refused_eigen_certificate_names_the_mesh(tmp_path, monkeypatch):
+    # a single-precision factor whose solves come out negative: the
+    # float64 certificate refuses it, and the run exits 2 naming its mesh
+    splu = scipy.sparse.linalg.splu
+
+    class NegatedSolve:
+        def __init__(self, lu):
+            self.perm_r, self.perm_c, self._lu = lu.perm_r, lu.perm_c, lu
+
+        def solve(self, b):
+            return -self._lu.solve(b)
+
+    def negated_single(A, **kwargs):
+        lu = splu(A, **kwargs)
+        return NegatedSolve(lu) if A.dtype == np.float32 else lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", negated_single)
+    code, summary = _failed_check(
+        tmp_path, "eigen", extra="eigen_denominator = volume",
+        body="[mesh]\nn_radial = 12\nn_angular = 10\n",
+    )
+    assert code == 2
+    assert summary["status"] == "solver-failed"
+    assert summary["error"].startswith("IndefiniteOperatorError: no positive vector certifies")
+    assert summary["failed.mesh"] == "12x10"
+    assert "failed.d" not in summary and "failed.level" not in summary
+
+
+def test_a_failed_verify_model_names_the_mesh(tmp_path, monkeypatch):
+    # the ladder fails on its second mesh: the run exits 2 and names it
+    solve = cli.solve_problem
+
+    def failing(problem, **kwargs):
+        if problem.mesh.n_radial == 24:
+            raise coneyamabe.NonConvergenceError("raised inside the run")
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_problem", failing)
+    code, summary = _failed_check(tmp_path, "verify-model", extra="mesh_sizes = 12,24",
+                                  body="[mesh]\nomega_min = 0.15\n")
+    assert code == 2
+    assert summary["error"] == "NonConvergenceError: raised inside the run"
+    assert summary["failed.mesh"] == "24x24"
 
 
 def test_dichotomy_experiment_small(tmp_path):

@@ -58,6 +58,20 @@ def test_compare_csv_reads_shared_columns_across_changed_headers(tmp_path):
         "  row count differs: 2 against 3 rows"]
 
 
+def test_peak_table_states_each_peak_above_its_sides_floor():
+    # a memory figure is read against the import floor: each config's peak
+    # minus its own side's floor, blank for a failed run and on the floor row
+    lines = compare_outputs.peak_table(
+        ["certify_eigen", "verify"],
+        {"parent": ["93.5", "exit 2", "61.7"], "change": ["86.6", "120.0", "61.6"]})
+    assert lines == [
+        "config          parent MB  above floor   change MB  above floor",
+        "certify_eigen        93.5        +31.8        86.6        +25.0",
+        "verify             exit 2                    120.0        +58.4",
+        "import floor         61.7                     61.6             ",
+    ]
+
+
 CONFIG = """
 [cone]
 n = 3

@@ -624,6 +624,53 @@ def test_principal_eigen_matches_dense_oracle_on_coarse_mesh():
         assert np.all(vec.values[mesh.dirichlet_mask] == 0)
 
 
+@pytest.mark.parametrize("variant", ["volume", "volume-plus-boundary"])
+def test_principal_eigen_matches_shift_invert_lanczos_on_the_flat_cone(variant):
+    # the single-precision factor only preconditions a float64 residual: at
+    # 100^2 on (3,1), theta/8, the eigenvalue agrees with a float64 ARPACK
+    # shift-invert solve of the free-node pencil to 1e-9 relative
+    cone = ConeModel(3, 1, 1.0)
+    mesh = make_mesh(omega_min=cone.theta / 8, nn=100)
+    op = flat_cone_problem(mesh, 1.0, 1.0, 1.0).linear_operator
+    mass = op.volume_mass + (op.boundary_mass if variant == "volume-plus-boundary" else 0.0)
+    lam, vec = principal_eigen(op, variant)
+    ref = scipy.sparse.linalg.eigsh(op.free_matrix.tocsc(), k=1, M=sp.diags(mass[op.free]).tocsc(),
+                                    sigma=0.0, which="LM", return_eigenvectors=False)[0]
+    assert abs(lam - ref) <= 1e-9 * abs(ref)
+    assert np.all(vec.values[mesh.free_mask] > 0)
+
+
+@pytest.mark.parametrize("shape", [
+    lambda mesh: 1.0 + 0.01 * np.cos(np.pi * (mesh.rho - 0.5) / 1.5) * np.cos(mesh.omega),
+    lambda mesh: 1.0 + 0.1 * mesh.rho ** 2,
+], ids=["cosine", "rho squared"])
+def test_principal_eigen_on_a_tightly_shifted_negative_potential(shape):
+    # a negative c built so that A phi = -10 B phi for a phi > 0 near the
+    # constants: phi is the ground state and -10 the eigenvalue.  c cancels
+    # the Dirichlet coupling, so the Gershgorin bound lies near the
+    # eigenvalue (-10.1 and -22.0) and A + mu B is nearly singular: its
+    # condition number at 64^2 is 1.1e6 and 8e4 (the flat cone's is
+    # 2.8e4), and the float32 factor still yields the eigenpair, here
+    # checked against the construction and against a float64 ARPACK
+    # shift-invert solve
+    mesh = make_mesh(nn=64)
+    free = mesh.free_mask
+    op0 = assemble(mesh)
+    vm = op0.volume_mass[free]
+    phi = shape(mesh)[free]
+    c = np.zeros(mesh.n_nodes)
+    c[free] = (-10.0 * vm * phi - op0.free_matrix @ phi) / (vm * phi)
+    assert np.max(c) <= 0.0
+    with pytest.warns(MMatrixWarning):
+        op = assemble(mesh, Field(mesh, c))
+    lam, vec = principal_eigen(op, "volume")
+    ref = scipy.sparse.linalg.eigsh(op.free_matrix.tocsc(), k=1, M=sp.diags(vm).tocsc(),
+                                    sigma=-11.0, which="LM", return_eigenvectors=False)[0]
+    assert abs(lam + 10.0) <= 1e-9 * 10.0
+    assert abs(lam - ref) <= 1e-9 * abs(ref)
+    assert np.max(np.abs(vec.values[free] - phi / np.max(phi))) <= 1e-4
+
+
 def test_principal_eigen_refuses_an_unknown_variant():
     with pytest.raises(ValueError, match="unknown eigenvalue denominator variant 'boundary'"):
         principal_eigen(assemble(make_mesh(nn=8)), "boundary")
@@ -645,16 +692,21 @@ def test_principal_eigen_stops_at_its_iteration_limit(monkeypatch):
 
 
 def test_principal_eigen_refuses_a_sign_changing_ground_state(monkeypatch):
-    # a factor whose solve returns the same vector of both signs every sweep:
-    # the quotient settles at once, and the candidate's negative component
-    # is refused
+    # a factor whose solve makes the step w = v - M^-1 r land on the same
+    # vector of both signs every sweep, from the start v = 1: the quotient
+    # settles at once, and the candidate's negative component is refused
     class SignChangingSolve:
+        v = None
+
         def solve(self, b):
             w = np.ones_like(b)
             w[0] = -0.5
-            return w
+            v = np.ones_like(b) if self.v is None else self.v
+            self.v = w
+            return v - w
 
-    monkeypatch.setattr(elliptic, "_factor_spd", lambda op, diag=None: SignChangingSolve())
+    monkeypatch.setattr(elliptic, "_factor_spd",
+                        lambda op, diag=None, dtype=np.float64: SignChangingSolve())
     with pytest.raises(NegativeEigenvectorError, match="negative component -5.000e-01"):
         principal_eigen(assemble(make_mesh(nn=8)), "volume")
 

@@ -8,6 +8,7 @@ from dataclasses import FrozenInstanceError, dataclass, replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from coneyamabe import (
     ConeModel,
@@ -28,6 +29,7 @@ from coneyamabe import (
     monotone_iterate,
     newton_solve,
     pick_cap,
+    principal_eigen,
     resample,
     solve_mixed,
     solve_problem,
@@ -318,6 +320,28 @@ def _wrapped_factors(monkeypatch, transform):
             return transform(self._factor.solve(b))
 
     monkeypatch.setattr(solver, "_factor_spd", lambda op, diag=None: Wrapped(factor_spd(op, diag)))
+
+
+def test_only_the_eigensolver_factors_in_single_precision(monkeypatch):
+    # principal_eigen's factor only preconditions a float64 residual, so
+    # SuperLU factors it in float32; Newton's and the bracket's steps must
+    # be exact M-matrix inverses for the ordering checks, so theirs are
+    # float64
+    dtypes = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording(A, **kwargs):
+        dtypes.append(A.dtype)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    prob = model_problem(make_mesh(nn=10))
+    principal_eigen(prob.linear_operator, "volume")
+    assert dtypes == [np.float32]
+    for solve in (lambda: newton_solve(prob), lambda: monotone_iterate(prob, pick_cap(prob))):
+        dtypes.clear()
+        solve()
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
 
 def test_monotone_rejects_a_step_that_leaves_the_bracket(monkeypatch):

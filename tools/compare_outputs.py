@@ -23,9 +23,10 @@ rounds, so the figure is the memory of the program, free of the round
 count and of the captures the loop holds.  A last `import floor` row is
 the peak of a fresh child that only imports coneyamabe.cli, mostly
 scipy's import: a config's peak minus the floor is what its run
-allocates.  On Linux a child keeps the peak of the process that started
-it (exec carries ru_maxrss over), so the figures hold when this tool is
-started from a shell, not from a large python process.
+allocates, printed next to each peak as `above floor`.  On Linux a child
+keeps the peak of the process that started it (exec carries ru_maxrss
+over), so the figures hold when this tool is started from a shell, not
+from a large python process.
 This is a report, not a gate: it exits 0 whatever it finds.  Standard
 library only.
 """
@@ -167,6 +168,25 @@ def run_configs(checkout: Path, configs: list[Path], out: Path) -> list[str]:
     return peaks
 
 
+def peak_table(names: list[str], peaks: dict[str, list[str]]) -> list[str]:
+    """The peak table: a row per config name and a last `import floor` row;
+    per side, a column of its peaks (each side's list ends with its floor)
+    and one of each config's peak minus that floor, the MB its run
+    allocates above the import, blank for a failed run."""
+    rows = [*names, "import floor"]
+    width = max(len(row) for row in rows)
+    lines = [f"{'config':<{width}}" + "".join(f"  {side + ' MB':>10}  {'above floor':>11}"
+                                              for side in peaks)]
+    for k, row in enumerate(rows):
+        cells = []
+        for column in peaks.values():
+            peak, floor = _number(column[k]), _number(column[-1])
+            above = "" if peak is None or floor is None or k == len(names) else f"{peak - floor:+.1f}"
+            cells.append(f"  {column[k]:>10}  {above:>11}")
+        lines.append(f"{row:<{width}}" + "".join(cells))
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent commit checkout")
@@ -181,11 +201,8 @@ def main(argv=None) -> int:
                  for side, checkout in sides.items()}
         for line in compare_dirs(Path(tmp) / "parent", Path(tmp) / "change"):
             print(line)
-    rows = [cfg.stem for cfg in configs] + ["import floor"]
-    width = max(len(row) for row in rows)
-    print(f"{'config':<{width}}  " + "  ".join(f"{side + ' MB':>10}" for side in sides))
-    for k, row in enumerate(rows):
-        print(f"{row:<{width}}  " + "  ".join(f"{peaks[side][k]:>10}" for side in sides))
+    for line in peak_table([cfg.stem for cfg in configs], peaks):
+        print(line)
     return 0
 
 
